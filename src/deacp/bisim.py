@@ -4,7 +4,6 @@ analogue decided per satisfying map, and the agreement experiment."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -127,8 +126,32 @@ def _violation(l1, l2, pair, side, kind, sigma, action=None, target=None):
     }
 
 
+class _ActionClasses:
+    """Ids of the data-equivalence classes of actions; the silent step is 0."""
+
+    def __init__(self, ctx: T.Context):
+        self.ctx = ctx
+        self.reps = [T.TAU]
+        self.ids = {T.TAU: 0}
+        self.cache: dict = {}
+
+    def __call__(self, action) -> int:
+        hit = self.ids.get(action)
+        if hit is None:
+            hit = next((k for k, rep in enumerate(self.reps)
+                        if actions_equivalent(action, rep, self.ctx, self.cache)),
+                       len(self.reps))
+            if hit == len(self.reps):
+                self.reps.append(action)
+            self.ids[action] = hit
+        return hit
+
+    def same(self, a, b) -> bool:
+        return self(a) == self(b)
+
+
 class _Indexed:
-    """Per-state, per-map transition and silent-closure indexes."""
+    """Per-state, per-map moves, silent closures and termination maps."""
 
     def __init__(self, lts: SigmaLts):
         self.lts = lts
@@ -138,18 +161,37 @@ class _Indexed:
             for sigma, action, tgt in ts:
                 index.setdefault(sigma, []).append((action, tgt))
             self.by_sigma.append(index)
+        order = {sigma: k for k, sigma in enumerate(lts.maps)}
+        self.stops = [[] for _ in lts.states]
+        for sid, sigma in lts.terminating:
+            self.stops[sid].append(sigma)
+        for maps in self.stops:
+            maps.sort(key=order.__getitem__)
         self._closures: dict = {}
-
-    def closure(self, state: int, sigma: EvalMap) -> frozenset:
-        key = (state, sigma)
-        hit = self._closures.get(key)
-        if hit is None:
-            hit = silent_closure(self.lts, state, sigma)
-            self._closures[key] = hit
-        return hit
 
     def moves(self, state: int, sigma: EvalMap):
         return self.by_sigma[state].get(sigma, ())
+
+    def answers(self, start: int, sigma: EvalMap, related, related_paths: bool):
+        """States a silent path from start under sigma may answer from: all
+        related ones, or with related_paths only those reached through
+        related states."""
+        if related_paths:
+            return self._reach(start, sigma, related)
+        key = (start, sigma)
+        hit = self._closures.get(key)
+        if hit is None:
+            hit = self._closures[key] = self._reach(start, sigma, lambda u: True)
+        return [u for u in hit if related(u)]
+
+    def _reach(self, start, sigma, keep):
+        seen, frontier = {start}, [start]
+        while frontier:
+            for action, tgt in self.moves(frontier.pop(), sigma):
+                if tgt not in seen and isinstance(action, T.TauAction) and keep(tgt):
+                    seen.add(tgt)
+                    frontier.append(tgt)
+        return seen
 
 
 def _check_domains(l1, l2):
@@ -160,178 +202,157 @@ def _check_domains(l1, l2):
         )
 
 
-def rooted_branching_bisim(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> BisimResult:
-    """Greatest-fixpoint pair refinement deciding rooted branching bisimilarity.
+def _sides(ix1, ix2, pair):
+    """(side, observing system, its state, answering system, its state, orient),
+    where orient puts an (observer's, answerer's) pair in (left, right) order."""
+    i, j = pair
+    return (("left", ix1, i, ix2, j, lambda x, y: (x, y)),
+            ("right", ix2, j, ix1, i, lambda x, y: (y, x)))
 
-    Starts from all cross pairs and deletes, in lexicographic order, every
-    pair violating a transfer condition until stable; the root condition is
-    then tested on the designated root pair against the surviving relation.
+
+def _transfer(ix1, ix2, rel, pair, same, related_paths=False):
+    """Yield every violation of the transfer conditions by pair against rel.
+
+    Each step of one side must be answered, under the same map, by the other
+    side after silent steps to a state related to the observer: by an
+    equivalent step between related targets or, for a silent step, by
+    staying there. Each termination must be answered the same way.
     """
+    l1, l2 = ix1.lts, ix2.lts
+    sides = _sides(ix1, ix2, pair)
+
+    def answers(other, start, sigma, me, orient):
+        return other.answers(start, sigma, lambda u: orient(me, u) in rel, related_paths)
+
+    for side, mine, me, other, start, orient in sides:
+        for sigma, action, target in mine.lts.transitions[me]:
+            silent = isinstance(action, T.TauAction)
+            if not any(
+                (silent and orient(target, u) in rel)
+                or any(same(action, a) and orient(target, t) in rel
+                       for a, t in other.moves(u, sigma))
+                for u in answers(other, start, sigma, me, orient)
+            ):
+                yield _violation(l1, l2, pair, side, "step", sigma, action,
+                                 mine.lts.states[target])
+    for side, mine, me, other, start, orient in sides:
+        for sigma in mine.stops[me]:
+            if not any((u, sigma) in other.lts.terminating
+                       for u in answers(other, start, sigma, me, orient)):
+                yield _violation(l1, l2, pair, side, "termination", sigma)
+
+
+def _root_violation(ix1, ix2, rel, same):
+    """The first violation of the root condition: each step of a root is
+    answered by a single step of the other root, and both roots terminate
+    under the same maps."""
+    l1, l2 = ix1.lts, ix2.lts
+    pair = (l1.root, l2.root)
+    for side, mine, me, other, start, orient in _sides(ix1, ix2, pair):
+        for sigma, action, target in mine.lts.transitions[me]:
+            if not any(same(action, a) and orient(target, t) in rel
+                       for a, t in other.moves(start, sigma)):
+                return _violation(l1, l2, pair, side, "root-step", sigma, action,
+                                  mine.lts.states[target])
+    for sigma in l1.maps:
+        left = (l1.root, sigma) in l1.terminating
+        if left != ((l2.root, sigma) in l2.terminating):
+            return _violation(l1, l2, pair, "left" if left else "right",
+                              "root-termination", sigma)
+    return None
+
+
+def _blocks(ix1, ix2, classes, related_paths: bool) -> list:
+    """Block of each state of the disjoint union of two systems (the second
+    system's states follow the first's) in the coarsest stable partition.
+
+    Signature refinement after Blom & Orzan (PDMC 2003): a state's signature
+    is its block, the (map, action class, target block) of every step it can
+    take after silent steps under that map to a state of its own block, and
+    the maps under which such a state terminates. A silent step within the
+    block is inert and left out. With related_paths the silent steps must
+    also stay in the block. Blocks split until no signature splits one.
+    """
+    map_id: dict = {}
+    moves = []  # per state: map id -> [(class id, target)], termination as (-1, itself)
+    for ix in (ix1, ix2):
+        base = len(moves)
+        for by_sigma, maps in zip(ix.by_sigma, ix.stops):
+            out = {map_id.setdefault(sigma, len(map_id)): [(classes(a), base + t) for a, t in ms]
+                   for sigma, ms in by_sigma.items()}
+            for sigma in maps:
+                out.setdefault(map_id.setdefault(sigma, len(map_id)), []).append((-1, len(moves)))
+            moves.append(out)
+
+    def observations(s, keep):
+        """(state, map, class, target) of every move of every state that a
+        silent path from s under a map reaches through states kept by keep."""
+        found = []
+        for m in moves[s]:
+            seen, frontier = {s}, [s]
+            while frontier:
+                u = frontier.pop()
+                for c, t in moves[u].get(m, ()):
+                    found.append((u, m, c, t))
+                    if not c and t not in seen and keep(t):
+                        seen.add(t)
+                        frontier.append(t)
+        return found
+
+    fixed = None if related_paths else [observations(s, lambda t: True)
+                                        for s in range(len(moves))]
+    block = [0] * len(moves)
+    count = 1
+    while True:
+        ids: dict = {}
+        fresh = []
+        for s, b in enumerate(block):
+            obs = fixed[s] if fixed else observations(s, lambda t: block[t] == b)
+            sig = frozenset((m, c, block[t]) for u, m, c, t in obs
+                            if block[u] == b and (c or block[t] != b))
+            fresh.append(ids.setdefault((b, sig), len(ids)))
+        if len(ids) == count:
+            return fresh
+        block, count = fresh, len(ids)
+
+
+def _decide(l1: SigmaLts, l2: SigmaLts, ctx: T.Context, related_paths: bool) -> BisimResult:
+    """The greatest relation by signature refinement, then the root
+    condition; unrelated roots are explained by their first transfer
+    violation against that relation plus the root pair."""
     _check_domains(l1, l2)
     ix1, ix2 = _Indexed(l1), _Indexed(l2)
-    act_cache: dict = {}
-
-    def acts_eq(a, b):
-        if a == b:
-            return True
-        key = (a, b)
-        hit = act_cache.get(key)
-        if hit is None:
-            hit = actions_equivalent(a, b, ctx, act_cache)
-            act_cache[key] = hit
-        return hit
-
-    relation = set(itertools.product(range(len(l1.states)), range(len(l2.states))))
-    violations: dict = {}
-
-    def transfer_ok(i, j):
-        for sigma, action, target in l1.transitions[i]:
-            matched = False
-            for u in ix2.closure(j, sigma):
-                if (i, u) not in relation:
-                    continue
-                if isinstance(action, T.TauAction) and (target, u) in relation:
-                    matched = True
-                    break
-                for a2, t2 in ix2.moves(u, sigma):
-                    if acts_eq(action, a2) and (target, t2) in relation:
-                        matched = True
-                        break
-                if matched:
-                    break
-            if not matched:
-                return _violation(l1, l2, (i, j), "left", "step", sigma,
-                                  action, l1.states[target])
-        for sigma, action, target in l2.transitions[j]:
-            matched = False
-            for u in ix1.closure(i, sigma):
-                if (u, j) not in relation:
-                    continue
-                if isinstance(action, T.TauAction) and (u, target) in relation:
-                    matched = True
-                    break
-                for a1, t1 in ix1.moves(u, sigma):
-                    if acts_eq(action, a1) and (t1, target) in relation:
-                        matched = True
-                        break
-                if matched:
-                    break
-            if not matched:
-                return _violation(l1, l2, (i, j), "right", "step", sigma,
-                                  action, l2.states[target])
-        for sid, sigma in l1.terminating:
-            if sid != i:
-                continue
-            if not any(
-                (i, u) in relation and (u, sigma) in l2.terminating
-                for u in ix2.closure(j, sigma)
-            ):
-                return _violation(l1, l2, (i, j), "left", "termination", sigma)
-        for sid, sigma in l2.terminating:
-            if sid != j:
-                continue
-            if not any(
-                (u, j) in relation and (u, sigma) in l1.terminating
-                for u in ix1.closure(i, sigma)
-            ):
-                return _violation(l1, l2, (i, j), "right", "termination", sigma)
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(relation):
-            bad = transfer_ok(*pair)
-            if bad is not None:
-                relation.discard(pair)
-                violations[pair] = bad
-                changed = True
-
+    classes = _ActionClasses(ctx)
+    n1 = len(l1.states)
+    members: dict = {}
+    for s, b in enumerate(_blocks(ix1, ix2, classes, related_paths)):
+        members.setdefault(b, ([], []))[s >= n1].append(s - n1 if s >= n1 else s)
+    relation = frozenset((i, j) for left, right in members.values()
+                         for i in left for j in right)
     root_pair = (l1.root, l2.root)
-    if root_pair not in relation:
-        return BisimResult(False, counterexample=violations.get(root_pair),
-                           relation=frozenset(relation))
+    if root_pair in relation:
+        cex = _root_violation(ix1, ix2, relation, classes.same)
+    else:
+        cex = next(_transfer(ix1, ix2, relation | {root_pair}, root_pair, classes.same,
+                             related_paths))
+    if cex is not None:
+        return BisimResult(False, counterexample=cex, relation=relation)
+    return BisimResult(True, witness=tuple(sorted(relation)), relation=relation)
 
-    # Root condition: single-step matching plus termination agreement.
-    for sigma, action, target in l1.transitions[l1.root]:
-        if not any(
-            acts_eq(action, a2) and (target, t2) in relation
-            for a2, t2 in ix2.moves(l2.root, sigma)
-        ):
-            return BisimResult(False, counterexample=_violation(
-                l1, l2, root_pair, "left", "root-step", sigma, action,
-                l1.states[target]), relation=frozenset(relation))
-    for sigma, action, target in l2.transitions[l2.root]:
-        if not any(
-            acts_eq(action, a1) and (t1, target) in relation
-            for a1, t1 in ix1.moves(l1.root, sigma)
-        ):
-            return BisimResult(False, counterexample=_violation(
-                l1, l2, root_pair, "right", "root-step", sigma, action,
-                l2.states[target]), relation=frozenset(relation))
-    for sigma in l1.maps:
-        left_term = (l1.root, sigma) in l1.terminating
-        right_term = (l2.root, sigma) in l2.terminating
-        if left_term != right_term:
-            return BisimResult(False, counterexample=_violation(
-                l1, l2, root_pair, "left" if left_term else "right",
-                "root-termination", sigma), relation=frozenset(relation))
 
-    return BisimResult(True, witness=tuple(sorted(relation)),
-                       relation=frozenset(relation))
+def rooted_branching_bisim(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> BisimResult:
+    """Rooted branching bisimilarity of two map-indexed systems over one domain."""
+    return _decide(l1, l2, ctx, related_paths=False)
 
 
 def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, relation,
                                   ctx: T.Context, root: bool = True) -> list:
-    """Replay the transfer conditions (and optionally the root condition)
-    for every pair of a claimed witness; returns the violations found."""
+    """Replay the transfer conditions for every pair of a claimed witness,
+    and optionally require the root pair; returns the violations found."""
     rel = set(relation)
     ix1, ix2 = _Indexed(l1), _Indexed(l2)
-    act_cache: dict = {}
-    issues = []
-    for i, j in sorted(rel):
-        for sigma, action, target in l1.transitions[i]:
-            ok = False
-            for u in ix2.closure(j, sigma):
-                if (i, u) not in rel:
-                    continue
-                if isinstance(action, T.TauAction) and (target, u) in rel:
-                    ok = True
-                    break
-                if any(actions_equivalent(action, a2, ctx, act_cache) and (target, t2) in rel
-                       for a2, t2 in ix2.moves(u, sigma)):
-                    ok = True
-                    break
-            if not ok:
-                issues.append(_violation(l1, l2, (i, j), "left", "step", sigma, action,
-                                         l1.states[target]))
-        for sigma, action, target in l2.transitions[j]:
-            ok = False
-            for u in ix1.closure(i, sigma):
-                if (u, j) not in rel:
-                    continue
-                if isinstance(action, T.TauAction) and (u, target) in rel:
-                    ok = True
-                    break
-                if any(actions_equivalent(action, a1, ctx, act_cache) and (t1, target) in rel
-                       for a1, t1 in ix1.moves(u, sigma)):
-                    ok = True
-                    break
-            if not ok:
-                issues.append(_violation(l1, l2, (i, j), "right", "step", sigma, action,
-                                         l2.states[target]))
-        for sid, sigma in l1.terminating:
-            if sid == i and not any(
-                (i, u) in rel and (u, sigma) in l2.terminating
-                for u in ix2.closure(j, sigma)
-            ):
-                issues.append(_violation(l1, l2, (i, j), "left", "termination", sigma))
-        for sid, sigma in l2.terminating:
-            if sid == j and not any(
-                (u, j) in rel and (u, sigma) in l1.terminating
-                for u in ix1.closure(i, sigma)
-            ):
-                issues.append(_violation(l1, l2, (i, j), "right", "termination", sigma))
+    same = _ActionClasses(ctx).same
+    issues = [v for pair in sorted(rel) for v in _transfer(ix1, ix2, rel, pair, same)]
     if root and (l1.root, l2.root) not in rel:
         issues.append({"kind": "root-missing"})
     return issues
@@ -402,59 +423,16 @@ def replay_counterexample(l1: SigmaLts, l2: SigmaLts, result: BisimResult,
     return True
 
 
-# --- signature-based refinement for silent-step-free systems ---------------------
+# --- the silent-step-free special case -------------------------------------------
 
 def strong_bisim_signature(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> bool:
-    """Partition refinement by transition signatures; sound for systems
-    without silent steps, where branching and strong equivalence coincide."""
+    """Strong bisimilarity of the roots by signature refinement; on systems
+    without silent steps it coincides with rooted branching bisimilarity."""
     _check_domains(l1, l2)
     if not (l1.is_tau_free() and l2.is_tau_free()):
         raise ShapeError("signature refinement requires silent-step-free systems")
-    # Canonical ids for action-equivalence classes across both systems.
-    class_reps: list = []
-    class_of: dict = {}
-    act_cache: dict = {}
-
-    def act_id(a):
-        hit = class_of.get(a)
-        if hit is not None:
-            return hit
-        for idx, rep in enumerate(class_reps):
-            if actions_equivalent(a, rep, ctx, act_cache):
-                class_of[a] = idx
-                return idx
-        class_reps.append(a)
-        class_of[a] = len(class_reps) - 1
-        return class_of[a]
-
-    sides = (l1, l2)
-    states = [(0, i) for i in range(len(l1.states))] + [
-        (1, j) for j in range(len(l2.states))
-    ]
-    block = {
-        s: frozenset(sig for sid, sig in sides[s[0]].terminating if sid == s[1])
-        for s in states
-    }
-    while True:
-        signature = {}
-        for side, sid in states:
-            lts = sides[side]
-            sig = frozenset(
-                (sigma, act_id(action), block[(side, tgt)])
-                for sigma, action, tgt in lts.transitions[sid]
-            )
-            signature[(side, sid)] = (block[(side, sid)], sig)
-        fresh = {}
-        renumber = {}
-        for s in states:
-            key = signature[s]
-            if key not in renumber:
-                renumber[key] = len(renumber)
-            fresh[s] = renumber[key]
-        if fresh == block:
-            break
-        block = fresh
-    return block[(0, l1.root)] == block[(1, l2.root)]
+    block = _blocks(_Indexed(l1), _Indexed(l2), _ActionClasses(ctx), related_paths=False)
+    return block[l1.root] == block[len(l1.states) + l2.root]
 
 
 # --- the condition-labelled equivalence, decided per satisfying map ---------------
@@ -477,110 +455,7 @@ def rooted_ab_bisim(c1: CondLts, c2: CondLts, ctx: T.Context,
         domain = tuple(v for v in ctx.decl if v in merged)
     l1 = expand_to_sigma(c1, ctx, domain)
     l2 = expand_to_sigma(c2, ctx, domain)
-    ix1, ix2 = _Indexed(l1), _Indexed(l2)
-    act_cache: dict = {}
-
-    def acts_eq(a, b):
-        return a == b or actions_equivalent(a, b, ctx, act_cache)
-
-    relation = set(itertools.product(range(len(l1.states)), range(len(l2.states))))
-    violations: dict = {}
-
-    def match_from(side, i, j, sigma, action, target):
-        """Silent path whose every intermediate state is related to the
-        observing state, ending in a matching move or a silent stay."""
-        if side == "left":
-            ix, other, related = ix2, l2, (lambda u: (i, u) in relation)
-            pair_t = lambda v: (target, v) in relation
-            start = j
-        else:
-            ix, other, related = ix1, l1, (lambda u: (u, j) in relation)
-            pair_t = lambda v: (v, target) in relation
-            start = i
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            if isinstance(action, T.TauAction) and pair_t(u) and (u == start or related(u)):
-                return True
-            for a2, t2 in ix.moves(u, sigma):
-                if acts_eq(action, a2) and pair_t(t2) and (u == start or related(u)):
-                    return True
-            for a2, t2 in ix.moves(u, sigma):
-                if isinstance(a2, T.TauAction) and t2 not in seen and related(t2):
-                    seen.add(t2)
-                    frontier.append(t2)
-        return False
-
-    def termination_from(side, i, j, sigma):
-        if side == "left":
-            ix, other, related = ix2, l2, (lambda u: (i, u) in relation)
-            start = j
-        else:
-            ix, other, related = ix1, l1, (lambda u: (u, j) in relation)
-            start = i
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            if (u, sigma) in other.terminating and (u == start or related(u)):
-                return True
-            for a2, t2 in ix.moves(u, sigma):
-                if isinstance(a2, T.TauAction) and t2 not in seen and related(t2):
-                    seen.add(t2)
-                    frontier.append(t2)
-        return False
-
-    def transfer_ok(i, j):
-        for sigma, action, target in l1.transitions[i]:
-            if not match_from("left", i, j, sigma, action, target):
-                return _violation(l1, l2, (i, j), "left", "step", sigma, action,
-                                  l1.states[target])
-        for sigma, action, target in l2.transitions[j]:
-            if not match_from("right", i, j, sigma, action, target):
-                return _violation(l1, l2, (i, j), "right", "step", sigma, action,
-                                  l2.states[target])
-        for sid, sigma in l1.terminating:
-            if sid == i and not termination_from("left", i, j, sigma):
-                return _violation(l1, l2, (i, j), "left", "termination", sigma)
-        for sid, sigma in l2.terminating:
-            if sid == j and not termination_from("right", i, j, sigma):
-                return _violation(l1, l2, (i, j), "right", "termination", sigma)
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(relation):
-            bad = transfer_ok(*pair)
-            if bad is not None:
-                relation.discard(pair)
-                violations[pair] = bad
-                changed = True
-
-    root_pair = (l1.root, l2.root)
-    if root_pair not in relation:
-        return BisimResult(False, counterexample=violations.get(root_pair),
-                           relation=frozenset(relation))
-    for sigma, action, target in l1.transitions[l1.root]:
-        if not any(acts_eq(action, a2) and (target, t2) in relation
-                   for a2, t2 in ix2.moves(l2.root, sigma)):
-            return BisimResult(False, counterexample=_violation(
-                l1, l2, root_pair, "left", "root-step", sigma, action,
-                l1.states[target]), relation=frozenset(relation))
-    for sigma, action, target in l2.transitions[l2.root]:
-        if not any(acts_eq(action, a1) and (t1, target) in relation
-                   for a1, t1 in ix1.moves(l1.root, sigma)):
-            return BisimResult(False, counterexample=_violation(
-                l1, l2, root_pair, "right", "root-step", sigma, action,
-                l2.states[target]), relation=frozenset(relation))
-    for sigma in l1.maps:
-        if ((l1.root, sigma) in l1.terminating) != ((l2.root, sigma) in l2.terminating):
-            return BisimResult(False, counterexample=_violation(
-                l1, l2, root_pair, "left", "root-termination", sigma),
-                relation=frozenset(relation))
-    return BisimResult(True, witness=tuple(sorted(relation)),
-                       relation=frozenset(relation))
+    return _decide(l1, l2, ctx, related_paths=True)
 
 
 # --- convenience entry points ------------------------------------------------------

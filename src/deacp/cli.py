@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 = success / equivalent / holds, 1 = inequivalent / fails,
-2 = usage errors and analysis limits.
+2 = usage errors, analysis limits, and input too deep or too large to analyze.
 """
 
 from __future__ import annotations
@@ -251,6 +251,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too deep or too large to analyze ({type(exc).__name__})",
+              file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR
 

@@ -383,13 +383,11 @@ def expand_to_sigma(clts: CondLts, ctx: T.Context, domain: Optional[tuple] = Non
     maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
     transitions = []
     for ts in clts.transitions:
-        out = []
+        out: dict = {}  # insertion-ordered set
         for sigma in maps:
             for cond, action, tgt in ts:
                 if eval_cond(cond, sigma, ctx.carrier):
-                    entry = (sigma, action, tgt)
-                    if entry not in out:
-                        out.append(entry)
+                    out[(sigma, action, tgt)] = None
         transitions.append(tuple(out))
     terminating = set()
     for sid, cond in clts.terminating:

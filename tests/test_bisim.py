@@ -1,7 +1,9 @@
+import functools
 import random
 
 import pytest
 
+import pair_oracle
 from conftest import proc
 from deacp import gen as G
 from deacp import terms as T
@@ -11,6 +13,7 @@ from deacp.bisim import (
     decide_rab,
     decide_rb,
     replay_counterexample,
+    rooted_ab_bisim,
     rooted_branching_bisim,
     shared_domain,
     silent_closure,
@@ -18,7 +21,8 @@ from deacp.bisim import (
     verify_branching_bisimulation,
 )
 from deacp.data_algebra import App, EvalMap, Flex, Lit
-from deacp.errors import DeclarationError
+from deacp.errors import DeacpError, DeclarationError
+from deacp.sos_cond import build_cond_lts, expand_to_sigma
 from deacp.sos_sigma import build_lts
 
 
@@ -88,6 +92,20 @@ def test_distinguishing_action(base_spec, ctx):
     result = decide_rb(proc(base_spec, "a . b"), proc(base_spec, "a . c"), ctx)
     assert not result.equivalent
     assert result.counterexample["kind"] in ("step", "root-step")
+
+
+def test_weakly_but_not_branching_bisimilar(base_spec, ctx):
+    # after a, the left side takes b from a state that can still do a; the
+    # right side takes b only after a silent step that gives a up
+    left = proc(base_spec, "a . (b + tau . (b + c) + a)")
+    right = proc(base_spec, "a . (tau . (b + c) + a)")
+    assert not decide_rb(left, right, ctx).equivalent
+    assert not decide_rab(left, right, ctx).equivalent
+    domain = shared_domain(left, right, ctx)
+    l1 = build_lts(left, ctx, domain=domain)
+    l2 = build_lts(right, ctx, domain=domain)
+    assert rooted_branching_bisim(l1, l2, ctx).relation == \
+        pair_oracle.greatest_relation(l1, l2, ctx)
 
 
 def test_ab_bisim_splits_disjunction(base_spec, ctx):
@@ -245,8 +263,78 @@ def test_signature_refinement_agrees_on_tau_free(small_ctx):
         l2 = build_lts(t2, small_ctx, domain=domain)
         if not (l1.is_tau_free() and l2.is_tau_free()):
             continue
-        naive = rooted_branching_bisim(l1, l2, small_ctx).equivalent
+        naive, _ = pair_oracle.decide(l1, l2, small_ctx)
         fast = strong_bisim_signature(l1, l2, small_ctx)
         assert naive == fast
         checked += 1
     assert checked >= 25
+
+
+# --- the refinement engine against the pair-refinement oracle ---------------------
+
+@functools.lru_cache(maxsize=None)
+def _corpus_801():
+    ctx = G.default_context()
+    return ctx, G.pair_corpus(ctx, 300, seed=801)
+
+
+@functools.lru_cache(maxsize=None)
+def _silent_corpus():
+    """80 pairs over GenConfig(max_depth=3, allow_abstr=True) where at least
+    one side takes a silent step: half rewritten pairs, half independent terms."""
+    cfg = G.GenConfig(max_depth=3, allow_abstr=True)
+    ctx = G.default_context(cfg)
+    rng = random.Random(5)
+    pairs = []
+    attempts = 0
+    while len(pairs) < 80 and attempts < 1000:
+        attempts += 1
+        try:
+            if attempts % 2:
+                t1, t2, _ = G.rewritten_pair(rng, cfg, ctx)
+            else:
+                t1, t2 = G.random_proc(rng, cfg, ctx), G.random_proc(rng, cfg, ctx)
+            domain = shared_domain(t1, t2, ctx)
+            l1 = build_lts(t1, ctx, domain=domain)
+            l2 = build_lts(t2, ctx, domain=domain)
+        except DeacpError:
+            continue
+        if len(l1.states) <= 50 and len(l2.states) <= 50 \
+                and not (l1.is_tau_free() and l2.is_tau_free()):
+            pairs.append((t1, t2))
+    return ctx, pairs
+
+
+@pytest.mark.parametrize("corpus", [_corpus_801, _silent_corpus], ids=["seed801", "silent"])
+@pytest.mark.parametrize("related_paths", [False, True], ids=["rb", "rab"])
+def test_engine_matches_pair_refinement(corpus, related_paths):
+    ctx, pairs = corpus()
+    checked = 0
+    verdicts = set()
+    for t1, t2 in pairs:
+        domain = shared_domain(t1, t2, ctx)
+        try:
+            if related_paths:
+                c1 = build_cond_lts(t1, ctx, domain=domain)
+                c2 = build_cond_lts(t2, ctx, domain=domain)
+                l1 = expand_to_sigma(c1, ctx, domain)
+                l2 = expand_to_sigma(c2, ctx, domain)
+            else:
+                l1 = build_lts(t1, ctx, domain=domain)
+                l2 = build_lts(t2, ctx, domain=domain)
+        except DeacpError:
+            continue
+        if related_paths:
+            result = rooted_ab_bisim(c1, c2, ctx, domain)
+        else:
+            result = rooted_branching_bisim(l1, l2, ctx)
+        verdict, relation = pair_oracle.decide(l1, l2, ctx, related_paths)
+        assert result.relation == relation, (t1, t2)
+        assert result.equivalent == verdict, (t1, t2)
+        if verdict:
+            assert result.witness == tuple(sorted(relation))
+        else:
+            assert replay_counterexample(l1, l2, result, ctx), result.counterexample
+        verdicts.add(verdict)
+        checked += 1
+    assert checked >= 0.9 * len(pairs) and verdicts == {True, False}

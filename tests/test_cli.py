@@ -175,3 +175,36 @@ proc CHAIN = q := 0 . r := 11 . q := 1 . r := 8 . q := 2 . r := 5 . q := 3 . r :
     assert json.loads(out)["equal"] is True
     code, out, _ = run(capsys, "linearize", str(path), "--process", "DIV")
     assert code == 0 and out.startswith("rec ")
+
+
+def _run_cli(*argv, hash_seed="0"):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    return subprocess.run([sys.executable, "-m", "deacp.cli", *argv],
+                          capture_output=True, env=env)
+
+
+def test_counterexample_json_identical_across_hash_seeds(tmp_path):
+    # the termination counterexample's map is the first terminating map in
+    # map order, whatever the hash seed
+    path = tmp_path / "term.deacp"
+    path.write_text("vars x\nactions a\nproc L = [x >= 0] -> epsilon + a\nproc R = a\n",
+                    encoding="utf-8")
+    runs = [_run_cli("bisim", str(path), "--left", "L", "--right", "R", "--json",
+                     hash_seed=seed) for seed in ("0", "1", "3")]
+    assert {done.returncode for done in runs} == {1}
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    assert json.loads(runs[0].stdout)["counterexample"]["kind"] == "termination"
+
+
+def test_deep_nesting_exits_two_without_traceback(tmp_path):
+    path = tmp_path / "deep.deacp"
+    path.write_text("actions a\nproc P = " + " . ".join(["a"] * 400) + "\n",
+                    encoding="utf-8")
+    done = _run_cli("bisim", str(path), "--left", "P", "--right", "P")
+    assert done.returncode == 2
+    assert done.stderr.decode().startswith("error:")
+    assert "Traceback" not in done.stderr.decode()
