@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .data_algebra import (
@@ -19,21 +18,22 @@ from .data_algebra import (
     data_flex_vars,
     eval_data,
     map_count,
+    frozen_dataclass,
 )
 from .errors import DeclarationError, EnumerationLimitError
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class CTrue:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class CFalse:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Cmp:
     op: str  # = != < <= > >=
     left: DataTerm
@@ -44,36 +44,36 @@ class Cmp:
             raise DeclarationError(f"unknown comparison {self.op!r}")
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Not:
     body: "Condition"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class And:
     left: "Condition"
     right: "Condition"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Or:
     left: "Condition"
     right: "Condition"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Implies:
     left: "Condition"
     right: "Condition"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Forall:
     var: str
     body: "Condition"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Exists:
     var: str
     body: "Condition"

@@ -24,7 +24,30 @@ DEFAULT_HI = 15
 DEFAULT_ENUM_BOUND = 1_000_000
 
 
-@dataclass(frozen=True)
+def frozen_dataclass(cls):
+    """`dataclass(frozen=True)` whose hash is computed once per object.
+
+    Terms are immutable and nested, and exploration uses them as cache keys
+    over and over; the generated hash would rehash every subterm on each
+    lookup. The stored value is the generated one, hash(tuple(field
+    values)), so set and dict iteration orders do not change.
+    """
+    cls = dataclass(frozen=True)(cls)
+    generated = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = generated(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None  # until the first call stores the object's own hash
+    cls.__hash__ = __hash__
+    return cls
+
+
+@frozen_dataclass
 class Carrier:
     """Integer interval [lo, hi] with saturating arithmetic."""
 
@@ -55,26 +78,26 @@ class Carrier:
 
 # --- data terms -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Lit:
     value: int
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Flex:
     """A flexible-variable constant (a program variable)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class DVar:
     """A data variable; only legal under a quantifier."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class App:
     op: str  # one of + - *
     args: tuple
@@ -130,7 +153,7 @@ def eval_data(
 
 # --- evaluation maps --------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class EvalMap:
     """Total finite mapping from declared flexible variables to carrier values."""
 
@@ -166,7 +189,7 @@ def update_map(sigma: EvalMap, var: str, value: int) -> EvalMap:
     return sigma.updated(var, value)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class FlexVarDecl:
     """Ordered declaration of the flexible variables of a specification."""
 

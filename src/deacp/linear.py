@@ -5,6 +5,7 @@ equality proofs."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 from . import axioms as AX
@@ -80,6 +81,14 @@ def _conj(phi, psi):
     if isinstance(psi, CTrue):
         return phi
     return And(phi, psi)
+
+
+def _disjoin(conds):
+    """Guard of a termination summand that absorbs summands guarded by conds:
+    true when one of them is, else their left-nested disjunction."""
+    if any(isinstance(c, CTrue) for c in conds):
+        return TRUE
+    return reduce(Or, conds)
 
 
 def spec_to_table(spec: T.RecSpec) -> dict:
@@ -433,13 +442,7 @@ class _Linearizer:
                     and is_pure_eps(target)
                     for _, action, target in rows
                 ) and not is_pure_eps(name):
-                    conds = [cond for cond, _, _ in rows]
-                    merged = conds[0]
-                    for c in conds[1:]:
-                        if isinstance(merged, CTrue) or isinstance(c, CTrue):
-                            merged = TRUE
-                        else:
-                            merged = Or(merged, c)
+                    merged = _disjoin([cond for cond, _, _ in rows])
                     before = table_to_spec({name: rows}, [name]).rhs(name)
                     after = T.Guard(merged, T.EPSILON)
                     sub[name] = [(merged, None, None)]
@@ -938,7 +941,16 @@ def _replay_step(step: ProofStep, ctx: T.Context) -> list:
             return ["IMP2 replay produced a different normalization"]
         return []
     if rule == "BED" and "variable" in step.payload:
-        return []  # shape recorded by the absorbing construction
+        # a pure silent equation absorbed into one termination summand
+        parts = (
+            [T.summand_parts(s) for s in T.summands(step.before)]
+            if T.is_linear(step.before) else []
+        )
+        if not parts or not all(isinstance(action, T.TauAction) for _, action, _ in parts):
+            return ["BED lemma absorbs more than silent steps to recursion variables"]
+        if step.after != T.Guard(_disjoin([cond for cond, _, _ in parts]), T.EPSILON):
+            return ["BED lemma does not end in the disjunction of the absorbed guards"]
+        return []
     if rule in AX.AXIOMS:
         if AX.AXIOMS[rule].relates(step.before, step.after, ctx):
             return []

@@ -56,10 +56,7 @@ class _LabelRegistry:
             return hit
         conjuncts: list = []
         self._flatten(phi, conjuncts)
-        uniq = []
-        for c in sorted(conjuncts, key=render_cond):
-            if c not in uniq:
-                uniq.append(c)
+        uniq = list(dict.fromkeys(sorted(conjuncts, key=render_cond)))
         out = uniq[0]
         for c in uniq[1:]:
             out = And(out, c)
@@ -121,11 +118,7 @@ class _CondSos:
             moves = self._steps(t)
         finally:
             self.depth -= 1
-        seen = []
-        for m in moves:
-            if m not in seen:
-                seen.append(m)
-        result = tuple(seen)
+        result = tuple(dict.fromkeys(moves))
         self.step_cache[t] = result
         return result
 
@@ -233,11 +226,7 @@ class _CondSos:
             conds = self._terminating(t)
         finally:
             self.depth -= 1
-        seen = []
-        for c in conds:
-            if c not in seen:
-                seen.append(c)
-        result = tuple(seen)
+        result = tuple(dict.fromkeys(conds))
         self.term_cache[t] = result
         return result
 
@@ -345,10 +334,9 @@ def build_cond_lts(
     ids = {root: 0}
     transitions = [()]
     terminating = set()
-    queue = [0]
     n_transitions = 0
-    while queue:
-        sid = queue.pop(0)
+    sid = 0
+    while sid < len(states):  # ids are handed out in breadth-first order
         state = states[sid]
         out = []
         for cond, action, target in sos.steps(state):
@@ -360,12 +348,12 @@ def build_cond_lts(
                 ids[target] = tid
                 states.append(target)
                 transitions.append(())
-                queue.append(tid)
             out.append((cond, action, tid))
             n_transitions += 1
         for cond in sos.terminating(state):
             terminating.add((sid, cond))
         transitions[sid] = tuple(out)
+        sid += 1
     return CondLts(
         states=states,
         root=0,

@@ -28,6 +28,7 @@ class _Sos:
         self.ctx = ctx
         self.step_cache: dict = {}
         self.term_cache: dict = {}
+        self.unfold_cache: dict = {}  # RecConst -> canonical unfolding
         self.depth = 0
 
     def _eval(self, e, sigma):
@@ -77,16 +78,20 @@ class _Sos:
             moves = self._steps(t, sigma)
         finally:
             self.depth -= 1
-        seen = []
-        for m in moves:
-            if m not in seen:
-                seen.append(m)
-        result = tuple(seen)
+        result = tuple(dict.fromkeys(moves))
         self.step_cache[key] = result
         return result
 
     def _canon(self, t):
         return T.canonical(t, self.ctx.carrier)
+
+    def _unfold(self, const: T.RecConst) -> T.ProcTerm:
+        """Canonical unfolding of a constant, shared by every ambient map."""
+        hit = self.unfold_cache.get(const)
+        if hit is None:
+            T.require_glrs(const.spec)
+            hit = self.unfold_cache[const] = self._canon(T.unfold(const))
+        return hit
 
     def _steps(self, t, sigma):
         if isinstance(t, T.Atom):
@@ -156,8 +161,7 @@ class _Sos:
                     )
             return out
         if isinstance(t, T.RecConst):
-            T.require_glrs(t.spec)
-            return list(self.steps(self._canon(T.unfold(t)), sigma))
+            return list(self.steps(self._unfold(t), sigma))
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} has no transitions")
         raise TypeError(f"not a process term: {t!r}")
@@ -196,8 +200,7 @@ class _Sos:
             # Termination of an evaluated process is ambient-independent.
             return self.terminates(t.body, t.emap)
         if isinstance(t, T.RecConst):
-            T.require_glrs(t.spec)
-            return self.terminates(self._canon(T.unfold(t)), sigma)
+            return self.terminates(self._unfold(t), sigma)
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} cannot terminate")
         raise TypeError(f"not a process term: {t!r}")
@@ -290,10 +293,9 @@ def build_lts(
     ids = {root: 0}
     transitions = [()]
     terminating = set()
-    queue = [0]
     n_transitions = 0
-    while queue:
-        sid = queue.pop(0)
+    sid = 0
+    while sid < len(states):  # ids are handed out in breadth-first order
         state = states[sid]
         out = []
         for sigma in maps:
@@ -306,12 +308,12 @@ def build_lts(
                     ids[target] = tid
                     states.append(target)
                     transitions.append(())
-                    queue.append(tid)
                 out.append((sigma, action, tid))
                 n_transitions += 1
             if sos.terminates(state, sigma):
                 terminating.add((sid, sigma))
         transitions[sid] = tuple(out)
+        sid += 1
     return SigmaLts(
         states=states,
         root=0,

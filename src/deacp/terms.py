@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -26,6 +25,7 @@ from .data_algebra import (
     Lit,
     data_flex_vars,
     eval_data,
+    frozen_dataclass,
 )
 from .errors import ArityError, DeclarationError, GuardednessError, ShapeError
 
@@ -35,7 +35,7 @@ DEFAULT_COMM_BOUND = 64
 
 # --- actions ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class BasicAction:
     name: str
 
@@ -44,12 +44,12 @@ class BasicAction:
             raise DeclarationError(f"{self.name!r} is reserved and not an action name")
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class TauAction:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class ParamAction:
     name: str
     args: tuple  # nonempty tuple of DataTerm
@@ -61,7 +61,7 @@ class ParamAction:
             raise ArityError("data-parameterized action needs at least one argument")
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class AssignAction:
     var: str
     expr: DataTerm
@@ -87,7 +87,7 @@ def action_flex_vars(alpha: Action) -> frozenset:
 
 # --- action patterns (finite descriptions of subsets of the atomic actions) --
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class ActionPattern:
     """Selects atomic actions; tau is never selected.
 
@@ -141,81 +141,81 @@ def matches_any(alpha: Action, patterns: tuple) -> bool:
 
 # --- process terms ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Atom:
     action: Action
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Inaction:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Empty:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Alt:
     left: "ProcTerm"
     right: "ProcTerm"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Seq:
     left: "ProcTerm"
     right: "ProcTerm"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Par:
     left: "ProcTerm"
     right: "ProcTerm"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class LeftMerge:
     left: "ProcTerm"
     right: "ProcTerm"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class CommMerge:
     left: "ProcTerm"
     right: "ProcTerm"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Encap:
     patterns: tuple  # canonical tuple of ActionPattern
     body: "ProcTerm"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Abstr:
     patterns: tuple
     body: "ProcTerm"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Guard:
     cond: Condition
     body: "ProcTerm"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Eval:
     emap: EvalMap
     body: "ProcTerm"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class RecVar:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class RecSpec:
     """Finite recursive specification; equation order is significant for output."""
 
@@ -240,7 +240,7 @@ class RecSpec:
         return any(n == name for n, _ in self.equations)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class RecConst:
     """The designated-variable solution constant of a recursive specification."""
 
@@ -287,7 +287,7 @@ def alt_fold(parts: list) -> ProcTerm:
 
 # --- communication function -------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class CommFunction:
     """Commutative partial merge of basic-action names; delta where undefined."""
 
@@ -334,7 +334,7 @@ class CommFunction:
 
 # --- analysis context ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Context:
     """Everything the semantics needs besides the term itself."""
 
@@ -575,7 +575,7 @@ def reachable(spec: RecSpec, start: str) -> frozenset:
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Classification:
     abstraction_free: bool
     bool_conditional: bool

@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import proc
+from conftest import cond, proc
 from deacp import gen as G
 from deacp import terms as T
 from deacp.bisim import decide_rb
+from deacp.conditions import TRUE
 from deacp.errors import CfarInapplicableError, UnsupportedFragmentError
 from deacp.linear import (
     analyze_clusters,
@@ -13,6 +15,7 @@ from deacp.linear import (
     cluster_of,
     linearize,
     normalize_bool_conditional,
+    ProofCertificate,
     prove_equal,
     replay_certificate,
 )
@@ -245,3 +248,23 @@ def test_certificates_replay_on_rewritten_pairs(small_ctx):
         assert result.equal
         ok, issues = replay_certificate(result.certificate, small_ctx)
         assert ok, issues
+
+
+def test_replay_checks_absorbed_silent_equations(base_spec, ctx):
+    certificate = prove_equal(
+        proc(base_spec, "hide{a}(b . (tau + tau . tau))"), proc(base_spec, "b"), ctx
+    ).certificate
+    absorbed = [s for s in certificate.steps if s.rule == "BED"]
+    assert len(absorbed) == 2
+    assert replay_certificate(certificate, ctx) == (True, [])
+    bed = absorbed[0]
+    target = T.summand_parts(T.summands(bed.before)[0])[2]
+    visible = T.Guard(TRUE, T.Seq(T.Atom(T.BasicAction("a")), T.RecVar(target)))
+    other_guard = T.Guard(cond(base_spec, "u = 0"), T.EPSILON)
+    for tampered in (replace(bed, before=T.Alt(bed.before, visible)),
+                     replace(bed, after=other_guard)):
+        steps = [tampered if s is bed else s for s in certificate.steps]
+        ok, issues = replay_certificate(
+            ProofCertificate(certificate.left, certificate.right, steps), ctx
+        )
+        assert not ok and len(issues) == 1 and issues[0].startswith("BED"), issues

@@ -1,6 +1,10 @@
+from dataclasses import FrozenInstanceError, fields, is_dataclass
+
 import pytest
 
 from conftest import proc
+from deacp import conditions as C
+from deacp import data_algebra as D
 from deacp import terms as T
 from deacp.conditions import TRUE, Cmp
 from deacp.data_algebra import Flex, Lit
@@ -180,3 +184,55 @@ def test_canonical_state_rules(base_spec, ctx):
     five = T.Atom(T.ParamAction("a", (Lit(5),)))
     sum_ = T.Atom(T.ParamAction("a", (proc(base_spec, "a(3 + 2)").action.args[0],)))
     assert T.canonical(sum_, carrier) == five
+
+
+def _examples() -> dict:
+    """A freshly built instance of every frozen dataclass of the term modules."""
+    x = Flex("x")
+    less = Cmp("<", x, Lit(1))
+    bound = Cmp("=", D.DVar("n"), x)
+    a = T.Atom(T.BasicAction("a"))
+    loop = T.RecSpec((("X", T.Guard(TRUE, T.Seq(a, T.RecVar("X")))),))
+    hide = (T.ActionPattern("name", "a"),)
+    out = [
+        D.Carrier(), Lit(3), x, D.DVar("n"), D.App("+", (x, Lit(1))),
+        D.EvalMap.of({"x": 1}), D.FlexVarDecl(("x",)),
+        C.CTrue(), C.CFalse(), less, C.Not(less), C.And(less, TRUE), C.Or(less, TRUE),
+        C.Implies(less, TRUE), C.Forall("n", bound), C.Exists("n", bound),
+        T.BasicAction("a"), T.TauAction(), T.ParamAction("a", (x,)),
+        T.AssignAction("x", Lit(2)), hide[0], a, T.Inaction(), T.Empty(),
+        T.Alt(a, a), T.Seq(a, a), T.Par(a, a), T.LeftMerge(a, a), T.CommMerge(a, a),
+        T.Encap(hide, a), T.Abstr(hide, a), T.Guard(less, a),
+        T.Eval(D.EvalMap.of({"x": 1}), a), T.RecVar("X"), loop, T.RecConst("X", loop),
+        T.CommFunction.of({("a", "b"): "c"}), T.Context(), T.Classification(True, False, True),
+    ]
+    return {type(term): term for term in out}
+
+
+FROZEN_CLASSES = [
+    cls
+    for module in (D, C, T)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and cls.__module__ == module.__name__
+    and is_dataclass(cls) and cls.__dataclass_params__.frozen
+]
+
+
+@pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda cls: cls.__name__)
+def test_stored_hash_is_the_generated_one(cls):
+    first, second = _examples()[cls], _examples()[cls]
+    assert first is not second
+    assert hash(first) == hash(tuple(getattr(first, f.name) for f in fields(first)))
+    assert hash(first) == hash(second) and first == second
+    for name in [f.name for f in fields(first)[:1]] + ["_hash"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(first, name, None)
+    assert hash(first) == hash(second)
+
+
+def test_deep_terms_hash_without_rehashing_subterms():
+    t = T.EPSILON
+    for _ in range(5000):
+        t = T.Seq(T.Atom(T.BasicAction("a")), t)
+        hash(t)
+    assert hash(t) == hash((t.left, t.right))
