@@ -346,14 +346,14 @@ def rooted_branching_bisim(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> BisimR
 
 
 def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, relation,
-                                  ctx: T.Context, root: bool = True) -> list:
+                                  ctx: T.Context) -> list:
     """Replay the transfer conditions for every pair of a claimed witness,
-    and optionally require the root pair; returns the violations found."""
+    and require the root pair; returns the violations found."""
     rel = set(relation)
     ix1, ix2 = _Indexed(l1), _Indexed(l2)
     same = _ActionClasses(ctx).same
     issues = [v for pair in sorted(rel) for v in _transfer(ix1, ix2, rel, pair, same)]
-    if root and (l1.root, l2.root) not in rel:
+    if (l1.root, l2.root) not in rel:
         issues.append({"kind": "root-missing"})
     return issues
 

@@ -11,7 +11,7 @@ from typing import Optional
 from . import axioms as AX
 from . import terms as T
 from .bisim import BisimResult, decide_rb, rooted_branching_bisim, shared_domain
-from .conditions import And, CFalse, CTrue, Or, TRUE, valid_iff
+from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, valid_iff
 from .data_algebra import Lit, eval_data
 from .errors import (
     CfarInapplicableError,
@@ -311,29 +311,15 @@ class _Linearizer:
         def syncs(lrows, rrows):
             out = []
             for lcond, laction, ltarget in lrows:
-                if laction is None:
-                    continue
                 for rcond, raction, rtarget in rrows:
-                    if raction is None:
+                    c = gamma.communicate(laction, raction)  # None for termination rows
+                    if c is None:
                         continue
-                    if isinstance(laction, T.BasicAction) and isinstance(raction, T.BasicAction):
-                        c = gamma.result(laction.name, raction.name)
-                        if c is None:
-                            continue
-                        out.append((_conj(lcond, rcond), T.BasicAction(c),
-                                    name_of("par", ltarget, rtarget)))
-                    elif isinstance(laction, T.ParamAction) and isinstance(raction, T.ParamAction):
-                        if len(laction.args) != len(raction.args):
-                            continue
-                        c = gamma.result(laction.name, raction.name)
-                        if c is None:
-                            continue
-                        cond = _conj(lcond, rcond)
-                        from .conditions import Cmp
+                    cond = _conj(lcond, rcond)
+                    if isinstance(c, T.ParamAction):
                         for e1, e2 in zip(laction.args, raction.args):
                             cond = _conj(cond, Cmp("=", e1, e2))
-                        out.append((cond, T.ParamAction(c, laction.args),
-                                    name_of("par", ltarget, rtarget)))
+                    out.append((cond, c, name_of("par", ltarget, rtarget)))
             return out
 
         start = name_of(mode, left_root, right_root)
@@ -545,57 +531,36 @@ def _scc(order, edges) -> list:
     return components
 
 
-def _find_clusters(table: dict, order: list, patterns: tuple) -> list:
-    edges = {}
-    for name in order:
-        targets = []
+def _cluster_info(table: dict, order: list, members, patterns: tuple) -> ClusterInfo:
+    """A candidate set against the cluster definitions: its exit rows, the
+    cluster condition, conservativity and whether a hidden move stays inside."""
+    member_set = frozenset(members)
+    members = tuple(name for name in order if name in member_set)
+    is_cluster, cyclic = True, False
+    exits: dict = {}  # insertion-ordered set of rows
+    for name in members:
         for row in table[name]:
-            if _internal_row(row, frozenset(order), patterns):
-                # candidate internal move; refined per component below
-                targets.append(row[2])
-        edges[name] = targets
-    out = []
-    for comp in _scc(order, edges):
-        member_set = frozenset(comp)
-        cyclic = len(comp) > 1 or any(
-            t == comp[0] for t in edges.get(comp[0], ())
-        )
-        is_cluster = True
-        exit_rows = []
-        for name in comp:
-            for row in table[name]:
-                cond, action, target = row
-                if action is not None and target in member_set:
-                    internal = _internal_row(row, member_set, patterns)
-                    if not internal:
-                        is_cluster = False
-                    if internal:
-                        continue
-                exit_rows.append(row)
-        seen = []
-        for row in exit_rows:
-            if row not in seen:
-                seen.append(row)
-        conservative = True
-        if is_cluster:
-            carriers = [
-                name for name in comp
-                if any(row in seen for row in table[name])
-            ]
-            reach = {name: _reach_table(table, name) for name in comp}
-            for name in comp:
-                for carrier in carriers:
-                    if carrier not in reach[name]:
-                        conservative = False
-        out.append(ClusterInfo(
-            members=tuple(comp),
-            member_set=member_set,
-            cyclic=cyclic,
-            is_cluster=is_cluster,
-            exit_rows=tuple(seen),
-            conservative=conservative and is_cluster,
-        ))
-    return out
+            if row[1] is not None and row[2] in member_set:
+                if _internal_row(row, member_set, patterns):
+                    cyclic = True
+                    continue
+                is_cluster = False
+            exits[row] = None
+    conservative = is_cluster
+    if is_cluster:
+        carriers = frozenset(n for n in members if any(row in exits for row in table[n]))
+        conservative = all(carriers <= _reach_table(table, name) for name in members)
+    return ClusterInfo(members, member_set, cyclic, is_cluster, tuple(exits), conservative)
+
+
+def _find_clusters(table: dict, order: list, patterns: tuple) -> list:
+    """Every strongly connected component of the hidden moves, analysed."""
+    everything = frozenset(order)
+    edges = {
+        name: [row[2] for row in table[name] if _internal_row(row, everything, patterns)]
+        for name in order
+    }
+    return [_cluster_info(table, order, comp, patterns) for comp in _scc(order, edges)]
 
 
 def _reach_table(table: dict, start: str) -> frozenset:
@@ -624,40 +589,7 @@ def analyze_clusters(spec: T.RecSpec, patterns: tuple) -> ClusterAnalysis:
 
 def cluster_of(spec: T.RecSpec, patterns: tuple, members) -> ClusterInfo:
     """Validate an arbitrary candidate set against the cluster definitions."""
-    table = spec_to_table(spec)
-    order = list(spec.variables)
-    member_set = frozenset(members)
-    is_cluster = True
-    exit_rows = []
-    for name in order:
-        if name not in member_set:
-            continue
-        for row in table[name]:
-            cond, action, target = row
-            if action is not None and target in member_set:
-                if not _internal_row(row, member_set, patterns):
-                    is_cluster = False
-                else:
-                    continue
-            exit_rows.append(row)
-    seen = []
-    for row in exit_rows:
-        if row not in seen:
-            seen.append(row)
-    conservative = is_cluster
-    if is_cluster:
-        carriers = [n for n in member_set if any(row in seen for row in table[n])]
-        for name in member_set:
-            reach = _reach_table(table, name)
-            for carrier in carriers:
-                if carrier not in reach:
-                    conservative = False
-    cyclic = any(
-        _internal_row(row, member_set, patterns)
-        for name in member_set for row in table[name]
-    )
-    return ClusterInfo(tuple(sorted(member_set, key=order.index)), member_set,
-                       cyclic, is_cluster, tuple(seen), conservative)
+    return _cluster_info(spec_to_table(spec), list(spec.variables), members, patterns)
 
 
 def _cfar_step(spec: T.RecSpec, info: ClusterInfo, patterns: tuple,
@@ -925,7 +857,9 @@ def _replay_step(step: ProofStep, ctx: T.Context) -> list:
             return ["CFAR cluster fails the cluster condition"]
         if not info.conservative:
             return ["CFAR cluster is not conservative"]
-        expected, _ = apply_cfar(spec, var, patterns, ctx)
+        expected, recomputed = apply_cfar(spec, var, patterns, ctx)
+        if recomputed.payload["members"] != tuple(members):
+            return ["CFAR step names another cluster than its variable's"]
         if expected != step.after:
             return ["CFAR step does not match the recomputed equation"]
         return []

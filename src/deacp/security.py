@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import terms as T
 from .bisim import rooted_branching_bisim
+from .conditions import And, Cmp, TRUE, satisfiable
 from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps
 from .errors import DeclarationError, EnumerationLimitError
 from .parser import render_action
@@ -62,19 +63,13 @@ def derive_sets(spec: SecuritySpec, ctx: T.Context) -> DerivedSets:
     internal_patterns = T.pattern_set(_arity_pattern(a) for a in internal)
 
     def communicates(a1: T.Action, a2: T.Action) -> bool:
-        if isinstance(a1, T.BasicAction) and isinstance(a2, T.BasicAction):
-            return ctx.gamma.result(a1.name, a2.name) is not None
-        if isinstance(a1, T.ParamAction) and isinstance(a2, T.ParamAction):
-            if len(a1.args) != len(a2.args):
-                return False
-            if ctx.gamma.result(a1.name, a2.name) is None:
-                return False
-            from .conditions import And, Cmp, TRUE, satisfiable
-            cond = TRUE
-            for e1, e2 in zip(a1.args, a2.args):
-                cond = And(cond, Cmp("=", e1, e2))
-            return satisfiable(cond, ctx.decl, ctx.carrier, ctx.enum_bound)
-        return False  # assignments and mixed shapes never synchronize
+        c = ctx.gamma.communicate(a1, a2)  # None for assignments and mixed shapes
+        if not isinstance(c, T.ParamAction):
+            return c is not None
+        cond = TRUE
+        for e1, e2 in zip(a1.args, a2.args):
+            cond = And(cond, Cmp("=", e1, e2))
+        return satisfiable(cond, ctx.decl, ctx.carrier, ctx.enum_bound)
 
     encapsulated = [
         a for a in internal

@@ -7,7 +7,7 @@ map-indexed semantics exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import terms as T
@@ -21,12 +21,10 @@ from .conditions import (
     eval_cond,
     subst_map_cond,
 )
-from .data_algebra import EvalMap, FlexVarDecl, Lit, enumerate_maps, eval_data
-from .errors import ExplorationLimitError, GuardednessError
+from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps
+from .errors import GuardednessError
 from .parser import render_action, render_cond, render_term
-from .sos_sigma import SigmaLts, ambient_domain
-
-_UNFOLD_LIMIT = 10_000
+from .sos_sigma import SigmaLts, _Rules, ambient_domain, explore
 
 
 class _LabelRegistry:
@@ -64,16 +62,12 @@ class _LabelRegistry:
         return out
 
 
-class _CondSos:
-    def __init__(self, ctx: T.Context, registry: Optional[_LabelRegistry] = None):
-        self.ctx = ctx
-        self.registry = registry or _LabelRegistry(ctx)
-        self.step_cache: dict = {}
-        self.term_cache: dict = {}
-        self.depth = 0
+class _CondSos(_Rules):
+    """Condition-labelled rules with per-term memoization."""
 
-    def _canon(self, t):
-        return T.canonical(t, self.ctx.carrier)
+    def __init__(self, ctx: T.Context):
+        super().__init__(ctx)
+        self.registry = _LabelRegistry(ctx)
 
     def _conj(self, phi: Condition, psi: Condition) -> Optional[Condition]:
         return self.registry.normalize(And(phi, psi))
@@ -89,38 +83,22 @@ class _CondSos:
         out = []
         for phi, ax, tx in moves_x:
             for psi, ay, ty in moves_y:
-                if isinstance(ax, T.BasicAction) and isinstance(ay, T.BasicAction):
-                    c = self.ctx.gamma.result(ax.name, ay.name)
-                    if c is None:
-                        continue
-                    label = self._conj(phi, psi)
-                    if label is not None:
-                        out.append((label, T.BasicAction(c), tx, ty))
-                elif isinstance(ax, T.ParamAction) and isinstance(ay, T.ParamAction):
-                    if len(ax.args) != len(ay.args):
-                        continue
-                    c = self.ctx.gamma.result(ax.name, ay.name)
-                    if c is None:
-                        continue
+                c = self.ctx.gamma.communicate(ax, ay)
+                if c is None:
+                    continue
+                if isinstance(c, T.ParamAction):
                     label = self._conj(And(phi, psi), self._data_eq(ax.args, ay.args))
-                    if label is not None:
-                        out.append((label, T.ParamAction(c, ax.args), tx, ty))
+                else:
+                    label = self._conj(phi, psi)
+                if label is not None:
+                    out.append((label, c, tx, ty))
         return out
 
     def steps(self, t: T.ProcTerm) -> tuple:
         hit = self.step_cache.get(t)
-        if hit is not None:
-            return hit
-        self.depth += 1
-        if self.depth > _UNFOLD_LIMIT:
-            raise GuardednessError("unguarded recursion detected during unfolding")
-        try:
-            moves = self._steps(t)
-        finally:
-            self.depth -= 1
-        result = tuple(dict.fromkeys(moves))
-        self.step_cache[t] = result
-        return result
+        if hit is None:
+            hit = self.step_cache[t] = tuple(dict.fromkeys(self._steps(t)))
+        return hit
 
     def _steps(self, t):
         if isinstance(t, T.Atom):
@@ -184,51 +162,22 @@ class _CondSos:
                     out.append((label, a, tgt))
             return out
         if isinstance(t, T.Eval):
-            carried = t.emap
-            out = []
-            for phi, a, tgt in self.steps(t.body):
-                resolved = subst_map_cond(phi, carried)
-                if not eval_cond(resolved, EvalMap(()), self.ctx.carrier):
-                    continue
-                if isinstance(a, T.AssignAction):
-                    value = eval_data(a.expr, carried, self.ctx.carrier)
-                    action = T.AssignAction(a.var, Lit(value))
-                    updated = carried.updated(a.var, value)
-                    out.append((TRUE, action, self._canon(T.Eval(updated, tgt))))
-                else:
-                    if isinstance(a, T.ParamAction):
-                        action = T.ParamAction(
-                            a.name,
-                            tuple(
-                                Lit(eval_data(e, carried, self.ctx.carrier))
-                                for e in a.args
-                            ),
-                        )
-                    else:
-                        action = a
-                    out.append((TRUE, action, self._canon(T.Eval(carried, tgt))))
-            return out
+            return [
+                (TRUE, *self._evaluated(a, t.emap, tgt))
+                for phi, a, tgt in self.steps(t.body)
+                if eval_cond(subst_map_cond(phi, t.emap), EvalMap(()), self.ctx.carrier)
+            ]
         if isinstance(t, T.RecConst):
-            T.require_glrs(t.spec)
-            return list(self.steps(self._canon(T.unfold(t))))
+            return list(self.steps(self._unfold(t)))
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} has no transitions")
         raise TypeError(f"not a process term: {t!r}")
 
     def terminating(self, t: T.ProcTerm) -> tuple:
         hit = self.term_cache.get(t)
-        if hit is not None:
-            return hit
-        self.depth += 1
-        if self.depth > _UNFOLD_LIMIT:
-            raise GuardednessError("unguarded recursion detected during unfolding")
-        try:
-            conds = self._terminating(t)
-        finally:
-            self.depth -= 1
-        result = tuple(dict.fromkeys(conds))
-        self.term_cache[t] = result
-        return result
+        if hit is None:
+            hit = self.term_cache[t] = tuple(dict.fromkeys(self._terminating(t)))
+        return hit
 
     def _terminating(self, t):
         if isinstance(t, T.Empty):
@@ -262,8 +211,7 @@ class _CondSos:
                     out.append(TRUE)
             return out
         if isinstance(t, T.RecConst):
-            T.require_glrs(t.spec)
-            return list(self.terminating(self._canon(T.unfold(t))))
+            return list(self.terminating(self._unfold(t)))
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} cannot terminate")
         raise TypeError(f"not a process term: {t!r}")
@@ -285,7 +233,6 @@ class CondLts:
     domain: tuple
     transitions: list  # per state: tuple of (Condition, Action, target id)
     terminating: set  # of (state id, Condition)
-    state_ids: dict = field(default_factory=dict)
 
     @property
     def num_transitions(self) -> int:
@@ -325,43 +272,20 @@ def build_cond_lts(
 ) -> CondLts:
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
-    bound = bound if bound is not None else ctx.state_bound
     if domain is None:
         domain = ambient_domain(t, ctx)
     sos = _CondSos(ctx)
-    root = T.canonical(t, ctx.carrier)
-    states = [root]
-    ids = {root: 0}
-    transitions = [()]
     terminating = set()
-    n_transitions = 0
-    sid = 0
-    while sid < len(states):  # ids are handed out in breadth-first order
-        state = states[sid]
-        out = []
-        for cond, action, target in sos.steps(state):
-            tid = ids.get(target)
-            if tid is None:
-                tid = len(states)
-                if tid >= bound:
-                    raise ExplorationLimitError(bound, len(states), n_transitions)
-                ids[target] = tid
-                states.append(target)
-                transitions.append(())
-            out.append((cond, action, tid))
-            n_transitions += 1
-        for cond in sos.terminating(state):
-            terminating.add((sid, cond))
-        transitions[sid] = tuple(out)
-        sid += 1
-    return CondLts(
-        states=states,
-        root=0,
-        domain=tuple(domain),
-        transitions=transitions,
-        terminating=terminating,
-        state_ids=ids,
+
+    def successors(sid, state):
+        yield from sos.steps(state)
+        terminating.update((sid, cond) for cond in sos.terminating(state))
+
+    states, transitions = explore(
+        T.canonical(t, ctx.carrier), successors, ctx.state_bound if bound is None else bound
     )
+    return CondLts(states=states, root=0, domain=tuple(domain),
+                   transitions=transitions, terminating=terminating)
 
 
 def expand_to_sigma(clts: CondLts, ctx: T.Context, domain: Optional[tuple] = None) -> SigmaLts:
@@ -389,5 +313,4 @@ def expand_to_sigma(clts: CondLts, ctx: T.Context, domain: Optional[tuple] = Non
         maps=maps,
         transitions=transitions,
         terminating=terminating,
-        state_ids=dict(clts.state_ids),
     )

@@ -9,7 +9,7 @@ occur outside carried maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import terms as T
@@ -18,79 +18,67 @@ from .data_algebra import EvalMap, FlexVarDecl, Lit, enumerate_maps, eval_data
 from .errors import ExplorationLimitError, GuardednessError
 from .parser import render_action, render_term
 
-_UNFOLD_LIMIT = 10_000
 
-
-class _Sos:
-    """Rule engine with per-(term, map) memoization."""
+class _Rules:
+    """What both rule engines share: memo tables, canonical forms, the
+    unfolding of each recursion constant and evaluation under a carried map."""
 
     def __init__(self, ctx: T.Context):
         self.ctx = ctx
         self.step_cache: dict = {}
         self.term_cache: dict = {}
         self.unfold_cache: dict = {}  # RecConst -> canonical unfolding
-        self.depth = 0
 
-    def _eval(self, e, sigma):
-        return eval_data(e, sigma, self.ctx.carrier)
+    def _canon(self, t):
+        return T.canonical(t, self.ctx.carrier)
 
-    def _eval_action(self, alpha, sigma):
-        if isinstance(alpha, T.ParamAction):
-            return T.ParamAction(
-                alpha.name, tuple(Lit(self._eval(e, sigma)) for e in alpha.args)
+    def _unfold(self, const: T.RecConst) -> T.ProcTerm:
+        """Canonical unfolding of a constant, computed once per explorer."""
+        hit = self.unfold_cache.get(const)
+        if hit is None:
+            T.require_glrs(const.spec)
+            hit = self.unfold_cache[const] = self._canon(T.unfold(const))
+        return hit
+
+    def _evaluated(self, action: T.Action, carried: EvalMap, target: T.ProcTerm) -> tuple:
+        """A step of an evaluated body: its label with the data evaluated under
+        the carried map, and its target under the map the step leaves."""
+        carrier = self.ctx.carrier
+        if isinstance(action, T.AssignAction):
+            value = eval_data(action.expr, carried, carrier)
+            updated = carried.updated(action.var, value)
+            return T.AssignAction(action.var, Lit(value)), self._canon(T.Eval(updated, target))
+        if isinstance(action, T.ParamAction):
+            action = T.ParamAction(
+                action.name, tuple(Lit(eval_data(e, carried, carrier)) for e in action.args)
             )
-        if isinstance(alpha, T.AssignAction):
-            return T.AssignAction(alpha.var, Lit(self._eval(alpha.expr, sigma)))
-        return alpha
+        return action, self._canon(T.Eval(carried, target))
+
+
+class _Sos(_Rules):
+    """Map-indexed rules with per-(term, map) memoization."""
 
     def _sync(self, moves_x, moves_y, sigma):
         """Synchronization moves of two move sets under the communication function."""
+        carrier = self.ctx.carrier
         out = []
         for ax, tx in moves_x:
             for ay, ty in moves_y:
-                if isinstance(ax, T.BasicAction) and isinstance(ay, T.BasicAction):
-                    c = self.ctx.gamma.result(ax.name, ay.name)
-                    if c is not None:
-                        out.append((T.BasicAction(c), tx, ty))
-                elif isinstance(ax, T.ParamAction) and isinstance(ay, T.ParamAction):
-                    if len(ax.args) != len(ay.args):
-                        continue
-                    c = self.ctx.gamma.result(ax.name, ay.name)
-                    if c is None:
-                        continue
-                    if all(
-                        self._eval(e1, sigma) == self._eval(e2, sigma)
-                        for e1, e2 in zip(ax.args, ay.args)
-                    ):
-                        out.append((T.ParamAction(c, ax.args), tx, ty))
+                c = self.ctx.gamma.communicate(ax, ay)
+                if c is None or (isinstance(c, T.ParamAction) and any(
+                    eval_data(e1, sigma, carrier) != eval_data(e2, sigma, carrier)
+                    for e1, e2 in zip(ax.args, ay.args)
+                )):
+                    continue
+                out.append((c, tx, ty))
         return out
 
     def steps(self, t: T.ProcTerm, sigma: EvalMap) -> tuple:
         """All pairs (action, canonical target) derivable for t under sigma."""
         key = (t, sigma)
         hit = self.step_cache.get(key)
-        if hit is not None:
-            return hit
-        self.depth += 1
-        if self.depth > _UNFOLD_LIMIT:
-            raise GuardednessError("unguarded recursion detected during unfolding")
-        try:
-            moves = self._steps(t, sigma)
-        finally:
-            self.depth -= 1
-        result = tuple(dict.fromkeys(moves))
-        self.step_cache[key] = result
-        return result
-
-    def _canon(self, t):
-        return T.canonical(t, self.ctx.carrier)
-
-    def _unfold(self, const: T.RecConst) -> T.ProcTerm:
-        """Canonical unfolding of a constant, shared by every ambient map."""
-        hit = self.unfold_cache.get(const)
         if hit is None:
-            T.require_glrs(const.spec)
-            hit = self.unfold_cache[const] = self._canon(T.unfold(const))
+            hit = self.step_cache[key] = tuple(dict.fromkeys(self._steps(t, sigma)))
         return hit
 
     def _steps(self, t, sigma):
@@ -147,19 +135,7 @@ class _Sos:
                 return list(self.steps(t.body, sigma))
             return []
         if isinstance(t, T.Eval):
-            carried = t.emap
-            out = []
-            for a, tgt in self.steps(t.body, carried):
-                if isinstance(a, T.AssignAction):
-                    value = self._eval(a.expr, carried)
-                    label = T.AssignAction(a.var, Lit(value))
-                    updated = carried.updated(a.var, value)
-                    out.append((label, self._canon(T.Eval(updated, tgt))))
-                else:
-                    out.append(
-                        (self._eval_action(a, carried), self._canon(T.Eval(carried, tgt)))
-                    )
-            return out
+            return [self._evaluated(a, t.emap, tgt) for a, tgt in self.steps(t.body, t.emap)]
         if isinstance(t, T.RecConst):
             return list(self.steps(self._unfold(t), sigma))
         if isinstance(t, T.RecVar):
@@ -169,17 +145,9 @@ class _Sos:
     def terminates(self, t: T.ProcTerm, sigma: EvalMap) -> bool:
         key = (t, sigma)
         hit = self.term_cache.get(key)
-        if hit is not None:
-            return hit
-        self.depth += 1
-        if self.depth > _UNFOLD_LIMIT:
-            raise GuardednessError("unguarded recursion detected during unfolding")
-        try:
-            result = self._terminates(t, sigma)
-        finally:
-            self.depth -= 1
-        self.term_cache[key] = result
-        return result
+        if hit is None:
+            hit = self.term_cache[key] = self._terminates(t, sigma)
+        return hit
 
     def _terminates(self, t, sigma):
         if isinstance(t, T.Empty):
@@ -229,7 +197,6 @@ class SigmaLts:
     maps: tuple
     transitions: list  # per state: tuple of (EvalMap, Action, target id)
     terminating: set  # of (state id, EvalMap)
-    state_ids: dict = field(default_factory=dict)
 
     @property
     def num_transitions(self) -> int:
@@ -274,6 +241,31 @@ def ambient_domain(t: T.ProcTerm, ctx: T.Context) -> tuple:
     return tuple(v for v in ctx.decl if v in occurring)
 
 
+def explore(root: T.ProcTerm, successors, bound: int) -> tuple:
+    """Breadth-first closure from root. successors(id, state) yields the
+    state's (label, action, target) steps and may record facts of its own
+    under the id, such as termination; returns the states, in the order their
+    ids are handed out, and per state a tuple of (label, action, target id)."""
+    states = [root]
+    ids = {root: 0}
+    transitions = []
+    n_transitions = 0
+    for sid, state in enumerate(states):  # states grows while it is walked
+        out = []
+        for label, action, target in successors(sid, state):
+            tid = ids.get(target)
+            if tid is None:
+                tid = len(states)
+                if tid >= bound:
+                    raise ExplorationLimitError(bound, len(states), n_transitions)
+                ids[target] = tid
+                states.append(target)
+            out.append((label, action, tid))
+            n_transitions += 1
+        transitions.append(tuple(out))
+    return states, transitions
+
+
 def build_lts(
     t: T.ProcTerm,
     ctx: T.Context,
@@ -283,46 +275,24 @@ def build_lts(
     """Breadth-first closure of the step relation over every enumerated map."""
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
-    bound = bound if bound is not None else ctx.state_bound
     if domain is None:
         domain = ambient_domain(t, ctx)
     maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
     sos = _Sos(ctx)
-    root = T.canonical(t, ctx.carrier)
-    states = [root]
-    ids = {root: 0}
-    transitions = [()]
     terminating = set()
-    n_transitions = 0
-    sid = 0
-    while sid < len(states):  # ids are handed out in breadth-first order
-        state = states[sid]
-        out = []
+
+    def successors(sid, state):
         for sigma in maps:
             for action, target in sos.steps(state, sigma):
-                tid = ids.get(target)
-                if tid is None:
-                    tid = len(states)
-                    if tid >= bound:
-                        raise ExplorationLimitError(bound, len(states), n_transitions)
-                    ids[target] = tid
-                    states.append(target)
-                    transitions.append(())
-                out.append((sigma, action, tid))
-                n_transitions += 1
+                yield sigma, action, target
             if sos.terminates(state, sigma):
                 terminating.add((sid, sigma))
-        transitions[sid] = tuple(out)
-        sid += 1
-    return SigmaLts(
-        states=states,
-        root=0,
-        domain=tuple(domain),
-        maps=maps,
-        transitions=transitions,
-        terminating=terminating,
-        state_ids=ids,
+
+    states, transitions = explore(
+        T.canonical(t, ctx.carrier), successors, ctx.state_bound if bound is None else bound
     )
+    return SigmaLts(states=states, root=0, domain=tuple(domain), maps=maps,
+                    transitions=transitions, terminating=terminating)
 
 
 def lts_equal_up_to_renaming(l1: SigmaLts, l2: SigmaLts) -> bool:

@@ -310,6 +310,19 @@ class CommFunction:
                 return c
         return None
 
+    def communicate(self, ax: Action, ay: Action) -> Optional[Action]:
+        """The action ax and ay synchronize into, or None. Parameterized
+        actions of equal arity communicate by name and keep ax's arguments;
+        the caller decides when the two argument lists agree."""
+        if isinstance(ax, BasicAction) and isinstance(ay, BasicAction):
+            c = self.result(ax.name, ay.name)
+            return None if c is None else BasicAction(c)
+        if (isinstance(ax, ParamAction) and isinstance(ay, ParamAction)
+                and len(ax.args) == len(ay.args)):
+            c = self.result(ax.name, ay.name)
+            return None if c is None else ParamAction(c, ax.args)
+        return None
+
     def validate(self, actions: Iterable[str], bound: int = DEFAULT_COMM_BOUND):
         """Reject non-commutative tables (impossible by construction) and
         tables whose delta-extension is not associative on the declared actions."""

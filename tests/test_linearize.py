@@ -7,7 +7,7 @@ from conftest import cond, proc
 from deacp import gen as G
 from deacp import terms as T
 from deacp.bisim import decide_rb
-from deacp.conditions import TRUE
+from deacp.conditions import CFalse, TRUE
 from deacp.errors import CfarInapplicableError, UnsupportedFragmentError
 from deacp.linear import (
     analyze_clusters,
@@ -250,6 +250,23 @@ def test_certificates_replay_on_rewritten_pairs(small_ctx):
         assert ok, issues
 
 
+def test_replay_rejects_cfar_step_naming_another_cluster(base_spec, ctx):
+    certificate = prove_equal(
+        hide_a(base_spec, CLUSTER_SRC), proc(base_spec, "b + tau . (b + c)"), ctx
+    ).certificate
+    cfar, = [s for s in certificate.steps if s.rule == "CFAR"]
+    assert replay_certificate(certificate, ctx) == (True, [])
+    # The exit variable alone is a conservative cluster, but not the variable's.
+    exit_var = cfar.payload["spec"].variables[-1]
+    for members in ((exit_var,), cfar.payload["members"] + ("W",)):
+        tampered = replace(cfar, payload=dict(cfar.payload, members=members))
+        steps = [tampered if s is cfar else s for s in certificate.steps]
+        ok, issues = replay_certificate(
+            ProofCertificate(certificate.left, certificate.right, steps), ctx
+        )
+        assert not ok and len(issues) == 1 and issues[0].startswith("CFAR"), issues
+
+
 def test_replay_checks_absorbed_silent_equations(base_spec, ctx):
     certificate = prove_equal(
         proc(base_spec, "hide{a}(b . (tau + tau . tau))"), proc(base_spec, "b"), ctx
@@ -268,3 +285,29 @@ def test_replay_checks_absorbed_silent_equations(base_spec, ctx):
             ProofCertificate(certificate.left, certificate.right, steps), ctx
         )
         assert not ok and len(issues) == 1 and issues[0].startswith("BED"), issues
+    # Generated inputs: a choice of silent tails after p leaves equations made
+    # of silent steps alone, which linearization absorbs as BED lemmas.
+    hide = proc(base_spec, "hide{c}(tau + tau . tau)")
+    cfg = G.GenConfig(max_depth=2, bool_cond_only=True, allow_par=False, allow_eval=False)
+    rng = random.Random(9)
+    proved = absorbing = 0
+    for _ in range(100):
+        t = T.Abstr(hide.patterns, T.Seq(G.random_proc(rng, cfg, ctx), hide.body))
+        try:
+            certificate = prove_equal(t, t, ctx).certificate
+        except CfarInapplicableError:
+            continue  # a hidden cycle with a visible step inside it is no cluster
+        proved += 1
+        absorbed = [s for s in certificate.steps if s.rule == "BED"]
+        if not absorbed:
+            continue
+        absorbing += 1
+        assert replay_certificate(certificate, ctx) == (True, []), render_term(t)
+        bed = absorbed[0]
+        steps = [replace(bed, after=T.Guard(CFalse(), T.EPSILON)) if s is bed else s
+                 for s in certificate.steps]
+        ok, issues = replay_certificate(
+            ProofCertificate(certificate.left, certificate.right, steps), ctx
+        )
+        assert not ok and len(issues) == 1 and issues[0].startswith("BED"), issues
+    assert (proved, absorbing) == (99, 71)

@@ -5,10 +5,12 @@ from deacp import terms as T
 from deacp.data_algebra import EvalMap, Lit
 from deacp.errors import ExplorationLimitError
 from deacp.parser import render_action
+from deacp.sos_cond import build_cond_lts
 from deacp.sos_sigma import build_lts, step, terminates
 
 
 EMPTY = EvalMap(())
+COUNTER = "eval{sigma}(rec X where { X = [true] -> q := q + 1 . X + [q >= 4] -> epsilon })"
 
 
 def sigma_of(spec, **values):
@@ -129,17 +131,22 @@ def test_finite_steps_on_random_terms(small_ctx):
         assert len(moves) < 500
 
 
-def test_exploration_bound(base_spec, ctx):
-    t = proc(
-        base_spec,
-        "eval{sigma}(rec X where { X = [true] -> q := q + 1 . X + [q >= 4] -> epsilon })",
-    )
+# Partial counts at the bound: one shared breadth-first loop serves both
+# semantics, and the error reports where it stopped in each.
+@pytest.mark.parametrize("build, text, transitions", [
+    (build_lts, "[u > 0] -> a . b . c + [v < 0] -> b . (a || c)", 272),
+    (build_cond_lts, "[u > 0] -> a . b . c + [v < 0] -> b . (a || c)", 1),
+    (build_lts, COUNTER, 1),
+    (build_cond_lts, COUNTER, 1),
+], ids=["sigma-guards", "cond-guards", "sigma-counter", "cond-counter"])
+def test_exploration_bound(base_spec, ctx, build, text, transitions):
     with pytest.raises(ExplorationLimitError) as err:
-        build_lts(t, ctx, bound=2)
-    assert err.value.states == 2
+        build(proc(base_spec, text), ctx, bound=2)
+    assert (err.value.states, err.value.transitions) == (2, transitions)
 
 
-def test_unguarded_recursion_raises(ctx):
+@pytest.mark.parametrize("build", [build_lts, build_cond_lts], ids=["sigma", "cond"])
+def test_unguarded_recursion_raises(ctx, build):
     from deacp.conditions import TRUE
     from deacp.errors import GuardednessError
 
@@ -147,7 +154,7 @@ def test_unguarded_recursion_raises(ctx):
         ("X", T.Guard(TRUE, T.Seq(T.Atom(T.TAU), T.RecVar("X")))),
     )))
     with pytest.raises(GuardednessError):
-        build_lts(bad, ctx)
+        build(bad, ctx)
 
 
 def test_lts_json_deterministic(base_spec, ctx):
