@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import terms as T
-from .conditions import And, CFalse, CTrue, Cmp, Condition, Not, Or, TRUE, valid_iff, subst_map_cond
-from .data_algebra import EvalMap, Lit, eval_data
+from .conditions import And, CFalse, CTrue, Cmp, Condition, Not, Or, TRUE, valid_iff, subst_map
+from .data_algebra import EvalMap, Lit, eval_data, frozen_dataclass, map_children
 from .errors import DeacpError
 
 ALL_ACTIONS = (T.ActionPattern("all"),)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class MetaVar:
     name: str
     kind: str  # proc | atom_td | atom_t | basic | cond | emap | patset
@@ -48,7 +48,11 @@ def _kind_ok(kind: str, value) -> bool:
 
 
 def match(pattern, value, binding: Optional[dict] = None) -> Optional[dict]:
-    """Structural match of a pattern with metavariables against a term."""
+    """Structural match of a pattern with metavariables against a term.
+
+    The two are compared field by field; scalars and metavariable-free parts
+    must be equal.
+    """
     if binding is None:
         binding = {}
     if isinstance(pattern, MetaVar):
@@ -60,60 +64,28 @@ def match(pattern, value, binding: Optional[dict] = None) -> Optional[dict]:
         return binding
     if type(pattern) is not type(value):
         return None
-    if isinstance(pattern, T.BINARY):
-        binding = match(pattern.left, value.left, binding)
-        if binding is None:
+    if type(pattern) is tuple:
+        if len(pattern) != len(value):
             return None
-        return match(pattern.right, value.right, binding)
-    if isinstance(pattern, (T.Encap, T.Abstr)):
-        binding = match(pattern.patterns, value.patterns, binding)
-        if binding is None:
+        for p, v in zip(pattern, value):
+            if match(p, v, binding) is None:
+                return None
+        return binding
+    names = getattr(pattern, "__dataclass_fields__", None)
+    if names is None:
+        return binding if pattern == value else None
+    for name in names:
+        if match(getattr(pattern, name), getattr(value, name), binding) is None:
             return None
-        return match(pattern.body, value.body, binding)
-    if isinstance(pattern, T.Guard):
-        binding = match(pattern.cond, value.cond, binding)
-        if binding is None:
-            return None
-        return match(pattern.body, value.body, binding)
-    if isinstance(pattern, T.Eval):
-        binding = match(pattern.emap, value.emap, binding)
-        if binding is None:
-            return None
-        return match(pattern.body, value.body, binding)
-    if isinstance(pattern, (And, Or)):
-        binding = match(pattern.left, value.left, binding)
-        if binding is None:
-            return None
-        return match(pattern.right, value.right, binding)
-    if isinstance(pattern, Not):
-        return match(pattern.body, value.body, binding)
-    return binding if pattern == value else None
+    return binding
 
 
 def instantiate(pattern, binding: dict):
-    if isinstance(pattern, MetaVar):
-        return binding[pattern.name]
-    if isinstance(pattern, T.BINARY):
-        return type(pattern)(
-            instantiate(pattern.left, binding), instantiate(pattern.right, binding)
-        )
-    if isinstance(pattern, (T.Encap, T.Abstr)):
-        pats = instantiate(pattern.patterns, binding) if isinstance(
-            pattern.patterns, MetaVar) else pattern.patterns
-        return type(pattern)(pats, instantiate(pattern.body, binding))
-    if isinstance(pattern, T.Guard):
-        return T.Guard(instantiate(pattern.cond, binding), instantiate(pattern.body, binding))
-    if isinstance(pattern, T.Eval):
-        emap = instantiate(pattern.emap, binding) if isinstance(
-            pattern.emap, MetaVar) else pattern.emap
-        return T.Eval(emap, instantiate(pattern.body, binding))
-    if isinstance(pattern, (And, Or)):
-        return type(pattern)(
-            instantiate(pattern.left, binding), instantiate(pattern.right, binding)
-        )
-    if isinstance(pattern, Not):
-        return Not(instantiate(pattern.body, binding))
-    return pattern
+    def fill(p):
+        if isinstance(p, MetaVar):
+            return binding[p.name]
+        return map_children(p, fill)
+    return fill(pattern)
 
 
 @dataclass
@@ -128,7 +100,6 @@ class Axiom:
     side: Optional[Callable] = None  # side(binding, ctx) -> bool
     build_rhs: Optional[Callable] = None  # build(binding, ctx) -> term
     recognize: Optional[Callable] = None  # recognize(t1, t2, ctx) -> bool
-    sample: Optional[Callable] = None  # sample(rng, sampler, ctx) -> (lhs, rhs) | None
     tau_free_only: bool = False  # restrict random instances to silent-step-free fills
 
     def forward(self, term, ctx) -> Optional[object]:
@@ -314,7 +285,7 @@ def _recognize_v4(t1, t2, ctx) -> bool:
 def _v6_rhs(binding, ctx):
     sigma = binding["sigma"]
     return T.Guard(
-        subst_map_cond(binding["phi"], sigma), T.Eval(sigma, binding["x"])
+        subst_map(binding["phi"], sigma), T.Eval(sigma, binding["x"])
     )
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import terms as T
-from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps, eval_data, data_flex_vars
+from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps, eval_data, flex_vars
 from .errors import DeacpError, DeclarationError, ShapeError
 from .parser import render_action, render_term
 from .sos_cond import CondLts, build_cond_lts, expand_to_sigma
@@ -24,7 +24,7 @@ def _data_equal_valid(e1, e2, ctx: T.Context, cache: Optional[dict] = None) -> b
     key = (e1, e2)
     if cache is not None and key in cache:
         return cache[key]
-    names = tuple(sorted(data_flex_vars(e1) | data_flex_vars(e2)))
+    names = tuple(sorted(flex_vars(e1) | flex_vars(e2)))
     result = True
     for sigma in enumerate_maps(FlexVarDecl(names), ctx.carrier, ctx.enum_bound):
         if eval_data(e1, sigma, ctx.carrier) != eval_data(e2, sigma, ctx.carrier):
@@ -63,7 +63,7 @@ def action_class(alpha: T.Action, ctx: T.Context, sigma: Optional[EvalMap] = Non
     def value(e):
         if sigma is not None:
             return eval_data(e, sigma, ctx.carrier)
-        if data_flex_vars(e):
+        if flex_vars(e):
             raise DeclarationError("open data argument with no evaluation map")
         return eval_data(e, EvalMap(()), ctx.carrier)
 
@@ -98,14 +98,18 @@ def silent_closure(lts: SigmaLts, state: int, sigma: EvalMap) -> frozenset:
 @dataclass
 class BisimResult:
     equivalent: bool
-    witness: Optional[tuple] = None  # pairs (left state id, right state id)
     counterexample: Optional[dict] = None
-    relation: frozenset = frozenset()
+    relation: frozenset = frozenset()  # pairs (left state id, right state id)
+
+    @property
+    def witness(self) -> Optional[tuple]:
+        """The relation's pairs in order when the systems are equivalent."""
+        return tuple(sorted(self.relation)) if self.equivalent else None
 
     def to_json_dict(self) -> dict:
         out = {"equivalent": self.equivalent}
         if self.equivalent:
-            out["witness"] = [list(p) for p in sorted(self.witness or ())]
+            out["witness"] = [list(p) for p in self.witness]
         else:
             out["counterexample"] = self.counterexample
         return out
@@ -337,7 +341,7 @@ def _decide(l1: SigmaLts, l2: SigmaLts, ctx: T.Context, related_paths: bool) -> 
                              related_paths))
     if cex is not None:
         return BisimResult(False, counterexample=cex, relation=relation)
-    return BisimResult(True, witness=tuple(sorted(relation)), relation=relation)
+    return BisimResult(True, relation=relation)
 
 
 def rooted_branching_bisim(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> BisimResult:

@@ -12,13 +12,14 @@ from .data_algebra import (
     DVar,
     EvalMap,
     Flex,
-    App,
     Lit,
     FlexVarDecl,
-    data_flex_vars,
     eval_data,
-    map_count,
+    flex_vars,
     frozen_dataclass,
+    map_children,
+    map_count,
+    subterms,
 )
 from .errors import DeclarationError, EnumerationLimitError
 
@@ -94,37 +95,12 @@ CMP_OPS = {
 }
 
 
-def cond_flex_vars(phi: Condition) -> frozenset:
-    if isinstance(phi, (CTrue, CFalse)):
-        return frozenset()
-    if isinstance(phi, Cmp):
-        return data_flex_vars(phi.left) | data_flex_vars(phi.right)
-    if isinstance(phi, Not):
-        return cond_flex_vars(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return cond_flex_vars(phi.left) | cond_flex_vars(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return cond_flex_vars(phi.body)
-    raise TypeError(f"not a condition: {phi!r}")
-
-
-def _data_dvars(e: DataTerm) -> frozenset:
-    if isinstance(e, DVar):
-        return frozenset((e.name,))
-    if isinstance(e, App):
-        out = frozenset()
-        for a in e.args:
-            out |= _data_dvars(a)
-        return out
-    return frozenset()
-
-
 def cond_free_dvars(phi: Condition) -> frozenset:
     """Data variables not bound by any enclosing quantifier."""
     if isinstance(phi, (CTrue, CFalse)):
         return frozenset()
     if isinstance(phi, Cmp):
-        return _data_dvars(phi.left) | _data_dvars(phi.right)
+        return frozenset(e.name for e in subterms(phi) if type(e) is DVar)
     if isinstance(phi, Not):
         return cond_free_dvars(phi.body)
     if isinstance(phi, (And, Or, Implies)):
@@ -174,40 +150,23 @@ def eval_cond(
     raise TypeError(f"not a condition: {phi!r}")
 
 
-def subst_map_data(e: DataTerm, sigma: EvalMap) -> DataTerm:
-    """sigma applied to a data term: flexible variables become literals."""
-    if isinstance(e, Flex):
-        return Lit(sigma.value(e.name))
-    if isinstance(e, App):
-        return App(e.op, tuple(subst_map_data(a, sigma) for a in e.args))
-    return e
+def subst_map(x, sigma: EvalMap):
+    """sigma applied to a data term or condition: flexible variables become
+    literals; bound data variables are untouched."""
+    def subst(y):
+        if isinstance(y, Flex):
+            return Lit(sigma.value(y.name))
+        return map_children(y, subst)
+    return subst(x)
 
 
-def subst_map_cond(phi: Condition, sigma: EvalMap) -> Condition:
-    """sigma applied to a condition; bound data variables are untouched."""
-    if isinstance(phi, (CTrue, CFalse)):
-        return phi
-    if isinstance(phi, Cmp):
-        return Cmp(phi.op, subst_map_data(phi.left, sigma), subst_map_data(phi.right, sigma))
-    if isinstance(phi, Not):
-        return Not(subst_map_cond(phi.body, sigma))
-    if isinstance(phi, And):
-        return And(subst_map_cond(phi.left, sigma), subst_map_cond(phi.right, sigma))
-    if isinstance(phi, Or):
-        return Or(subst_map_cond(phi.left, sigma), subst_map_cond(phi.right, sigma))
-    if isinstance(phi, Implies):
-        return Implies(subst_map_cond(phi.left, sigma), subst_map_cond(phi.right, sigma))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, subst_map_cond(phi.body, sigma))
-    if isinstance(phi, Exists):
-        return Exists(phi.var, subst_map_cond(phi.body, sigma))
-    raise TypeError(f"not a condition: {phi!r}")
-
-
-def _check_declared(phi: Condition, decl: FlexVarDecl):
-    undeclared = [v for v in sorted(cond_flex_vars(phi)) if v not in decl]
+def _declared_flex_vars(phi: Condition, decl: FlexVarDecl) -> frozenset:
+    """The flexible variables of phi, every one of which decl must declare."""
+    names = flex_vars(phi)
+    undeclared = [v for v in sorted(names) if v not in decl]
     if undeclared:
         raise DeclarationError(f"undeclared flexible variable {undeclared[0]!r} in condition")
+    return names
 
 
 def _occurring_maps(vars_needed, carrier: Carrier, bound: int):
@@ -231,9 +190,7 @@ def valid_iff(
     Only the flexible variables occurring in either condition can influence
     the outcome, so enumeration is restricted to those.
     """
-    _check_declared(phi, decl)
-    _check_declared(psi, decl)
-    occ = cond_flex_vars(phi) | cond_flex_vars(psi)
+    occ = _declared_flex_vars(phi, decl) | _declared_flex_vars(psi, decl)
     for sigma in _occurring_maps(occ, carrier, bound):
         if eval_cond(phi, sigma, carrier) != eval_cond(psi, sigma, carrier):
             return False
@@ -246,8 +203,7 @@ def satisfiable(
     carrier: Carrier,
     bound: int = DEFAULT_ENUM_BOUND,
 ) -> bool:
-    _check_declared(phi, decl)
-    for sigma in _occurring_maps(cond_flex_vars(phi), carrier, bound):
+    for sigma in _occurring_maps(_declared_flex_vars(phi, decl), carrier, bound):
         if eval_cond(phi, sigma, carrier):
             return True
     return False
@@ -259,7 +215,7 @@ def cond_signature(phi: Condition, carrier: Carrier, bound: int = DEFAULT_ENUM_B
     Two conditions denote the same predicate over every declaration iff their
     signatures are equal. Variables that never change the outcome are dropped.
     """
-    names = sorted(cond_flex_vars(phi))
+    names = sorted(flex_vars(phi))
     count = map_count(len(names), carrier)
     if count > bound:
         raise EnumerationLimitError(count, bound, "condition valuations")

@@ -8,7 +8,8 @@ denoted by a literal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import is_
 from typing import Iterator, Mapping, Optional
 
 from .errors import (
@@ -24,6 +25,17 @@ DEFAULT_HI = 15
 DEFAULT_ENUM_BOUND = 1_000_000
 
 
+# Annotations of the fields that hold no subterms.
+_SCALARS = {"str", "int", "bool", "Optional[str]", "Optional[int]"}
+
+# For each frozen dataclass, its fields in order, each with whether it can
+# hold subterms: nodes of other frozen dataclasses, or tuples of them,
+# however nested.
+_FIELDS: dict = {}
+# The subterm fields alone, last first, as the walk's stack wants them.
+_SUBTERM_FIELDS: dict = {}
+
+
 def frozen_dataclass(cls):
     """`dataclass(frozen=True)` whose hash is computed once per object.
 
@@ -31,6 +43,9 @@ def frozen_dataclass(cls):
     over and over; the generated hash would rehash every subterm on each
     lookup. The stored value is the generated one, hash(tuple(field
     values)), so set and dict iteration orders do not change.
+
+    The decorator also records which fields hold subterms, the one place
+    `subterms` and `map_children` learn the shape of each operator from.
     """
     cls = dataclass(frozen=True)(cls)
     generated = cls.__hash__
@@ -44,7 +59,61 @@ def frozen_dataclass(cls):
 
     cls._hash = None  # until the first call stores the object's own hash
     cls.__hash__ = __hash__
+    _FIELDS[cls] = tuple((f.name, f.type not in _SCALARS) for f in fields(cls))
+    _SUBTERM_FIELDS[cls] = tuple(name for name, sub in reversed(_FIELDS[cls]) if sub)
     return cls
+
+
+def subterms(x, prune=()):
+    """Every node in x, x first, in pre-order from left to right.
+
+    Walks subterm fields and tuples with an explicit stack, so depth costs no
+    recursion. A node whose class is one of `prune` is yielded but not
+    entered.
+    """
+    skip = frozenset(prune)
+    stack = [x]
+    pop, push = stack.pop, stack.append
+    fields_of = _SUBTERM_FIELDS.get
+    while stack:
+        y = pop()
+        cls = type(y)
+        names = fields_of(cls)
+        if names is None:
+            if cls is tuple:
+                stack.extend(reversed(y))
+            continue  # otherwise a scalar inside a tuple
+        yield y
+        if names and cls not in skip:
+            for name in names:
+                push(getattr(y, name))
+
+
+def _map_value(v, f):
+    """f applied to a node, or to each node inside a tuple; scalars stay."""
+    if type(v) is tuple:
+        new = tuple([_map_value(e, f) for e in v])
+        return v if all(map(is_, new, v)) else new
+    return f(v) if type(v) in _FIELDS else v
+
+
+def map_children(x, f):
+    """x rebuilt with f applied to each node directly below it, inside tuples
+    too; x itself when f returns every node unchanged, so stored hashes and
+    object identity survive."""
+    if not _SUBTERM_FIELDS[type(x)]:
+        return x
+    changed = False
+    values = []
+    for name, holds_subterms in _FIELDS[type(x)]:
+        v = getattr(x, name)
+        if holds_subterms:
+            new = _map_value(v, f) if type(v) is tuple else f(v)
+            if new is not v:
+                changed = True
+                v = new
+        values.append(v)
+    return type(x)(*values) if changed else x
 
 
 @frozen_dataclass
@@ -118,15 +187,9 @@ OPS = {
 }
 
 
-def data_flex_vars(e: DataTerm) -> frozenset:
-    if isinstance(e, Flex):
-        return frozenset((e.name,))
-    if isinstance(e, App):
-        out = frozenset()
-        for a in e.args:
-            out |= data_flex_vars(a)
-        return out
-    return frozenset()
+def flex_vars(x) -> frozenset:
+    """Flexible variables occurring in a data term, a condition or an action."""
+    return frozenset(y.name for y in subterms(x) if type(y) is Flex)
 
 
 def eval_data(
@@ -179,10 +242,6 @@ class EvalMap:
         if var not in self:
             raise DeclarationError(f"flexible variable {var!r} not declared")
         return EvalMap(tuple(sorted({**self.as_dict(), var: value}.items())))
-
-    def restrict(self, names) -> "EvalMap":
-        keep = set(names)
-        return EvalMap(tuple((n, v) for n, v in self.entries if n in keep))
 
 
 def update_map(sigma: EvalMap, var: str, value: int) -> EvalMap:

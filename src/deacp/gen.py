@@ -3,6 +3,7 @@ linear specifications, axiom instances, and sound rewrite sequences."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -10,7 +11,7 @@ from typing import Optional
 from . import axioms as AX
 from . import terms as T
 from .conditions import And, CFalse, Cmp, Exists, Forall, Implies, Not, Or, TRUE, Condition
-from .data_algebra import App, Carrier, EvalMap, Flex, FlexVarDecl, Lit
+from .data_algebra import App, Carrier, EvalMap, Flex, FlexVarDecl, Lit, map_children, subterms
 from .errors import DeacpError
 
 
@@ -225,47 +226,34 @@ def _pattern_for(alpha: T.Action) -> T.ActionPattern:
 
 
 def _fill_metavars(pattern, rng, cfg, ctx, binding, tau_ok):
-    if isinstance(pattern, AX.MetaVar):
-        if pattern.name in binding:
-            return
-        kind = pattern.kind
+    """Draw a value for each metavariable of pattern not yet bound, in
+    pre-order from left to right."""
+    for mv in subterms(pattern):
+        if not isinstance(mv, AX.MetaVar) or mv.name in binding:
+            continue
+        kind = mv.kind
         if kind == "proc":
-            binding[pattern.name] = random_proc(rng, cfg, ctx, rng.randint(0, 2), tau_ok)
+            binding[mv.name] = random_proc(rng, cfg, ctx, rng.randint(0, 2), tau_ok)
         elif kind == "atom_td":
             roll = rng.random()
             if roll < 0.15:
-                binding[pattern.name] = T.DELTA
+                binding[mv.name] = T.DELTA
             elif roll < 0.35 and tau_ok and cfg.allow_tau:
-                binding[pattern.name] = T.Atom(T.TAU)
+                binding[mv.name] = T.Atom(T.TAU)
             else:
-                binding[pattern.name] = T.Atom(random_action(rng, cfg, ctx, tau_ok=False))
+                binding[mv.name] = T.Atom(random_action(rng, cfg, ctx, tau_ok=False))
         elif kind == "atom_t":
-            binding[pattern.name] = T.Atom(random_action(rng, cfg, ctx, tau_ok))
+            binding[mv.name] = T.Atom(random_action(rng, cfg, ctx, tau_ok))
         elif kind == "basic":
-            binding[pattern.name] = T.Atom(T.BasicAction(rng.choice(cfg.action_names)))
+            binding[mv.name] = T.Atom(T.BasicAction(rng.choice(cfg.action_names)))
         elif kind == "cond":
-            binding[pattern.name] = random_cond(rng, cfg, ctx)
+            binding[mv.name] = random_cond(rng, cfg, ctx)
         elif kind == "emap":
-            binding[pattern.name] = random_emap(rng, ctx)
+            binding[mv.name] = random_emap(rng, ctx)
         elif kind == "patset":
-            binding[pattern.name] = random_patterns(rng, cfg)
+            binding[mv.name] = random_patterns(rng, cfg)
         else:
             raise DeacpError(f"unknown metavariable kind {kind!r}")
-        return
-    if isinstance(pattern, T.BINARY) or isinstance(pattern, (And, Or)):
-        _fill_metavars(pattern.left, rng, cfg, ctx, binding, tau_ok)
-        _fill_metavars(pattern.right, rng, cfg, ctx, binding, tau_ok)
-    elif isinstance(pattern, (T.Encap, T.Abstr)):
-        _fill_metavars(pattern.patterns, rng, cfg, ctx, binding, tau_ok)
-        _fill_metavars(pattern.body, rng, cfg, ctx, binding, tau_ok)
-    elif isinstance(pattern, T.Guard):
-        _fill_metavars(pattern.cond, rng, cfg, ctx, binding, tau_ok)
-        _fill_metavars(pattern.body, rng, cfg, ctx, binding, tau_ok)
-    elif isinstance(pattern, T.Eval):
-        _fill_metavars(pattern.emap, rng, cfg, ctx, binding, tau_ok)
-        _fill_metavars(pattern.body, rng, cfg, ctx, binding, tau_ok)
-    elif isinstance(pattern, Not):
-        _fill_metavars(pattern.body, rng, cfg, ctx, binding, tau_ok)
 
 
 def _equal_data_variant(rng, e):
@@ -435,54 +423,33 @@ def axiom_instance(name: str, rng: random.Random, cfg: GenConfig,
 # --- rewriting -------------------------------------------------------------------
 
 def term_size(t: T.ProcTerm) -> int:
-    if isinstance(t, T.RecConst):
-        return 1 + sum(term_size(rhs) for _, rhs in t.spec.equations)
-    return 1 + sum(term_size(c) for c in T.children(t))
+    """Process-term nodes in t, carried specifications included."""
+    return sum(isinstance(u, T.ProcTerm) for u in subterms(t, T.PROCESS_LEAVES))
 
 
 def subterm_paths(t: T.ProcTerm, path=()) -> list:
     """Rewrite positions: every subterm not under a carried specification."""
     out = [(path, t)]
-    if isinstance(t, T.RecConst):
-        return out
     for idx, child in enumerate(T.children(t)):
         out.extend(subterm_paths(child, path + (idx,)))
     return out
 
 
 def replace_at(t: T.ProcTerm, path: tuple, new: T.ProcTerm) -> T.ProcTerm:
+    """t with the subterm at path, a position of subterm_paths, replaced by new."""
     if not path:
         return new
-    idx = path[0]
-    kids = list(T.children(t))
-    kids[idx] = replace_at(kids[idx], path[1:], new)
-    if isinstance(t, T.BINARY):
-        return type(t)(kids[0], kids[1])
-    if isinstance(t, (T.Encap, T.Abstr)):
-        return type(t)(t.patterns, kids[0])
-    if isinstance(t, T.Guard):
-        return T.Guard(t.cond, kids[0])
-    if isinstance(t, T.Eval):
-        return T.Eval(t.emap, kids[0])
-    raise DeacpError("cannot rewrite below this node")
+    position = itertools.count()
+
+    def at(c):
+        if isinstance(c, T.ProcTerm) and next(position) == path[0]:
+            return replace_at(c, path[1:], new)
+        return c
+    return map_children(t, at)
 
 
-def _mv_names(pattern, acc):
-    if isinstance(pattern, AX.MetaVar):
-        acc.add(pattern.name)
-    elif isinstance(pattern, T.BINARY) or isinstance(pattern, (And, Or)):
-        _mv_names(pattern.left, acc)
-        _mv_names(pattern.right, acc)
-    elif isinstance(pattern, (T.Encap, T.Abstr, T.Eval)):
-        inner = pattern.patterns if isinstance(pattern, (T.Encap, T.Abstr)) else pattern.emap
-        _mv_names(inner, acc)
-        _mv_names(pattern.body, acc)
-    elif isinstance(pattern, T.Guard):
-        _mv_names(pattern.cond, acc)
-        _mv_names(pattern.body, acc)
-    elif isinstance(pattern, Not):
-        _mv_names(pattern.body, acc)
-    return acc
+def _mv_names(pattern) -> set:
+    return {u.name for u in subterms(pattern) if isinstance(u, AX.MetaVar)}
 
 
 def apply_random_rewrite(t: T.ProcTerm, rng: random.Random, cfg: GenConfig,
@@ -501,8 +468,8 @@ def apply_random_rewrite(t: T.ProcTerm, rng: random.Random, cfg: GenConfig,
             rng.shuffle(directions)
             for direction in directions:
                 if direction == "backward":
-                    lhs_names = _mv_names(axiom.lhs, set()) if axiom.lhs is not None else set()
-                    rhs_names = _mv_names(axiom.rhs, set()) if axiom.rhs is not None else set()
+                    lhs_names = _mv_names(axiom.lhs) if axiom.lhs is not None else set()
+                    rhs_names = _mv_names(axiom.rhs) if axiom.rhs is not None else set()
                     if axiom.rhs is None or not lhs_names <= rhs_names:
                         continue
                     result = axiom.backward(sub, ctx)

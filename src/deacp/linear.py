@@ -12,7 +12,7 @@ from . import axioms as AX
 from . import terms as T
 from .bisim import BisimResult, decide_rb, rooted_branching_bisim, shared_domain
 from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, valid_iff
-from .data_algebra import Lit, eval_data
+from .data_algebra import Lit, eval_data, map_children
 from .errors import (
     CfarInapplicableError,
     DeacpError,
@@ -215,63 +215,59 @@ class _Linearizer:
             raise GuardednessError(f"free recursion variable {t.name!r} cannot be linearized")
         raise TypeError(f"not a process term: {t!r}")
 
+    def image(self, start, rows_of) -> str:
+        """Fresh variables for the keys reachable from start: a key is named
+        when first seen and expanded last-in, first-out into
+        rows_of(key, name_of), where name_of(key) names a target key."""
+        mapping: dict = {}
+        worklist: list = []
+
+        def name_of(key):
+            if key not in mapping:
+                mapping[key] = self.fresh()
+                worklist.append(key)
+            return mapping[key]
+
+        root = name_of(start)
+        while worklist:
+            key = worklist.pop()
+            self.table[mapping[key]] = [r for r in rows_of(key, name_of)
+                                        if not isinstance(r[0], CFalse)]
+        return root
+
     def seq_image(self, left_root: str, right_root: str) -> str:
         """Sequential composition: termination summands of the left part splice
         in the right root's summands under guard conjunction."""
-        mapping: dict = {}
-        worklist = [left_root]
-        mapping[left_root] = self.fresh()
-        while worklist:
-            src = worklist.pop()
+        def rows_of(src, name_of):
             rows = []
             for cond, action, target in self.table[src]:
                 if action is None:
                     for rcond, raction, rtarget in self.table[right_root]:
                         rows.append((_conj(cond, rcond), raction, rtarget))
                 else:
-                    if target not in mapping:
-                        mapping[target] = self.fresh()
-                        worklist.append(target)
-                    rows.append((cond, action, mapping[target]))
-            self.table[mapping[src]] = [r for r in rows if not isinstance(r[0], CFalse)]
-        return mapping[left_root]
+                    rows.append((cond, action, name_of(target)))
+            return rows
+        return self.image(left_root, rows_of)
 
     def filter_image(self, root: str, patterns: tuple) -> str:
-        mapping: dict = {root: self.fresh()}
-        worklist = [root]
-        while worklist:
-            src = worklist.pop()
+        """Encapsulation: summands whose action a pattern selects are dropped."""
+        def rows_of(src, name_of):
             rows = []
             for cond, action, target in self.table[src]:
                 if action is None:
                     rows.append((cond, None, None))
-                    continue
-                if not isinstance(action, T.TauAction) and T.matches_any(action, patterns):
-                    continue
-                if target not in mapping:
-                    mapping[target] = self.fresh()
-                    worklist.append(target)
-                rows.append((cond, action, mapping[target]))
-            self.table[mapping[src]] = rows
-        return mapping[root]
+                elif isinstance(action, T.TauAction) or not T.matches_any(action, patterns):
+                    rows.append((cond, action, name_of(target)))
+            return rows
+        return self.image(root, rows_of)
 
     def eval_image(self, root: str, emap) -> str:
         """Index variables with the carried map; conditions resolve, data
         arguments evaluate, and assignments update the carried map."""
         carrier = self.ctx.carrier
-        mapping: dict = {}
 
-        def name_of(var, rho):
-            key = (var, rho)
-            if key not in mapping:
-                mapping[key] = self.fresh()
-                worklist.append(key)
-            return mapping[key]
-
-        worklist: list = []
-        start = name_of(root, emap)
-        while worklist:
-            var, rho = worklist.pop()
+        def rows_of(key, name_of):
+            var, rho = key
             rows = []
             for cond, action, target in self.table[var]:
                 if not eval_cond(cond, rho, carrier):
@@ -283,60 +279,45 @@ class _Linearizer:
                     rows.append((
                         TRUE,
                         T.AssignAction(action.var, Lit(value)),
-                        name_of(target, rho.updated(action.var, value)),
+                        name_of((target, rho.updated(action.var, value))),
                     ))
                 elif isinstance(action, T.ParamAction):
                     args = tuple(Lit(eval_data(e, rho, carrier)) for e in action.args)
                     rows.append((TRUE, T.ParamAction(action.name, args),
-                                 name_of(target, rho)))
+                                 name_of((target, rho))))
                 else:
-                    rows.append((TRUE, action, name_of(target, rho)))
-            self.table[mapping[(var, rho)]] = rows
-        return start
+                    rows.append((TRUE, action, name_of((target, rho))))
+            return rows
+        return self.image((root, emap), rows_of)
 
     def merge_image(self, left_root: str, right_root: str, mode: str) -> str:
         """Products over variable pairs; interleaving, synchronization with
         conjoined guards and data-equality conditions, joint termination."""
         gamma = self.ctx.gamma
-        mapping: dict = {}
-        worklist: list = []
 
-        def name_of(kind, lv, rv):
-            key = (kind, lv, rv)
-            if key not in mapping:
-                mapping[key] = self.fresh()
-                worklist.append(key)
-            return mapping[key]
-
-        def syncs(lrows, rrows):
-            out = []
-            for lcond, laction, ltarget in lrows:
-                for rcond, raction, rtarget in rrows:
-                    c = gamma.communicate(laction, raction)  # None for termination rows
-                    if c is None:
-                        continue
-                    cond = _conj(lcond, rcond)
-                    if isinstance(c, T.ParamAction):
-                        for e1, e2 in zip(laction.args, raction.args):
-                            cond = _conj(cond, Cmp("=", e1, e2))
-                    out.append((cond, c, name_of("par", ltarget, rtarget)))
-            return out
-
-        start = name_of(mode, left_root, right_root)
-        while worklist:
-            kind, lv, rv = worklist.pop()
+        def rows_of(key, name_of):
+            kind, lv, rv = key
             lrows, rrows = self.table[lv], self.table[rv]
             rows = []
             if kind in ("par", "lm"):
                 for cond, action, target in lrows:
                     if action is not None:
-                        rows.append((cond, action, name_of("par", target, rv)))
+                        rows.append((cond, action, name_of(("par", target, rv))))
             if kind == "par":
                 for cond, action, target in rrows:
                     if action is not None:
-                        rows.append((cond, action, name_of("par", lv, target)))
+                        rows.append((cond, action, name_of(("par", lv, target))))
             if kind in ("par", "cm"):
-                rows.extend(syncs(lrows, rrows))
+                for lcond, laction, ltarget in lrows:
+                    for rcond, raction, rtarget in rrows:
+                        c = gamma.communicate(laction, raction)  # None for termination rows
+                        if c is None:
+                            continue
+                        cond = _conj(lcond, rcond)
+                        if isinstance(c, T.ParamAction):
+                            for e1, e2 in zip(laction.args, raction.args):
+                                cond = _conj(cond, Cmp("=", e1, e2))
+                        rows.append((cond, c, name_of(("par", ltarget, rtarget))))
             if kind == "par":
                 for lcond, laction, _ in lrows:
                     if laction is not None:
@@ -344,10 +325,8 @@ class _Linearizer:
                     for rcond, raction, _ in rrows:
                         if raction is None:
                             rows.append((_conj(lcond, rcond), None, None))
-            self.table[mapping[(kind, lv, rv)]] = [
-                r for r in rows if not isinstance(r[0], CFalse)
-            ]
-        return start
+            return rows
+        return self.image((mode, left_root, right_root), rows_of)
 
     # -- abstraction: rename, absorb pure silent chains, collapse clusters ---------
 
@@ -660,16 +639,9 @@ def normalize_conditions(t: T.ProcTerm, ctx: T.Context) -> tuple:
     def walk(u):
         if isinstance(u, T.Guard):
             return T.Guard(norm_cond(u.cond), walk(u.body))
-        if isinstance(u, T.RecConst):
-            equations = tuple((n, walk(rhs)) for n, rhs in u.spec.equations)
-            return T.RecConst(u.var, T.RecSpec(equations))
-        if isinstance(u, T.BINARY):
-            return type(u)(walk(u.left), walk(u.right))
-        if isinstance(u, (T.Encap, T.Abstr)):
-            return type(u)(u.patterns, walk(u.body))
-        if isinstance(u, T.Eval):
-            return T.Eval(u.emap, walk(u.body))
-        return u
+        if type(u) in T.PROCESS_LEAVES:
+            return u
+        return map_children(u, walk)
 
     return walk(t), replaced
 
@@ -785,7 +757,7 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
         raise DeacpError("internal error: linearized forms are not equivalent")
     steps.append(ProofStep(
         "RSP", const1, const2,
-        details={"witness_pairs": len(linked.witness or ())},
+        details={"witness_pairs": len(linked.relation)},
         payload={"relation": linked.witness, "domain": domain},
     ))
     steps.extend(_swap_step(s) for s in reversed(tail))

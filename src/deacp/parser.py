@@ -75,13 +75,11 @@ class SpecFile:
     security_low: Optional[tuple] = None
     security_ext: Optional[tuple] = None
 
-    def context(self, enum_bound: int = D.DEFAULT_ENUM_BOUND,
-                state_bound: int = T.DEFAULT_STATE_BOUND) -> T.Context:
+    def context(self, state_bound: int = T.DEFAULT_STATE_BOUND) -> T.Context:
         return T.Context(
             carrier=self.carrier,
             decl=self.decl,
             gamma=self.gamma,
-            enum_bound=enum_bound,
             state_bound=state_bound,
         )
 

@@ -19,7 +19,7 @@ from .conditions import (
     TRUE,
     cond_signature,
     eval_cond,
-    subst_map_cond,
+    subst_map,
 )
 from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps
 from .errors import GuardednessError
@@ -165,7 +165,7 @@ class _CondSos(_Rules):
             return [
                 (TRUE, *self._evaluated(a, t.emap, tgt))
                 for phi, a, tgt in self.steps(t.body)
-                if eval_cond(subst_map_cond(phi, t.emap), EvalMap(()), self.ctx.carrier)
+                if eval_cond(subst_map(phi, t.emap), EvalMap(()), self.ctx.carrier)
             ]
         if isinstance(t, T.RecConst):
             return list(self.steps(self._unfold(t)))
@@ -206,7 +206,7 @@ class _CondSos(_Rules):
         if isinstance(t, T.Eval):
             out = []
             for phi in self.terminating(t.body):
-                resolved = subst_map_cond(phi, t.emap)
+                resolved = subst_map(phi, t.emap)
                 if eval_cond(resolved, EvalMap(()), self.ctx.carrier):
                     out.append(TRUE)
             return out

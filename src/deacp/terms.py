@@ -11,7 +11,6 @@ from .conditions import (
     CTrue,
     Condition,
     TRUE,
-    cond_flex_vars,
     eval_cond,
     valid_iff,
 )
@@ -22,10 +21,13 @@ from .data_algebra import (
     EvalMap,
     FlexVarDecl,
     App,
+    Flex,
     Lit,
-    data_flex_vars,
     eval_data,
+    flex_vars,
     frozen_dataclass,
+    map_children,
+    subterms,
 )
 from .errors import ArityError, DeclarationError, GuardednessError, ShapeError
 
@@ -72,17 +74,6 @@ Action = BasicAction | TauAction | ParamAction | AssignAction
 TAU = TauAction()
 
 RESERVED_NAMES = frozenset({"tau", "delta", "epsilon"})
-
-
-def action_flex_vars(alpha: Action) -> frozenset:
-    if isinstance(alpha, ParamAction):
-        out = frozenset()
-        for e in alpha.args:
-            out |= data_flex_vars(e)
-        return out
-    if isinstance(alpha, AssignAction):
-        return data_flex_vars(alpha.expr) | frozenset((alpha.var,))
-    return frozenset()
 
 
 # --- action patterns (finite descriptions of subsets of the atomic actions) --
@@ -360,23 +351,22 @@ class Context:
 
 # --- structural predicates ----------------------------------------------------
 
+# Classes of the nodes below which no process term occurs; walks over the
+# process structure prune them.
+PROCESS_LEAVES = frozenset({Atom, EvalMap, ActionPattern, *Condition.__args__})
+_BINDERS_AND_LEAVES = PROCESS_LEAVES | {RecConst}
+
+
 def children(t: ProcTerm) -> tuple:
-    if isinstance(t, BINARY):
-        return (t.left, t.right)
-    if isinstance(t, (Encap, Abstr, Guard, Eval)):
-        return (t.body,)
-    return ()
+    """The process terms directly below t; a carried specification's stay in it."""
+    below = []
+    map_children(t, lambda c: below.append(c) or c)  # collects, changes nothing
+    return tuple(c for c in below if isinstance(c, ProcTerm))
 
 
 def free_rec_vars(t: ProcTerm) -> frozenset:
-    if isinstance(t, RecVar):
-        return frozenset((t.name,))
-    if isinstance(t, RecConst):
-        return frozenset()  # its specification binds every variable it uses
-    out = frozenset()
-    for c in children(t):
-        out |= free_rec_vars(c)
-    return out
+    """Recursion variables of t; a carried specification binds every one it uses."""
+    return frozenset(u.name for u in subterms(t, _BINDERS_AND_LEAVES) if isinstance(u, RecVar))
 
 
 def is_closed(t: ProcTerm) -> bool:
@@ -384,11 +374,7 @@ def is_closed(t: ProcTerm) -> bool:
 
 
 def contains_abstraction(t: ProcTerm) -> bool:
-    if isinstance(t, Abstr):
-        return True
-    if isinstance(t, RecConst):
-        return any(contains_abstraction(rhs) for _, rhs in t.spec.equations)
-    return any(contains_abstraction(c) for c in children(t))
+    return any(isinstance(u, Abstr) for u in subterms(t, PROCESS_LEAVES))
 
 
 def contains_tau(t: ProcTerm) -> bool:
@@ -396,42 +382,19 @@ def contains_tau(t: ProcTerm) -> bool:
 
     Abstraction nodes count: they may rename actions to the silent step.
     """
-    if isinstance(t, Atom):
-        return isinstance(t.action, TauAction)
-    if isinstance(t, Abstr):
-        return True
-    if isinstance(t, RecConst):
-        return any(contains_tau(rhs) for _, rhs in t.spec.equations)
-    return any(contains_tau(c) for c in children(t))
+    return any(isinstance(u, Abstr) or isinstance(u, Atom) and isinstance(u.action, TauAction)
+               for u in subterms(t, PROCESS_LEAVES))
 
 
 def term_conditions(t: ProcTerm) -> list:
     """Every condition occurring in t, including inside carried specifications."""
-    out = []
-    if isinstance(t, Guard):
-        out.append(t.cond)
-    if isinstance(t, RecConst):
-        for _, rhs in t.spec.equations:
-            out.extend(term_conditions(rhs))
-    for c in children(t):
-        out.extend(term_conditions(c))
-    return out
+    return [u.cond for u in subterms(t, PROCESS_LEAVES) if isinstance(u, Guard)]
 
 
 def occurring_actions(t: ProcTerm) -> list:
     """Syntactic atomic-action occurrences, in traversal order, deduplicated."""
-    seen = []
-    def walk(u):
-        if isinstance(u, Atom) and not isinstance(u.action, TauAction):
-            if u.action not in seen:
-                seen.append(u.action)
-        if isinstance(u, RecConst):
-            for _, rhs in u.spec.equations:
-                walk(rhs)
-        for c in children(u):
-            walk(c)
-    walk(t)
-    return seen
+    return list(dict.fromkeys(u.action for u in subterms(t, PROCESS_LEAVES)
+                              if isinstance(u, Atom) and not isinstance(u.action, TauAction)))
 
 
 def occurring_flex_vars(t: ProcTerm) -> frozenset:
@@ -442,45 +405,13 @@ def occurring_flex_vars(t: ProcTerm) -> frozenset:
     conditions and the data arguments of synchronization candidates;
     assignment actions are labels, never evaluated by the ambient map.
     """
-    if isinstance(t, Eval):
-        return frozenset()
-    if isinstance(t, Atom):
-        if isinstance(t.action, ParamAction):
-            out = frozenset()
-            for e in t.action.args:
-                out |= data_flex_vars(e)
-            return out
-        return frozenset()
-    if isinstance(t, Guard):
-        return cond_flex_vars(t.cond) | occurring_flex_vars(t.body)
-    if isinstance(t, RecConst):
-        out = frozenset()
-        for _, rhs in t.spec.equations:
-            out |= occurring_flex_vars(rhs)
-        return out
-    out = frozenset()
-    for c in children(t):
-        out |= occurring_flex_vars(c)
-    return out
+    return frozenset(u.name for u in subterms(t, (Eval, AssignAction)) if isinstance(u, Flex))
 
 
 def all_flex_vars(t: ProcTerm) -> frozenset:
     """Flexible variables occurring anywhere in t, evaluation operators included."""
-    if isinstance(t, Eval):
-        return all_flex_vars(t.body)
-    if isinstance(t, Atom):
-        return action_flex_vars(t.action)
-    if isinstance(t, Guard):
-        return cond_flex_vars(t.cond) | all_flex_vars(t.body)
-    if isinstance(t, RecConst):
-        out = frozenset()
-        for _, rhs in t.spec.equations:
-            out |= all_flex_vars(rhs)
-        return out
-    out = frozenset()
-    for c in children(t):
-        out |= all_flex_vars(c)
-    return out
+    return frozenset(u.var if isinstance(u, AssignAction) else u.name
+                     for u in subterms(t, (EvalMap,)) if isinstance(u, (Flex, AssignAction)))
 
 
 # --- linear terms and guarded linear recursive specifications -----------------
@@ -615,19 +546,13 @@ def classify(t: ProcTerm, ctx: Context) -> Classification:
 
 def subst_rec_vars(t: ProcTerm, mapping: dict) -> ProcTerm:
     """Replace free recursion variables; carried specifications bind their own."""
-    if isinstance(t, RecVar):
-        return mapping.get(t.name, t)
-    if isinstance(t, RecConst):
-        return t
-    if isinstance(t, BINARY):
-        return type(t)(subst_rec_vars(t.left, mapping), subst_rec_vars(t.right, mapping))
-    if isinstance(t, (Encap, Abstr)):
-        return type(t)(t.patterns, subst_rec_vars(t.body, mapping))
-    if isinstance(t, Guard):
-        return Guard(t.cond, subst_rec_vars(t.body, mapping))
-    if isinstance(t, Eval):
-        return Eval(t.emap, subst_rec_vars(t.body, mapping))
-    return t
+    def subst(u):
+        if isinstance(u, RecVar):
+            return mapping.get(u.name, u)
+        if type(u) in _BINDERS_AND_LEAVES:
+            return u
+        return map_children(u, subst)
+    return subst(t)
 
 
 def unfold(const: RecConst) -> ProcTerm:
@@ -661,9 +586,9 @@ def _canon_cond(phi: Condition, carrier: Carrier):
         phi = type(phi)(phi.var, _canon_cond(phi.body, carrier))
     from .conditions import cond_free_dvars
     if (
-        not cond_flex_vars(phi)
+        not isinstance(phi, (CTrue, CFalse))
+        and not flex_vars(phi)
         and not cond_free_dvars(phi)
-        and not isinstance(phi, (CTrue, CFalse))
     ):
         return TRUE if eval_cond(phi, EvalMap(()), carrier) else CFalse()
     return phi

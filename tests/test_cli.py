@@ -125,18 +125,10 @@ def test_conjecture_command(capsys):
 def test_json_identical_across_processes_and_hash_seeds(leak_file):
     # end-to-end determinism: separate interpreter runs with different hash
     # seeds must produce byte-identical machine output
-    import os
-    import subprocess
-    import sys
-
     outputs = []
     for seed in ("1", "42"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        done = subprocess.run(
-            [sys.executable, "-m", "deacp.cli", "lts", leak_file,
-             "--process", "P", "--json"],
-            capture_output=True, env=env, check=True,
-        )
+        done = _run_cli("lts", leak_file, "--process", "P", "--json", hash_seed=seed)
+        assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
 
@@ -178,11 +170,16 @@ proc CHAIN = q := 0 . r := 11 . q := 1 . r := 8 . q := 2 . r := 5 . q := 3 . r :
 
 
 def _run_cli(*argv, hash_seed="0"):
+    """`python -m deacp.cli`, importing the same deacp package as the tests."""
     import os
     import subprocess
     import sys
 
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    import deacp
+
+    src = os.path.dirname(os.path.dirname(deacp.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-m", "deacp.cli", *argv],
                           capture_output=True, env=env)
 

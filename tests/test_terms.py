@@ -236,3 +236,34 @@ def test_deep_terms_hash_without_rehashing_subterms():
         t = T.Seq(T.Atom(T.BasicAction("a")), t)
         hash(t)
     assert hash(t) == hash((t.left, t.right))
+
+
+def test_occurrence_queries_walk_deep_terms():
+    less = Cmp("<", Flex("u"), Flex("v"))
+    a = T.BasicAction("a")
+    t = T.Guard(less, T.Atom(a))
+    for _ in range(5000):
+        t = T.Seq(T.Atom(a), t)
+        hash(t)
+    assert T.is_closed(t)
+    assert T.occurring_flex_vars(t) == {"u", "v"}
+    assert T.all_flex_vars(t) == {"u", "v"}
+    assert T.occurring_actions(t) == [a]
+    assert not T.contains_abstraction(t)
+    assert not T.contains_tau(t)
+    assert T.term_conditions(t) == [less]
+
+
+def test_walk_helpers_keep_order_and_share_unchanged_parts():
+    less = Cmp("<", Flex("u"), Flex("v"))
+    left = T.Guard(less, T.Seq(T.Atom(T.BasicAction("a")), T.RecVar("X")))
+    right = T.Encap((T.ActionPattern("name", "b"),), T.Atom(T.BasicAction("b")))
+    t = T.Alt(left, right)
+    walked = [type(u).__name__ for u in D.subterms(t, T.PROCESS_LEAVES)]
+    assert walked == ["Alt", "Guard", "Cmp", "Seq", "Atom", "RecVar",
+                      "Encap", "ActionPattern", "Atom"]
+    assert D.map_children(t, lambda c: c) is t
+    closed = T.subst_rec_vars(t, {"X": T.DELTA})
+    assert closed == T.Alt(T.Guard(less, T.Seq(left.body.left, T.DELTA)), right)
+    assert closed.right is right and closed.left.cond is less
+    assert T.subst_rec_vars(right, {"X": T.DELTA}) is right
