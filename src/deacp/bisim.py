@@ -100,6 +100,7 @@ class BisimResult:
     equivalent: bool
     counterexample: Optional[dict] = None
     relation: frozenset = frozenset()  # pairs (left state id, right state id)
+    related_paths: bool = False  # decided by the condition-labelled equivalence
 
     @property
     def witness(self) -> Optional[tuple]:
@@ -246,8 +247,8 @@ def _transfer(ix1, ix2, rel, pair, same, related_paths=False):
                 yield _violation(l1, l2, pair, side, "termination", sigma)
 
 
-def _root_violation(ix1, ix2, rel, same):
-    """The first violation of the root condition: each step of a root is
+def _root_violations(ix1, ix2, rel, same):
+    """Yield every violation of the root condition: each step of a root is
     answered by a single step of the other root, and both roots terminate
     under the same maps."""
     l1, l2 = ix1.lts, ix2.lts
@@ -256,14 +257,13 @@ def _root_violation(ix1, ix2, rel, same):
         for sigma, action, target in mine.lts.transitions[me]:
             if not any(same(action, a) and orient(target, t) in rel
                        for a, t in other.moves(start, sigma)):
-                return _violation(l1, l2, pair, side, "root-step", sigma, action,
-                                  mine.lts.states[target])
+                yield _violation(l1, l2, pair, side, "root-step", sigma, action,
+                                 mine.lts.states[target])
     for sigma in l1.maps:
         left = (l1.root, sigma) in l1.terminating
         if left != ((l2.root, sigma) in l2.terminating):
-            return _violation(l1, l2, pair, "left" if left else "right",
-                              "root-termination", sigma)
-    return None
+            yield _violation(l1, l2, pair, "left" if left else "right",
+                             "root-termination", sigma)
 
 
 def _blocks(ix1, ix2, classes, related_paths: bool) -> list:
@@ -335,13 +335,12 @@ def _decide(l1: SigmaLts, l2: SigmaLts, ctx: T.Context, related_paths: bool) -> 
                          for i in left for j in right)
     root_pair = (l1.root, l2.root)
     if root_pair in relation:
-        cex = _root_violation(ix1, ix2, relation, classes.same)
+        found = _root_violations(ix1, ix2, relation, classes.same)
     else:
-        cex = next(_transfer(ix1, ix2, relation | {root_pair}, root_pair, classes.same,
-                             related_paths))
-    if cex is not None:
-        return BisimResult(False, counterexample=cex, relation=relation)
-    return BisimResult(True, relation=relation)
+        found = _transfer(ix1, ix2, relation | {root_pair}, root_pair, classes.same,
+                          related_paths)
+    cex = next(found, None)
+    return BisimResult(cex is None, cex, relation, related_paths)
 
 
 def rooted_branching_bisim(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> BisimResult:
@@ -364,67 +363,21 @@ def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, relation,
 
 def replay_counterexample(l1: SigmaLts, l2: SigmaLts, result: BisimResult,
                           ctx: T.Context) -> bool:
-    """Confirm a negative verdict: the recorded observation is derivable on its
-    side and unmatchable against the surviving relation."""
+    """Confirm a negative verdict: the recorded violation is one that the
+    conditions which decided it find for the roots against the result's
+    relation, under the result's path condition."""
     ce = result.counterexample
-    if ce is None:
+    pair = (l1.root, l2.root)
+    if ce is None or (ce["left_id"], ce["right_id"]) != pair:
         return False
-    i, j = ce["left_id"], ce["right_id"]
-    sigma = EvalMap.of(ce["map"])
-    rel = set(result.relation)
-    src = l1 if ce["side"] == "left" else l2
-    sid = i if ce["side"] == "left" else j
-    if ce["kind"].endswith("termination"):
-        if ce["kind"] == "root-termination":
-            return ((sid, sigma) in src.terminating) != (
-                ((j if ce["side"] == "left" else i), sigma)
-                in (l2 if ce["side"] == "left" else l1).terminating
-            )
-        if (sid, sigma) not in src.terminating:
-            return False
-        other = l2 if ce["side"] == "left" else l1
-        other_id = j if ce["side"] == "left" else i
-        closure = silent_closure(other, other_id, sigma)
-        for u in closure:
-            pair = (i, u) if ce["side"] == "left" else (u, j)
-            if pair in rel and (u, sigma) in other.terminating:
-                return False
-        return True
-    # Step kinds: find the observed transition, then exhaust responses.
-    observed = None
-    for sig, action, tgt in src.transitions[sid]:
-        if sig == sigma and render_action(action) == ce["action"] \
-                and render_term(src.states[tgt]) == ce["target"]:
-            observed = (action, tgt)
-            break
-    if observed is None:
-        return False
-    action, target = observed
-    other = l2 if ce["side"] == "left" else l1
-    other_id = j if ce["side"] == "left" else i
-    act_cache: dict = {}
-    if ce["kind"] == "root-step":
-        candidates = [(other_id, a, t) for s, a, t in other.transitions[other_id]
-                      if s == sigma]
+    ix1, ix2 = _Indexed(l1), _Indexed(l2)
+    same = _ActionClasses(ctx).same
+    if ce["kind"].startswith("root-"):
+        found = _root_violations(ix1, ix2, result.relation, same)
     else:
-        candidates = []
-        for u in silent_closure(other, other_id, sigma):
-            pair = (i, u) if ce["side"] == "left" else (u, j)
-            if pair not in rel:
-                continue
-            if isinstance(action, T.TauAction):
-                stay = (target, u) if ce["side"] == "left" else (u, target)
-                if stay in rel:
-                    return False
-            for s, a, t in other.transitions[u]:
-                if s == sigma:
-                    candidates.append((u, a, t))
-    for _, a, t in candidates:
-        if actions_equivalent(action, a, ctx, act_cache):
-            pair = (target, t) if ce["side"] == "left" else (t, target)
-            if pair in rel:
-                return False
-    return True
+        found = _transfer(ix1, ix2, result.relation | {pair}, pair, same,
+                          result.related_paths)
+    return ce in found
 
 
 # --- the silent-step-free special case -------------------------------------------

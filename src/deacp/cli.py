@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bisim as B
@@ -47,15 +46,7 @@ def _load(args) -> tuple:
         lo = args.data_lo if args.data_lo is not None else spec.carrier.lo
         hi = args.data_hi if args.data_hi is not None else spec.carrier.hi
         spec.carrier = Carrier(lo, hi)
-    bound = args.state_bound
-    if bound is None:
-        raw = os.environ.get("DEACP_STATE_BOUND", "")
-        try:
-            bound = int(raw) if raw else T.DEFAULT_STATE_BOUND
-        except ValueError:
-            raise DeacpError(f"DEACP_STATE_BOUND is not an integer: {raw!r}")
-    ctx = spec.context(state_bound=bound)
-    return spec, ctx
+    return spec, spec.context(state_bound=args.state_bound)
 
 
 def _add_common(cmd):
@@ -63,8 +54,8 @@ def _add_common(cmd):
     cmd.add_argument("--json", action="store_true", help="machine-readable output")
     cmd.add_argument("--data-lo", type=int, default=None, help="override carrier lower bound")
     cmd.add_argument("--data-hi", type=int, default=None, help="override carrier upper bound")
-    cmd.add_argument("--state-bound", type=int, default=None,
-                     help="exploration bound (or DEACP_STATE_BOUND)")
+    cmd.add_argument("--state-bound", type=int, default=T.DEFAULT_STATE_BOUND,
+                     help="exploration bound")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -102,17 +102,18 @@ def spec_to_table(spec: T.RecSpec) -> dict:
     return table
 
 
+def _summand(row) -> T.ProcTerm:
+    """The summand a (condition, action, target) row stands for; no action
+    means termination."""
+    cond, action, target = row
+    if action is None:
+        return T.Guard(cond, T.EPSILON)
+    return T.Guard(cond, T.Seq(T.Atom(action), T.RecVar(target)))
+
+
 def table_to_spec(table: dict, order) -> T.RecSpec:
-    equations = []
-    for name in order:
-        parts = []
-        for cond, action, target in table[name]:
-            if action is None:
-                parts.append(T.Guard(cond, T.EPSILON))
-            else:
-                parts.append(T.Guard(cond, T.Seq(T.Atom(action), T.RecVar(target))))
-        equations.append((name, T.alt_fold(parts)))
-    return T.RecSpec(tuple(equations))
+    return T.RecSpec(tuple((name, T.alt_fold(list(map(_summand, table[name]))))
+                          for name in order))
 
 
 def _trim(table: dict, root: str) -> list:
@@ -408,7 +409,7 @@ class _Linearizer:
                     for _, action, target in rows
                 ) and not is_pure_eps(name):
                     merged = _disjoin([cond for cond, _, _ in rows])
-                    before = table_to_spec({name: rows}, [name]).rhs(name)
+                    before = T.alt_fold(list(map(_summand, rows)))
                     after = T.Guard(merged, T.EPSILON)
                     sub[name] = [(merged, None, None)]
                     self.bed_steps.append(ProofStep(
@@ -442,13 +443,7 @@ class ClusterInfo:
 
     @property
     def exit_terms(self) -> tuple:
-        out = []
-        for cond, action, target in self.exit_rows:
-            if action is None:
-                out.append(T.Guard(cond, T.EPSILON))
-            else:
-                out.append(T.Guard(cond, T.Seq(T.Atom(action), T.RecVar(target))))
-        return tuple(out)
+        return tuple(map(_summand, self.exit_rows))
 
 
 @dataclass
@@ -822,14 +817,12 @@ def _replay_step(step: ProofStep, ctx: T.Context) -> list:
         members = payload.get("members")
         patterns = payload.get("patterns")
         var = payload.get("variable")
-        if spec is None:
+        if spec is None or members is None or patterns is None:
             return ["CFAR step carries no cluster data"]
-        info = cluster_of(spec, patterns, members)
-        if not info.is_cluster:
-            return ["CFAR cluster fails the cluster condition"]
-        if not info.conservative:
-            return ["CFAR cluster is not conservative"]
-        expected, recomputed = apply_cfar(spec, var, patterns, ctx)
+        try:
+            expected, recomputed = apply_cfar(spec, var, patterns, ctx)
+        except DeacpError as exc:
+            return [f"CFAR replay failed: {exc}"]
         if recomputed.payload["members"] != tuple(members):
             return ["CFAR step names another cluster than its variable's"]
         if expected != step.after:

@@ -19,9 +19,8 @@ from .conditions import (
     TRUE,
     cond_signature,
     eval_cond,
-    subst_map,
 )
-from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps
+from .data_algebra import FlexVarDecl, enumerate_maps
 from .errors import GuardednessError
 from .parser import render_action, render_cond, render_term
 from .sos_sigma import SigmaLts, _Rules, ambient_domain, explore
@@ -165,7 +164,7 @@ class _CondSos(_Rules):
             return [
                 (TRUE, *self._evaluated(a, t.emap, tgt))
                 for phi, a, tgt in self.steps(t.body)
-                if eval_cond(subst_map(phi, t.emap), EvalMap(()), self.ctx.carrier)
+                if eval_cond(phi, t.emap, self.ctx.carrier)
             ]
         if isinstance(t, T.RecConst):
             return list(self.steps(self._unfold(t)))
@@ -206,8 +205,7 @@ class _CondSos(_Rules):
         if isinstance(t, T.Eval):
             out = []
             for phi in self.terminating(t.body):
-                resolved = subst_map(phi, t.emap)
-                if eval_cond(resolved, EvalMap(()), self.ctx.carrier):
+                if eval_cond(phi, t.emap, self.ctx.carrier):
                     out.append(TRUE)
             return out
         if isinstance(t, T.RecConst):

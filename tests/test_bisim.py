@@ -8,6 +8,7 @@ from conftest import proc
 from deacp import gen as G
 from deacp import terms as T
 from deacp.bisim import (
+    BisimResult,
     action_class,
     actions_equivalent,
     decide_rab,
@@ -206,6 +207,30 @@ def test_every_counterexample_kind_replays(base_spec, ctx, left, right, kind):
     result = rooted_branching_bisim(l1, l2, ctx)
     assert not result.equivalent
     assert result.counterexample["kind"] == kind
+    assert replay_counterexample(l1, l2, result, ctx)
+
+
+def test_forged_counterexample_is_rejected(base_spec, ctx):
+    t1, t2 = proc(base_spec, "a + b"), proc(base_spec, "a")
+    l1, l2 = build_lts(t1, ctx, domain=()), build_lts(t2, ctx, domain=())
+    result = rooted_branching_bisim(l1, l2, ctx)
+    assert result.counterexample["action"] == "b"
+    assert replay_counterexample(l1, l2, result, ctx)
+    # The right root answers a, so a left step a is no violation.
+    forged = BisimResult(False, dict(result.counterexample, action="a"), result.relation)
+    assert not replay_counterexample(l1, l2, forged, ctx)
+
+
+def test_condition_labelled_counterexample_replays(base_spec, ctx):
+    # Under rab the answer to a must pass only through states related to a;
+    # the plain silent closure would answer it through tau . a.
+    t1, t2 = proc(base_spec, "a"), proc(base_spec, "tau . (c + tau . a)")
+    c1, c2 = build_cond_lts(t1, ctx, domain=()), build_cond_lts(t2, ctx, domain=())
+    result = rooted_ab_bisim(c1, c2, ctx, ())
+    assert not result.equivalent
+    assert (result.counterexample["side"], result.counterexample["kind"],
+            result.counterexample["action"]) == ("left", "step", "a")
+    l1, l2 = expand_to_sigma(c1, ctx, ()), expand_to_sigma(c2, ctx, ())
     assert replay_counterexample(l1, l2, result, ctx)
 
 

@@ -116,6 +116,13 @@ def test_missing_process_exit_two(capsys, leak_file):
     assert code == 2
 
 
+def test_state_bound_limits_exploration(capsys, leak_file):
+    code, out, err = run(capsys, "lts", leak_file, "--process", "R", "--state-bound", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: exploration exceeded the bound of 1 states "
+                   "(partial: 1 states, 0 transitions)\n")
+
+
 def test_conjecture_command(capsys):
     code, out, _ = run(capsys, "conjecture", "--pairs", "6", "--seed", "3")
     assert code == 0

@@ -267,6 +267,23 @@ def test_replay_rejects_cfar_step_naming_another_cluster(base_spec, ctx):
         assert not ok and len(issues) == 1 and issues[0].startswith("CFAR"), issues
 
 
+def test_replay_reports_cfar_step_naming_a_variable_on_no_cluster(base_spec, ctx):
+    # Y0 lies on a hidden cycle that its visible step b keeps from being a cluster.
+    t = proc(base_spec, "hide{a}(rec X0 where {"
+                        " X0 = [true] -> a . X1 + [true] -> b . E,"
+                        " X1 = [true] -> a . X0 + [true] -> b . E, E = [true] -> epsilon,"
+                        " Y0 = [true] -> a . Y1 + [true] -> c . Y1, Y1 = [true] -> a . Y0 })")
+    _, cfar = apply_cfar(t.body.spec, "X0", t.patterns, ctx)
+    certificate = ProofCertificate(cfar.before, cfar.after, [cfar])
+    assert replay_certificate(certificate, ctx) == (True, [])
+    for change in ({"variable": "Y0"}, {"members": None}, {"patterns": None}):
+        tampered = replace(cfar, payload=dict(cfar.payload, **change))
+        ok, issues = replay_certificate(
+            ProofCertificate(cfar.before, cfar.after, [tampered]), ctx
+        )
+        assert not ok and len(issues) == 1 and issues[0].startswith("CFAR"), issues
+
+
 def test_replay_checks_absorbed_silent_equations(base_spec, ctx):
     certificate = prove_equal(
         proc(base_spec, "hide{a}(b . (tau + tau . tau))"), proc(base_spec, "b"), ctx

@@ -1,9 +1,12 @@
 import random
 
+import pytest
+
 from conftest import proc
 from deacp import gen as G
 from deacp import terms as T
 from deacp.conditions import CTrue
+from deacp.data_algebra import EvalMap
 from deacp.parser import render_action, render_cond
 from deacp.sos_cond import build_cond_lts, expand_to_sigma, step_cond, terminates_cond
 from deacp.sos_sigma import build_lts, lts_equal_up_to_renaming
@@ -81,3 +84,15 @@ def test_cond_json_shape(base_spec, ctx):
     payload = build_cond_lts(proc(base_spec, "[v = 0] -> a"), ctx).to_json_dict()
     assert payload["transitions"][0]["cond"] == "v = 0"
     assert "map" not in payload["transitions"][0]
+
+
+@pytest.mark.parametrize("body", ["a", "epsilon"])
+def test_eval_reads_a_partial_carried_map_in_both_semantics(base_spec, ctx, body):
+    # The map lacks u, which only the short-circuited disjunct mentions.
+    guarded = proc(base_spec, f"[v = 0 or u = 1] -> {body}")
+    t = T.Eval(EvalMap.of({"v": 0}), guarded)
+    direct = build_lts(t, ctx)
+    via_conditions = expand_to_sigma(build_cond_lts(t, ctx), ctx)
+    assert len(direct.transitions[0]) == (body == "a")
+    assert len(direct.terminating) == 1
+    assert lts_equal_up_to_renaming(direct, via_conditions)
