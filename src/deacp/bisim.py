@@ -266,9 +266,10 @@ def _root_violations(ix1, ix2, rel, same):
                              "root-termination", sigma)
 
 
-def _blocks(ix1, ix2, classes, related_paths: bool) -> list:
-    """Block of each state of the disjoint union of two systems (the second
-    system's states follow the first's) in the coarsest stable partition.
+def _blocks(ixs, classes, related_paths: bool) -> list:
+    """Block of each state of the disjoint union of the indexed systems ixs
+    (each system's states follow the previous one's) in the coarsest stable
+    partition.
 
     Signature refinement after Blom & Orzan (PDMC 2003): a state's signature
     is its block, the (map, action class, target block) of every step it can
@@ -279,7 +280,7 @@ def _blocks(ix1, ix2, classes, related_paths: bool) -> list:
     """
     map_id: dict = {}
     moves = []  # per state: map id -> [(class id, target)], termination as (-1, itself)
-    for ix in (ix1, ix2):
+    for ix in ixs:
         base = len(moves)
         for by_sigma, maps in zip(ix.by_sigma, ix.stops):
             out = {map_id.setdefault(sigma, len(map_id)): [(classes(a), base + t) for a, t in ms]
@@ -320,6 +321,17 @@ def _blocks(ix1, ix2, classes, related_paths: bool) -> list:
         block, count = fresh, len(ids)
 
 
+def _relation(ix1, ix2, classes, related_paths: bool) -> frozenset:
+    """The greatest relation between two indexed systems: the (left, right)
+    state pairs that share a block of the coarsest stable partition."""
+    n1 = len(ix1.lts.states)
+    members: dict = {}
+    for s, b in enumerate(_blocks((ix1, ix2), classes, related_paths)):
+        members.setdefault(b, ([], []))[s >= n1].append(s - n1 if s >= n1 else s)
+    return frozenset((i, j) for left, right in members.values()
+                     for i in left for j in right)
+
+
 def _decide(l1: SigmaLts, l2: SigmaLts, ctx: T.Context, related_paths: bool) -> BisimResult:
     """The greatest relation by signature refinement, then the root
     condition; unrelated roots are explained by their first transfer
@@ -327,12 +339,7 @@ def _decide(l1: SigmaLts, l2: SigmaLts, ctx: T.Context, related_paths: bool) -> 
     _check_domains(l1, l2)
     ix1, ix2 = _Indexed(l1), _Indexed(l2)
     classes = _ActionClasses(ctx)
-    n1 = len(l1.states)
-    members: dict = {}
-    for s, b in enumerate(_blocks(ix1, ix2, classes, related_paths)):
-        members.setdefault(b, ([], []))[s >= n1].append(s - n1 if s >= n1 else s)
-    relation = frozenset((i, j) for left, right in members.values()
-                         for i in left for j in right)
+    relation = _relation(ix1, ix2, classes, related_paths)
     root_pair = (l1.root, l2.root)
     if root_pair in relation:
         found = _root_violations(ix1, ix2, relation, classes.same)
@@ -346,6 +353,30 @@ def _decide(l1: SigmaLts, l2: SigmaLts, ctx: T.Context, related_paths: bool) -> 
 def rooted_branching_bisim(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> BisimResult:
     """Rooted branching bisimilarity of two map-indexed systems over one domain."""
     return _decide(l1, l2, ctx, related_paths=False)
+
+
+def rooted_branching_classes(ltss, ctx: T.Context) -> list:
+    """One key per map-indexed system over one domain, such that two systems
+    are rooted branching bisimilar exactly when their keys are equal.
+
+    One refinement of the union of all systems gives the root's block, and
+    under that partition the root condition compares the (map, action class,
+    target block) of the root's direct steps and the maps under which the
+    root terminates.
+    """
+    for lts in ltss[1:]:
+        _check_domains(ltss[0], lts)
+    ixs = [_Indexed(lts) for lts in ltss]
+    classes = _ActionClasses(ctx)
+    block = _blocks(ixs, classes, related_paths=False)
+    keys, base = [], 0
+    for ix in ixs:
+        root = ix.lts.root
+        steps = frozenset((sigma, classes(a), block[base + t])
+                          for sigma, a, t in ix.lts.transitions[root])
+        keys.append((block[base + root], steps, frozenset(ix.stops[root])))
+        base += len(ix.lts.states)
+    return keys
 
 
 def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, relation,
@@ -364,18 +395,20 @@ def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, relation,
 def replay_counterexample(l1: SigmaLts, l2: SigmaLts, result: BisimResult,
                           ctx: T.Context) -> bool:
     """Confirm a negative verdict: the recorded violation is one that the
-    conditions which decided it find for the roots against the result's
-    relation, under the result's path condition."""
+    conditions which decided it find for the roots against the greatest
+    relation, recomputed under the result's path condition rather than read
+    from the result."""
     ce = result.counterexample
     pair = (l1.root, l2.root)
     if ce is None or (ce["left_id"], ce["right_id"]) != pair:
         return False
     ix1, ix2 = _Indexed(l1), _Indexed(l2)
-    same = _ActionClasses(ctx).same
+    classes = _ActionClasses(ctx)
+    relation = _relation(ix1, ix2, classes, result.related_paths)
     if ce["kind"].startswith("root-"):
-        found = _root_violations(ix1, ix2, result.relation, same)
+        found = _root_violations(ix1, ix2, relation, classes.same)
     else:
-        found = _transfer(ix1, ix2, result.relation | {pair}, pair, same,
+        found = _transfer(ix1, ix2, relation | {pair}, pair, classes.same,
                           result.related_paths)
     return ce in found
 
@@ -388,7 +421,7 @@ def strong_bisim_signature(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> bool:
     _check_domains(l1, l2)
     if not (l1.is_tau_free() and l2.is_tau_free()):
         raise ShapeError("signature refinement requires silent-step-free systems")
-    block = _blocks(_Indexed(l1), _Indexed(l2), _ActionClasses(ctx), related_paths=False)
+    block = _blocks((_Indexed(l1), _Indexed(l2)), _ActionClasses(ctx), related_paths=False)
     return block[l1.root] == block[len(l1.states) + l2.root]
 
 

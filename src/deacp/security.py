@@ -9,15 +9,14 @@ two resulting systems are rooted branching bisimilar.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from . import terms as T
-from .bisim import rooted_branching_bisim
+from .bisim import rooted_branching_bisim, rooted_branching_classes
 from .conditions import And, Cmp, TRUE, satisfiable
 from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps
-from .errors import DeclarationError, EnumerationLimitError
+from .errors import DeacpError, DeclarationError, EnumerationLimitError
 from .parser import render_action
 from .sos_sigma import build_lts
 
@@ -121,7 +120,13 @@ def _observed_term(spec: SecuritySpec, sets: DerivedSets, sigma: EvalMap) -> T.P
 def check_dnii(spec: SecuritySpec, ctx: T.Context) -> DniiVerdict:
     """Exhaustive check over all pairs of evaluation maps agreeing on the
     low-security variables; quantification ranges over occurring variables
-    (others cannot affect any transition) with unordered high pairs."""
+    (others cannot affect any transition) with unordered high pairs.
+
+    The equivalence is decided by one refinement per low part. In pair
+    order the first inequivalent pair is (0, j) for the first variant j
+    unlike variant 0; pairs_checked counts up to it, and a variant that
+    cannot be built is an error only if no earlier pair leaks.
+    """
     sets = derive_sets(spec, ctx)
     if not T.is_closed(spec.process):
         raise DeclarationError("the analyzed process must be closed")
@@ -133,32 +138,38 @@ def check_dnii(spec: SecuritySpec, ctx: T.Context) -> DniiVerdict:
 
     low_maps = enumerate_maps(FlexVarDecl(low_occ), ctx.carrier, ctx.enum_bound)
     high_maps = enumerate_maps(FlexVarDecl(high), ctx.carrier, ctx.enum_bound)
-    total = len(low_maps) * len(high_maps) * (len(high_maps) - 1) // 2
+    pairs = len(high_maps) * (len(high_maps) - 1) // 2
+    total = len(low_maps) * pairs
     if total > ctx.enum_bound:
         raise EnumerationLimitError(total, ctx.enum_bound, "map pairs")
 
+    if not pairs:
+        return DniiVerdict(holds=True, sets=sets)
     pairs_checked = 0
-    lts_cache: dict = {}
-
-    def lts_for(sigma: EvalMap):
-        if sigma not in lts_cache:
-            lts_cache[sigma] = build_lts(_observed_term(spec, sets, sigma), ctx, domain=())
-        return lts_cache[sigma]
-
     for low_part in low_maps:
-        lts_cache.clear()
-        for h1, h2 in itertools.combinations(high_maps, 2):
-            sigma = EvalMap.of({**base, **low_part.as_dict(), **h1.as_dict()})
-            sigma_prime = EvalMap.of({**base, **low_part.as_dict(), **h2.as_dict()})
-            result = rooted_branching_bisim(lts_for(sigma), lts_for(sigma_prime), ctx)
-            pairs_checked += 1
-            if not result.equivalent:
-                return DniiVerdict(
-                    holds=False,
-                    sets=sets,
-                    pairs_checked=pairs_checked,
-                    sigma=sigma,
-                    sigma_prime=sigma_prime,
-                    counterexample=result.counterexample,
-                )
+        sigmas = [EvalMap.of({**base, **low_part.as_dict(), **h.as_dict()})
+                  for h in high_maps]
+        ltss, failure = [], None
+        for sigma in sigmas:
+            try:
+                ltss.append(build_lts(_observed_term(spec, sets, sigma), ctx, domain=()))
+            except (DeacpError, RecursionError) as exc:  # raised unless an earlier pair leaks
+                failure = exc
+                break
+        keys = rooted_branching_classes(ltss, ctx)
+        j = next((j for j, key in enumerate(keys) if key != keys[0]), None)
+        if j is None:
+            if failure is not None:
+                raise failure
+            pairs_checked += pairs
+            continue
+        result = rooted_branching_bisim(ltss[0], ltss[j], ctx)
+        return DniiVerdict(
+            holds=False,
+            sets=sets,
+            pairs_checked=pairs_checked + j,
+            sigma=sigmas[0],
+            sigma_prime=sigmas[j],
+            counterexample=result.counterexample,
+        )
     return DniiVerdict(holds=True, sets=sets, pairs_checked=pairs_checked)

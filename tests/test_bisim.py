@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from deacp.bisim import (
     replay_counterexample,
     rooted_ab_bisim,
     rooted_branching_bisim,
+    rooted_branching_classes,
     shared_domain,
     silent_closure,
     strong_bisim_signature,
@@ -221,6 +223,16 @@ def test_forged_counterexample_is_rejected(base_spec, ctx):
     assert not replay_counterexample(l1, l2, forged, ctx)
 
 
+def test_counterexample_against_a_forged_relation_is_rejected(base_spec, ctx):
+    # a is equivalent to itself. Against an empty relation the roots would be
+    # unrelated and a left step a unanswered; replay must not take that
+    # relation from the result.
+    lts = build_lts(proc(base_spec, "a"), ctx, domain=())
+    ce = {"left_state": "a", "right_state": "a", "left_id": 0, "right_id": 0,
+          "side": "left", "kind": "step", "map": {}, "action": "a", "target": "epsilon"}
+    assert not replay_counterexample(lts, lts, BisimResult(False, ce, frozenset()), ctx)
+
+
 def test_condition_labelled_counterexample_replays(base_spec, ctx):
     # Under rab the answer to a must pass only through states related to a;
     # the plain silent closure would answer it through tau . a.
@@ -363,3 +375,31 @@ def test_engine_matches_pair_refinement(corpus, related_paths):
         verdicts.add(verdict)
         checked += 1
     assert checked >= 0.9 * len(pairs) and verdicts == {True, False}
+
+
+def test_rooted_branching_classes_match_pairwise_decisions():
+    # 30 systems over one domain, built in pairs next to a rewritten copy so
+    # that equivalent pairs occur; one refinement keys them all.
+    cfg = G.GenConfig(max_depth=3, allow_abstr=True)
+    ctx = G.default_context(cfg)
+    rng = random.Random(7)
+    domain = tuple(ctx.decl)
+    ltss = []
+    for _ in range(1000):
+        if len(ltss) == 30:
+            break
+        try:
+            pair = [build_lts(t, ctx, domain=domain)
+                    for t in G.rewritten_pair(rng, cfg, ctx)[:2]]
+        except DeacpError:
+            continue
+        if all(3 <= len(lts.states) <= 20 for lts in pair):
+            ltss += pair
+    assert len(ltss) == 30 and any(not lts.is_tau_free() for lts in ltss)
+    keys = rooted_branching_classes(ltss, ctx)
+    verdicts = set()
+    for i, j in itertools.combinations(range(len(ltss)), 2):
+        equivalent = rooted_branching_bisim(ltss[i], ltss[j], ctx).equivalent
+        assert (keys[i] == keys[j]) == equivalent, (i, j)
+        verdicts.add(equivalent)
+    assert verdicts == {True, False}

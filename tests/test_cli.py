@@ -204,6 +204,15 @@ def test_counterexample_json_identical_across_hash_seeds(tmp_path):
     assert json.loads(runs[0].stdout)["counterexample"]["kind"] == "termination"
 
 
+def test_dnii_json_identical_across_hash_seeds(leak_file):
+    runs = [_run_cli("dnii", leak_file, "--process", "P", "--json", hash_seed=seed)
+            for seed in ("0", "1", "3")]
+    assert {done.returncode for done in runs} == {1}
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    payload = json.loads(runs[0].stdout)
+    assert payload["holds"] is False and payload["pairs_checked"] == 4
+
+
 def test_deep_nesting_exits_two_without_traceback(tmp_path):
     path = tmp_path / "deep.deacp"
     path.write_text("actions a\nproc P = " + " . ".join(["a"] * 400) + "\n",

@@ -1,10 +1,17 @@
+import random
+
 import pytest
 
+import dnii_oracle
 from conftest import proc
+from deacp import gen as G
+from deacp import parser as P
 from deacp import terms as T
-from deacp.errors import DeclarationError
+from deacp.data_algebra import Carrier, FlexVarDecl
+from deacp.errors import DeacpError, DeclarationError, ExplorationLimitError
 from deacp.parser import render_action
-from deacp.security import SecuritySpec, check_dnii, derive_sets
+from deacp.security import SecuritySpec, _observed_term, check_dnii, derive_sets
+from deacp.sos_sigma import build_lts
 
 
 SEND = (T.ActionPattern("name", "send"),)
@@ -92,3 +99,78 @@ def test_dnii_enlarging_ext_cannot_repair_visible_leak(small_spec, small_ctx):
     )
     assert not small_ext.holds
     assert not bigger_ext.holds
+
+
+# --- variants that cannot be built, and the pairwise oracle -------------------------
+
+@pytest.fixture(scope="module")
+def bounded():
+    """A spec over h, l and a context whose state bound a . a . a . a exceeds."""
+    spec = P.parse_spec("domain -4..3\nvars h, l\nactions send/1, a\n")
+    return spec, spec.context(state_bound=3)
+
+
+def test_dnii_with_one_high_map_builds_nothing(bounded):
+    spec, ctx = bounded
+    dnii = SecuritySpec(proc(spec, "send(l) . a . a . a . a"), low=("l",), ext=SEND)
+    sets = derive_sets(dnii, ctx)
+    assert sets.high == ()
+    with pytest.raises(ExplorationLimitError):
+        build_lts(_observed_term(dnii, sets, T.EvalMap.of({"h": 0, "l": 0})), ctx, domain=())
+    verdict = check_dnii(dnii, ctx)
+    assert verdict.holds and verdict.pairs_checked == 0
+
+
+def test_dnii_leak_before_an_unbuildable_variant_is_reported(bounded):
+    # h = 2 exceeds the bound, but (h = -4, h = 0) already leaks
+    spec, ctx = bounded
+    p = proc(spec, "[h < 0] -> send(1) + [h >= 2] -> a . a . a . a . send(0)")
+    verdict = check_dnii(SecuritySpec(p, low=(), ext=SEND), ctx)
+    assert not verdict.holds and verdict.pairs_checked == 4
+    assert (verdict.sigma.value("h"), verdict.sigma_prime.value("h")) == (-4, 0)
+
+
+def test_dnii_unbuildable_variant_after_equivalent_ones_raises(bounded):
+    spec, ctx = bounded
+    p = proc(spec, "[h < 2] -> send(1) + [h >= 2] -> a . a . a . a . send(0)")
+    for check in (check_dnii, dnii_oracle.check_dnii):
+        with pytest.raises(ExplorationLimitError):
+            check(SecuritySpec(p, low=(), ext=SEND), ctx)
+
+
+def _outcome(check, spec, ctx):
+    try:
+        return check(spec, ctx).to_json_dict()
+    except DeacpError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_dnii_matches_pairwise_oracle_on_generated_processes():
+    cfg = G.GenConfig(max_depth=2, flex_vars=("h", "l"))
+    ctx = T.Context(carrier=Carrier(-2, 1), decl=FlexVarDecl(("h", "l")),
+                    gamma=T.CommFunction.of({("a", "b"): "c"}))
+    exts = [tuple(T.ActionPattern("name", x) for x in names) for names in ("a", "ab", "abc")]
+    rng = random.Random(4)
+    verdicts = set()
+    for n in range(200):
+        dnii = SecuritySpec(G.random_proc(rng, cfg, ctx), low=("l",) if n % 2 else (),
+                            ext=exts[n % 3])
+        outcome = _outcome(check_dnii, dnii, ctx)
+        assert outcome == _outcome(dnii_oracle.check_dnii, dnii, ctx), dnii.process
+        verdicts.add(outcome["holds"])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("domain,text", [
+    ("-8..7", "send(l) . h := h + 2 . send(l)"),
+    ("-4..3", "a(h) . h := h + k . send(1)"),
+    ("-16..15", "send(5) . a(h)"),
+    ("-8..7", "send(l) . ([h < 2] -> send(3) + [not h < 2] -> send(-5))"),
+    ("-4..3", "[h + k >= 1] -> send(0) + [not h + k >= 1] -> send(2)"),
+])
+def test_dnii_matches_pairwise_oracle_on_sweep_specs(domain, text):
+    spec = P.parse_spec(f"domain {domain}\nvars l, h, k\nactions send/1, a/1\n"
+                        "security { low = { l }; ext = { send/1 } }\n")
+    ctx = spec.context()
+    dnii = SecuritySpec(proc(spec, text), tuple(spec.security_low), tuple(spec.security_ext))
+    assert _outcome(check_dnii, dnii, ctx) == _outcome(dnii_oracle.check_dnii, dnii, ctx)
