@@ -49,13 +49,23 @@ def _load(args) -> tuple:
     return spec, spec.context(state_bound=args.state_bound)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(cmd):
     cmd.add_argument("file", help="spec file path, or - for standard input")
     cmd.add_argument("--json", action="store_true", help="machine-readable output")
     cmd.add_argument("--data-lo", type=int, default=None, help="override carrier lower bound")
     cmd.add_argument("--data-hi", type=int, default=None, help="override carrier upper bound")
-    cmd.add_argument("--state-bound", type=int, default=T.DEFAULT_STATE_BOUND,
-                     help="exploration bound")
+    cmd.add_argument("--state-bound", type=_positive_int, default=T.DEFAULT_STATE_BOUND,
+                     help="exploration bound, at least 1 state")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -131,13 +141,12 @@ def _cmd_lts(args) -> int:
         lts = SC.build_cond_lts(term, ctx)
     else:
         lts = S.build_lts(term, ctx)
-    payload = lts.to_json_dict()
-    text = (
-        f"states: {len(lts.states)}\n"
-        f"transitions: {lts.num_transitions}\n"
-        f"root: {lts.root}"
-    )
-    _emit(payload, args.json, text if not args.json else "")
+    if args.json:
+        _emit(lts.to_json_dict(), True, "")
+    else:
+        print(f"states: {len(lts.states)}\n"
+              f"transitions: {lts.num_transitions}\n"
+              f"root: {lts.root}")
     return EXIT_OK
 
 

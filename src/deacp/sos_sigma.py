@@ -4,7 +4,8 @@ Transitions are indexed by an evaluation map and an atomic action (or the
 silent step); termination is indexed by an evaluation map. A term wrapped in
 an evaluation operator behaves identically under every ambient map, so LTS
 construction enumerates ambient maps only over the flexible variables that
-occur outside carried maps.
+occur outside carried maps, and derives each state once per class of maps
+that agree on the variables that state reads.
 """
 
 from __future__ import annotations
@@ -210,22 +211,29 @@ class SigmaLts:
         )
 
     def to_json_dict(self) -> dict:
-        trans = []
+        # Each action is rendered once, and each map's dict is built once and
+        # shared by its rows; a map's entries are its sorted items.
+        texts = {}
+        dicts = {}
+
+        def as_dict(m):
+            d = dicts.get(m)
+            if d is None:
+                d = dicts[m] = m.as_dict()
+            return d
+
+        rows = []
         for src, ts in enumerate(self.transitions):
             for sigma, action, tgt in ts:
-                trans.append(
-                    {
-                        "from": src,
-                        "map": sigma.as_dict(),
-                        "action": render_action(action),
-                        "to": tgt,
-                    }
-                )
-        trans.sort(key=lambda d: (d["from"], sorted(d["map"].items()), d["action"], d["to"]))
-        term = sorted(
-            [{"state": s, "map": m.as_dict()} for s, m in self.terminating],
-            key=lambda d: (d["state"], sorted(d["map"].items())),
-        )
+                text = texts.get(action)
+                if text is None:
+                    text = texts[action] = render_action(action)
+                rows.append((src, sigma.entries, text, tgt, sigma))
+        rows.sort(key=lambda r: r[:4])
+        trans = [{"from": src, "map": as_dict(sigma), "action": text, "to": tgt}
+                 for src, _, text, tgt, sigma in rows]
+        facts = sorted(self.terminating, key=lambda f: (f[0], f[1].entries))
+        term = [{"state": s, "map": as_dict(m)} for s, m in facts]
         return {
             "states": [render_term(s) for s in self.states],
             "root": self.root,
@@ -280,12 +288,37 @@ def build_lts(
     maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
     sos = _Sos(ctx)
     terminating = set()
+    classes = {}  # read set -> per map, the first map that agrees with it there
+
+    def representatives(reads):
+        hit = classes.get(reads)
+        if hit is None:
+            # Entries are sorted by name, not in domain order: project by name.
+            at = [i for i, (name, _) in enumerate(maps[0].entries) if name in reads]
+            first = {}
+            hit = classes[reads] = tuple(
+                first.setdefault(tuple([m.entries[i] for i in at]), m) for m in maps
+            )
+        return hit
 
     def successors(sid, state):
-        for sigma in maps:
-            for action, target in sos.steps(state, sigma):
-                yield sigma, action, target
-            if sos.terminates(state, sigma):
+        # A state's steps and termination depend on the ambient map only
+        # through the variables it reads, so each class of maps that agree
+        # there is derived once, under its first map, and the others reuse it.
+        reps = maps if len(maps) == 1 else representatives(T.occurring_flex_vars(state))
+        facts = {}  # first map of a class -> (steps, terminates)
+        for sigma, rep in zip(maps, reps):
+            if rep is sigma:
+                moves = sos.steps(state, sigma)
+                for action, target in moves:
+                    yield sigma, action, target
+                ends = sos.terminates(state, sigma)
+                facts[sigma] = moves, ends
+            else:
+                moves, ends = facts[rep]
+                for action, target in moves:
+                    yield sigma, action, target
+            if ends:
                 terminating.add((sid, sigma))
 
     states, transitions = explore(

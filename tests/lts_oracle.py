@@ -1,0 +1,61 @@
+"""Per-map exploration: an independent oracle for deacp.sos_sigma.build_lts
+and SigmaLts.to_json_dict.
+
+It derives every state under every ambient map in turn, whatever variables
+the state reads, and renders the JSON export with a fresh map dict per row.
+"""
+
+from deacp import terms as T
+from deacp.data_algebra import FlexVarDecl, enumerate_maps
+from deacp.errors import GuardednessError
+from deacp.parser import render_action, render_term
+from deacp.sos_sigma import SigmaLts, _Sos, ambient_domain, explore
+
+
+def build_lts(t, ctx, domain=None, bound=None) -> SigmaLts:
+    if not T.is_closed(t):
+        raise GuardednessError("cannot explore a term with free recursion variables")
+    if domain is None:
+        domain = ambient_domain(t, ctx)
+    maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
+    sos = _Sos(ctx)
+    terminating = set()
+
+    def successors(sid, state):
+        for sigma in maps:
+            for action, target in sos.steps(state, sigma):
+                yield sigma, action, target
+            if sos.terminates(state, sigma):
+                terminating.add((sid, sigma))
+
+    states, transitions = explore(
+        T.canonical(t, ctx.carrier), successors, ctx.state_bound if bound is None else bound
+    )
+    return SigmaLts(states=states, root=0, domain=tuple(domain), maps=maps,
+                    transitions=transitions, terminating=terminating)
+
+
+def to_json_dict(lts: SigmaLts) -> dict:
+    trans = []
+    for src, ts in enumerate(lts.transitions):
+        for sigma, action, tgt in ts:
+            trans.append(
+                {
+                    "from": src,
+                    "map": sigma.as_dict(),
+                    "action": render_action(action),
+                    "to": tgt,
+                }
+            )
+    trans.sort(key=lambda d: (d["from"], sorted(d["map"].items()), d["action"], d["to"]))
+    term = sorted(
+        [{"state": s, "map": m.as_dict()} for s, m in lts.terminating],
+        key=lambda d: (d["state"], sorted(d["map"].items())),
+    )
+    return {
+        "states": [render_term(s) for s in lts.states],
+        "root": lts.root,
+        "domain": list(lts.domain),
+        "transitions": trans,
+        "terminating": term,
+    }

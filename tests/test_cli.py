@@ -123,6 +123,29 @@ def test_state_bound_limits_exploration(capsys, leak_file):
                    "(partial: 1 states, 0 transitions)\n")
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_state_bound_below_one_is_a_usage_error(capsys, leak_file, bound):
+    with pytest.raises(SystemExit) as done:
+        main(["lts", leak_file, "--process", "R", f"--state-bound={bound}"])
+    captured = capsys.readouterr()
+    assert done.value.code == 2 and captured.out == ""
+    assert f"argument --state-bound: must be at least 1, got {bound}" in captured.err
+
+
+def test_lts_text_mode_builds_no_json_payload(capsys, leak_file, monkeypatch):
+    from deacp.sos_cond import CondLts
+    from deacp.sos_sigma import SigmaLts
+
+    def unused(self):
+        raise AssertionError("the text output needs no JSON payload")
+
+    monkeypatch.setattr(SigmaLts, "to_json_dict", unused)
+    monkeypatch.setattr(CondLts, "to_json_dict", unused)
+    for extra in ((), ("--cond",)):
+        code, out, err = run(capsys, "lts", leak_file, "--process", "R", *extra)
+        assert (code, out, err) == (0, "states: 2\ntransitions: 1\nroot: 0\n", "")
+
+
 def test_conjecture_command(capsys):
     code, out, _ = run(capsys, "conjecture", "--pairs", "6", "--seed", "3")
     assert code == 0
@@ -221,3 +244,33 @@ def test_deep_nesting_exits_two_without_traceback(tmp_path):
     assert done.returncode == 2
     assert done.stderr.decode().startswith("error:")
     assert "Traceback" not in done.stderr.decode()
+
+
+# `deacp lts --json` of an open guard under `vars y, x`: map entries sort by
+# name, not in declaration order, and state 1 reads y alone.
+YX_SPEC = ("domain 0..1\nvars y, x\nactions a, b, c\n"
+           "proc G = [x > 0] -> a . ([y = 0] -> b) + [y > 0] -> c\n")
+YX_LTS = {
+    "domain": ["y", "x"],
+    "root": 0,
+    "states": ["[x > 0] -> a . ([y = 0] -> b) + [y > 0] -> c", "[y = 0] -> b", "epsilon"],
+    "terminating": [{"map": {"x": x, "y": y}, "state": 2} for x in (0, 1) for y in (0, 1)],
+    "transitions": [
+        {"action": "c", "from": 0, "map": {"x": 0, "y": 1}, "to": 2},
+        {"action": "a", "from": 0, "map": {"x": 1, "y": 0}, "to": 1},
+        {"action": "a", "from": 0, "map": {"x": 1, "y": 1}, "to": 1},
+        {"action": "c", "from": 0, "map": {"x": 1, "y": 1}, "to": 2},
+        {"action": "b", "from": 1, "map": {"x": 0, "y": 0}, "to": 2},
+        {"action": "b", "from": 1, "map": {"x": 1, "y": 0}, "to": 2},
+    ],
+}
+
+
+def test_lts_json_of_unsorted_declarations_is_pinned(tmp_path):
+    path = tmp_path / "yx.deacp"
+    path.write_text(YX_SPEC, encoding="utf-8")
+    expected = (json.dumps(YX_LTS, indent=2, sort_keys=True) + "\n").encode()
+    for seed in ("0", "3"):
+        done = _run_cli("lts", str(path), "--process", "G", "--json", hash_seed=seed)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == expected

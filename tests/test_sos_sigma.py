@@ -1,12 +1,14 @@
 import pytest
 
+import lts_oracle
 from conftest import proc
+from deacp import parser as P
 from deacp import terms as T
-from deacp.data_algebra import EvalMap, Lit
-from deacp.errors import ExplorationLimitError
+from deacp.data_algebra import Carrier, EvalMap, FlexVarDecl, Lit
+from deacp.errors import DeacpError, ExplorationLimitError
 from deacp.parser import render_action
 from deacp.sos_cond import build_cond_lts
-from deacp.sos_sigma import build_lts, step, terminates
+from deacp.sos_sigma import SigmaLts, build_lts, step, terminates
 
 
 EMPTY = EvalMap(())
@@ -166,3 +168,68 @@ def test_lts_json_deterministic(base_spec, ctx):
     assert one == two
     payload = json.loads(one)
     assert set(payload) == {"states", "root", "domain", "transitions", "terminating"}
+
+
+# --- exploration per class of maps against the per-map oracle ---------------------
+
+def _explored(build, render, t, ctx, domain=None, bound=None):
+    """The export, raw transitions and termination facts of a build, or the
+    error it raises with its partial counts."""
+    try:
+        lts = build(t, ctx, domain=domain, bound=bound)
+    except ExplorationLimitError as exc:
+        return "limit", str(exc), exc.states, exc.transitions
+    except DeacpError as exc:
+        return type(exc).__name__, str(exc)
+    return render(lts), lts.transitions, lts.terminating
+
+
+def _agrees_with_oracle(t, ctx, domain=None, bound=None):
+    mine = _explored(build_lts, SigmaLts.to_json_dict, t, ctx, domain, bound)
+    return mine == _explored(lts_oracle.build_lts, lts_oracle.to_json_dict, t, ctx, domain, bound)
+
+
+MISSING_V = "[u < 0] -> a . b + [u > 0] -> [v > 0] -> c"
+
+
+def _wvu():
+    spec = P.parse_spec("domain -2..1\nvars w, v, u\nactions a, a/1, b, b/1, c\n"
+                        "map m { u = 0, v = 1 }\n")
+    return spec, spec.context()
+
+
+# Declarations out of alphabetical order: a map's entries are sorted by name,
+# so a projection by domain position would group maps by the wrong variable.
+@pytest.mark.parametrize("names, seed", [(("v", "u"), 0), (("w", "u", "v"), 9)])
+def test_build_lts_matches_per_map_oracle_on_generated_terms(names, seed):
+    import random
+    from deacp import gen as G
+
+    cfg = G.GenConfig(max_depth=3, flex_vars=names, allow_abstr=True)
+    ctx = T.Context(carrier=Carrier(-2, 1), decl=FlexVarDecl(names),
+                    gamma=T.CommFunction.of({("a", "b"): "c"}))
+    rng = random.Random(seed)
+    for _ in range(60):
+        t = G.random_proc(rng, cfg, ctx)
+        for domain in (None, names):  # the read set, or all declared variables
+            for bound in (None, 3):
+                assert _agrees_with_oracle(t, ctx, domain, bound), (t, domain, bound)
+
+
+@pytest.mark.parametrize("text, domain", [
+    ("[v > 0] -> a . ([u < 0] -> b + c)", ("v", "u")),
+    ("a(v) . ([u = 1] -> epsilon) + [v > 1] -> b(u)", ("w", "u", "v")),
+    ("eval{m}(u := v . ([u > 0] -> a)) || ([w < 0] -> b)", ("w", "u", "v")),
+    # u = 1 reaches the guard on v, which no map of the domain defines
+    (MISSING_V, ("u",)),
+])
+def test_build_lts_groups_maps_by_variable_name(text, domain):
+    spec, ctx = _wvu()
+    for bound in (None, 1, 2, 3):
+        assert _agrees_with_oracle(proc(spec, text), ctx, domain, bound)
+
+
+def test_build_lts_variable_missing_from_domain_raises():
+    spec, ctx = _wvu()
+    assert _explored(build_lts, SigmaLts.to_json_dict, proc(spec, MISSING_V), ctx, ("u",)) == (
+        "DeclarationError", "flexible variable 'v' not declared")
