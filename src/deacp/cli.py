@@ -112,7 +112,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--process", required=True)
 
     cmd = sub.add_parser("conjecture", help="compare the two equivalences on random pairs")
-    cmd.add_argument("--pairs", type=int, default=100)
+    cmd.add_argument("--pairs", type=_positive_int, default=100)
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--json", action="store_true")
     return ap

@@ -5,7 +5,10 @@ silent step); termination is indexed by an evaluation map. A term wrapped in
 an evaluation operator behaves identically under every ambient map, so LTS
 construction enumerates ambient maps only over the flexible variables that
 occur outside carried maps, and derives each state once per class of maps
-that agree on the variables that state reads.
+that agree on the variables its next step reads: the guards and
+synchronization data it evaluates before its first action, not those its
+later steps evaluate, such as the other equations of a recursive
+specification.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional
 
 from . import terms as T
 from .conditions import eval_cond
-from .data_algebra import EvalMap, FlexVarDecl, Lit, enumerate_maps, eval_data
+from .data_algebra import EvalMap, FlexVarDecl, Lit, enumerate_maps, eval_data, flex_vars
 from .errors import ExplorationLimitError, GuardednessError
 from .parser import render_action, render_term
 
@@ -58,6 +61,59 @@ class _Rules:
 
 class _Sos(_Rules):
     """Map-indexed rules with per-(term, map) memoization."""
+
+    def __init__(self, ctx: T.Context):
+        super().__init__(ctx)
+        self.read_cache: dict = {}  # term -> (variables it reads, whether it can terminate)
+
+    def reads(self, t: T.ProcTerm) -> frozenset:
+        """Flexible variables whose ambient values t's steps and termination
+        can depend on; a subset of T.occurring_flex_vars(t)."""
+        return self._reads(t)[0]
+
+    def _reads(self, t):
+        hit = self.read_cache.get(t)
+        if hit is None:
+            hit = self.read_cache[t] = self._read_rules(t)
+        return hit
+
+    def _read_rules(self, t):
+        """The read set of t, and whether t can terminate under some map,
+        judged by its syntax alone."""
+        if isinstance(t, T.Atom) and not isinstance(t.action, T.AssignAction):
+            # Only synchronization evaluates an action's data under the ambient map.
+            return flex_vars(t.action), False
+        if isinstance(t, (T.Atom, T.Inaction)):
+            return frozenset(), False
+        if isinstance(t, T.Alt):
+            (left, left_ends), (right, right_ends) = self._reads(t.left), self._reads(t.right)
+            return left | right, left_ends or right_ends
+        if isinstance(t, (T.Seq, T.Par)):
+            # A sequence reads its right side only once its left side can end.
+            left, ends = self._reads(t.left)
+            if not ends and isinstance(t, T.Seq):
+                return left, False
+            right, right_ends = self._reads(t.right)
+            return left | right, ends and right_ends
+        if isinstance(t, T.LeftMerge):
+            return self._reads(t.left)[0], False
+        if isinstance(t, T.CommMerge):
+            return self._reads(t.left)[0] | self._reads(t.right)[0], False
+        if isinstance(t, (T.Encap, T.Abstr)):
+            return self._reads(t.body)
+        if isinstance(t, T.Guard):
+            body, ends = self._reads(t.body)
+            return flex_vars(t.cond) | body, ends
+        if isinstance(t, T.Eval):
+            return frozenset(), self._reads(t.body)[1]
+        if isinstance(t, T.RecConst):
+            try:
+                body = self._unfold(t)
+            except GuardednessError:
+                # Read all it mentions; its steps raise wherever they reach it.
+                return T.occurring_flex_vars(t), True
+            return self._reads(body)
+        return frozenset(), True  # epsilon, and free recursion variables the steps reject
 
     def _sync(self, moves_x, moves_y, sigma):
         """Synchronization moves of two move sets under the communication function."""
@@ -303,9 +359,10 @@ def build_lts(
 
     def successors(sid, state):
         # A state's steps and termination depend on the ambient map only
-        # through the variables it reads, so each class of maps that agree
-        # there is derived once, under its first map, and the others reuse it.
-        reps = maps if len(maps) == 1 else representatives(T.occurring_flex_vars(state))
+        # through the variables its next step reads, so each class of maps
+        # that agree there is derived once, under its first map, and the
+        # others reuse it.
+        reps = maps if len(maps) == 1 else representatives(sos.reads(state))
         facts = {}  # first map of a class -> (steps, terminates)
         for sigma, rep in zip(maps, reps):
             if rep is sigma:

@@ -132,6 +132,15 @@ def test_state_bound_below_one_is_a_usage_error(capsys, leak_file, bound):
     assert f"argument --state-bound: must be at least 1, got {bound}" in captured.err
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_conjecture_pairs_below_one_is_a_usage_error(capsys, pairs):
+    with pytest.raises(SystemExit) as done:
+        main(["conjecture", f"--pairs={pairs}"])
+    captured = capsys.readouterr()
+    assert done.value.code == 2 and captured.out == ""
+    assert f"argument --pairs: must be at least 1, got {pairs}" in captured.err
+
+
 def test_lts_text_mode_builds_no_json_payload(capsys, leak_file, monkeypatch):
     from deacp.sos_cond import CondLts
     from deacp.sos_sigma import SigmaLts

@@ -8,7 +8,7 @@ from deacp.data_algebra import Carrier, EvalMap, FlexVarDecl, Lit
 from deacp.errors import DeacpError, ExplorationLimitError
 from deacp.parser import render_action
 from deacp.sos_cond import build_cond_lts
-from deacp.sos_sigma import SigmaLts, build_lts, step, terminates
+from deacp.sos_sigma import SigmaLts, _Sos, build_lts, step, terminates
 
 
 EMPTY = EvalMap(())
@@ -192,9 +192,9 @@ def _agrees_with_oracle(t, ctx, domain=None, bound=None):
 MISSING_V = "[u < 0] -> a . b + [u > 0] -> [v > 0] -> c"
 
 
-def _wvu():
+def _wvu(comm=""):
     spec = P.parse_spec("domain -2..1\nvars w, v, u\nactions a, a/1, b, b/1, c\n"
-                        "map m { u = 0, v = 1 }\n")
+                        + comm + "map m { u = 0, v = 1 }\n")
     return spec, spec.context()
 
 
@@ -233,3 +233,130 @@ def test_build_lts_variable_missing_from_domain_raises():
     spec, ctx = _wvu()
     assert _explored(build_lts, SigmaLts.to_json_dict, proc(spec, MISSING_V), ctx, ("u",)) == (
         "DeclarationError", "flexible variable 'v' not declared")
+
+
+# --- the read set of a state: what its next step evaluates -------------------------
+
+def _rsp_sides(names, seed, count):
+    """Guarded linear specifications as prove_equal builds them for its RSP
+    step: linearized abstraction-free terms and normalized bool-conditional
+    ones. Each state is a constant that reads only its own equation."""
+    import random
+    from deacp import gen as G
+    from deacp.linear import linearize, normalize_bool_conditional
+
+    ctx = T.Context(carrier=Carrier(-2, 1), decl=FlexVarDecl(names),
+                    gamma=T.CommFunction.of({("a", "b"): "c"}))
+    free = G.GenConfig(max_depth=2, flex_vars=names)
+    bool_cond = G.GenConfig(max_depth=2, flex_vars=names, bool_cond_only=True)
+    rng = random.Random(seed)
+    consts = []
+    for _ in range(count):
+        spec, var = linearize(G.random_proc(rng, free, ctx), ctx)
+        consts.append(T.RecConst(var, spec))
+        hidden = G.bool_cond_hide_term(rng, bool_cond, ctx, hidden="a")
+        spec, var, _ = normalize_bool_conditional(hidden, ctx)
+        consts.append(T.RecConst(var, spec))
+    return ctx, consts
+
+
+RSP_CORPORA = [(("v", "u"), 3), (("w", "u", "v"), 11)]
+
+
+@pytest.mark.parametrize("names, seed", RSP_CORPORA)
+def test_build_lts_matches_per_map_oracle_on_linear_specs(names, seed):
+    ctx, consts = _rsp_sides(names, seed, 12)
+    for const in consts:
+        for domain in (None, names):
+            for bound in (None, 1, 2, 3):
+                assert _agrees_with_oracle(const, ctx, domain, bound), (const, domain, bound)
+
+
+@pytest.mark.parametrize("names, seed", RSP_CORPORA)
+def test_read_set_is_within_the_occurring_variables(names, seed):
+    ctx, consts = _rsp_sides(names, seed, 12)
+    smaller = 0
+    for const in consts:
+        sos = _Sos(ctx)
+        for state in build_lts(const, ctx, domain=names).states:
+            reads, occurring = sos.reads(state), T.occurring_flex_vars(state)
+            assert reads <= occurring, state
+            smaller += reads < occurring
+    assert smaller  # the corpus exercises states that read less than they mention
+
+
+@pytest.mark.parametrize("text, reads", [
+    ("a . ([v > 0] -> c)", set()),
+    # the left side ends under u > 0 only, and then the guard on v is next
+    ("([u > 0] -> epsilon) . ([v > 0] -> c)", {"u", "v"}),
+    ("([u > 0] -> a) . ([v > 0] -> c)", {"u"}),
+    # synchronization evaluates the data of both candidates
+    ("a(u) . ([w > 0] -> c) || b(v)", {"u", "v"}),
+    ("eval{m}([u > 0] -> a . ([w > 0] -> b)) + [v > 0] -> c", {"v"}),
+    ("eval{m}([u > 0] -> epsilon) . ([w > 0] -> c)", {"w"}),
+    ("eval{m}(a) . ([w > 0] -> c)", set()),
+    (MISSING_V, {"u", "v"}),
+    # the root reads nothing; the bound decides whether the build stops
+    # before the state that raises for v, outside the domain ("u",)
+    ("a . (" + MISSING_V + ")", set()),
+])
+def test_build_lts_groups_maps_by_what_the_next_step_reads(text, reads):
+    spec, ctx = _wvu("comm { a | b = c }\n")
+    t = proc(spec, text)
+    sos = _Sos(ctx)
+    assert sos.reads(T.canonical(t, ctx.carrier)) == reads
+    for state in build_lts(t, ctx, domain=("w", "u", "v")).states:
+        assert sos.reads(state) <= T.occurring_flex_vars(state)
+    for domain in (None, ("w", "u", "v"), ("u",)):
+        for bound in (None, 1, 2, 3):
+            assert _agrees_with_oracle(t, ctx, domain, bound), (domain, bound)
+
+
+def test_unguarded_constant_raises_only_where_the_steps_reach_it():
+    spec, ctx = _wvu()
+    bad = T.RecConst("X", T.RecSpec((("X", T.Seq(T.Atom(T.TAU), T.RecVar("X"))),)))
+    for text in ("[u > 0] -> a", "[u > 1] -> a"):  # reached under some maps, or none
+        guard = proc(spec, text)
+        t = T.Alt(T.Guard(guard.cond, bad), proc(spec, "b"))
+        for bound in (None, 1, 2):
+            assert _agrees_with_oracle(t, ctx, ("u",), bound), (text, bound)
+
+
+def _in_fresh_thread(fn):
+    """fn's result, computed on a new thread, whose stack depth does not
+    depend on the test runner's."""
+    import threading
+
+    out = []
+
+    def run():
+        try:
+            out.append(fn())
+        except BaseException as exc:  # re-raised on the caller's thread
+            out.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
+
+
+# Multi-map builds of deep terms. 328 alternatives is the widest choice whose
+# first hash fits in the default recursion limit on a fresh thread, so reading
+# what a state's next step reads may recurse no deeper than hashing it does.
+@pytest.mark.parametrize("text, states", [
+    (" . ".join(["a"] * 300) + " . ([u > 0] -> a)", 302),
+    (" + ".join(f"[u > {i % 3 - 1}] -> {'ab'[i % 2]}" for i in range(328)), 2),
+], ids=["sequence-300", "choice-328"])
+def test_deep_terms_build_under_every_map(text, states):
+    spec = P.parse_spec("domain -2..1\nvars u, v\nactions a, b\n")
+    ctx = spec.context()
+
+    def build():
+        t = proc(spec, text)  # parsed once: an equal copy would be compared recursively
+        return [build_lts(t, ctx, domain=domain) for domain in (None, ("u", "v"))]
+
+    assert [len(lts.states) for lts in _in_fresh_thread(build)] == [states, states]
