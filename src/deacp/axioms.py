@@ -11,7 +11,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import terms as T
-from .conditions import And, CFalse, CTrue, Cmp, Condition, Not, Or, TRUE, valid_iff, subst_map
+from .conditions import (
+    And, CFalse, CTrue, Cmp, Condition, Not, Or, TRUE, args_equal, constant_value, subst_map,
+    valid_iff,
+)
 from .data_algebra import EvalMap, Lit, eval_data, frozen_dataclass, map_children
 from .errors import DeacpError
 
@@ -231,11 +234,8 @@ def _cm7da_rhs(t1, ctx):
     if parts is None:
         return None
     a1, a2, c, x, y = parts
-    cond = None
-    for e1, e2 in zip(a1.args, a2.args):
-        eq = Cmp("=", e1, e2)
-        cond = eq if cond is None else And(cond, eq)
-    return T.Guard(cond, T.Seq(T.Atom(T.ParamAction(c, a1.args)), T.Par(x, y)))
+    return T.Guard(args_equal(a1.args, a2.args),
+                   T.Seq(T.Atom(T.ParamAction(c, a1.args)), T.Par(x, y)))
 
 
 def _recognize_cm7da(t1, t2, ctx) -> bool:
@@ -420,9 +420,7 @@ _ax("CM7Df", recognize=_recognize_cm7d_delta)
 # so with a contingent condition the two sides differ under maps falsifying
 # it; the schema is restricted to conditions with a constant truth value.
 def _constant_cond(phi, ctx) -> bool:
-    return valid_iff(phi, TRUE, ctx.decl, ctx.carrier, ctx.enum_bound) or valid_iff(
-        phi, CFalse(), ctx.decl, ctx.carrier, ctx.enum_bound
-    )
+    return constant_value(phi, ctx.decl, ctx.carrier, ctx.enum_bound) is not None
 
 
 _ax(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from typing import Mapping, Optional
 
 from .data_algebra import (
@@ -150,6 +151,13 @@ def eval_cond(
     raise TypeError(f"not a condition: {phi!r}")
 
 
+def args_equal(args1, args2) -> Condition:
+    """The pairwise equality of two argument lists, conjoined from the left;
+    true when there are none."""
+    eqs = [Cmp("=", e1, e2) for e1, e2 in zip(args1, args2)]
+    return reduce(And, eqs) if eqs else TRUE
+
+
 def subst_map(x, sigma: EvalMap):
     """sigma applied to a data term or condition: flexible variables become
     literals; bound data variables are untouched."""
@@ -195,6 +203,24 @@ def valid_iff(
         if eval_cond(phi, sigma, carrier) != eval_cond(psi, sigma, carrier):
             return False
     return True
+
+
+def constant_value(
+    phi: Condition,
+    decl: FlexVarDecl,
+    carrier: Carrier,
+    bound: int = DEFAULT_ENUM_BOUND,
+) -> Optional[bool]:
+    """phi's truth value when every evaluation map over decl gives it the
+    same one, else None."""
+    value = None
+    for sigma in _occurring_maps(_declared_flex_vars(phi, decl), carrier, bound):
+        truth = eval_cond(phi, sigma, carrier)
+        if value is None:
+            value = truth
+        elif truth != value:
+            return None
+    return value
 
 
 def satisfiable(

@@ -11,7 +11,7 @@ from typing import Optional
 from . import axioms as AX
 from . import terms as T
 from .bisim import BisimResult, decide_rb, rooted_branching_bisim, shared_domain
-from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, valid_iff
+from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, constant_value
 from .data_algebra import Lit, eval_data, map_children
 from .errors import (
     CfarInapplicableError,
@@ -621,15 +621,13 @@ def normalize_conditions(t: T.ProcTerm, ctx: T.Context) -> tuple:
     def norm_cond(phi):
         if isinstance(phi, (CTrue, CFalse)):
             return phi
-        if valid_iff(phi, TRUE, ctx.decl, ctx.carrier, ctx.enum_bound):
-            replaced.append((phi, True))
-            return TRUE
-        if valid_iff(phi, CFalse(), ctx.decl, ctx.carrier, ctx.enum_bound):
-            replaced.append((phi, False))
-            return CFalse()
-        raise UnsupportedFragmentError(
-            "condition is contingent; outside the bool-conditional fragment"
-        )
+        value = constant_value(phi, ctx.decl, ctx.carrier, ctx.enum_bound)
+        if value is None:
+            raise UnsupportedFragmentError(
+                "condition is contingent; outside the bool-conditional fragment"
+            )
+        replaced.append((phi, value))
+        return TRUE if value else CFalse()
 
     def walk(u):
         if isinstance(u, T.Guard):
@@ -781,10 +779,11 @@ def replay_certificate(cert: ProofCertificate, ctx: T.Context) -> tuple:
 
 def _replay_step(step: ProofStep, ctx: T.Context) -> list:
     rule = step.rule
+    # The prover reverses the LIN, RSP and IMP2 steps of the right-hand chain.
+    source, target = step.before, step.after
+    if rule in ("LIN", "RSP", "IMP2") and step.payload.get("reverse", False):
+        source, target = target, source
     if rule == "LIN":
-        reverse = step.payload.get("reverse", False)
-        source = step.after if reverse else step.before
-        target = step.before if reverse else step.after
         construction = step.details.get("construction")
         try:
             if construction == "linearize":
@@ -799,16 +798,13 @@ def _replay_step(step: ProofStep, ctx: T.Context) -> list:
             return ["LIN replay produced an unguarded specification"]
         return []
     if rule == "RSP":
-        reverse = step.payload.get("reverse", False)
-        left = step.after if reverse else step.before
-        right = step.before if reverse else step.after
         relation = step.payload.get("relation")
         domain = step.payload.get("domain")
         if relation is None:
             return ["RSP step carries no witness"]
         from .bisim import verify_branching_bisimulation
-        l1 = build_lts(left, ctx, domain=domain)
-        l2 = build_lts(right, ctx, domain=domain)
+        l1 = build_lts(source, ctx, domain=domain)
+        l2 = build_lts(target, ctx, domain=domain)
         bad = verify_branching_bisimulation(l1, l2, relation, ctx)
         return [f"RSP witness violation: {b}" for b in bad[:3]]
     if rule == "CFAR":
@@ -829,14 +825,11 @@ def _replay_step(step: ProofStep, ctx: T.Context) -> list:
             return ["CFAR step does not match the recomputed equation"]
         return []
     if rule == "IMP2" and "replaced" in step.details:
-        reverse = step.payload.get("reverse", False)
-        source = step.payload.get("original", step.after if reverse else step.before)
-        expected = step.before if reverse else step.after
         try:
-            normalized, _ = normalize_conditions(source, ctx)
+            normalized, _ = normalize_conditions(step.payload.get("original", source), ctx)
         except DeacpError as exc:
             return [f"IMP2 replay failed: {exc}"]
-        if normalized != expected:
+        if normalized != target:
             return ["IMP2 replay produced a different normalization"]
         return []
     if rule == "BED" and "variable" in step.payload:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import terms as T
 from .bisim import rooted_branching_bisim, rooted_branching_classes
-from .conditions import And, Cmp, TRUE, satisfiable
+from .conditions import args_equal, satisfiable
 from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps
 from .errors import DeacpError, DeclarationError, EnumerationLimitError
 from .parser import render_action
@@ -65,10 +65,7 @@ def derive_sets(spec: SecuritySpec, ctx: T.Context) -> DerivedSets:
         c = ctx.gamma.communicate(a1, a2)  # None for assignments and mixed shapes
         if not isinstance(c, T.ParamAction):
             return c is not None
-        cond = TRUE
-        for e1, e2 in zip(a1.args, a2.args):
-            cond = And(cond, Cmp("=", e1, e2))
-        return satisfiable(cond, ctx.decl, ctx.carrier, ctx.enum_bound)
+        return satisfiable(args_equal(a1.args, a2.args), ctx.decl, ctx.carrier, ctx.enum_bound)
 
     encapsulated = [
         a for a in internal

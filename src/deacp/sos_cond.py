@@ -14,9 +14,9 @@ from . import terms as T
 from .conditions import (
     And,
     CTrue,
-    Cmp,
     Condition,
     TRUE,
+    args_equal,
     cond_signature,
     eval_cond,
 )
@@ -71,13 +71,6 @@ class _CondSos(_Rules):
     def _conj(self, phi: Condition, psi: Condition) -> Optional[Condition]:
         return self.registry.normalize(And(phi, psi))
 
-    def _data_eq(self, args1, args2) -> Condition:
-        out: Optional[Condition] = None
-        for e1, e2 in zip(args1, args2):
-            eq = Cmp("=", e1, e2)
-            out = eq if out is None else And(out, eq)
-        return out if out is not None else TRUE
-
     def _sync(self, moves_x, moves_y):
         out = []
         for phi, ax, tx in moves_x:
@@ -86,7 +79,7 @@ class _CondSos(_Rules):
                 if c is None:
                     continue
                 if isinstance(c, T.ParamAction):
-                    label = self._conj(And(phi, psi), self._data_eq(ax.args, ay.args))
+                    label = self._conj(And(phi, psi), args_equal(ax.args, ay.args))
                 else:
                     label = self._conj(phi, psi)
                 if label is not None:
@@ -262,12 +255,7 @@ class CondLts:
         }
 
 
-def build_cond_lts(
-    t: T.ProcTerm,
-    ctx: T.Context,
-    domain: Optional[tuple] = None,
-    bound: Optional[int] = None,
-) -> CondLts:
+def build_cond_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None) -> CondLts:
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
@@ -279,9 +267,7 @@ def build_cond_lts(
         yield from sos.steps(state)
         terminating.update((sid, cond) for cond in sos.terminating(state))
 
-    states, transitions = explore(
-        T.canonical(t, ctx.carrier), successors, ctx.state_bound if bound is None else bound
-    )
+    states, transitions = explore(T.canonical(t, ctx.carrier), successors, ctx.state_bound)
     return CondLts(states=states, root=0, domain=tuple(domain),
                    transitions=transitions, terminating=terminating)
 

@@ -32,16 +32,21 @@ class _Rules:
         self.step_cache: dict = {}
         self.term_cache: dict = {}
         self.unfold_cache: dict = {}  # RecConst -> canonical unfolding
+        self.shared: dict = {}  # canonical target -> the one object that stands for it
 
     def _canon(self, t):
-        return T.canonical(t, self.ctx.carrier)
+        """Canonical form of a target the rules build from canonical parts;
+        equal targets come back as one object, so the memo tables compare
+        them by identity."""
+        t = T.simplify(t, self.ctx.carrier)
+        return self.shared.setdefault(t, t)
 
     def _unfold(self, const: T.RecConst) -> T.ProcTerm:
         """Canonical unfolding of a constant, computed once per explorer."""
         hit = self.unfold_cache.get(const)
         if hit is None:
             T.require_glrs(const.spec)
-            hit = self.unfold_cache[const] = self._canon(T.unfold(const))
+            hit = self.unfold_cache[const] = T.canonical(T.unfold(const), self.ctx.carrier)
         return hit
 
     def _evaluated(self, action: T.Action, carried: EvalMap, target: T.ProcTerm) -> tuple:
@@ -330,12 +335,7 @@ def explore(root: T.ProcTerm, successors, bound: int) -> tuple:
     return states, transitions
 
 
-def build_lts(
-    t: T.ProcTerm,
-    ctx: T.Context,
-    domain: Optional[tuple] = None,
-    bound: Optional[int] = None,
-) -> SigmaLts:
+def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None) -> SigmaLts:
     """Breadth-first closure of the step relation over every enumerated map."""
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
@@ -378,9 +378,7 @@ def build_lts(
             if ends:
                 terminating.add((sid, sigma))
 
-    states, transitions = explore(
-        T.canonical(t, ctx.carrier), successors, ctx.state_bound if bound is None else bound
-    )
+    states, transitions = explore(T.canonical(t, ctx.carrier), successors, ctx.state_bound)
     return SigmaLts(states=states, root=0, domain=tuple(domain), maps=maps,
                     transitions=transitions, terminating=terminating)
 

@@ -7,12 +7,14 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .conditions import (
+    FALSE,
+    TRUE,
     CFalse,
     CTrue,
     Condition,
-    TRUE,
+    cond_free_dvars,
+    constant_value,
     eval_cond,
-    valid_iff,
 )
 from .data_algebra import (
     DEFAULT_ENUM_BOUND,
@@ -467,19 +469,24 @@ def _unguarded_edges(spec: RecSpec) -> dict:
 
 
 def _has_cycle(edges: dict) -> bool:
-    color = {n: 0 for n in edges}
-    def visit(n):
-        color[n] = 1
-        for m in edges.get(n, ()):  # edges may point at variables of other specs
-            if m not in color:
-                continue
-            if color[m] == 1:
-                return True
-            if color[m] == 0 and visit(m):
-                return True
-        color[n] = 2
-        return False
-    return any(color[n] == 0 and visit(n) for n in edges)
+    """Whether the graph has a cycle: peel nodes no remaining edge enters
+    (Kahn's algorithm) and see whether any node is left over."""
+    entering = dict.fromkeys(edges, 0)
+    for targets in edges.values():
+        for m in targets:
+            if m in entering:  # edges may point at variables of other specs
+                entering[m] += 1
+    free = [n for n, k in entering.items() if k == 0]
+    peeled = 0
+    while free:
+        n = free.pop()
+        peeled += 1
+        for m in edges[n]:
+            if m in entering:
+                entering[m] -= 1
+                if entering[m] == 0:
+                    free.append(m)
+    return peeled < len(edges)
 
 
 def is_linear_spec(spec: RecSpec) -> bool:
@@ -527,14 +534,10 @@ class Classification:
 
 
 def classify(t: ProcTerm, ctx: Context) -> Classification:
-    bool_cond = True
-    for phi in term_conditions(t):
-        if not (
-            valid_iff(phi, TRUE, ctx.decl, ctx.carrier, ctx.enum_bound)
-            or valid_iff(phi, CFalse(), ctx.decl, ctx.carrier, ctx.enum_bound)
-        ):
-            bool_cond = False
-            break
+    bool_cond = all(
+        constant_value(phi, ctx.decl, ctx.carrier, ctx.enum_bound) is not None
+        for phi in term_conditions(t)
+    )
     return Classification(
         abstraction_free=not contains_abstraction(t),
         bool_conditional=bool_cond,
@@ -557,132 +560,92 @@ def subst_rec_vars(t: ProcTerm, mapping: dict) -> ProcTerm:
 
 def unfold(const: RecConst) -> ProcTerm:
     """Body of the designated equation with variables closed off as constants."""
-    rhs = const.spec.rhs(const.var)
-    mapping = {name: RecConst(name, const.spec) for name in const.spec.variables}
+    spec = const.spec
+    rhs = spec.rhs(const.var)
+    # Only the variables the equation mentions: each constant checks its
+    # variable against the whole specification.
+    mapping = {name: RecConst(name, spec) for name in free_rec_vars(rhs) if name in spec}
     return subst_rec_vars(rhs, mapping)
 
 
-def _canon_data(e: DataTerm, carrier: Carrier) -> DataTerm:
-    if isinstance(e, App):
-        args = tuple(_canon_data(a, carrier) for a in e.args)
-        if all(isinstance(a, Lit) for a in args):
-            sigma = EvalMap(())
-            return Lit(eval_data(App(e.op, args), sigma, carrier))
-        return App(e.op, args)
-    if isinstance(e, Lit):
-        return Lit(carrier.clamp(e.value))
-    return e
+_NO_MAP = EvalMap(())
+_ENDED = (Empty, Inaction)
+_FOLDABLE_CONDITIONS = frozenset(Condition.__args__) - {CTrue, CFalse}
 
 
-def _canon_cond(phi: Condition, carrier: Carrier):
-    from .conditions import And, Or, Implies, Not, Forall, Exists, Cmp
-    if isinstance(phi, Cmp):
-        phi = Cmp(phi.op, _canon_data(phi.left, carrier), _canon_data(phi.right, carrier))
-    elif isinstance(phi, Not):
-        phi = Not(_canon_cond(phi.body, carrier))
-    elif isinstance(phi, (And, Or, Implies)):
-        phi = type(phi)(_canon_cond(phi.left, carrier), _canon_cond(phi.right, carrier))
-    elif isinstance(phi, (Forall, Exists)):
-        phi = type(phi)(phi.var, _canon_cond(phi.body, carrier))
-    from .conditions import cond_free_dvars
-    if (
-        not isinstance(phi, (CTrue, CFalse))
-        and not flex_vars(phi)
-        and not cond_free_dvars(phi)
-    ):
-        return TRUE if eval_cond(phi, EvalMap(()), carrier) else CFalse()
-    return phi
+def simplify(t, carrier: Carrier):
+    """t rewritten at its root, for a process term, data term or condition
+    whose parts are already canonical.
+
+    Each rewrite is an instance of an axiom or an equation derivable from
+    them: the units and zeros of the operators (A6-A9, CM2E, CM5E, CM6E, D0,
+    T0, V0, GC1-GC3), and the folding of closed data to literals and of closed
+    conditions to truth values. Every rewrite preserves the derivable
+    transitions and termination exactly.
+    """
+    cls = type(t)
+    if cls is Seq:
+        if type(t.left) is Inaction:
+            return DELTA
+        if type(t.left) is Empty:
+            return t.right
+        if type(t.right) is Empty:
+            return t.left
+    elif cls is Par:
+        if type(t.left) is Empty:
+            return t.right
+        if type(t.right) is Empty:
+            return t.left
+    elif cls is Alt:
+        if type(t.left) is Inaction:
+            return t.right
+        if type(t.right) is Inaction:
+            return t.left
+    elif cls is Encap or cls is Abstr or cls is Eval:
+        if type(t.body) in _ENDED:
+            return t.body
+    elif cls is LeftMerge:
+        if type(t.left) in _ENDED:
+            return DELTA
+    elif cls is CommMerge:
+        if type(t.left) in _ENDED or type(t.right) in _ENDED:
+            return DELTA
+    elif cls is Guard:
+        if type(t.cond) is CTrue:
+            return t.body
+        if type(t.cond) is CFalse or type(t.body) is Inaction:
+            return DELTA
+    elif cls is Lit:
+        value = carrier.clamp(t.value)
+        if value != t.value:
+            return Lit(value)
+    elif cls is App:
+        if all(type(a) is Lit for a in t.args):
+            return Lit(eval_data(t, _NO_MAP, carrier))
+    elif cls in _FOLDABLE_CONDITIONS:
+        if not flex_vars(t) and not cond_free_dvars(t):
+            return TRUE if eval_cond(t, _NO_MAP, carrier) else FALSE
+    return t
 
 
-def _canon_action(alpha: Action, carrier: Carrier) -> Action:
-    if isinstance(alpha, ParamAction):
-        return ParamAction(alpha.name, tuple(_canon_data(e, carrier) for e in alpha.args))
-    if isinstance(alpha, AssignAction):
-        return AssignAction(alpha.var, _canon_data(alpha.expr, carrier))
-    return alpha
-
-
+# Per carrier, the canonical form of every term `canonical` was asked for and
+# of each of their subterms. The step rules build their targets from
+# canonical parts and apply `simplify` alone, so explored states stay out.
 _CANON_CACHE: dict = {}
 
 
-def canonical(t: ProcTerm, carrier: Carrier) -> ProcTerm:
-    """Canonical state form: closed data reduced to literals, neutral units removed.
+def canonical(t, carrier: Carrier):
+    """Canonical state form: `simplify` applied bottom-up to every node.
 
-    Every rewrite preserves the derivable transitions and termination exactly,
-    so exploration over canonical forms yields the same transition system with
+    Exploration over canonical forms yields the same transition system with
     finitely many states for guarded linear recursion. Carried specifications
     are left untouched; they are only unfolded on demand.
     """
-    key = (t, carrier)
-    hit = _CANON_CACHE.get(key)
-    if hit is not None:
+    cache = _CANON_CACHE.setdefault(carrier, {})
+
+    def walk(u):
+        hit = cache.get(u)
+        if hit is None:
+            hit = cache[u] = u if type(u) is RecConst else simplify(map_children(u, walk), carrier)
         return hit
-    out = _canonical(t, carrier)
-    _CANON_CACHE[key] = out
-    return out
-
-
-def _canonical(t: ProcTerm, carrier: Carrier) -> ProcTerm:
-    if isinstance(t, Atom):
-        return Atom(_canon_action(t.action, carrier))
-    if isinstance(t, (Inaction, Empty, RecVar, RecConst)):
-        return t
-    if isinstance(t, Alt):
-        left = canonical(t.left, carrier)
-        right = canonical(t.right, carrier)
-        if isinstance(left, Inaction):
-            return right
-        if isinstance(right, Inaction):
-            return left
-        return Alt(left, right)
-    if isinstance(t, Seq):
-        left = canonical(t.left, carrier)
-        right = canonical(t.right, carrier)
-        if isinstance(left, Inaction):
-            return DELTA
-        if isinstance(left, Empty):
-            return right
-        if isinstance(right, Empty):
-            return left
-        return Seq(left, right)
-    if isinstance(t, Par):
-        left = canonical(t.left, carrier)
-        right = canonical(t.right, carrier)
-        if isinstance(left, Empty):
-            return right
-        if isinstance(right, Empty):
-            return left
-        return Par(left, right)
-    if isinstance(t, LeftMerge):
-        left = canonical(t.left, carrier)
-        right = canonical(t.right, carrier)
-        if isinstance(left, (Empty, Inaction)):
-            return DELTA
-        return LeftMerge(left, right)
-    if isinstance(t, CommMerge):
-        left = canonical(t.left, carrier)
-        right = canonical(t.right, carrier)
-        if isinstance(left, (Empty, Inaction)) or isinstance(right, (Empty, Inaction)):
-            return DELTA
-        return CommMerge(left, right)
-    if isinstance(t, (Encap, Abstr)):
-        body = canonical(t.body, carrier)
-        if isinstance(body, (Empty, Inaction)):
-            return body
-        return type(t)(t.patterns, body)
-    if isinstance(t, Guard):
-        cond = _canon_cond(t.cond, carrier)
-        body = canonical(t.body, carrier)
-        if isinstance(cond, CTrue):
-            return body
-        if isinstance(cond, CFalse):
-            return DELTA
-        if isinstance(body, Inaction):
-            return DELTA
-        return Guard(cond, body)
-    if isinstance(t, Eval):
-        body = canonical(t.body, carrier)
-        if isinstance(body, (Empty, Inaction)):
-            return body
-        return Eval(t.emap, body)
-    raise TypeError(f"not a process term: {t!r}")
+    return walk(t)

@@ -12,7 +12,7 @@ from deacp.parser import render_action, render_term
 from deacp.sos_sigma import SigmaLts, _Sos, ambient_domain, explore
 
 
-def build_lts(t, ctx, domain=None, bound=None) -> SigmaLts:
+def build_lts(t, ctx, domain=None) -> SigmaLts:
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
@@ -28,9 +28,7 @@ def build_lts(t, ctx, domain=None, bound=None) -> SigmaLts:
             if sos.terminates(state, sigma):
                 terminating.add((sid, sigma))
 
-    states, transitions = explore(
-        T.canonical(t, ctx.carrier), successors, ctx.state_bound if bound is None else bound
-    )
+    states, transitions = explore(T.canonical(t, ctx.carrier), successors, ctx.state_bound)
     return SigmaLts(states=states, root=0, domain=tuple(domain), maps=maps,
                     transitions=transitions, terminating=terminating)
 

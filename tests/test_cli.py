@@ -255,6 +255,18 @@ def test_deep_nesting_exits_two_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr.decode()
 
 
+def test_long_silent_chain_explores(tmp_path):
+    # 2000 silent steps in a row: the guardedness check peels the chain of
+    # silent edges iteratively, where a depth-first search recursed per equation.
+    chain = "".join(f"X{i} = [true] -> tau . X{i + 1},\n" for i in range(2000))
+    path = tmp_path / "chain.deacp"
+    path.write_text(f"actions a\nproc P = rec X0 where {{\n{chain}X2000 = [true] -> epsilon\n}}\n",
+                    encoding="utf-8")
+    done = _run_cli("lts", str(path), "--process", "P")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode().startswith("states: 2001\n")
+
+
 # `deacp lts --json` of an open guard under `vars y, x`: map entries sort by
 # name, not in declaration order, and state 1 reads y alone.
 YX_SPEC = ("domain 0..1\nvars y, x\nactions a, b, c\n"

@@ -1,13 +1,15 @@
+import dataclasses
+
 import pytest
 
 import lts_oracle
 from conftest import proc
 from deacp import parser as P
 from deacp import terms as T
-from deacp.data_algebra import Carrier, EvalMap, FlexVarDecl, Lit
+from deacp.data_algebra import Carrier, EvalMap, FlexVarDecl, Lit, enumerate_maps
 from deacp.errors import DeacpError, ExplorationLimitError
 from deacp.parser import render_action
-from deacp.sos_cond import build_cond_lts
+from deacp.sos_cond import _CondSos, build_cond_lts
 from deacp.sos_sigma import SigmaLts, _Sos, build_lts, step, terminates
 
 
@@ -143,7 +145,7 @@ def test_finite_steps_on_random_terms(small_ctx):
 ], ids=["sigma-guards", "cond-guards", "sigma-counter", "cond-counter"])
 def test_exploration_bound(base_spec, ctx, build, text, transitions):
     with pytest.raises(ExplorationLimitError) as err:
-        build(proc(base_spec, text), ctx, bound=2)
+        build(proc(base_spec, text), dataclasses.replace(ctx, state_bound=2))
     assert (err.value.states, err.value.transitions) == (2, transitions)
 
 
@@ -175,8 +177,10 @@ def test_lts_json_deterministic(base_spec, ctx):
 def _explored(build, render, t, ctx, domain=None, bound=None):
     """The export, raw transitions and termination facts of a build, or the
     error it raises with its partial counts."""
+    if bound is not None:
+        ctx = dataclasses.replace(ctx, state_bound=bound)
     try:
-        lts = build(t, ctx, domain=domain, bound=bound)
+        lts = build(t, ctx, domain=domain)
     except ExplorationLimitError as exc:
         return "limit", str(exc), exc.states, exc.transitions
     except DeacpError as exc:
@@ -349,8 +353,9 @@ def _in_fresh_thread(fn):
 # what a state's next step reads may recurse no deeper than hashing it does.
 @pytest.mark.parametrize("text, states", [
     (" . ".join(["a"] * 300) + " . ([u > 0] -> a)", 302),
+    (" . ".join(["a"] * 328), 329),
     (" + ".join(f"[u > {i % 3 - 1}] -> {'ab'[i % 2]}" for i in range(328)), 2),
-], ids=["sequence-300", "choice-328"])
+], ids=["sequence-300", "sequence-328", "choice-328"])
 def test_deep_terms_build_under_every_map(text, states):
     spec = P.parse_spec("domain -2..1\nvars u, v\nactions a, b\n")
     ctx = spec.context()
@@ -360,3 +365,59 @@ def test_deep_terms_build_under_every_map(text, states):
         return [build_lts(t, ctx, domain=domain) for domain in (None, ("u", "v"))]
 
     assert [len(lts.states) for lts in _in_fresh_thread(build)] == [states, states]
+
+
+# --- canonical targets without the module-wide cache -------------------------------
+
+@pytest.mark.parametrize("names, seed", [(("u", "v"), 4), (("w", "u", "v"), 5)])
+def test_explored_states_and_targets_are_canonical(names, seed):
+    """The rules simplify only the root of each target they build, which is
+    canonical because its parts are. Generated terms and linear
+    specifications, explored in both semantics."""
+    import random
+    from deacp import gen as G
+
+    cfg = G.GenConfig(max_depth=3, flex_vars=names, allow_abstr=True)
+    ctx = T.Context(carrier=Carrier(-2, 1), decl=FlexVarDecl(names),
+                    gamma=T.CommFunction.of({("a", "b"): "c"}))
+    rng = random.Random(seed)
+    corpus = [G.random_proc(rng, cfg, ctx) for _ in range(40)] + _rsp_sides(names, seed, 6)[1]
+    for t in corpus:
+        try:
+            states = build_lts(t, ctx).states + build_cond_lts(t, ctx).states
+        except DeacpError:
+            continue
+        sigma_sos, cond_sos = _Sos(ctx), _CondSos(ctx)
+        for state in states:
+            for sigma in enumerate_maps(FlexVarDecl(names), ctx.carrier):
+                sigma_sos.steps(state, sigma)
+            cond_sos.steps(state)
+        targets = [tgt for moves in sigma_sos.step_cache.values() for _, tgt in moves]
+        targets += [tgt for moves in cond_sos.step_cache.values() for _, _, tgt in moves]
+        for u in states + targets:
+            assert T.canonical(u, ctx.carrier) == u, u
+
+
+def _counter(v):
+    """A counter over 0..7 that acts once at 7: 9 states."""
+    c = v.upper()
+    return (f"proc {c} = rec {c}0 where {{ {c}0 = [{v} < 7] -> {v} := {v} + 1 . {c}0"
+            f" + [{v} >= 7] -> a{v} . {c}Z, {c}Z = [true] -> epsilon }}\n")
+
+
+H3 = ("domain 0..7\nvars x, y, z\nactions ax, ay, az\n" + "".join(map(_counter, "xyz"))
+      + "proc H = hide{x :=, y :=, z :=}(eval{x = 0, y = 0, z = 0}(X || Y || Z))\n")
+
+
+def test_explored_states_stay_out_of_the_canonical_cache():
+    spec = P.parse_spec(H3)
+    t, ctx = spec.process("H"), spec.context()
+
+    def entries():
+        return sum(len(cache) for cache in T._CANON_CACHE.values())
+
+    before = entries()
+    lts = build_lts(t, ctx)
+    assert len(lts.states) == 729
+    # the input and the unfolding of each equation, not the states
+    assert entries() - before < len(lts.states)

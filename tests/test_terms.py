@@ -186,6 +186,96 @@ def test_canonical_state_rules(base_spec, ctx):
     assert T.canonical(sum_, carrier) == five
 
 
+_A = T.Atom(T.BasicAction("a"))
+_B = T.Atom(T.BasicAction("b"))
+_HIDE_A = (T.ActionPattern("name", "a"),)
+_M = D.EvalMap.of({"u": 1})
+_U = Flex("u")
+_POSITIVE = Cmp(">", _U, Lit(0))
+_N = D.DVar("n")
+_LOOP = T.RecConst("X", T.RecSpec((
+    ("X", T.Guard(TRUE, T.Seq(T.Atom(T.ParamAction("a", (Lit(99),))), T.RecVar("X")))),
+)))
+
+# One case per rule of `simplify`, each applied at the root of a term whose
+# parts are canonical; the carrier is -16..15.
+SIMPLIFY_RULES = {
+    "alt-delta-left": (T.Alt(T.DELTA, _A), _A),
+    "alt-delta-right": (T.Alt(_A, T.DELTA), _A),
+    "seq-delta-left": (T.Seq(T.DELTA, _A), T.DELTA),
+    "seq-epsilon-left": (T.Seq(T.EPSILON, _A), _A),
+    "seq-epsilon-right": (T.Seq(_A, T.EPSILON), _A),
+    "par-epsilon-left": (T.Par(T.EPSILON, _A), _A),
+    "par-epsilon-right": (T.Par(_A, T.EPSILON), _A),
+    "leftmerge-epsilon": (T.LeftMerge(T.EPSILON, _A), T.DELTA),
+    "leftmerge-delta": (T.LeftMerge(T.DELTA, _A), T.DELTA),
+    "commmerge-epsilon-left": (T.CommMerge(T.EPSILON, _A), T.DELTA),
+    "commmerge-delta-right": (T.CommMerge(_A, T.DELTA), T.DELTA),
+    "encap-epsilon": (T.Encap(_HIDE_A, T.EPSILON), T.EPSILON),
+    "encap-delta": (T.Encap(_HIDE_A, T.DELTA), T.DELTA),
+    "abstr-epsilon": (T.Abstr(_HIDE_A, T.EPSILON), T.EPSILON),
+    "abstr-delta": (T.Abstr(_HIDE_A, T.DELTA), T.DELTA),
+    "eval-epsilon": (T.Eval(_M, T.EPSILON), T.EPSILON),
+    "eval-delta": (T.Eval(_M, T.DELTA), T.DELTA),
+    "guard-true": (T.Guard(TRUE, _A), _A),
+    "guard-false": (T.Guard(C.FALSE, _A), T.DELTA),
+    "guard-delta": (T.Guard(_POSITIVE, T.DELTA), T.DELTA),
+    "literal-above": (Lit(99), Lit(15)),
+    "literal-below": (Lit(-99), Lit(-16)),
+    "app-closed": (D.App("+", (Lit(3), Lit(2))), Lit(5)),
+    "app-saturates": (D.App("*", (Lit(9), Lit(9))), Lit(15)),
+    "cmp-closed": (Cmp("<", Lit(1), Lit(2)), TRUE),
+    "not-closed": (C.Not(TRUE), C.FALSE),
+    "and-closed": (C.And(TRUE, C.FALSE), C.FALSE),
+    "or-closed": (C.Or(C.FALSE, TRUE), TRUE),
+    "implies-closed": (C.Implies(TRUE, C.FALSE), C.FALSE),
+    "forall-closed": (C.Forall("n", Cmp("=", _N, _N)), TRUE),
+    "exists-closed": (C.Exists("n", Cmp(">", _N, Lit(15))), C.FALSE),
+}
+
+# Terms no rule rewrites at the root.
+SIMPLIFY_FIXED = {
+    "open-process": T.Alt(T.Guard(_POSITIVE, _A), T.Seq(_A, _B)),
+    "open-data": D.App("+", (_U, Lit(1))),
+    "open-cmp": _POSITIVE,
+    "bound-variable": Cmp("=", _N, Lit(1)),
+    "open-quantifier": C.Forall("n", Cmp("<", _N, _U)),
+    "open-and": C.And(TRUE, _POSITIVE),
+    "literal-inside": Lit(15),
+    "recursion-constant": _LOOP,
+}
+
+
+@pytest.mark.parametrize("t, expected", SIMPLIFY_RULES.values(), ids=SIMPLIFY_RULES.keys())
+def test_simplify_rule(t, expected):
+    carrier = D.Carrier()
+    assert T.simplify(t, carrier) == expected
+    assert T.canonical(t, carrier) == expected
+
+
+@pytest.mark.parametrize("t", SIMPLIFY_FIXED.values(), ids=SIMPLIFY_FIXED.keys())
+def test_simplify_leaves_term_alone(t):
+    carrier = D.Carrier()
+    assert T.simplify(t, carrier) is t
+    assert T.canonical(t, carrier) == t
+
+
+def test_canonical_leaves_recursion_constants_untouched():
+    # the unfolding of X would lose its guard and clamp its literal
+    carrier = D.Carrier()
+    assert T.canonical(_LOOP, carrier) is _LOOP
+    assert T.canonical(T.Seq(_A, _LOOP), carrier).right is _LOOP
+    assert T.canonical(T.unfold(_LOOP), carrier) == T.Seq(
+        T.Atom(T.ParamAction("a", (Lit(15),))), _LOOP)
+
+
+def test_canonical_applies_the_rules_bottom_up():
+    carrier = D.Carrier()
+    closed = Cmp("<", D.App("-", (Lit(1), Lit(2))), Lit(0))  # -1 < 0
+    t = T.Seq(T.Guard(closed, T.EPSILON), T.Par(T.Eval(_M, T.DELTA), T.Alt(T.DELTA, _A)))
+    assert T.canonical(t, carrier) == T.Par(T.DELTA, _A)
+
+
 def _examples() -> dict:
     """A freshly built instance of every frozen dataclass of the term modules."""
     x = Flex("x")
