@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import bisim as B
 from . import gen as G
@@ -77,44 +78,53 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("parse", help="parse a spec file and echo its canonical form")
     _add_common(cmd)
+    cmd.set_defaults(run=_cmd_parse)
 
     cmd = sub.add_parser("lts", help="explore a process into a transition system")
     _add_common(cmd)
     cmd.add_argument("--process", required=True)
     cmd.add_argument("--cond", action="store_true",
                      help="condition-labelled semantics instead of map-indexed")
+    cmd.set_defaults(run=_cmd_lts)
 
     cmd = sub.add_parser("bisim", help="decide rooted branching bisimilarity")
     _add_common(cmd)
     cmd.add_argument("--left", required=True)
     cmd.add_argument("--right", required=True)
+    cmd.set_defaults(run=partial(_cmd_bisim, conditional=False))
 
     cmd = sub.add_parser("ab-bisim", help="decide the condition-labelled equivalence")
     _add_common(cmd)
     cmd.add_argument("--left", required=True)
     cmd.add_argument("--right", required=True)
+    cmd.set_defaults(run=partial(_cmd_bisim, conditional=True))
 
     cmd = sub.add_parser("linearize", help="compute a guarded linear specification")
     _add_common(cmd)
     cmd.add_argument("--process", required=True)
+    cmd.set_defaults(run=_cmd_linearize)
 
     cmd = sub.add_parser("cfar", help="fair-abstraction equation for hide(rec ...)")
     _add_common(cmd)
     cmd.add_argument("--process", required=True)
+    cmd.set_defaults(run=_cmd_cfar)
 
     cmd = sub.add_parser("prove", help="equational proof with certificate")
     _add_common(cmd)
     cmd.add_argument("--left", required=True)
     cmd.add_argument("--right", required=True)
+    cmd.set_defaults(run=_cmd_prove)
 
     cmd = sub.add_parser("dnii", help="check data non-interference")
     _add_common(cmd)
     cmd.add_argument("--process", required=True)
+    cmd.set_defaults(run=_cmd_dnii)
 
     cmd = sub.add_parser("conjecture", help="compare the two equivalences on random pairs")
     cmd.add_argument("--pairs", type=_positive_int, default=100)
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--json", action="store_true")
+    cmd.set_defaults(run=_cmd_conjecture)
     return ap
 
 
@@ -228,24 +238,7 @@ def _cmd_conjecture(args) -> int:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        if args.command == "parse":
-            return _cmd_parse(args)
-        if args.command == "lts":
-            return _cmd_lts(args)
-        if args.command == "bisim":
-            return _cmd_bisim(args, conditional=False)
-        if args.command == "ab-bisim":
-            return _cmd_bisim(args, conditional=True)
-        if args.command == "linearize":
-            return _cmd_linearize(args)
-        if args.command == "cfar":
-            return _cmd_cfar(args)
-        if args.command == "prove":
-            return _cmd_prove(args)
-        if args.command == "dnii":
-            return _cmd_dnii(args)
-        if args.command == "conjecture":
-            return _cmd_conjecture(args)
+        return args.run(args)
     except DeacpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -256,7 +249,6 @@ def main(argv=None) -> int:
         print(f"error: input too deep or too large to analyze ({type(exc).__name__})",
               file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from . import terms as T
@@ -89,12 +90,76 @@ class SpecFile:
         return self.procs[name]
 
 
+PREFIX, LEFT, RIGHT = "prefix", "left", "right"
+
+
+def _arith(op):
+    return lambda left, right: D.App(op, (left, right))
+
+
+def _iff(left, right):
+    return C.And(C.Implies(left, right), C.Implies(right, left))
+
+
+_DATA_OPS = {
+    "+": (7, LEFT, "data", _arith("+")),
+    "-": (7, LEFT, "data", _arith("-")),
+    "*": (8, LEFT, "data", _arith("*")),
+}
+
+# Every operator of each sort: token -> (level, associativity, operand sort,
+# builder); a higher level binds tighter. Conditions and data terms share the
+# "cond" grammar: a comparison takes data operands and gives a condition, so
+# the operands on the stack decide which sort a parenthesis holds, and two
+# comparisons do not chain. A prefix waits on the operator stack until an
+# operator of its level or below, or the end of its parenthesis, reduces it:
+# a quantifier (level 0) scopes to the end of its parenthesis.
+_OPERATORS = {
+    "proc": {
+        "+": (1, LEFT, "proc", T.Alt),
+        "[": (2, PREFIX, "proc", T.Guard),
+        "||": (3, LEFT, "proc", T.Par),
+        "||_": (3, LEFT, "proc", T.LeftMerge),
+        "|": (3, LEFT, "proc", T.CommMerge),
+        ".": (4, LEFT, "proc", T.Seq),
+    },
+    "cond": {
+        "forall": (0, PREFIX, "cond", C.Forall),
+        "exists": (0, PREFIX, "cond", C.Exists),
+        "<->": (1, RIGHT, "cond", _iff),
+        "->": (2, RIGHT, "cond", C.Implies),
+        "or": (3, LEFT, "cond", C.Or),
+        "and": (4, LEFT, "cond", C.And),
+        "not": (5, PREFIX, "cond", C.Not),
+        **{op: (6, LEFT, "data", partial(C.Cmp, op)) for op in C.CMP_OPS},
+        **_DATA_OPS,
+    },
+    "data": _DATA_OPS,
+}
+
+# Tokens that, where an operand is due, open a parenthesis or are a prefix.
+_OPENERS = {
+    "proc": {"(", "[", "encap", "hide", "eval"},
+    "cond": {"(", "not", "forall", "exists"},
+    "data": {"("},
+}
+# The nullary operators: constants of each sort.
+_CONSTANTS = {
+    "proc": {"delta": T.DELTA, "epsilon": T.EPSILON, "tau": T.Atom(T.TAU)},
+    "cond": {"true": C.TRUE, "false": C.FALSE},
+    "data": {},
+}
+_FRAME = (-1, None, None, None)  # marks an open parenthesis on the operator stack
+_DATA_TERMS = (D.Lit, D.Flex, D.DVar, D.App)
+
+
 class Parser:
     def __init__(self, tokens: list, spec: Optional[SpecFile] = None):
         self.tokens = tokens
         self.pos = 0
         self.spec = spec or SpecFile()
         self.rec_depth = 0
+        self.dvars = []  # quantified variables in scope, innermost last
 
     # --- token plumbing ---------------------------------------------------
 
@@ -128,6 +193,14 @@ class Parser:
             raise SpecSyntaxError(f"expected an identifier, found {tok.value!r}", tok.line, tok.col)
         return self.next()
 
+    def expect_var(self) -> Token:
+        tok = self.expect_ident()
+        if not self.is_var(tok.value):
+            raise SpecSyntaxError(
+                f"{tok.value!r} is not a declared flexible variable", tok.line, tok.col
+            )
+        return tok
+
     def expect_int(self) -> int:
         neg = False
         if self.at("-"):
@@ -142,6 +215,20 @@ class Parser:
     def fail(self, message: str):
         tok = self.peek()
         raise SpecSyntaxError(message, tok.line, tok.col)
+
+    def items(self, item, close: Optional[str] = None) -> list:
+        """Comma-separated results of `item()`. With a closing token the list
+        may be empty or end in a comma, and the closer is consumed; without
+        one it holds at least one item and ends at the first one no comma
+        follows."""
+        out = []
+        while close is None or not self.at(close):
+            out.append(item())
+            if not self.accept(","):
+                break
+        if close is not None:
+            self.expect(close)
+        return out
 
     # --- name classification ------------------------------------------------
 
@@ -163,6 +250,11 @@ class Parser:
         if taken:
             raise SpecSyntaxError(f"name {name!r} is already declared", tok.line, tok.col)
 
+    def fresh_ident(self) -> str:
+        tok = self.expect_ident()
+        self.check_fresh(tok.value, tok)
+        return tok.value
+
     # --- file structure -------------------------------------------------------
 
     def parse_file(self) -> SpecFile:
@@ -177,42 +269,14 @@ class Parser:
                 except DeclarationError as exc:
                     raise SpecSyntaxError(str(exc), tok.line, tok.col)
             elif self.accept("vars"):
-                names = list(self.spec.decl.names)
-                while True:
-                    name_tok = self.expect_ident()
-                    self.check_fresh(name_tok.value, name_tok)
-                    names.append(name_tok.value)
-                    if not self.accept(","):
-                        break
-                self.spec.decl = D.FlexVarDecl(tuple(names))
+                names = self.items(self.fresh_ident)
+                self.spec.decl = D.FlexVarDecl(self.spec.decl.names + tuple(names))
             elif self.accept("actions"):
-                while True:
-                    name_tok = self.expect_ident()
-                    name = name_tok.value
-                    arity = 0
-                    if self.accept("/"):
-                        arity = self.expect_int()
-                        if arity < 0:
-                            raise SpecSyntaxError("negative arity", name_tok.line, name_tok.col)
-                    if name not in self.spec.action_arities:
-                        self.check_fresh(name, name_tok)
-                        self.spec.action_arities[name] = set()
-                    self.spec.action_arities[name].add(arity)
-                    if not self.accept(","):
-                        break
+                self.items(self.parse_action_decl)
             elif self.accept("comm"):
                 self.expect("{")
                 entries = dict(self.spec.gamma.table)
-                while not self.at("}"):
-                    a = self.expect_ident().value
-                    self.expect("|")
-                    b = self.expect_ident().value
-                    self.expect("=")
-                    c = self.expect_ident().value
-                    entries[(a, b) if a <= b else (b, a)] = c
-                    if not self.accept(","):
-                        break
-                self.expect("}")
+                entries.update(self.items(self.parse_comm_entry, "}"))
                 gamma = T.CommFunction.of(entries)
                 try:
                     gamma.validate(self.spec.action_arities.keys())
@@ -220,45 +284,54 @@ class Parser:
                     raise SpecSyntaxError(str(exc), tok.line, tok.col)
                 self.spec.gamma = gamma
             elif self.accept("map") or self.accept("maps"):
-                name_tok = self.expect_ident()
-                self.check_fresh(name_tok.value, name_tok)
+                name = self.fresh_ident()
                 self.expect("{")
-                self.spec.maps[name_tok.value] = self.parse_map_entries()
+                self.spec.maps[name] = self.parse_map_entries()
             elif self.accept("proc"):
-                name_tok = self.expect_ident()
-                self.check_fresh(name_tok.value, name_tok)
+                name = self.fresh_ident()
                 self.expect("=")
-                self.spec.procs[name_tok.value] = self.parse_process()
+                self.spec.procs[name] = self.parse_expr("proc")
             elif self.accept("security"):
                 self.parse_security()
             else:
                 self.fail(f"expected a section keyword, found {tok.value!r}")
         return self.spec
 
+    def parse_action_decl(self):
+        name_tok = self.expect_ident()
+        name = name_tok.value
+        arity = 0
+        if self.accept("/"):
+            arity = self.expect_int()
+            if arity < 0:
+                raise SpecSyntaxError("negative arity", name_tok.line, name_tok.col)
+        if name not in self.spec.action_arities:
+            self.check_fresh(name, name_tok)
+            self.spec.action_arities[name] = set()
+        self.spec.action_arities[name].add(arity)
+
+    def parse_comm_entry(self) -> tuple:
+        a = self.expect_ident().value
+        self.expect("|")
+        b = self.expect_ident().value
+        self.expect("=")
+        return ((a, b) if a <= b else (b, a)), self.expect_ident().value
+
     def parse_map_entries(self) -> D.EvalMap:
-        """Entries between braces; unmentioned declared variables get a default."""
-        entries = {}
-        while not self.at("}"):
-            var_tok = self.expect_ident()
-            if not self.is_var(var_tok.value):
-                raise SpecSyntaxError(
-                    f"{var_tok.value!r} is not a declared flexible variable",
-                    var_tok.line, var_tok.col,
-                )
-            self.expect("=")
-            value = self.expect_int()
-            if value not in self.spec.carrier:
-                raise SpecSyntaxError(
-                    f"value {value} outside carrier", var_tok.line, var_tok.col
-                )
-            entries[var_tok.value] = value
-            if not self.accept(","):
-                break
-        self.expect("}")
+        """Entries up to the closing brace; unmentioned declared variables get a default."""
+        entries = dict(self.items(self.parse_map_entry, "}"))
         default = 0 if 0 in self.spec.carrier else self.spec.carrier.lo
         for name in self.spec.decl:
             entries.setdefault(name, default)
         return D.EvalMap.of(entries)
+
+    def parse_map_entry(self) -> tuple:
+        var_tok = self.expect_var()
+        self.expect("=")
+        value = self.expect_int()
+        if value not in self.spec.carrier:
+            raise SpecSyntaxError(f"value {value} outside carrier", var_tok.line, var_tok.col)
+        return var_tok.value, value
 
     def parse_security(self):
         self.expect("{")
@@ -268,29 +341,11 @@ class Parser:
             if self.accept("low"):
                 self.expect("=")
                 self.expect("{")
-                names = []
-                while not self.at("}"):
-                    var_tok = self.expect_ident()
-                    if not self.is_var(var_tok.value):
-                        raise SpecSyntaxError(
-                            f"{var_tok.value!r} is not a declared flexible variable",
-                            var_tok.line, var_tok.col,
-                        )
-                    names.append(var_tok.value)
-                    if not self.accept(","):
-                        break
-                self.expect("}")
-                low = tuple(names)
+                low = tuple(tok.value for tok in self.items(self.expect_var, "}"))
             elif self.accept("ext"):
                 self.expect("=")
                 self.expect("{")
-                pats = []
-                while not self.at("}"):
-                    pats.append(self.parse_pattern(assign_ok=False))
-                    if not self.accept(","):
-                        break
-                self.expect("}")
-                ext = T.pattern_set(pats)
+                ext = T.pattern_set(self.items(lambda: self.parse_pattern(assign_ok=False), "}"))
             else:
                 self.fail("expected 'low' or 'ext'")
             self.accept(";")
@@ -323,223 +378,154 @@ class Parser:
             raise SpecSyntaxError(f"{name!r} is not a declared action", tok.line, tok.col)
         return T.ActionPattern("name", name)
 
-    # --- data terms ------------------------------------------------------------
+    # --- terms -----------------------------------------------------------------
 
-    def at_data_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "int":
+    def parse_expr(self, sort: str):
+        """One process term, condition or data term (`sort` "proc", "cond" or
+        "data") by operator precedence over `_OPERATORS`, with explicit
+        stacks of operators and operands: Dijkstra's shunting yard in the
+        precedence-climbing form of Norvell, "Parsing expressions by
+        recursive descent" (2001). Parentheses and prefixes cost no
+        recursion; a guard's condition, an assignment, action arguments and
+        `rec` equations are nested calls. Each node is hashed as it is built,
+        so no later first hash recurses through the term."""
+        ops, vals = [_FRAME], []
+        frames = [(sort, None)]  # grammar and wrapper of each open parenthesis
+        grammar = sort  # of the operand due next
+        while True:
+            if self.peek().value in _OPENERS[grammar]:
+                self.open(grammar, ops, frames)
+                continue
+            vals.append(self.operand(grammar))
+            while True:  # an operand is done: an operator follows, or a parenthesis ends
+                grammar, wrap = frames[-1]
+                entry = _OPERATORS[grammar].get(self.peek().value)
+                if entry is not None and self.continues(entry, grammar, ops, vals):
+                    self.next()
+                    ops.append(entry)
+                    grammar = entry[2]
+                    break
+                self.reduce(ops, vals, 0)
+                ops.pop()
+                frames.pop()
+                if not frames:
+                    if sort == "cond" and isinstance(vals[0], _DATA_TERMS):
+                        self.fail(f"expected a comparison operator, found {self.peek().value!r}")
+                    return vals[0]
+                self.expect(")")
+                if wrap is not None:
+                    vals[-1] = wrap(vals[-1])
+                    hash(vals[-1])
+
+    def open(self, grammar: str, ops: list, frames: list):
+        """Push the parenthesis or prefix that starts at the current token."""
+        tok = self.next()
+        entry = _OPERATORS[grammar].get(tok.value)
+        if entry is not None:
+            level, assoc, need, build = entry
+            if tok.value == "[":
+                if ops[-1][0] > level:  # a guarded command begins a summand
+                    raise SpecSyntaxError("expected a process term, found '['", tok.line, tok.col)
+                cond = self.parse_expr("cond")
+                self.expect("]")
+                self.expect("->")
+                build = partial(T.Guard, cond)
+            elif tok.value in ("forall", "exists"):
+                var_tok = self.expect_ident()
+                if self.is_var(var_tok.value):
+                    raise SpecSyntaxError(
+                        f"quantified variable {var_tok.value!r} shadows a flexible variable",
+                        var_tok.line, var_tok.col,
+                    )
+                self.expect(".")
+                self.dvars.append(var_tok.value)
+                build = partial(self.bind, build, var_tok.value)
+            ops.append((level, assoc, need, build))
+            return
+        wrap = None
+        if tok.value != "(":
+            self.expect("{")
+            if tok.value == "eval":
+                wrap = partial(T.Eval, self.parse_eval_map())
+            else:
+                node = T.Encap if tok.value == "encap" else T.Abstr
+                wrap = partial(node, T.pattern_set(self.items(self.parse_pattern, "}")))
+            self.expect("(")
+        frames.append((grammar, wrap))
+        ops.append(_FRAME)
+
+    def bind(self, node, var: str, body: C.Condition) -> C.Condition:
+        self.dvars.pop()
+        return node(var, body)
+
+    def continues(self, entry: tuple, grammar: str, ops: list, vals: list) -> bool:
+        """Whether the operator `entry` at the current token continues the
+        term. If so, the pending operators that bind at least as tightly
+        are applied first."""
+        level, assoc, need, _ = entry
+        if assoc == PREFIX:
+            return False
+        # `+ - *` continue a data term only when a data atom follows; otherwise
+        # they belong to the surrounding process term.
+        if need == "data" and self.peek().value in _DATA_OPS and not self.at_data_atom(1):
+            return False
+        self.reduce(ops, vals, level + (assoc == RIGHT))
+        if grammar != "cond" or isinstance(vals[-1], _DATA_TERMS) == (need == "data"):
             return True
-        if tok.value == "(" or tok.value == "-":
+        if need == "cond":
+            self.fail(f"expected a comparison operator, found {self.peek().value!r}")
+        return False
+
+    def reduce(self, ops: list, vals: list, floor: int):
+        """Apply the pending operators of level `floor` or above, innermost first."""
+        while ops[-1][0] >= floor:
+            _, assoc, need, build = ops.pop()
+            right = vals.pop()
+            if need == "cond" and isinstance(right, _DATA_TERMS):
+                self.fail(f"expected a comparison operator, found {self.peek().value!r}")
+            node = build(right) if assoc == PREFIX else build(vals.pop(), right)
+            hash(node)
+            vals.append(node)
+
+    def at_data_atom(self, offset: int) -> bool:
+        tok = self.peek(offset)
+        if tok.kind == "int" or tok.value == "(" or tok.value == "-":
             return True
-        return tok.kind == "ident" and self.is_var(tok.value)
+        return tok.kind == "ident" and (self.is_var(tok.value) or tok.value in self.dvars)
 
-    def parse_data(self) -> D.DataTerm:
-        left = self.parse_data_mul()
-        while self.peek().value in ("+", "-"):
-            op = self.peek().value
-            # Only continue when an actual data atom follows; otherwise the
-            # operator belongs to the surrounding process term.
-            save = self.pos
-            self.next()
-            if not self.at_data_atom():
-                self.pos = save
-                break
-            right = self.parse_data_mul()
-            left = D.App(op, (left, right))
-        return left
-
-    def parse_data_mul(self) -> D.DataTerm:
-        left = self.parse_data_atom()
-        while self.peek().value == "*":
-            save = self.pos
-            self.next()
-            if not self.at_data_atom():
-                self.pos = save
-                break
-            right = self.parse_data_atom()
-            left = D.App("*", (left, right))
-        return left
-
-    def parse_data_atom(self) -> D.DataTerm:
+    def operand(self, grammar: str):
+        """The atom of `grammar` at the current token, hashed."""
         tok = self.peek()
-        if tok.value == "(":
+        node = _CONSTANTS[grammar].get(tok.value)
+        if node is not None:
             self.next()
-            inner = self.parse_data()
-            self.expect(")")
-            return inner
-        if tok.value == "-" or tok.kind == "int":
+            return node
+        if grammar == "proc":
+            if self.accept("rec"):
+                node = self.parse_rec(tok)
+            elif tok.kind == "ident" and tok.value not in KEYWORDS:
+                node = self.parse_named_atom()
+            else:
+                raise SpecSyntaxError(
+                    f"expected a process term, found {tok.value!r}", tok.line, tok.col
+                )
+        elif tok.value == "-" or tok.kind == "int":
             value = self.expect_int()
             if value not in self.spec.carrier:
                 raise SpecSyntaxError(f"literal {value} outside carrier", tok.line, tok.col)
-            return D.Lit(value)
-        if tok.kind == "ident":
+            node = D.Lit(value)
+        elif tok.kind == "ident":
             name = self.next().value
             if self.is_var(name):
-                return D.Flex(name)
-            if name in self.dvars:
-                return D.DVar(name)
-            raise SpecSyntaxError(f"{name!r} is not a data term", tok.line, tok.col)
-        raise SpecSyntaxError(f"expected a data term, found {tok.value!r}", tok.line, tok.col)
-
-    # --- conditions --------------------------------------------------------------
-
-    dvars: tuple = ()
-
-    def parse_cond(self) -> C.Condition:
-        if self.at("forall") or self.at("exists"):
-            kw = self.next().value
-            var_tok = self.expect_ident()
-            if self.is_var(var_tok.value):
-                raise SpecSyntaxError(
-                    f"quantified variable {var_tok.value!r} shadows a flexible variable",
-                    var_tok.line, var_tok.col,
-                )
-            self.expect(".")
-            saved = self.dvars
-            self.dvars = saved + (var_tok.value,)
-            try:
-                body = self.parse_cond()
-            finally:
-                self.dvars = saved
-            return C.Forall(var_tok.value, body) if kw == "forall" else C.Exists(var_tok.value, body)
-        return self.parse_cond_iff()
-
-    def parse_cond_iff(self) -> C.Condition:
-        left = self.parse_cond_implies()
-        if self.accept("<->"):
-            right = self.parse_cond_iff()
-            return C.And(C.Implies(left, right), C.Implies(right, left))
-        return left
-
-    def parse_cond_implies(self) -> C.Condition:
-        left = self.parse_cond_or()
-        if self.accept("->"):
-            right = self.parse_cond_implies()
-            return C.Implies(left, right)
-        return left
-
-    def parse_cond_or(self) -> C.Condition:
-        left = self.parse_cond_and()
-        while self.accept("or"):
-            left = C.Or(left, self.parse_cond_and())
-        return left
-
-    def parse_cond_and(self) -> C.Condition:
-        left = self.parse_cond_not()
-        while self.accept("and"):
-            left = C.And(left, self.parse_cond_not())
-        return left
-
-    def parse_cond_not(self) -> C.Condition:
-        if self.accept("not"):
-            return C.Not(self.parse_cond_not())
-        return self.parse_cond_atom()
-
-    def parse_cond_atom(self) -> C.Condition:
-        tok = self.peek()
-        if self.accept("true"):
-            return C.TRUE
-        if self.accept("false"):
-            return C.FALSE
-        if tok.value == "(":
-            # Either a parenthesized condition or a parenthesized data term
-            # followed by a comparison; try the condition reading first.
-            save = self.pos
-            try:
-                self.next()
-                inner = self.parse_cond()
-                self.expect(")")
-                return inner
-            except SpecSyntaxError:
-                self.pos = save
-        if self.at("forall") or self.at("exists"):
-            return self.parse_cond()
-        left = self.parse_data()
-        op_tok = self.peek()
-        if op_tok.value not in C.CMP_OPS:
-            raise SpecSyntaxError(
-                f"expected a comparison operator, found {op_tok.value!r}",
-                op_tok.line, op_tok.col,
-            )
-        self.next()
-        right = self.parse_data()
-        return C.Cmp(op_tok.value, left, right)
-
-    # --- process terms ---------------------------------------------------------
-
-    def parse_process(self) -> T.ProcTerm:
-        left = self.parse_guarded()
-        while self.accept("+"):
-            right = self.parse_guarded()
-            left = T.Alt(left, right)
-        return left
-
-    def parse_guarded(self) -> T.ProcTerm:
-        if self.at("["):
-            self.next()
-            cond = self.parse_cond()
-            self.expect("]")
-            self.expect("->")
-            body = self.parse_guarded()
-            return T.Guard(cond, body)
-        return self.parse_merge()
-
-    def parse_merge(self) -> T.ProcTerm:
-        left = self.parse_seq()
-        while True:
-            if self.accept("||_"):
-                left = T.LeftMerge(left, self.parse_seq())
-            elif self.accept("||"):
-                left = T.Par(left, self.parse_seq())
-            elif self.accept("|"):
-                left = T.CommMerge(left, self.parse_seq())
+                node = D.Flex(name)
+            elif name in self.dvars:
+                node = D.DVar(name)
             else:
-                return left
-
-    def parse_seq(self) -> T.ProcTerm:
-        left = self.parse_atom()
-        while self.accept("."):
-            left = T.Seq(left, self.parse_atom())
-        return left
-
-    def parse_atom(self) -> T.ProcTerm:
-        tok = self.peek()
-        if self.accept("("):
-            inner = self.parse_process()
-            self.expect(")")
-            return inner
-        if self.accept("delta"):
-            return T.DELTA
-        if self.accept("epsilon"):
-            return T.EPSILON
-        if self.accept("tau"):
-            return T.Atom(T.TAU)
-        if self.at("encap") or self.at("hide"):
-            kw = self.next().value
-            self.expect("{")
-            pats = []
-            while not self.at("}"):
-                pats.append(self.parse_pattern())
-                if not self.accept(","):
-                    break
-            self.expect("}")
-            self.expect("(")
-            body = self.parse_process()
-            self.expect(")")
-            node = T.Encap if kw == "encap" else T.Abstr
-            return node(T.pattern_set(pats), body)
-        if self.accept("eval"):
-            self.expect("{")
-            emap = self.parse_eval_map()
-            self.expect("(")
-            body = self.parse_process()
-            self.expect(")")
-            return T.Eval(emap, body)
-        if self.accept("rec"):
-            return self.parse_rec(tok)
-        if tok.kind == "ident" and tok.value not in KEYWORDS:
-            return self.parse_named_atom()
-        raise SpecSyntaxError(f"expected a process term, found {tok.value!r}", tok.line, tok.col)
+                raise SpecSyntaxError(f"{name!r} is not a data term", tok.line, tok.col)
+        else:
+            raise SpecSyntaxError(f"expected a data term, found {tok.value!r}", tok.line, tok.col)
+        hash(node)
+        return node
 
     def parse_eval_map(self) -> D.EvalMap:
         tok = self.peek()
@@ -556,14 +542,7 @@ class Parser:
         self.expect("where")
         self.expect("{")
         self.rec_depth += 1
-        equations = []
-        while True:
-            var_tok = self.expect_ident()
-            self.expect("=")
-            rhs = self.parse_process()
-            equations.append((var_tok.value, rhs))
-            if not self.accept(","):
-                break
+        equations = self.items(self.parse_equation)
         self.expect("}")
         self.rec_depth -= 1
         try:
@@ -593,15 +572,17 @@ class Parser:
             )
         return T.RecConst(root, spec)
 
+    def parse_equation(self) -> tuple:
+        var_tok = self.expect_ident()
+        self.expect("=")
+        return var_tok.value, self.parse_expr("proc")
+
     def parse_named_atom(self) -> T.ProcTerm:
         tok = self.expect_ident()
         name = tok.value
         if self.is_action(name):
-            if self.at("("):
-                self.next()
-                args = [self.parse_data()]
-                while self.accept(","):
-                    args.append(self.parse_data())
+            if self.accept("("):
+                args = self.items(partial(self.parse_expr, "data"))
                 self.expect(")")
                 if len(args) not in self.spec.action_arities[name]:
                     raise SpecSyntaxError(
@@ -616,8 +597,7 @@ class Parser:
             return T.Atom(T.BasicAction(name))
         if self.is_var(name):
             self.expect(":=")
-            expr = self.parse_data()
-            return T.Atom(T.AssignAction(name, expr))
+            return T.Atom(T.AssignAction(name, self.parse_expr("data")))
         if name in self.spec.procs and self.rec_depth == 0:
             return self.spec.procs[name]
         if self.rec_depth > 0:
@@ -630,21 +610,20 @@ def parse_spec(text: str) -> SpecFile:
 
 
 def parse_process(text: str, spec: SpecFile) -> T.ProcTerm:
+    return _parse_whole(text, spec, "proc")
+
+
+def parse_condition(text: str, spec: SpecFile) -> C.Condition:
+    return _parse_whole(text, spec, "cond")
+
+
+def _parse_whole(text: str, spec: SpecFile, sort: str):
     parser = Parser(tokenize(text), spec=spec)
-    term = parser.parse_process()
+    term = parser.parse_expr(sort)
     tok = parser.peek()
     if tok.kind != "eof":
         raise SpecSyntaxError(f"trailing input {tok.value!r}", tok.line, tok.col)
     return term
-
-
-def parse_condition(text: str, spec: SpecFile) -> C.Condition:
-    parser = Parser(tokenize(text), spec=spec)
-    cond = parser.parse_cond()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise SpecSyntaxError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return cond
 
 
 # --- rendering -----------------------------------------------------------------
@@ -661,9 +640,6 @@ def render_data(e: D.DataTerm, prec: int = 0) -> str:
         text = f"{left} {e.op} {right}"
         return f"({text})" if mine < prec else text
     raise TypeError(f"not a data term: {e!r}")
-
-
-_COND_PREC = {"Implies": 1, "Or": 2, "And": 3}
 
 
 def render_cond(phi: C.Condition, prec: int = 0) -> str:

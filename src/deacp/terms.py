@@ -215,8 +215,10 @@ class RecSpec:
     equations: tuple  # tuple of (variable name, ProcTerm)
 
     def __post_init__(self):
-        names = [n for n, _ in self.equations]
-        if len(set(names)) != len(names):
+        # Name -> right-hand side, stored beside the fields the way the hash
+        # is, so equality and hashing stay field-wise.
+        object.__setattr__(self, "_rhs", dict(self.equations))
+        if len(self._rhs) != len(self.equations):
             raise DeclarationError("duplicate recursion variable in specification")
 
     @property
@@ -224,13 +226,13 @@ class RecSpec:
         return tuple(n for n, _ in self.equations)
 
     def rhs(self, name: str) -> "ProcTerm":
-        for n, t in self.equations:
-            if n == name:
-                return t
-        raise DeclarationError(f"no equation for recursion variable {name!r}")
+        rhs = self._rhs.get(name)
+        if rhs is None:
+            raise DeclarationError(f"no equation for recursion variable {name!r}")
+        return rhs
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.equations)
+        return name in self._rhs
 
 
 @frozen_dataclass
@@ -420,33 +422,35 @@ def all_flex_vars(t: ProcTerm) -> frozenset:
 
 def is_linear(t: ProcTerm) -> bool:
     """Membership in the inductively defined set of linear terms."""
-    if isinstance(t, Inaction):
-        return True
-    if isinstance(t, Guard):
-        if isinstance(t.body, Empty):
-            return True
-        return (
-            isinstance(t.body, Seq)
-            and isinstance(t.body.left, Atom)
-            and isinstance(t.body.right, RecVar)
-        )
-    if isinstance(t, Alt):
-        return is_linear(t.left) and is_linear(t.right)
-    return False
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Alt):
+            stack += (u.right, u.left)
+        elif isinstance(u, Guard):
+            body = u.body
+            if not isinstance(body, Empty) and not (
+                isinstance(body, Seq)
+                and isinstance(body.left, Atom)
+                and isinstance(body.right, RecVar)
+            ):
+                return False
+        elif not isinstance(u, Inaction):
+            return False
+    return True
 
 
 def summands(t: ProcTerm) -> list:
     """Flatten a linear term into its guarded summands, left to right."""
     if not is_linear(t):
         raise ShapeError("summands of a non-linear term requested")
-    out = []
-    def walk(u):
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Alt):
-            walk(u.left)
-            walk(u.right)
+            stack += (u.right, u.left)
         elif isinstance(u, Guard):
             out.append(u)
-    walk(t)
     return out
 
 

@@ -2,15 +2,20 @@ import random
 
 import pytest
 
-from conftest import proc
+import parser_oracle
+from conftest import cond, proc
+from deacp import conditions as C
+from deacp import data_algebra as D
 from deacp import gen as G
 from deacp import terms as T
-from deacp.errors import SpecSyntaxError
+from deacp.errors import DeacpError, SpecSyntaxError
 from deacp.parser import (
     parse_process,
     parse_spec,
+    render_cond,
     render_spec,
     render_term,
+    tokenize,
 )
 
 
@@ -118,3 +123,141 @@ def test_random_term_roundtrip(small_spec, small_ctx):
         text = render_term(t)
         back = parse_process(text, small_spec)
         assert back == t, f"round-trip failed on {text!r}"
+
+
+# --- the operator-precedence parser against the recursive-descent oracle ----------
+
+HEADER = ("domain -4..3\nvars u, v, h, l\n"
+          "actions a, a/1, a/2, b, b/1, b/2, c, c/1, c/2, send/1\ncomm { a | b = c }\n")
+VOCABULARY = ("( ) [ ] { } + - * . || ||_ | -> <-> := , = < >= != not and or forall exists "
+              "true false x d u v a b 1 0 99 delta epsilon tau hide encap eval rec where X").split()
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DeacpError as exc:
+        if isinstance(exc, SpecSyntaxError):
+            assert exc.line >= 1 and exc.col >= 1
+        return type(exc)
+
+
+def _mutant(rng, body):
+    tokens = [tok.value for tok in tokenize(body)[:-1]]
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(tokens))
+        edit = rng.randrange(4)
+        if edit == 0 and len(tokens) > 1:
+            del tokens[i]
+        elif edit == 1:
+            tokens.insert(i, rng.choice(VOCABULARY))
+        elif edit == 2 and i + 1 < len(tokens):
+            tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+        else:
+            tokens[i] = rng.choice(VOCABULARY)
+    return " ".join(tokens)
+
+
+def test_parser_matches_the_oracle(small_ctx):
+    """Rendered random terms and token mutations of them: both parsers accept
+    the same inputs with equal spec files and reject the rest with the same
+    exception class."""
+    rng = random.Random(12)
+    configs = [
+        G.GenConfig(param_arities={"a": (1, 2), "b": (1,)}, allow_abstr=True),
+        G.GenConfig(max_depth=4, data_depth=3, cond_depth=3, allow_abstr=True),
+    ]
+    bodies = [render_term(G.random_proc(rng, configs[k % 2], small_ctx, depth=rng.randint(0, 4)))
+              for k in range(300)]
+    texts = bodies + [_mutant(rng, rng.choice(bodies)) for _ in range(3000)]
+    accepted = 0
+    for body in texts:
+        text = f"{HEADER}proc P = {body}\n"
+        mine = _outcome(parse_spec, text)
+        assert mine == _outcome(parser_oracle.parse_spec, text), text
+        accepted += not isinstance(mine, type)
+    assert 300 < accepted < len(texts) - 2000
+
+
+ZERO = D.Lit(0)
+U_POS, V_POS = C.Cmp(">", D.Flex("u"), ZERO), C.Cmp(">", D.Flex("v"), ZERO)
+U_IS_V = C.Cmp("=", D.Flex("u"), D.Flex("v"))
+X_POS = C.Cmp(">", D.DVar("x"), ZERO)
+
+
+def _iff(left, right):
+    return C.And(C.Implies(left, right), C.Implies(right, left))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("u > 0 -> v > 0 -> u = v", C.Implies(U_POS, C.Implies(V_POS, U_IS_V))),
+    ("u > 0 <-> v > 0 <-> u = v", _iff(U_POS, _iff(V_POS, U_IS_V))),
+    ("u > 0 -> v > 0 <-> u = v", _iff(C.Implies(U_POS, V_POS), U_IS_V)),
+    ("u > 0 or v > 0 and u = v", C.Or(U_POS, C.And(V_POS, U_IS_V))),
+    ("not u > 0", C.Not(U_POS)),
+    ("not u > 0 and v > 0", C.And(C.Not(U_POS), V_POS)),
+    ("(forall x. x > 0 and u > 0) or v > 0",
+     C.Or(C.Forall("x", C.And(X_POS, U_POS)), V_POS)),
+    ("u > 0 and forall x. x > 0 or v > 0", C.And(U_POS, C.Forall("x", C.Or(X_POS, V_POS)))),
+    ("(u) > 0 and ((v + 1)) * 2 > 0", C.And(U_POS, C.Cmp(
+        ">", D.App("*", (D.App("+", (D.Flex("v"), D.Lit(1))), D.Lit(2))), ZERO))),
+])
+def test_condition_precedence(base_spec, text, expected):
+    assert cond(base_spec, text) == expected
+
+
+@pytest.mark.parametrize("text", ["u = 1 = 2", "(u > 0) > 1", "true + 1 > 0"])
+def test_comparisons_do_not_chain(base_spec, text):
+    with pytest.raises(SpecSyntaxError):
+        cond(base_spec, text)
+
+
+def test_guard_begins_a_summand(base_spec):
+    a, b = T.Atom(T.BasicAction("a")), T.Atom(T.BasicAction("b"))
+    guard = T.Guard(U_POS, b)
+    assert proc(base_spec, "a + [u > 0] -> b") == T.Alt(a, guard)
+    assert proc(base_spec, "a . ([u > 0] -> b)") == T.Seq(a, guard)
+    for op in (".", "||", "||_", "|"):
+        with pytest.raises(SpecSyntaxError, match=r"expected a process term, found '\['"):
+            proc(base_spec, f"a {op} [u > 0] -> b")
+
+
+def test_assignment_stops_where_no_data_atom_follows(base_spec):
+    q = D.Flex("q")
+    assign = T.Atom(T.AssignAction("q", D.App("+", (q, D.Lit(1)))))
+    assert proc(base_spec, "q := q + 1 + a") == T.Alt(assign, T.Atom(T.BasicAction("a")))
+    assert proc(base_spec, "q := q + 1 . a") == T.Seq(assign, T.Atom(T.BasicAction("a")))
+
+
+def test_quantified_variables_are_data_atoms(base_spec):
+    """`+ - *` continue a data term when a quantified variable follows, so the
+    rendering of such a condition parses back."""
+    x = D.DVar("x")
+    phi = C.Forall("x", C.Cmp(">", D.App("+", (D.Lit(1), x)), ZERO))
+    assert render_cond(phi) == "forall x. 1 + x > 0"
+    assert proc(base_spec, "[forall x. 1 + x > 0] -> a") == T.Guard(phi, T.Atom(T.BasicAction("a")))
+    assert cond(base_spec, "exists x. 2 * x - x = u") == C.Exists("x", C.Cmp(
+        "=", D.App("-", (D.App("*", (D.Lit(2), x)), x)), D.Flex("u")))
+
+
+N = 3000
+
+
+@pytest.mark.parametrize("body", [
+    "(" * N + "a" + ")" * N,
+    "hide{a}(" * N + "a" + ")" * N,
+    "[" + "(" * N + "u > 0" + ")" * N + "] -> a",
+    "[" + "(" * N + "u" + ")" * N + " > 0] -> a",
+    "u := " + "(" * N + "u" + ")" * N,
+    "[" + "not " * N + "u > 0] -> a",
+    "[" + "forall d. " * N + "d > u] -> a",
+    "[u > 0] -> " * N + "a",
+    "[" + " -> ".join(["u > 0"] * N) + "] -> a",
+    "rec X where { X = " + " + ".join(["[u > 0] -> a . X"] * N) + " }",
+], ids=["parentheses", "hide", "condition-parentheses", "data-parentheses",
+        "assignment-parentheses", "nots", "quantifiers", "guards", "implications",
+        "summands"])
+def test_deep_nesting_parses(body):
+    spec = parse_spec(f"{HEADER}proc P = {body}\n")
+    t = spec.procs["P"]
+    assert hash(t) == hash(tuple(getattr(t, name) for name in t.__dataclass_fields__))

@@ -348,9 +348,10 @@ def _in_fresh_thread(fn):
     return out[0]
 
 
-# Multi-map builds of deep terms. 328 alternatives is the widest choice whose
-# first hash fits in the default recursion limit on a fresh thread, so reading
-# what a state's next step reads may recurse no deeper than hashing it does.
+# Multi-map builds of deep terms, near the widest choice and the longest
+# sequence that `canonical` and the step rules, which recurse once per level,
+# handle in the default recursion limit on a fresh thread: reading what a
+# state's next step reads may recurse no deeper than they do.
 @pytest.mark.parametrize("text, states", [
     (" . ".join(["a"] * 300) + " . ([u > 0] -> a)", 302),
     (" . ".join(["a"] * 328), 329),

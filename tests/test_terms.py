@@ -88,6 +88,35 @@ def test_guarded_linear_spec_acyclic(base_spec):
     assert T.is_guarded_linear_spec(spec) is True
 
 
+def test_recursive_specification_lookups_do_not_scan_the_equations():
+    """Looking a variable up costs one name comparison, not one per equation:
+    exploring an n-equation chain would otherwise take O(n^2) comparisons."""
+    compared = []
+
+    class Name(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            compared.append(other)
+            return str.__eq__(self, other)
+
+    n = 2000
+    equations = tuple(
+        (Name(f"X{i}"), T.Guard(TRUE, T.Seq(T.Atom(T.TAU), T.RecVar(f"X{i + 1}"))))
+        for i in range(n)
+    ) + ((Name(f"X{n}"), T.Guard(TRUE, T.EPSILON)),)
+    spec = T.RecSpec(equations)
+    compared.clear()
+    for name, rhs in equations:
+        assert Name(name) in spec
+        assert spec.rhs(Name(name)) is rhs
+    assert Name("Y") not in spec
+    assert len(compared) <= 2 * len(equations)
+    with pytest.raises(DeclarationError):
+        T.RecSpec(equations + (("X0", T.DELTA),))
+    assert spec == T.RecSpec(tuple((str(n), rhs) for n, rhs in equations))
+
+
 def test_reachable_self_loop(base_spec):
     spec = rec_spec(base_spec, "rec X where { X = [true] -> a . X }")
     assert T.reachable(spec, "X") == frozenset({"X"})
