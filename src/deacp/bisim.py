@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import terms as T
-from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps, eval_data, flex_vars
+from .conditions import signature
+from .data_algebra import EvalMap, eval_data, flex_vars
 from .errors import DeacpError, DeclarationError, ShapeError
 from .parser import render_action, render_term
 from .sos_cond import CondLts, build_cond_lts, expand_to_sigma
@@ -18,22 +19,16 @@ from .sos_sigma import SigmaLts, build_lts
 # --- data-equivalent actions --------------------------------------------------
 
 def _data_equal_valid(e1, e2, ctx: T.Context, cache: Optional[dict] = None) -> bool:
-    """Whether e1 = e2 holds under every evaluation of their flexible variables."""
+    """Whether e1 = e2 holds under every evaluation of their flexible
+    variables: they are equal, or their signatures are; `cache` keeps each
+    term's signature."""
     if e1 == e2:
         return True
-    key = (e1, e2)
-    if cache is not None and key in cache:
-        return cache[key]
-    names = tuple(sorted(flex_vars(e1) | flex_vars(e2)))
-    result = True
-    for sigma in enumerate_maps(FlexVarDecl(names), ctx.carrier, ctx.enum_bound):
-        if eval_data(e1, sigma, ctx.carrier) != eval_data(e2, sigma, ctx.carrier):
-            result = False
-            break
-    if cache is not None:
-        cache[key] = result
-        cache[(e2, e1)] = result
-    return result
+    cache = {} if cache is None else cache
+    for e in (e1, e2):
+        if e not in cache:
+            cache[e] = signature(e, ctx.carrier, ctx.enum_bound)
+    return cache[e1] == cache[e2]
 
 
 def actions_equivalent(a1: T.Action, a2: T.Action, ctx: T.Context,
@@ -438,11 +433,7 @@ def rooted_ab_bisim(c1: CondLts, c2: CondLts, ctx: T.Context,
     through stays related to the observing state.
     """
     if domain is None:
-        merged = list(c1.domain)
-        for v in c2.domain:
-            if v not in merged:
-                merged.append(v)
-        domain = tuple(v for v in ctx.decl if v in merged)
+        domain = tuple(v for v in ctx.decl if v in c1.domain or v in c2.domain)
     l1 = expand_to_sigma(c1, ctx, domain)
     l2 = expand_to_sigma(c2, ctx, domain)
     return _decide(l1, l2, ctx, related_paths=True)

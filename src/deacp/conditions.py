@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import reduce
 from typing import Mapping, Optional
 
@@ -177,13 +178,18 @@ def _declared_flex_vars(phi: Condition, decl: FlexVarDecl) -> frozenset:
     return names
 
 
-def _occurring_maps(vars_needed, carrier: Carrier, bound: int):
-    names = tuple(sorted(vars_needed))
+def values(x, names, carrier: Carrier, bound: int, what: str = "evaluation maps"):
+    """The value of the condition or data term x under each map over the
+    sorted `names`, the maps in lexicographic order. Raises
+    EnumerationLimitError, before yielding anything, when there are more than
+    `bound` maps; `what` names them in the message."""
+    names = tuple(sorted(names))
     count = map_count(len(names), carrier)
     if count > bound:
-        raise EnumerationLimitError(count, bound)
+        raise EnumerationLimitError(count, bound, what)
+    evaluate = eval_cond if isinstance(x, Condition) else eval_data
     for combo in itertools.product(carrier.values(), repeat=len(names)):
-        yield EvalMap(tuple(zip(names, combo)))
+        yield evaluate(x, EvalMap(tuple(zip(names, combo))), carrier)
 
 
 def valid_iff(
@@ -199,10 +205,8 @@ def valid_iff(
     the outcome, so enumeration is restricted to those.
     """
     occ = _declared_flex_vars(phi, decl) | _declared_flex_vars(psi, decl)
-    for sigma in _occurring_maps(occ, carrier, bound):
-        if eval_cond(phi, sigma, carrier) != eval_cond(psi, sigma, carrier):
-            return False
-    return True
+    return all(map(operator.eq, values(phi, occ, carrier, bound),
+                   values(psi, occ, carrier, bound)))
 
 
 def constant_value(
@@ -213,14 +217,9 @@ def constant_value(
 ) -> Optional[bool]:
     """phi's truth value when every evaluation map over decl gives it the
     same one, else None."""
-    value = None
-    for sigma in _occurring_maps(_declared_flex_vars(phi, decl), carrier, bound):
-        truth = eval_cond(phi, sigma, carrier)
-        if value is None:
-            value = truth
-        elif truth != value:
-            return None
-    return value
+    table = values(phi, _declared_flex_vars(phi, decl), carrier, bound)
+    first = next(table)
+    return first if all(truth == first for truth in table) else None
 
 
 def satisfiable(
@@ -229,51 +228,28 @@ def satisfiable(
     carrier: Carrier,
     bound: int = DEFAULT_ENUM_BOUND,
 ) -> bool:
-    for sigma in _occurring_maps(_declared_flex_vars(phi, decl), carrier, bound):
-        if eval_cond(phi, sigma, carrier):
-            return True
-    return False
+    return any(values(phi, _declared_flex_vars(phi, decl), carrier, bound))
 
 
-def cond_signature(phi: Condition, carrier: Carrier, bound: int = DEFAULT_ENUM_BOUND):
-    """Context-free semantic key: (influential variables, truth table).
+def signature(x, carrier: Carrier, bound: int = DEFAULT_ENUM_BOUND) -> tuple:
+    """Context-free semantic key of a condition or data term: (the variables
+    its value depends on, its value table over them).
 
-    Two conditions denote the same predicate over every declaration iff their
-    signatures are equal. Variables that never change the outcome are dropped.
+    Two conditions, or two data terms, denote the same function over every
+    declaration iff their signatures are equal. Each variable along which
+    the table is constant is dropped, keeping the slice at its least value.
     """
-    names = sorted(flex_vars(phi))
-    count = map_count(len(names), carrier)
-    if count > bound:
-        raise EnumerationLimitError(count, bound, "condition valuations")
-    values = list(carrier.values())
-    table = {}
-    for combo in itertools.product(values, repeat=len(names)):
-        sigma = EvalMap(tuple(zip(names, combo)))
-        table[combo] = eval_cond(phi, sigma, carrier)
-    # Drop variables whose value never matters.
-    influential = list(names)
-    idx = 0
-    while idx < len(influential):
-        pos = names.index(influential[idx])
-        matters = False
-        for combo, result in table.items():
-            for alt in values:
-                if alt == combo[pos]:
-                    continue
-                other = combo[:pos] + (alt,) + combo[pos + 1 :]
-                if table[other] != result:
-                    matters = True
-                    break
-            if matters:
-                break
-        if matters:
-            idx += 1
+    names = sorted(flex_vars(x))
+    what = "condition valuations" if isinstance(x, Condition) else "evaluation maps"
+    table = list(values(x, names, carrier, bound, what))
+    n = carrier.size
+    kept = []
+    for i, name in enumerate(names):
+        stride = n ** (len(names) - 1 - i)
+        rows = [table[b:b + stride] for b in range(0, len(table), stride)]
+        firsts = rows[::n]
+        if rows == [row for row in firsts for _ in range(n)]:
+            table = [v for row in firsts for v in row]
         else:
-            influential.pop(idx)
-    positions = [names.index(v) for v in influential]
-    reduced = {}
-    for combo, result in table.items():
-        key = tuple(combo[p] for p in positions)
-        reduced[key] = result
-    bits = tuple(reduced[k] for k in sorted(reduced))
-    return tuple(influential), bits
+            kept.append(name)
+    return tuple(kept), tuple(table)

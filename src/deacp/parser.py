@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 from . import terms as T
@@ -160,6 +161,7 @@ class Parser:
         self.spec = spec or SpecFile()
         self.rec_depth = 0
         self.dvars = []  # quantified variables in scope, innermost last
+        self.nodes: dict = {}  # every node built, so equal subterms share one object
 
     # --- token plumbing ---------------------------------------------------
 
@@ -387,8 +389,9 @@ class Parser:
         precedence-climbing form of Norvell, "Parsing expressions by
         recursive descent" (2001). Parentheses and prefixes cost no
         recursion; a guard's condition, an assignment, action arguments and
-        `rec` equations are nested calls. Each node is hashed as it is built,
-        so no later first hash recurses through the term."""
+        `rec` equations are nested calls. Each node is hashed and shared as it
+        is built (`built`), so no later first hash or comparison recurses
+        through the term."""
         ops, vals = [_FRAME], []
         frames = [(sort, None)]  # grammar and wrapper of each open parenthesis
         grammar = sort  # of the operand due next
@@ -414,8 +417,7 @@ class Parser:
                     return vals[0]
                 self.expect(")")
                 if wrap is not None:
-                    vals[-1] = wrap(vals[-1])
-                    hash(vals[-1])
+                    vals[-1] = self.built(wrap(vals[-1]))
 
     def open(self, grammar: str, ops: list, frames: list):
         """Push the parenthesis or prefix that starts at the current token."""
@@ -483,9 +485,7 @@ class Parser:
             right = vals.pop()
             if need == "cond" and isinstance(right, _DATA_TERMS):
                 self.fail(f"expected a comparison operator, found {self.peek().value!r}")
-            node = build(right) if assoc == PREFIX else build(vals.pop(), right)
-            hash(node)
-            vals.append(node)
+            vals.append(self.built(build(right) if assoc == PREFIX else build(vals.pop(), right)))
 
     def at_data_atom(self, offset: int) -> bool:
         tok = self.peek(offset)
@@ -494,7 +494,7 @@ class Parser:
         return tok.kind == "ident" and (self.is_var(tok.value) or tok.value in self.dvars)
 
     def operand(self, grammar: str):
-        """The atom of `grammar` at the current token, hashed."""
+        """The atom of `grammar` at the current token, shared."""
         tok = self.peek()
         node = _CONSTANTS[grammar].get(tok.value)
         if node is not None:
@@ -524,8 +524,13 @@ class Parser:
                 raise SpecSyntaxError(f"{name!r} is not a data term", tok.line, tok.col)
         else:
             raise SpecSyntaxError(f"expected a data term, found {tok.value!r}", tok.line, tok.col)
-        hash(node)
-        return node
+        return self.built(node)
+
+    def built(self, node):
+        """The one node of this parse equal to `node`. Its parts are shared
+        already, so comparing them is by identity and never recurses, and
+        hashing it, here as it is built, reads only their stored hashes."""
+        return self.nodes.setdefault(node, node)
 
     def parse_eval_map(self) -> D.EvalMap:
         tok = self.peek()
@@ -628,108 +633,91 @@ def _parse_whole(text: str, spec: SpecFile, sort: str):
 
 # --- rendering -----------------------------------------------------------------
 
-def render_data(e: D.DataTerm, prec: int = 0) -> str:
-    if isinstance(e, D.Lit):
-        return str(e.value)
-    if isinstance(e, D.Flex) or isinstance(e, D.DVar):
-        return e.name
-    if isinstance(e, D.App):
-        mine = 2 if e.op == "*" else 1
-        left = render_data(e.args[0], mine)
-        right = render_data(e.args[1], mine + 1)
-        text = f"{left} {e.op} {right}"
-        return f"({text})" if mine < prec else text
-    raise TypeError(f"not a data term: {e!r}")
+_ATOMIC = 9  # the level of text that no context parenthesizes
 
 
-def render_cond(phi: C.Condition, prec: int = 0) -> str:
-    if isinstance(phi, C.CTrue):
-        return "true"
-    if isinstance(phi, C.CFalse):
-        return "false"
-    if isinstance(phi, (C.Forall, C.Exists)):
-        kw = "forall" if isinstance(phi, C.Forall) else "exists"
-        text = f"{kw} {phi.var}. {render_cond(phi.body, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(phi, C.Implies):
-        text = f"{render_cond(phi.left, 2)} -> {render_cond(phi.right, 1)}"
-        return f"({text})" if prec > 1 else text
-    if isinstance(phi, C.Or):
-        text = f"{render_cond(phi.left, 2)} or {render_cond(phi.right, 3)}"
-        return f"({text})" if prec > 2 else text
-    if isinstance(phi, C.And):
-        text = f"{render_cond(phi.left, 3)} and {render_cond(phi.right, 4)}"
-        return f"({text})" if prec > 3 else text
-    if isinstance(phi, C.Not):
-        return f"not {render_cond(phi.body, 5)}"
-    if isinstance(phi, C.Cmp):
-        text = f"{render_data(phi.left)} {phi.op} {render_data(phi.right)}"
-        return f"({text})" if prec > 4 else text
-    raise TypeError(f"not a condition: {phi!r}")
+def _infix(op: str, level: int, right_assoc: bool = False, operands=attrgetter("left", "right")):
+    least = (level + 1, level) if right_assoc else (level, level + 1)
+    return level, lambda x, part: f" {op} ".join(map(part, operands(x), least))
 
 
-def render_action(alpha: T.Action) -> str:
-    if isinstance(alpha, T.TauAction):
-        return "tau"
-    if isinstance(alpha, T.BasicAction):
-        return alpha.name
-    if isinstance(alpha, T.ParamAction):
-        return f"{alpha.name}({', '.join(render_data(a) for a in alpha.args)})"
-    if isinstance(alpha, T.AssignAction):
-        return f"{alpha.var} := {render_data(alpha.expr)}"
-    raise TypeError(f"not an action: {alpha!r}")
+def _restriction(keyword: str):
+    return _ATOMIC, lambda t, part: (
+        f"{keyword}{{{', '.join(part(p, 0) for p in t.patterns)}}}({part(t.body, 0)})")
 
 
-def render_map(emap: D.EvalMap) -> str:
-    return "{" + ", ".join(f"{n} = {v}" for n, v in emap.entries) + "}"
+def _text(text) -> tuple:
+    return _ATOMIC, lambda x, part: text(x)
 
 
-def _ends_in_assignment(t: T.ProcTerm) -> bool:
-    if isinstance(t, T.Atom):
-        return isinstance(t.action, T.AssignAction)
-    if isinstance(t, T.BINARY):
-        return _ends_in_assignment(t.right)
-    if isinstance(t, T.Guard):
-        return _ends_in_assignment(t.body)
-    return False
+# How each node is laid out: class -> (its own level, its text from
+# `part(child, least)`, the child's text in parentheses when the child's level
+# is below `least`). A higher level binds tighter; levels compare within a
+# sort, and a part of least level 0 is never parenthesized. The data
+# operators share one class and are keyed by their symbol.
+_LAYOUT = {
+    **dict.fromkeys((D.Flex, D.DVar, T.BasicAction, T.RecVar), _text(attrgetter("name"))),
+    **{op: _infix(op, 2 if op == "*" else 1, operands=attrgetter("args")) for op in D.OPS},
+    D.Lit: _text(lambda e: str(e.value)),
+    D.EvalMap: _text(lambda m: "{" + ", ".join(f"{n} = {v}" for n, v in m.entries) + "}"),
+    T.ActionPattern: _text(T.ActionPattern.render),
+    C.CTrue: _text(lambda c: "true"),
+    C.CFalse: _text(lambda c: "false"),
+    T.TauAction: _text(lambda a: "tau"),
+    T.Inaction: _text(lambda t: "delta"),
+    T.Empty: _text(lambda t: "epsilon"),
+    C.Forall: (0, lambda c, part: f"forall {c.var}. {part(c.body, 0)}"),
+    C.Exists: (0, lambda c, part: f"exists {c.var}. {part(c.body, 0)}"),
+    C.Implies: _infix("->", 1, right_assoc=True),
+    C.Or: _infix("or", 2),
+    C.And: _infix("and", 3),
+    C.Not: (_ATOMIC, lambda c, part: f"not {part(c.body, 5)}"),
+    C.Cmp: (4, lambda c, part: f"{part(c.left, 0)} {c.op} {part(c.right, 0)}"),
+    T.ParamAction: (_ATOMIC, lambda a, part: f"{a.name}({', '.join(part(e, 0) for e in a.args)})"),
+    T.AssignAction: (_ATOMIC, lambda a, part: f"{a.var} := {part(a.expr, 0)}"),
+    T.Atom: (_ATOMIC, lambda t, part: part(t.action, 0)),
+    # A trailing data expression would swallow the '+' on re-parsing.
+    T.Alt: (1, lambda t, part: f"{part(t.left, 1, before_plus=True)} + {part(t.right, 2)}"),
+    T.Guard: (2, lambda t, part: f"[{part(t.cond, 0)}] -> {part(t.body, 2)}"),
+    T.Par: _infix("||", 3),
+    T.LeftMerge: _infix("||_", 3),
+    T.CommMerge: _infix("|", 3),
+    T.Seq: _infix(".", 4),
+    T.Encap: _restriction("encap"),
+    T.Abstr: _restriction("hide"),
+    T.Eval: (_ATOMIC, lambda t, part: f"eval{part(t.emap, 0)}({part(t.body, 0)})"),
+    T.RecSpec: (_ATOMIC, lambda s, part:
+                ", ".join(f"{n} = {part(rhs, 0)}" for n, rhs in s.equations)),
+    T.RecConst: (_ATOMIC, lambda t, part: f"rec {t.var} where {{ {part(t.spec, 0)} }}"),
+}
 
 
-def render_term(t: T.ProcTerm, prec: int = 0) -> str:
-    if isinstance(t, T.Inaction):
-        return "delta"
-    if isinstance(t, T.Empty):
-        return "epsilon"
-    if isinstance(t, T.Atom):
-        return render_action(t.action)
-    if isinstance(t, T.RecVar):
-        return t.name
-    if isinstance(t, T.Alt):
-        left = render_term(t.left, 1)
-        # A trailing data expression would swallow the '+' on re-parsing.
-        if _ends_in_assignment(t.left):
-            left = f"({left})"
-        text = f"{left} + {render_term(t.right, 2)}"
-        return f"({text})" if prec > 1 else text
-    if isinstance(t, T.Guard):
-        text = f"[{render_cond(t.cond)}] -> {render_term(t.body, 2)}"
-        return f"({text})" if prec > 2 else text
-    if isinstance(t, (T.Par, T.LeftMerge, T.CommMerge)):
-        op = {"Par": "||", "LeftMerge": "||_", "CommMerge": "|"}[type(t).__name__]
-        text = f"{render_term(t.left, 3)} {op} {render_term(t.right, 4)}"
-        return f"({text})" if prec > 3 else text
-    if isinstance(t, T.Seq):
-        text = f"{render_term(t.left, 4)} . {render_term(t.right, 5)}"
-        return f"({text})" if prec > 4 else text
-    if isinstance(t, (T.Encap, T.Abstr)):
-        kw = "encap" if isinstance(t, T.Encap) else "hide"
-        pats = ", ".join(p.render() for p in t.patterns)
-        return f"{kw}{{{pats}}}({render_term(t.body)})"
-    if isinstance(t, T.Eval):
-        return f"eval{render_map(t.emap)}({render_term(t.body)})"
-    if isinstance(t, T.RecConst):
-        eqs = ", ".join(f"{n} = {render_term(rhs)}" for n, rhs in t.spec.equations)
-        return f"rec {t.var} where {{ {eqs} }}"
-    raise TypeError(f"not a process term: {t!r}")
+def render(x) -> str:
+    """The text of a process term, action, condition or data term, which
+    parses back to x.
+
+    Lays out every node of x children first, keeping each one's text, level
+    and whether it ends in an assignment by id, so depth costs no recursion.
+    """
+    laid: dict = {}
+
+    def part(y, least: int, before_plus: bool = False) -> str:
+        text, level, assigns = laid[id(y)]
+        return f"({text})" if level < least or (before_plus and assigns) else text
+
+    for y in reversed(list(D.subterms(x))):
+        cls = type(y)
+        entry = _LAYOUT.get(y.op if cls is D.App else cls)
+        if entry is None:
+            raise TypeError(f"cannot render {y!r}")
+        last = y.body if cls is T.Guard else y.right if cls in T.BINARY else None
+        assigns = (laid[id(last)][2] if last is not None
+                   else cls is T.Atom and type(y.action) is T.AssignAction)
+        laid[id(y)] = (entry[1](y, part), entry[0], assigns)
+    return laid[id(x)][0]
+
+
+render_term = render_cond = render_data = render_action = render
 
 
 def render_spec(spec: SpecFile) -> str:

@@ -8,6 +8,7 @@ map-indexed semantics exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from . import terms as T
@@ -17,13 +18,17 @@ from .conditions import (
     Condition,
     TRUE,
     args_equal,
-    cond_signature,
     eval_cond,
+    signature,
 )
-from .data_algebra import FlexVarDecl, enumerate_maps
+from .data_algebra import FlexVarDecl, enumerate_maps, subterms
 from .errors import GuardednessError
 from .parser import render_action, render_cond, render_term
 from .sos_sigma import SigmaLts, _Rules, ambient_domain, explore
+
+
+# The conditions a walk over a label's conjuncts does not enter: all but conjunctions.
+_CONJUNCTS = frozenset(Condition.__args__) - {And}
 
 
 class _LabelRegistry:
@@ -33,16 +38,9 @@ class _LabelRegistry:
         self.ctx = ctx
         self.by_signature: dict = {}
 
-    def _flatten(self, phi: Condition, acc: list):
-        if isinstance(phi, And):
-            self._flatten(phi.left, acc)
-            self._flatten(phi.right, acc)
-        elif not isinstance(phi, CTrue):
-            acc.append(phi)
-
     def normalize(self, phi: Condition) -> Optional[Condition]:
         """None when unsatisfiable; otherwise the canonical equivalent label."""
-        vars_, bits = cond_signature(phi, self.ctx.carrier, self.ctx.enum_bound)
+        vars_, bits = signature(phi, self.ctx.carrier, self.ctx.enum_bound)
         if not any(bits):
             return None
         if all(bits):
@@ -51,12 +49,8 @@ class _LabelRegistry:
         hit = self.by_signature.get(key)
         if hit is not None:
             return hit
-        conjuncts: list = []
-        self._flatten(phi, conjuncts)
-        uniq = list(dict.fromkeys(sorted(conjuncts, key=render_cond)))
-        out = uniq[0]
-        for c in uniq[1:]:
-            out = And(out, c)
+        conjuncts = [c for c in subterms(phi, _CONJUNCTS) if type(c) not in (And, CTrue)]
+        out = reduce(And, dict.fromkeys(sorted(conjuncts, key=render_cond)))
         self.by_signature[key] = out
         return out
 

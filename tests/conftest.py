@@ -45,3 +45,18 @@ def proc(spec, text):
 
 def cond(spec, text):
     return P.parse_condition(text, spec)
+
+
+def run_cli(*argv, hash_seed="0"):
+    """`python -m deacp.cli`, importing the same deacp package as the tests."""
+    import os
+    import subprocess
+    import sys
+
+    import deacp
+
+    src = os.path.dirname(os.path.dirname(deacp.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "deacp.cli", *argv],
+                          capture_output=True, env=env)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import pair_oracle
+import validity_oracle
 from conftest import proc
 from deacp import gen as G
 from deacp import terms as T
@@ -60,6 +61,34 @@ def test_actions_equivalent_on_open_arguments(ctx):
     e3 = T.ParamAction("a", (Lit(0),))
     assert actions_equivalent(e1, e2, ctx)
     assert not actions_equivalent(e2, e3, ctx)
+
+
+def test_actions_equivalent_matches_the_pairwise_oracle(small_ctx):
+    """Signatures decide data equality as evaluating both terms under every
+    map over the union of their variables does. Each generated action is
+    paired with one of the same kind and name: its data replaced by a
+    spelling equal by construction, or by fresh generated data."""
+    rng = random.Random(21)
+    cfg = G.GenConfig(flex_vars=("u", "v", "h"), param_arities={"a": (1, 2), "b": (1,)})
+    cache: dict = {}
+    verdicts = []
+    for k in range(1500):
+        a1 = G.random_action(rng, cfg, small_ctx)
+
+        def data(e):
+            return G._equal_data_variant(rng, e) if k % 2 else G.random_data(rng, cfg, small_ctx, 1)
+
+        if isinstance(a1, T.ParamAction):
+            a2 = T.ParamAction(a1.name, tuple(map(data, a1.args)))
+        elif isinstance(a1, T.AssignAction):
+            a2 = T.AssignAction(a1.var, data(a1.expr))
+        else:
+            a2 = G.random_action(rng, cfg, small_ctx)
+        expected = validity_oracle.actions_equivalent(a1, a2, small_ctx)
+        assert actions_equivalent(a1, a2, small_ctx, cache) == expected, (a1, a2)
+        if a1 != a2 and type(a1) is type(a2) is not T.BasicAction:
+            verdicts.append(expected)
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 200
 
 
 def test_silent_closure(base_spec, ctx):

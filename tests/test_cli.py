@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import run_cli
 from deacp.cli import main
 
 
@@ -166,7 +167,7 @@ def test_json_identical_across_processes_and_hash_seeds(leak_file):
     # seeds must produce byte-identical machine output
     outputs = []
     for seed in ("1", "42"):
-        done = _run_cli("lts", leak_file, "--process", "P", "--json", hash_seed=seed)
+        done = run_cli("lts", leak_file, "--process", "P", "--json", hash_seed=seed)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
@@ -208,28 +209,13 @@ proc CHAIN = q := 0 . r := 11 . q := 1 . r := 8 . q := 2 . r := 5 . q := 3 . r :
     assert code == 0 and out.startswith("rec ")
 
 
-def _run_cli(*argv, hash_seed="0"):
-    """`python -m deacp.cli`, importing the same deacp package as the tests."""
-    import os
-    import subprocess
-    import sys
-
-    import deacp
-
-    src = os.path.dirname(os.path.dirname(deacp.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "deacp.cli", *argv],
-                          capture_output=True, env=env)
-
-
 def test_counterexample_json_identical_across_hash_seeds(tmp_path):
     # the termination counterexample's map is the first terminating map in
     # map order, whatever the hash seed
     path = tmp_path / "term.deacp"
     path.write_text("vars x\nactions a\nproc L = [x >= 0] -> epsilon + a\nproc R = a\n",
                     encoding="utf-8")
-    runs = [_run_cli("bisim", str(path), "--left", "L", "--right", "R", "--json",
+    runs = [run_cli("bisim", str(path), "--left", "L", "--right", "R", "--json",
                      hash_seed=seed) for seed in ("0", "1", "3")]
     assert {done.returncode for done in runs} == {1}
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
@@ -237,7 +223,7 @@ def test_counterexample_json_identical_across_hash_seeds(tmp_path):
 
 
 def test_dnii_json_identical_across_hash_seeds(leak_file):
-    runs = [_run_cli("dnii", leak_file, "--process", "P", "--json", hash_seed=seed)
+    runs = [run_cli("dnii", leak_file, "--process", "P", "--json", hash_seed=seed)
             for seed in ("0", "1", "3")]
     assert {done.returncode for done in runs} == {1}
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
@@ -249,7 +235,7 @@ def test_deep_nesting_exits_two_without_traceback(tmp_path):
     path = tmp_path / "deep.deacp"
     path.write_text("actions a\nproc P = " + " . ".join(["a"] * 400) + "\n",
                     encoding="utf-8")
-    done = _run_cli("bisim", str(path), "--left", "P", "--right", "P")
+    done = run_cli("bisim", str(path), "--left", "P", "--right", "P")
     assert done.returncode == 2
     assert done.stderr.decode().startswith("error:")
     assert "Traceback" not in done.stderr.decode()
@@ -262,7 +248,7 @@ def test_long_silent_chain_explores(tmp_path):
     path = tmp_path / "chain.deacp"
     path.write_text(f"actions a\nproc P = rec X0 where {{\n{chain}X2000 = [true] -> epsilon\n}}\n",
                     encoding="utf-8")
-    done = _run_cli("lts", str(path), "--process", "P")
+    done = run_cli("lts", str(path), "--process", "P")
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.decode().startswith("states: 2001\n")
 
@@ -292,6 +278,27 @@ def test_lts_json_of_unsorted_declarations_is_pinned(tmp_path):
     path.write_text(YX_SPEC, encoding="utf-8")
     expected = (json.dumps(YX_LTS, indent=2, sort_keys=True) + "\n").encode()
     for seed in ("0", "3"):
-        done = _run_cli("lts", str(path), "--process", "G", "--json", hash_seed=seed)
+        done = run_cli("lts", str(path), "--process", "G", "--json", hash_seed=seed)
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout == expected
+
+
+# Four variables of the default carrier have 32^4 = 1048576 maps, above the
+# default bound of 10^6: each data term is tabulated over its own variables,
+# and only when another action of the same kind and name needs comparing.
+WIDE = ("vars x, a, b, c, d\nactions e\n"
+        "proc P = x := a + b + c + d . e\n"
+        "proc Q = x := a + b + c + d . e + x := d + c + b + a . e\n"
+        "proc R = x := a + b + c + d . e + x := a + b + c . e\n")
+
+
+@pytest.mark.parametrize("right, code, stdout, stderr", [
+    ("P", 0, b"equivalent\n", b""),
+    ("Q", 2, b"", b"error: enumeration of 1048576 evaluation maps exceeds the bound of 1000000\n"),
+    ("R", 2, b"", b"error: enumeration of 1048576 evaluation maps exceeds the bound of 1000000\n"),
+], ids=["same", "reordered", "narrower"])
+def test_wide_assignments_are_tabulated_only_when_compared(tmp_path, right, code, stdout, stderr):
+    path = tmp_path / "wide.deacp"
+    path.write_text(WIDE, encoding="utf-8")
+    done = run_cli("bisim", str(path), "--left", "P", "--right", right)
+    assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)

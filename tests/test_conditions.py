@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import validity_oracle
 from conftest import cond
 from deacp.conditions import (
     And,
@@ -13,10 +14,11 @@ from deacp.conditions import (
     TRUE,
     eval_cond,
     satisfiable,
+    signature,
     valid_iff,
 )
-from deacp.data_algebra import Carrier, DVar, EvalMap, Flex, FlexVarDecl, Lit
-from deacp.errors import MalformedConditionError
+from deacp.data_algebra import App, Carrier, DEFAULT_ENUM_BOUND, DVar, EvalMap, Flex, FlexVarDecl, Lit
+from deacp.errors import EnumerationLimitError, MalformedConditionError
 from deacp import gen as G
 
 
@@ -115,3 +117,35 @@ def test_satisfiable_is_negation_of_valid_iff_false(small_ctx):
         assert satisfiable(phi, small_ctx.decl, small_ctx.carrier) == (
             not valid_iff(phi, CFalse(), small_ctx.decl, small_ctx.carrier)
         )
+
+
+def test_signature_matches_the_oracle(small_ctx):
+    """The value table's signature equals the map-by-map oracle's on generated
+    conditions over two and three variables, and on equivalent spellings."""
+    rng = random.Random(14)
+    configs = [G.GenConfig(), G.GenConfig(flex_vars=("u", "v", "h"), cond_depth=3)]
+    carrier = small_ctx.carrier
+    for k in range(1200):
+        phi = G.random_cond(rng, configs[k % 2], small_ctx)
+        if k % 3 == 0:
+            phi = G._equiv_cond_variant(rng, phi)
+        expected = validity_oracle.cond_signature(phi, carrier, DEFAULT_ENUM_BOUND)
+        assert signature(phi, carrier) == expected, phi
+
+
+def test_signature_drops_variables_that_never_matter():
+    u, v = Flex("u"), Flex("v")
+    phi = Or(Cmp("<", u, Lit(0)), Cmp("=", v, v))
+    assert signature(phi, Carrier(0, 1)) == ((), (True,))
+    assert signature(App("*", (u, Lit(0))), Carrier(-1, 1)) == ((), (0,))
+    assert signature(App("+", (v, App("*", (u, Lit(0))))), Carrier(0, 2)) == (("v",), (0, 1, 2))
+
+
+def test_enumeration_limits_name_what_they_count():
+    wide = App("+", (Flex("a"), Flex("b")))
+    with pytest.raises(EnumerationLimitError, match="1024 condition valuations"):
+        signature(Cmp("=", wide, Lit(0)), CARRIER, bound=1000)
+    with pytest.raises(EnumerationLimitError, match="1024 evaluation maps"):
+        signature(wide, CARRIER, bound=1000)
+    with pytest.raises(EnumerationLimitError, match="1024 evaluation maps"):
+        satisfiable(Cmp("=", wide, Lit(0)), FlexVarDecl(("a", "b")), CARRIER, bound=1000)

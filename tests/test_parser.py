@@ -3,7 +3,8 @@ import random
 import pytest
 
 import parser_oracle
-from conftest import cond, proc
+import render_oracle
+from conftest import cond, proc, run_cli
 from deacp import conditions as C
 from deacp import data_algebra as D
 from deacp import gen as G
@@ -243,21 +244,76 @@ def test_quantified_variables_are_data_atoms(base_spec):
 N = 3000
 
 
-@pytest.mark.parametrize("body", [
-    "(" * N + "a" + ")" * N,
-    "hide{a}(" * N + "a" + ")" * N,
-    "[" + "(" * N + "u > 0" + ")" * N + "] -> a",
-    "[" + "(" * N + "u" + ")" * N + " > 0] -> a",
-    "u := " + "(" * N + "u" + ")" * N,
-    "[" + "not " * N + "u > 0] -> a",
-    "[" + "forall d. " * N + "d > u] -> a",
-    "[u > 0] -> " * N + "a",
-    "[" + " -> ".join(["u > 0"] * N) + "] -> a",
-    "rec X where { X = " + " + ".join(["[u > 0] -> a . X"] * N) + " }",
-], ids=["parentheses", "hide", "condition-parentheses", "data-parentheses",
-        "assignment-parentheses", "nots", "quantifiers", "guards", "implications",
-        "summands"])
+DEEP = {
+    "parentheses": "(" * N + "a" + ")" * N,
+    "hide": "hide{a}(" * N + "a" + ")" * N,
+    "condition-parentheses": "[" + "(" * N + "u > 0" + ")" * N + "] -> a",
+    "data-parentheses": "[" + "(" * N + "u" + ")" * N + " > 0] -> a",
+    "assignment-parentheses": "u := " + "(" * N + "u" + ")" * N,
+    "nots": "[" + "not " * N + "u > 0] -> a",
+    "quantifiers": "[" + "forall d. " * N + "d > u] -> a",
+    "guards": "[u > 0] -> " * N + "a",
+    "implications": "[" + " -> ".join(["u > 0"] * N) + "] -> a",
+    "summands": "rec X where { X = " + " + ".join(["[u > 0] -> a . X"] * N) + " }",
+}
+
+
+@pytest.mark.parametrize("body", DEEP.values(), ids=DEEP.keys())
 def test_deep_nesting_parses(body):
     spec = parse_spec(f"{HEADER}proc P = {body}\n")
     t = spec.procs["P"]
     assert hash(t) == hash(tuple(getattr(t, name) for name in t.__dataclass_fields__))
+
+
+PRINTED = {**DEEP, "sequence": " . ".join(["a"] * N), "data-sum": "u := " + " + ".join(["u"] * N)}
+
+
+@pytest.mark.parametrize("body", PRINTED.values(), ids=PRINTED.keys())
+def test_deep_terms_print_and_parse_back(tmp_path, body):
+    """`deacp parse` prints a 3000-deep term, and its output parses to the
+    same text; each parse runs in a process of its own."""
+    path = tmp_path / "deep.deacp"
+    path.write_text(f"{HEADER}proc P = {body}\n", encoding="utf-8")
+    first = run_cli("parse", str(path))
+    assert (first.returncode, first.stderr) == (0, b"")
+    path.write_bytes(first.stdout)
+    again = run_cli("parse", str(path))
+    assert (again.returncode, again.stdout, again.stderr) == (0, first.stdout, b"")
+
+
+def test_equal_subterms_of_one_file_share_one_object():
+    """Equal subterms of one parse are one object, so two procs with the same
+    3000-summand specification compare without recursing. (The specification
+    differs from DEEP's: an equal one parsed earlier in this process would
+    still be compared field by field in `is_guarded_linear_spec`'s cache.)"""
+    rec = "rec Y where { Y = " + " + ".join(["[v > 0] -> c . Y"] * N) + " }"
+    spec = parse_spec(f"{HEADER}proc P = {rec}\nproc Q = {rec}\n")
+    assert spec.procs["P"] is spec.procs["Q"]
+    t = proc(spec, "a(u + 1) . b + (a(u + 1) . b || a(u + 1))")
+    assert t.left is t.right.left
+    assert t.left.left is t.right.right
+
+
+def test_renderer_matches_the_oracle(small_ctx):
+    """The layout table renders generated process terms, and every condition,
+    data term and action in them, as the recursive renderer does."""
+    rng = random.Random(31)
+    configs = [
+        G.GenConfig(param_arities={"a": (1, 2), "b": (1,)}, allow_abstr=True),
+        G.GenConfig(max_depth=4, data_depth=3, cond_depth=3, allow_abstr=True),
+    ]
+    oracle = {"proc": render_oracle.render_term, "cond": render_oracle.render_cond,
+              "data": render_oracle.render_data, "action": render_oracle.render_action}
+    sorts = {**{cls: "cond" for cls in C.Condition.__args__},
+             **{cls: "data" for cls in D.DataTerm.__args__},
+             **{cls: "action" for cls in T.Action.__args__},
+             **{cls: "proc" for cls in T.ProcTerm.__args__}}
+    checked = 0
+    for k in range(800):
+        t = G.random_proc(rng, configs[k % 2], small_ctx, depth=rng.randint(0, 4))
+        for y in D.subterms(t):
+            sort = sorts.get(type(y))
+            if sort is not None:
+                assert render_term(y) == oracle[sort](y), y
+                checked += 1
+    assert checked > 6000
