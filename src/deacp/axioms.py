@@ -12,10 +12,9 @@ from typing import Callable, Optional
 
 from . import terms as T
 from .conditions import (
-    And, CFalse, CTrue, Cmp, Condition, Not, Or, TRUE, args_equal, constant_value, subst_map,
-    valid_iff,
+    And, CFalse, Condition, Or, TRUE, args_equal, constant_value, subst_map, valid_iff,
 )
-from .data_algebra import EvalMap, Lit, eval_data, frozen_dataclass, map_children
+from .data_algebra import EvalMap, frozen_dataclass, map_children
 from .errors import DeacpError
 
 ALL_ACTIONS = (T.ActionPattern("all"),)
@@ -29,10 +28,7 @@ class MetaVar:
 
 def _kind_ok(kind: str, value) -> bool:
     if kind == "proc":
-        return isinstance(value, (
-            T.Atom, T.Inaction, T.Empty, T.Alt, T.Seq, T.Par, T.LeftMerge,
-            T.CommMerge, T.Encap, T.Abstr, T.Guard, T.Eval, T.RecVar, T.RecConst,
-        ))
+        return isinstance(value, T.ProcTerm)
     if kind == "atom_td":
         return isinstance(value, (T.Atom, T.Inaction))
     if kind == "atom_t":
@@ -40,9 +36,7 @@ def _kind_ok(kind: str, value) -> bool:
     if kind == "basic":
         return isinstance(value, T.Atom) and isinstance(value.action, T.BasicAction)
     if kind == "cond":
-        return isinstance(value, (CTrue, CFalse, Cmp, Not, And, Or)) or isinstance(
-            value, Condition
-        )
+        return isinstance(value, Condition)
     if kind == "emap":
         return isinstance(value, EvalMap)
     if kind == "patset":
@@ -242,44 +236,17 @@ def _recognize_cm7da(t1, t2, ctx) -> bool:
     return _cm7da_rhs(t1, ctx) == t2 if _cm7da_parts(t1, ctx) else False
 
 
-def _v3_v4_parts(t1):
+def _v3_v4_rhs(t1, ctx, kind):
+    """eval{sigma}(alpha . x) = alpha' . eval{sigma'}(x) for an action alpha
+    of kind (V3: a parameterized action, V4: an assignment), which the
+    carried map evaluates to alpha' and leaves as sigma'."""
     if not isinstance(t1, T.Eval) or not isinstance(t1.body, T.Seq):
         return None
     alpha = _action_of(t1.body.left)
-    if alpha is None:
+    if not isinstance(alpha, kind):
         return None
-    return t1.emap, alpha, t1.body.right
-
-
-def _v3_rhs(t1, ctx):
-    parts = _v3_v4_parts(t1)
-    if parts is None or not isinstance(parts[1], T.ParamAction):
-        return None
-    emap, alpha, x = parts
-    evaluated = T.ParamAction(
-        alpha.name, tuple(Lit(eval_data(e, emap, ctx.carrier)) for e in alpha.args)
-    )
-    return T.Seq(T.Atom(evaluated), T.Eval(emap, x))
-
-
-def _v4_rhs(t1, ctx):
-    parts = _v3_v4_parts(t1)
-    if parts is None or not isinstance(parts[1], T.AssignAction):
-        return None
-    emap, alpha, x = parts
-    value = eval_data(alpha.expr, emap, ctx.carrier)
-    return T.Seq(
-        T.Atom(T.AssignAction(alpha.var, Lit(value))),
-        T.Eval(emap.updated(alpha.var, value), x),
-    )
-
-
-def _recognize_v3(t1, t2, ctx) -> bool:
-    return _v3_rhs(t1, ctx) == t2
-
-
-def _recognize_v4(t1, t2, ctx) -> bool:
-    return _v4_rhs(t1, ctx) == t2
+    label, after = T.eval_action(alpha, t1.emap, ctx.carrier)
+    return T.Seq(T.Atom(label), T.Eval(after, t1.body.right))
 
 
 def _v6_rhs(binding, ctx):
@@ -404,8 +371,8 @@ _ax(
     T.Seq(T.Atom(T.TAU), T.Eval(SIGMA, X)),
 )
 _ax("V2", T.Eval(SIGMA, T.Seq(A_BASIC, X)), T.Seq(A_BASIC, T.Eval(SIGMA, X)))
-_ax("V3", recognize=_recognize_v3)
-_ax("V4", recognize=_recognize_v4)
+_ax("V3", recognize=lambda t1, t2, ctx: _v3_v4_rhs(t1, ctx, T.ParamAction) == t2)
+_ax("V4", recognize=lambda t1, t2, ctx: _v3_v4_rhs(t1, ctx, T.AssignAction) == t2)
 _ax("V5", T.Eval(SIGMA, T.Alt(X, Y)), T.Alt(T.Eval(SIGMA, X), T.Eval(SIGMA, Y)))
 _ax("V6", T.Eval(SIGMA, T.Guard(PHI, X)), build_rhs=_v6_rhs)
 
@@ -439,35 +406,12 @@ _ax(
 _ax("RDP", recognize=_recognize_rdp)
 
 
-# Names whose random instances the soundness suite must cover.
-SOUNDNESS_SUITE = [
-    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9",
-    "CM1E", "CM2E", "CM3", "CM4", "CM5E", "CM6E", "CM7", "CM8", "CM9",
-    "D0", "D1", "D2", "D3", "D4",
-    "T0", "T1", "T2", "T3", "T4",
-    "BE",
-    "IMP1", "IMP2",
-    "GC1", "GC2", "GC3", "GC4", "GC5", "GC6", "GC7", "GC8", "GC9", "GC10",
-    "GC11", "GC12",
-    "V0", "V1", "V2", "V3", "V4", "V5", "V6",
-    "CM7Da", "CM7Db", "CM7Dc", "CM7Dd", "CM7De", "CM7Df",
-    "BED",
-    "RDP",
-]
+# Names whose random instances the soundness suite must cover: every axiom.
+SOUNDNESS_SUITE = list(AXIOMS)
 
 # Pattern-based axioms safe for random rewriting at arbitrary positions.
 # CM1E is excluded: see the soundness note above.
-REWRITE_POOL = [
-    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9",
-    "CM2E", "CM3", "CM4", "CM5E", "CM6E", "CM7", "CM8", "CM9",
-    "D0", "D1", "D2", "D3", "D4",
-    "T0", "T1", "T2", "T3", "T4",
-    "BE",
-    "GC1", "GC2", "GC3", "GC4", "GC5", "GC6", "GC7", "GC8", "GC9", "GC10",
-    "GC11", "GC12",
-    "V0", "V1", "V2", "V5", "V6",
-    "BED",
-]
+REWRITE_POOL = [name for name, axiom in AXIOMS.items() if axiom.lhs is not None and name != "CM1E"]
 
 
 def recognize_axiom(t1, t2, ctx) -> Optional[str]:

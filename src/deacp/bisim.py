@@ -5,6 +5,7 @@ analogue decided per satisfying map, and the agreement experiment."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from . import terms as T
@@ -94,8 +95,13 @@ def silent_closure(lts: SigmaLts, state: int, sigma: EvalMap) -> frozenset:
 class BisimResult:
     equivalent: bool
     counterexample: Optional[dict] = None
-    relation: frozenset = frozenset()  # pairs (left state id, right state id)
+    groups: tuple = ()  # (left state ids, right state ids) per block that meets both
     related_paths: bool = False  # decided by the condition-labelled equivalence
+
+    @property
+    def relation(self) -> frozenset:
+        """The related (left, right) state pairs: every group's product."""
+        return frozenset((i, j) for left, right in self.groups for i in left for j in right)
 
     @property
     def witness(self) -> Optional[tuple]:
@@ -126,6 +132,9 @@ def _violation(l1, l2, pair, side, kind, sigma, action=None, target=None):
     }
 
 
+_SIDES = ("left", "right")
+
+
 class _ActionClasses:
     """Ids of the data-equivalence classes of actions; the silent step is 0."""
 
@@ -151,7 +160,7 @@ class _ActionClasses:
 
 
 class _Indexed:
-    """Per-state, per-map moves, silent closures and termination maps."""
+    """Per-state, per-map moves and termination maps."""
 
     def __init__(self, lts: SigmaLts):
         self.lts = lts
@@ -167,51 +176,35 @@ class _Indexed:
             self.stops[sid].append(sigma)
         for maps in self.stops:
             maps.sort(key=order.__getitem__)
-        self._closures: dict = {}
 
     def moves(self, state: int, sigma: EvalMap):
         return self.by_sigma[state].get(sigma, ())
 
-    def answers(self, start: int, sigma: EvalMap, related, related_paths: bool):
-        """States a silent path from start under sigma may answer from: all
-        related ones, or with related_paths only those reached through
-        related states."""
-        if related_paths:
-            return self._reach(start, sigma, related)
-        key = (start, sigma)
-        hit = self._closures.get(key)
-        if hit is None:
-            hit = self._closures[key] = self._reach(start, sigma, lambda u: True)
-        return [u for u in hit if related(u)]
-
-    def _reach(self, start, sigma, keep):
+    def answers(self, start: int, sigma: EvalMap, keep, related_paths: bool) -> list:
+        """The states kept by keep that a silent path from start under sigma
+        reaches; with related_paths, through kept states only."""
         seen, frontier = {start}, [start]
         while frontier:
             for action, tgt in self.moves(frontier.pop(), sigma):
-                if tgt not in seen and isinstance(action, T.TauAction) and keep(tgt):
+                if tgt not in seen and isinstance(action, T.TauAction) \
+                        and (not related_paths or keep(tgt)):
                     seen.add(tgt)
                     frontier.append(tgt)
-        return seen
+        return [u for u in seen if keep(u)]
 
 
-def _check_domains(l1, l2):
-    if l1.domain != l2.domain:
-        raise ShapeError(
-            f"ambient domains differ: {l1.domain} vs {l2.domain}; "
-            "build both systems over the union of their occurring variables"
-        )
-
-
-def _sides(ix1, ix2, pair):
-    """(side, observing system, its state, answering system, its state, orient),
-    where orient puts an (observer's, answerer's) pair in (left, right) order."""
+def _sides(ix1, ix2, pair, related):
+    """(side, observing system, its state, answering system, its state, linked),
+    where linked(observer's state, answerer's state) applies related in
+    (left, right) order."""
     i, j = pair
-    return (("left", ix1, i, ix2, j, lambda x, y: (x, y)),
-            ("right", ix2, j, ix1, i, lambda x, y: (y, x)))
+    return (("left", ix1, i, ix2, j, related),
+            ("right", ix2, j, ix1, i, lambda x, y: related(y, x)))
 
 
-def _transfer(ix1, ix2, rel, pair, same, related_paths=False):
-    """Yield every violation of the transfer conditions by pair against rel.
+def _transfer(ix1, ix2, related, pair, same, related_paths):
+    """Yield every violation of the transfer conditions by pair, where
+    related(i, j) tells whether a left and a right state are related.
 
     Each step of one side must be answered, under the same map, by the other
     side after silent steps to a state related to the observer: by an
@@ -219,38 +212,33 @@ def _transfer(ix1, ix2, rel, pair, same, related_paths=False):
     staying there. Each termination must be answered the same way.
     """
     l1, l2 = ix1.lts, ix2.lts
-    sides = _sides(ix1, ix2, pair)
-
-    def answers(other, start, sigma, me, orient):
-        return other.answers(start, sigma, lambda u: orient(me, u) in rel, related_paths)
-
-    for side, mine, me, other, start, orient in sides:
+    sides = _sides(ix1, ix2, pair, related)
+    for side, mine, me, other, start, linked in sides:
         for sigma, action, target in mine.lts.transitions[me]:
             silent = isinstance(action, T.TauAction)
             if not any(
-                (silent and orient(target, u) in rel)
-                or any(same(action, a) and orient(target, t) in rel
-                       for a, t in other.moves(u, sigma))
-                for u in answers(other, start, sigma, me, orient)
+                (silent and linked(target, u))
+                or any(same(action, a) and linked(target, t) for a, t in other.moves(u, sigma))
+                for u in other.answers(start, sigma, partial(linked, me), related_paths)
             ):
                 yield _violation(l1, l2, pair, side, "step", sigma, action,
                                  mine.lts.states[target])
-    for side, mine, me, other, start, orient in sides:
+    for side, mine, me, other, start, linked in sides:
         for sigma in mine.stops[me]:
             if not any((u, sigma) in other.lts.terminating
-                       for u in answers(other, start, sigma, me, orient)):
+                       for u in other.answers(start, sigma, partial(linked, me), related_paths)):
                 yield _violation(l1, l2, pair, side, "termination", sigma)
 
 
-def _root_violations(ix1, ix2, rel, same):
+def _root_violations(ix1, ix2, related, same):
     """Yield every violation of the root condition: each step of a root is
     answered by a single step of the other root, and both roots terminate
     under the same maps."""
     l1, l2 = ix1.lts, ix2.lts
     pair = (l1.root, l2.root)
-    for side, mine, me, other, start, orient in _sides(ix1, ix2, pair):
+    for side, mine, me, other, start, linked in _sides(ix1, ix2, pair, related):
         for sigma, action, target in mine.lts.transitions[me]:
-            if not any(same(action, a) and orient(target, t) in rel
+            if not any(same(action, a) and linked(target, t)
                        for a, t in other.moves(start, sigma)):
                 yield _violation(l1, l2, pair, side, "root-step", sigma, action,
                                  mine.lts.states[target])
@@ -316,33 +304,53 @@ def _blocks(ixs, classes, related_paths: bool) -> list:
         block, count = fresh, len(ids)
 
 
-def _relation(ix1, ix2, classes, related_paths: bool) -> frozenset:
-    """The greatest relation between two indexed systems: the (left, right)
-    state pairs that share a block of the coarsest stable partition."""
-    n1 = len(ix1.lts.states)
+def _prologue(ltss, ctx: T.Context, related_paths: bool) -> tuple:
+    """The indexed systems over one domain, their action classes, and the
+    block of each state of their disjoint union."""
+    for lts in ltss[1:]:
+        if lts.domain != ltss[0].domain:
+            raise ShapeError(
+                f"ambient domains differ: {ltss[0].domain} vs {lts.domain}; "
+                "build both systems over the union of their occurring variables"
+            )
+    ixs = [_Indexed(lts) for lts in ltss]
+    classes = _ActionClasses(ctx)
+    return ixs, classes, _blocks(ixs, classes, related_paths)
+
+
+def _groups(block, n1: int) -> tuple:
+    """(left ids, right ids) of every block that meets both systems, where
+    the union's states from n1 on are the right system's."""
     members: dict = {}
-    for s, b in enumerate(_blocks((ix1, ix2), classes, related_paths)):
+    for s, b in enumerate(block):
         members.setdefault(b, ([], []))[s >= n1].append(s - n1 if s >= n1 else s)
-    return frozenset((i, j) for left, right in members.values()
-                     for i in left for j in right)
+    return tuple((tuple(left), tuple(right)) for left, right in members.values()
+                 if left and right)
+
+
+def _explain_roots(ix1, ix2, block, same, related_paths: bool):
+    """Yield the roots' violations against the partition: of the root
+    condition when they share a block, else of the transfer conditions
+    with the root pair taken as related."""
+    n1 = len(ix1.lts.states)
+    roots = (ix1.lts.root, ix2.lts.root)
+
+    def related(i, j):
+        return block[i] == block[n1 + j]
+
+    if related(*roots):
+        return _root_violations(ix1, ix2, related, same)
+    return _transfer(ix1, ix2, lambda i, j: related(i, j) or (i, j) == roots, roots,
+                     same, related_paths)
 
 
 def _decide(l1: SigmaLts, l2: SigmaLts, ctx: T.Context, related_paths: bool) -> BisimResult:
     """The greatest relation by signature refinement, then the root
     condition; unrelated roots are explained by their first transfer
     violation against that relation plus the root pair."""
-    _check_domains(l1, l2)
-    ix1, ix2 = _Indexed(l1), _Indexed(l2)
-    classes = _ActionClasses(ctx)
-    relation = _relation(ix1, ix2, classes, related_paths)
-    root_pair = (l1.root, l2.root)
-    if root_pair in relation:
-        found = _root_violations(ix1, ix2, relation, classes.same)
-    else:
-        found = _transfer(ix1, ix2, relation | {root_pair}, root_pair, classes.same,
-                          related_paths)
-    cex = next(found, None)
-    return BisimResult(cex is None, cex, relation, related_paths)
+    (ix1, ix2), classes, block = _prologue((l1, l2), ctx, related_paths)
+    cex = next(_explain_roots(ix1, ix2, block, classes.same, related_paths), None)
+    return BisimResult(cex is None, cex, _groups(block, len(l1.states)), related_paths)
 
 
 def rooted_branching_bisim(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> BisimResult:
@@ -359,11 +367,7 @@ def rooted_branching_classes(ltss, ctx: T.Context) -> list:
     target block) of the root's direct steps and the maps under which the
     root terminates.
     """
-    for lts in ltss[1:]:
-        _check_domains(ltss[0], lts)
-    ixs = [_Indexed(lts) for lts in ltss]
-    classes = _ActionClasses(ctx)
-    block = _blocks(ixs, classes, related_paths=False)
+    ixs, classes, block = _prologue(ltss, ctx, related_paths=False)
     keys, base = [], 0
     for ix in ixs:
         root = ix.lts.root
@@ -374,16 +378,62 @@ def rooted_branching_classes(ltss, ctx: T.Context) -> list:
     return keys
 
 
-def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, relation,
+def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, groups,
                                   ctx: T.Context) -> list:
-    """Replay the transfer conditions for every pair of a claimed witness,
-    and require the root pair; returns the violations found."""
-    rel = set(relation)
-    ix1, ix2 = _Indexed(l1), _Indexed(l2)
-    same = _ActionClasses(ctx).same
-    issues = [v for pair in sorted(rel) for v in _transfer(ix1, ix2, rel, pair, same)]
-    if (l1.root, l2.root) not in rel:
+    """Check a claimed witness without refining a partition; returns the
+    violations found. groups are disjoint (left ids, right ids) whose
+    products make up the relation.
+
+    Under each map, a member of a group owes the (action class, target
+    group) of each of its steps, except a silent step within its own group,
+    and its termination. Each member of the other side must offer all that
+    its side owes from the states of its side of the group that its silent
+    steps under that map reach. The roots must share a group and satisfy
+    the root condition.
+    """
+    ixs = (_Indexed(l1), _Indexed(l2))
+    group_of: tuple = ({}, {})
+    for g, members in enumerate(groups):
+        for k, ids in enumerate(members):
+            for s in ids:
+                if s not in range(len(ixs[k].lts.states)) or group_of[k].setdefault(s, g) != g:
+                    return [{"kind": "bad-member", "side": _SIDES[k], "state": s}]
+    classes = _ActionClasses(ctx)
+
+    def view(k, sigma, states, outside):
+        """(action class, target group) of the states' steps under sigma, and
+        (-1, None) for termination. A target in no group counts as outside:
+        "none" in what a member owes, which no offer (None there) meets."""
+        ix, group = ixs[k], group_of[k]
+        out = {(classes(a), group.get(t, outside)) for u in states for a, t in ix.moves(u, sigma)}
+        if any((u, sigma) in ix.lts.terminating for u in states):
+            out.add((-1, None))
+        return out
+
+    issues = []
+    for g, members in enumerate(groups):
+        for k in (0, 1):
+            debts: dict = {}
+            for p in members[k]:
+                for sigma in dict.fromkeys([*ixs[k].by_sigma[p], *ixs[k].stops[p]]):
+                    debts.setdefault(sigma, set()).update(view(k, sigma, [p], "none") - {(0, g)})
+            ix, group = ixs[1 - k], group_of[1 - k]
+            for q in members[1 - k]:
+                for sigma, owed in debts.items():
+                    reach = ix.answers(q, sigma, lambda u: group.get(u) == g, False)
+                    missing = owed - view(1 - k, sigma, reach, None)
+                    if missing:
+                        named = [(render_action(classes.reps[c]) if c >= 0 else "termination", t)
+                                 for c, t in missing]
+                        issues.append({"kind": "unanswered", "side": _SIDES[1 - k], "state": q,
+                                       "map": sigma.as_dict(), "missing": sorted(named, key=repr)})
+
+    def related(i, j):
+        return group_of[0].get(i, -1) == group_of[1].get(j, -2)
+
+    if not related(l1.root, l2.root):
         issues.append({"kind": "root-missing"})
+    issues.extend(_root_violations(*ixs, related, classes.same))
     return issues
 
 
@@ -394,18 +444,10 @@ def replay_counterexample(l1: SigmaLts, l2: SigmaLts, result: BisimResult,
     relation, recomputed under the result's path condition rather than read
     from the result."""
     ce = result.counterexample
-    pair = (l1.root, l2.root)
-    if ce is None or (ce["left_id"], ce["right_id"]) != pair:
+    if ce is None or (ce["left_id"], ce["right_id"]) != (l1.root, l2.root):
         return False
-    ix1, ix2 = _Indexed(l1), _Indexed(l2)
-    classes = _ActionClasses(ctx)
-    relation = _relation(ix1, ix2, classes, result.related_paths)
-    if ce["kind"].startswith("root-"):
-        found = _root_violations(ix1, ix2, relation, classes.same)
-    else:
-        found = _transfer(ix1, ix2, relation | {pair}, pair, classes.same,
-                          result.related_paths)
-    return ce in found
+    (ix1, ix2), classes, block = _prologue((l1, l2), ctx, result.related_paths)
+    return ce in _explain_roots(ix1, ix2, block, classes.same, result.related_paths)
 
 
 # --- the silent-step-free special case -------------------------------------------
@@ -413,10 +455,9 @@ def replay_counterexample(l1: SigmaLts, l2: SigmaLts, result: BisimResult,
 def strong_bisim_signature(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> bool:
     """Strong bisimilarity of the roots by signature refinement; on systems
     without silent steps it coincides with rooted branching bisimilarity."""
-    _check_domains(l1, l2)
     if not (l1.is_tau_free() and l2.is_tau_free()):
         raise ShapeError("signature refinement requires silent-step-free systems")
-    block = _blocks((_Indexed(l1), _Indexed(l2)), _ActionClasses(ctx), related_paths=False)
+    _, _, block = _prologue((l1, l2), ctx, related_paths=False)
     return block[l1.root] == block[len(l1.states) + l2.root]
 
 

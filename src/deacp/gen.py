@@ -315,13 +315,13 @@ def axiom_instance(name: str, rng: random.Random, cfg: GenConfig,
         args = tuple(random_data(rng, cfg, ctx, 1) for _ in range(rng.randint(1, 2)))
         x = random_proc(rng, cfg, ctx, 1)
         lhs = T.Eval(emap, T.Seq(T.Atom(T.ParamAction(act, args)), x))
-        return lhs, AX._v3_rhs(lhs, ctx)
+        return lhs, AX._v3_v4_rhs(lhs, ctx, T.ParamAction)
     if name == "V4":
         emap = random_emap(rng, ctx)
         var = rng.choice(cfg.flex_vars)
         lhs = T.Eval(emap, T.Seq(T.Atom(T.AssignAction(var, random_data(rng, cfg, ctx, 1))),
                                  random_proc(rng, cfg, ctx, 1)))
-        return lhs, AX._v4_rhs(lhs, ctx)
+        return lhs, AX._v3_v4_rhs(lhs, ctx, T.AssignAction)
     if name == "CM7Da":
         pairs = [(a, b) for (a, b), c in ctx.gamma.table]
         if not pairs:

@@ -10,9 +10,15 @@ from typing import Optional
 
 from . import axioms as AX
 from . import terms as T
-from .bisim import BisimResult, decide_rb, rooted_branching_bisim, shared_domain
+from .bisim import (
+    BisimResult,
+    decide_rb,
+    rooted_branching_bisim,
+    shared_domain,
+    verify_branching_bisimulation,
+)
 from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, constant_value
-from .data_algebra import Lit, eval_data, map_children
+from .data_algebra import map_children
 from .errors import (
     CfarInapplicableError,
     DeacpError,
@@ -275,19 +281,9 @@ class _Linearizer:
                     continue
                 if action is None:
                     rows.append((TRUE, None, None))
-                elif isinstance(action, T.AssignAction):
-                    value = eval_data(action.expr, rho, carrier)
-                    rows.append((
-                        TRUE,
-                        T.AssignAction(action.var, Lit(value)),
-                        name_of((target, rho.updated(action.var, value))),
-                    ))
-                elif isinstance(action, T.ParamAction):
-                    args = tuple(Lit(eval_data(e, rho, carrier)) for e in action.args)
-                    rows.append((TRUE, T.ParamAction(action.name, args),
-                                 name_of((target, rho))))
                 else:
-                    rows.append((TRUE, action, name_of((target, rho))))
+                    label, after = T.eval_action(action, rho, carrier)
+                    rows.append((TRUE, label, name_of((target, after))))
             return rows
         return self.image((root, emap), rows_of)
 
@@ -750,8 +746,8 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
         raise DeacpError("internal error: linearized forms are not equivalent")
     steps.append(ProofStep(
         "RSP", const1, const2,
-        details={"witness_pairs": len(linked.relation)},
-        payload={"relation": linked.witness, "domain": domain},
+        details={"witness_pairs": sum(len(left) * len(right) for left, right in linked.groups)},
+        payload={"groups": linked.groups, "domain": domain},
     ))
     steps.extend(_swap_step(s) for s in reversed(tail))
     certificate = ProofCertificate(t1, t2, steps + lemmas)
@@ -798,14 +794,13 @@ def _replay_step(step: ProofStep, ctx: T.Context) -> list:
             return ["LIN replay produced an unguarded specification"]
         return []
     if rule == "RSP":
-        relation = step.payload.get("relation")
+        groups = step.payload.get("groups")
         domain = step.payload.get("domain")
-        if relation is None:
+        if groups is None:
             return ["RSP step carries no witness"]
-        from .bisim import verify_branching_bisimulation
         l1 = build_lts(source, ctx, domain=domain)
         l2 = build_lts(target, ctx, domain=domain)
-        bad = verify_branching_bisimulation(l1, l2, relation, ctx)
+        bad = verify_branching_bisimulation(l1, l2, groups, ctx)
         return [f"RSP witness violation: {b}" for b in bad[:3]]
     if rule == "CFAR":
         payload = step.payload

@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import terms as T
 from .conditions import eval_cond
-from .data_algebra import EvalMap, FlexVarDecl, Lit, enumerate_maps, eval_data, flex_vars
+from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps, eval_data, flex_vars
 from .errors import ExplorationLimitError, GuardednessError
 from .parser import render_action, render_term
 
@@ -52,16 +52,8 @@ class _Rules:
     def _evaluated(self, action: T.Action, carried: EvalMap, target: T.ProcTerm) -> tuple:
         """A step of an evaluated body: its label with the data evaluated under
         the carried map, and its target under the map the step leaves."""
-        carrier = self.ctx.carrier
-        if isinstance(action, T.AssignAction):
-            value = eval_data(action.expr, carried, carrier)
-            updated = carried.updated(action.var, value)
-            return T.AssignAction(action.var, Lit(value)), self._canon(T.Eval(updated, target))
-        if isinstance(action, T.ParamAction):
-            action = T.ParamAction(
-                action.name, tuple(Lit(eval_data(e, carried, carrier)) for e in action.args)
-            )
-        return action, self._canon(T.Eval(carried, target))
+        label, after = T.eval_action(action, carried, self.ctx.carrier)
+        return label, self._canon(T.Eval(after, target))
 
 
 class _Sos(_Rules):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .conditions import (
@@ -74,6 +73,19 @@ class AssignAction:
 Action = BasicAction | TauAction | ParamAction | AssignAction
 
 TAU = TauAction()
+
+
+def eval_action(action: Action, emap: EvalMap, carrier: Carrier) -> tuple:
+    """An action taken under a carried map: its label with the data
+    evaluated, and the map after the step, which an assignment updates."""
+    if isinstance(action, AssignAction):
+        value = eval_data(action.expr, emap, carrier)
+        return AssignAction(action.var, Lit(value)), emap.updated(action.var, value)
+    if isinstance(action, ParamAction):
+        return ParamAction(action.name, tuple(Lit(eval_data(e, emap, carrier))
+                                              for e in action.args)), emap
+    return action, emap
+
 
 RESERVED_NAMES = frozenset({"tau", "delta", "epsilon"})
 
@@ -213,6 +225,7 @@ class RecSpec:
     """Finite recursive specification; equation order is significant for output."""
 
     equations: tuple  # tuple of (variable name, ProcTerm)
+    _guarded_linear = None  # is_guarded_linear_spec's verdict, once asked
 
     def __post_init__(self):
         # Name -> right-hand side, stored beside the fields the way the hash
@@ -497,9 +510,16 @@ def is_linear_spec(spec: RecSpec) -> bool:
     return all(is_linear(rhs) for _, rhs in spec.equations)
 
 
-@lru_cache(maxsize=4096)
 def is_guarded_linear_spec(spec: RecSpec) -> bool:
-    """Linear right-hand sides and no cycle of unguarded (tau-prefixed) occurrences."""
+    """Linear right-hand sides and no cycle of unguarded (tau-prefixed)
+    occurrences. The verdict is kept on the specification object, so no two
+    specifications are compared to find it."""
+    if spec._guarded_linear is None:
+        object.__setattr__(spec, "_guarded_linear", _guarded_linear(spec))
+    return spec._guarded_linear
+
+
+def _guarded_linear(spec: RecSpec) -> bool:
     if not is_linear_spec(spec):
         return False
     for name, rhs in spec.equations:

@@ -108,3 +108,17 @@ def decide(l1, l2, ctx, related_paths=False) -> tuple:
     """(verdict, greatest relation) by pair refinement."""
     rel = greatest_relation(l1, l2, ctx, related_paths)
     return root_condition(l1, l2, rel, ctx), rel
+
+
+def is_rooted_witness(l1, l2, rel, ctx) -> bool:
+    """The per-pair witness check: every pair of rel meets the transfer
+    conditions against rel (silent paths may pass any state), and the roots
+    meet the root condition."""
+    s1, s2 = _System(l1), _System(l2)
+    cache: dict = {}
+
+    def acts_eq(a, b):
+        return actions_equivalent(a, b, ctx, cache)
+
+    return root_condition(l1, l2, rel, ctx) and all(
+        _transfer_ok(s1, s2, rel, i, j, acts_eq, False) for i, j in sorted(rel))

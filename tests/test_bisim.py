@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ import pair_oracle
 import validity_oracle
 from conftest import proc
 from deacp import gen as G
+from deacp import parser as P
 from deacp import terms as T
 from deacp.bisim import (
     BisimResult,
@@ -208,7 +210,7 @@ def test_witness_relation_verifies(base_spec, ctx):
     l2 = build_lts(right, ctx, domain=domain)
     result = rooted_branching_bisim(l1, l2, ctx)
     assert result.equivalent
-    assert verify_branching_bisimulation(l1, l2, result.witness, ctx) == []
+    assert verify_branching_bisimulation(l1, l2, result.groups, ctx) == []
 
 
 def test_counterexample_replays(base_spec, ctx):
@@ -248,7 +250,7 @@ def test_forged_counterexample_is_rejected(base_spec, ctx):
     assert result.counterexample["action"] == "b"
     assert replay_counterexample(l1, l2, result, ctx)
     # The right root answers a, so a left step a is no violation.
-    forged = BisimResult(False, dict(result.counterexample, action="a"), result.relation)
+    forged = BisimResult(False, dict(result.counterexample, action="a"), result.groups)
     assert not replay_counterexample(l1, l2, forged, ctx)
 
 
@@ -259,7 +261,7 @@ def test_counterexample_against_a_forged_relation_is_rejected(base_spec, ctx):
     lts = build_lts(proc(base_spec, "a"), ctx, domain=())
     ce = {"left_state": "a", "right_state": "a", "left_id": 0, "right_id": 0,
           "side": "left", "kind": "step", "map": {}, "action": "a", "target": "epsilon"}
-    assert not replay_counterexample(lts, lts, BisimResult(False, ce, frozenset()), ctx)
+    assert not replay_counterexample(lts, lts, BisimResult(False, ce, ()), ctx)
 
 
 def test_condition_labelled_counterexample_replays(base_spec, ctx):
@@ -404,6 +406,136 @@ def test_engine_matches_pair_refinement(corpus, related_paths):
         verdicts.add(verdict)
         checked += 1
     assert checked >= 0.9 * len(pairs) and verdicts == {True, False}
+
+
+def _moved(groups, rng):
+    """groups with one random member moved to another group, or to none."""
+    if not groups:
+        return groups
+    g, k = rng.randrange(len(groups)), rng.randrange(2)
+    out = [list(map(list, group)) for group in groups]
+    if not out[g][k]:
+        return groups
+    state = out[g][k].pop(rng.randrange(len(out[g][k])))
+    h = rng.randrange(len(groups) + 1)
+    if h < len(groups) and h != g:
+        out[h][k].append(state)
+    return tuple((tuple(left), tuple(right)) for left, right in out)
+
+
+@pytest.mark.parametrize("corpus", [_corpus_801, _silent_corpus], ids=["seed801", "silent"])
+def test_group_checker_matches_the_pair_checker(corpus):
+    """On the engine's groups, on copies with one member moved and on a copy
+    with one group dropped, the group checker accepts exactly the witnesses
+    the per-pair check accepts."""
+    ctx, pairs = corpus()
+    rng = random.Random(17)
+    verdicts = []
+    for t1, t2 in pairs:
+        domain = shared_domain(t1, t2, ctx)
+        try:
+            l1 = build_lts(t1, ctx, domain=domain)
+            l2 = build_lts(t2, ctx, domain=domain)
+        except DeacpError:
+            continue
+        groups = rooted_branching_bisim(l1, l2, ctx).groups
+        dropped = tuple(grp for grp in groups if grp is not rng.choice(groups)) if groups else ()
+        for candidate in (groups, _moved(groups, rng), _moved(groups, rng), dropped):
+            relation = {(i, j) for left, right in candidate for i in left for j in right}
+            expected = pair_oracle.is_rooted_witness(l1, l2, relation, ctx)
+            issues = verify_branching_bisimulation(l1, l2, candidate, ctx)
+            assert (issues == []) == expected, (t1, t2, candidate, issues)
+            verdicts.append(expected)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_a_witness_with_one_state_moved_is_rejected(base_spec, ctx):
+    left = proc(base_spec, "a . (tau . (b + c) + b) + c . (tau . (b + a) + b)")
+    right = proc(base_spec, "a . (b + c) + c . (b + a)")
+    domain = shared_domain(left, right, ctx)
+    l1 = build_lts(left, ctx, domain=domain)
+    l2 = build_lts(right, ctx, domain=domain)
+    groups = rooted_branching_bisim(l1, l2, ctx).groups
+    assert verify_branching_bisimulation(l1, l2, groups, ctx) == []
+    assert len(groups) >= 3
+    for g, group in enumerate(groups):
+        for k, members in enumerate(group):
+            for state in members:
+                for h in range(len(groups)):
+                    if h == g:
+                        continue
+                    moved = [[list(m) for m in grp] for grp in groups]
+                    moved[g][k].remove(state)
+                    moved[h][k].append(state)
+                    assert verify_branching_bisimulation(l1, l2, moved, ctx) != [], (g, k, h)
+    # A state in two groups is no partition.
+    doubled = groups + ((groups[0][0], ()),)
+    assert verify_branching_bisimulation(l1, l2, doubled, ctx)[0]["kind"] == "bad-member"
+    # b + epsilon and b share a group here: only the termination is unmet.
+    l1 = build_lts(proc(base_spec, "a . (b + epsilon)"), ctx, domain=())
+    l2 = build_lts(proc(base_spec, "a . b"), ctx, domain=())
+    paired = tuple(((i,), (i,)) for i in range(3))
+    assert [len(l1.states), len(l2.states)] == [3, 3]
+    assert verify_branching_bisimulation(l1, l2, paired, ctx) == [
+        {"kind": "unanswered", "side": "right", "state": 1, "map": {},
+         "missing": [("termination", None)]}]
+
+
+DETOUR_SRC = """
+domain 0..1
+vars v
+actions a, b, c, d
+"""
+
+
+def test_group_checker_follows_silent_paths_outside_the_group():
+    """Under v = 0, X answers a at once, but R only after two hidden steps
+    through R1, which offers b under v = 1 and so shares no group with X.
+    Rooted branching bisimilarity lets the answering path pass R1; the
+    condition-labelled equivalence does not, so the two disagree here."""
+    spec = P.parse_spec(DETOUR_SRC)
+    ctx = spec.context()
+    left = proc(spec, "c . hide{d}(rec X where { X = [v = 0] -> a . Z + [v = 0] -> d . Y,"
+                      " Y = [v = 0] -> d . X + [not v = 0] -> b . Z, Z = [true] -> epsilon })")
+    right = proc(spec, "c . hide{d}(rec R where { R = [v = 0] -> d . R1,"
+                       " R1 = [v = 0] -> d . R2 + [not v = 0] -> b . Z,"
+                       " R2 = [v = 0] -> a . Z + [v = 0] -> d . R1, Z = [true] -> epsilon })")
+    assert not decide_rab(left, right, ctx).equivalent
+    domain = shared_domain(left, right, ctx)
+    l1 = build_lts(left, ctx, domain=domain)
+    l2 = build_lts(right, ctx, domain=domain)
+    result = rooted_branching_bisim(l1, l2, ctx)
+    assert result.equivalent
+    assert verify_branching_bisimulation(l1, l2, result.groups, ctx) == []
+    assert pair_oracle.is_rooted_witness(l1, l2, result.relation, ctx)
+
+
+def _counters(k):
+    """k hidden counters in parallel, each climbing 0..7 before its action."""
+    names = "xyzw"[:k]
+    spec = P.parse_spec(f"domain 0..8\nvars {', '.join(names)}\nactions act\n")
+    body = " || ".join(
+        f"(rec {v.upper()} where {{ {v.upper()} = [{v} < 7] -> {v} := {v} + 1 . {v.upper()}"
+        f" + [{v} >= 7] -> act . {v.upper()}Z, {v.upper()}Z = [true] -> epsilon }})"
+        for v in names)
+    hidden = ", ".join(f"{v} :=" for v in names)
+    start = ", ".join(f"{v} = 0" for v in names)
+    return spec, proc(spec, f"hide{{{hidden}}}(eval{{{start}}}({body}))")
+
+
+def test_h3_witness_verifies():
+    """The 729-state self-check's witness relates 299 585 pairs in 4 groups;
+    the per-pair replay took about 50 s on it, the group checker well under
+    one."""
+    spec, h3 = _counters(3)
+    ctx = spec.context()
+    lts = build_lts(h3, ctx, domain=())
+    result = rooted_branching_bisim(lts, lts, ctx)
+    assert len(lts.states) == 729 and result.equivalent
+    assert sum(len(left) * len(right) for left, right in result.groups) == 299585
+    started = time.process_time()
+    assert verify_branching_bisimulation(lts, lts, result.groups, ctx) == []
+    assert time.process_time() - started < 10
 
 
 def test_rooted_branching_classes_match_pairwise_decisions():

@@ -6,7 +6,7 @@ import pytest
 from conftest import cond, proc
 from deacp import gen as G
 from deacp import terms as T
-from deacp.bisim import decide_rb
+from deacp.bisim import decide_rb, rooted_branching_bisim, shared_domain
 from deacp.conditions import CFalse, TRUE
 from deacp.errors import CfarInapplicableError, UnsupportedFragmentError
 from deacp.linear import (
@@ -16,6 +16,7 @@ from deacp.linear import (
     linearize,
     normalize_bool_conditional,
     ProofCertificate,
+    ProofStep,
     prove_equal,
     replay_certificate,
 )
@@ -248,6 +249,25 @@ def test_certificates_replay_on_rewritten_pairs(small_ctx):
         assert result.equal
         ok, issues = replay_certificate(result.certificate, small_ctx)
         assert ok, issues
+
+
+def test_replay_rejects_an_rsp_step_that_breaks_the_root_condition(base_spec, ctx):
+    """tau . a and a are branching bisimilar but not rooted: an RSP step over
+    the greatest relation between their linear forms relates the roots,
+    which replay must still hold to the root condition."""
+    t1, t2 = proc(base_spec, "tau . a"), proc(base_spec, "a")
+    assert not decide_rb(t1, t2, ctx).equivalent
+    c1, c2 = (T.RecConst(var, spec) for spec, var in (linearize(t1, ctx), linearize(t2, ctx)))
+    domain = shared_domain(c1, c2, ctx)
+    l1, l2 = build_lts(c1, ctx, domain=domain), build_lts(c2, ctx, domain=domain)
+    unrooted = rooted_branching_bisim(l1, l2, ctx)
+    assert (l1.root, l2.root) in unrooted.relation
+    lin = {"construction": "linearize"}
+    steps = [ProofStep("LIN", t1, c1, details=lin, payload={"input": t1}),
+             ProofStep("RSP", c1, c2, payload={"groups": unrooted.groups, "domain": domain}),
+             ProofStep("LIN", c2, t2, details=lin, payload={"input": t2, "reverse": True})]
+    ok, issues = replay_certificate(ProofCertificate(t1, t2, steps), ctx)
+    assert not ok and issues and all("'kind': 'root-step'" in i for i in issues), issues
 
 
 def test_replay_rejects_cfar_step_naming_another_cluster(base_spec, ctx):

@@ -283,15 +283,22 @@ def test_deep_terms_print_and_parse_back(tmp_path, body):
 
 def test_equal_subterms_of_one_file_share_one_object():
     """Equal subterms of one parse are one object, so two procs with the same
-    3000-summand specification compare without recursing. (The specification
-    differs from DEEP's: an equal one parsed earlier in this process would
-    still be compared field by field in `is_guarded_linear_spec`'s cache.)"""
+    3000-summand specification compare without recursing."""
     rec = "rec Y where { Y = " + " + ".join(["[v > 0] -> c . Y"] * N) + " }"
     spec = parse_spec(f"{HEADER}proc P = {rec}\nproc Q = {rec}\n")
     assert spec.procs["P"] is spec.procs["Q"]
     t = proc(spec, "a(u + 1) . b + (a(u + 1) . b || a(u + 1))")
     assert t.left is t.right.left
     assert t.left.left is t.right.right
+
+
+def test_one_wide_specification_parses_twice():
+    """Two parses of one file give equal but distinct specifications; judging
+    each as guarded linear compares neither with the other."""
+    rec = "rec X where { X = " + " + ".join(["[u > 0] -> a . X"] * N) + " }"
+    first, second = (parse_spec(f"{HEADER}proc P = {rec}\n") for _ in range(2))
+    assert first.procs["P"] is not second.procs["P"]
+    assert T.is_guarded_linear_spec(second.procs["P"].spec)
 
 
 def test_renderer_matches_the_oracle(small_ctx):
