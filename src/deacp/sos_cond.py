@@ -204,11 +204,11 @@ class _CondSos(_Rules):
 
 def step_cond(t: T.ProcTerm, ctx: T.Context) -> set:
     """Derivable (condition, action, target) triples of a closed term."""
-    return set(_CondSos(ctx).steps(T.canonical(t, ctx.carrier)))
+    return set(_CondSos(ctx).steps(T.canonical(t, ctx)))
 
 
 def terminates_cond(t: T.ProcTerm, ctx: T.Context) -> set:
-    return set(_CondSos(ctx).terminating(T.canonical(t, ctx.carrier)))
+    return set(_CondSos(ctx).terminating(T.canonical(t, ctx)))
 
 
 @dataclass
@@ -261,7 +261,7 @@ def build_cond_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None
         yield from sos.steps(state)
         terminating.update((sid, cond) for cond in sos.terminating(state))
 
-    states, transitions = explore(T.canonical(t, ctx.carrier), successors, ctx.state_bound)
+    states, transitions = explore(T.canonical(t, ctx), successors, ctx.state_bound)
     return CondLts(states=states, root=0, domain=tuple(domain),
                    transitions=transitions, terminating=terminating)
 

@@ -32,21 +32,20 @@ class _Rules:
         self.step_cache: dict = {}
         self.term_cache: dict = {}
         self.unfold_cache: dict = {}  # RecConst -> canonical unfolding
-        self.shared: dict = {}  # canonical target -> the one object that stands for it
 
     def _canon(self, t):
-        """Canonical form of a target the rules build from canonical parts;
-        equal targets come back as one object, so the memo tables compare
-        them by identity."""
+        """Canonical form of a target the rules build from canonical parts:
+        the one object in the context's table that stands for it, so the
+        memo tables compare it with its equals by identity."""
         t = T.simplify(t, self.ctx.carrier)
-        return self.shared.setdefault(t, t)
+        return self.ctx._table.setdefault(t, t)
 
     def _unfold(self, const: T.RecConst) -> T.ProcTerm:
         """Canonical unfolding of a constant, computed once per explorer."""
         hit = self.unfold_cache.get(const)
         if hit is None:
             T.require_glrs(const.spec)
-            hit = self.unfold_cache[const] = T.canonical(T.unfold(const), self.ctx.carrier)
+            hit = self.unfold_cache[const] = T.canonical(T.unfold(const), self.ctx)
         return hit
 
     def _evaluated(self, action: T.Action, carried: EvalMap, target: T.ProcTerm) -> tuple:
@@ -230,11 +229,11 @@ class _Sos(_Rules):
 
 def step(t: T.ProcTerm, sigma: EvalMap, ctx: T.Context) -> set:
     """Derivable (action, target) pairs of a closed term under one map."""
-    return set(_Sos(ctx).steps(T.canonical(t, ctx.carrier), sigma))
+    return set(_Sos(ctx).steps(T.canonical(t, ctx), sigma))
 
 
 def terminates(t: T.ProcTerm, sigma: EvalMap, ctx: T.Context) -> bool:
-    return _Sos(ctx).terminates(T.canonical(t, ctx.carrier), sigma)
+    return _Sos(ctx).terminates(T.canonical(t, ctx), sigma)
 
 
 @dataclass
@@ -370,7 +369,7 @@ def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None) -> 
             if ends:
                 terminating.add((sid, sigma))
 
-    states, transitions = explore(T.canonical(t, ctx.carrier), successors, ctx.state_bound)
+    states, transitions = explore(T.canonical(t, ctx), successors, ctx.state_bound)
     return SigmaLts(states=states, root=0, domain=tuple(domain), maps=maps,
                     transitions=transitions, terminating=terminating)
 

@@ -357,13 +357,21 @@ class CommFunction:
 
 @frozen_dataclass
 class Context:
-    """Everything the semantics needs besides the term itself."""
+    """Everything the semantics needs besides the term itself, and one table
+    of terms: each term `canonical` was asked for maps to its canonical form,
+    and each canonical form, every target of the step rules included, maps to
+    itself, the one object that stands for it."""
 
     carrier: Carrier = Carrier()
     decl: FlexVarDecl = FlexVarDecl(())
     gamma: CommFunction = CommFunction()
     enum_bound: int = DEFAULT_ENUM_BOUND
     state_bound: int = DEFAULT_STATE_BOUND
+
+    def __post_init__(self):
+        # Beside the fields, like `RecSpec._rhs`: equality, hashing and
+        # `dataclasses.replace` stay field-wise, and a replaced context starts empty.
+        object.__setattr__(self, "_table", {})
 
 
 # --- structural predicates ----------------------------------------------------
@@ -652,24 +660,20 @@ def simplify(t, carrier: Carrier):
     return t
 
 
-# Per carrier, the canonical form of every term `canonical` was asked for and
-# of each of their subterms. The step rules build their targets from
-# canonical parts and apply `simplify` alone, so explored states stay out.
-_CANON_CACHE: dict = {}
-
-
-def canonical(t, carrier: Carrier):
-    """Canonical state form: `simplify` applied bottom-up to every node.
+def canonical(t, ctx: Context):
+    """Canonical state form: `simplify` applied bottom-up to every node,
+    memoized in the context's table.
 
     Exploration over canonical forms yields the same transition system with
     finitely many states for guarded linear recursion. Carried specifications
     are left untouched; they are only unfolded on demand.
     """
-    cache = _CANON_CACHE.setdefault(carrier, {})
+    table, carrier = ctx._table, ctx.carrier
 
     def walk(u):
-        hit = cache.get(u)
+        hit = table.get(u)
         if hit is None:
-            hit = cache[u] = u if type(u) is RecConst else simplify(map_children(u, walk), carrier)
+            hit = u if type(u) is RecConst else simplify(map_children(u, walk), carrier)
+            hit = table[u] = table.setdefault(hit, hit)
         return hit
     return walk(t)

@@ -28,7 +28,7 @@ def build_lts(t, ctx, domain=None) -> SigmaLts:
             if sos.terminates(state, sigma):
                 terminating.add((sid, sigma))
 
-    states, transitions = explore(T.canonical(t, ctx.carrier), successors, ctx.state_bound)
+    states, transitions = explore(T.canonical(t, ctx), successors, ctx.state_bound)
     return SigmaLts(states=states, root=0, domain=tuple(domain), maps=maps,
                     transitions=transitions, terminating=terminating)
 

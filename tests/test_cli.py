@@ -232,13 +232,31 @@ def test_dnii_json_identical_across_hash_seeds(leak_file):
 
 
 def test_deep_nesting_exits_two_without_traceback(tmp_path):
+    # `canonical` and the step rules recurse once per `.` level, so 5000 levels
+    # exceed the stack
     path = tmp_path / "deep.deacp"
-    path.write_text("actions a\nproc P = " + " . ".join(["a"] * 400) + "\n",
+    path.write_text("actions a\nproc P = " + " . ".join(["a"] * 5000) + "\n",
                     encoding="utf-8")
     done = run_cli("bisim", str(path), "--left", "P", "--right", "P")
     assert done.returncode == 2
     assert done.stderr.decode().startswith("error:")
     assert "Traceback" not in done.stderr.decode()
+
+
+@pytest.mark.parametrize("command", [
+    ("bisim", "--left", "P", "--right", "P"),
+    ("ab-bisim", "--left", "P", "--right", "P"),
+    ("lts", "--process", "P"),
+], ids=lambda command: command[0])
+def test_long_sequence_explores(tmp_path, command):
+    # Each target the step rules build is the one object in the context's
+    # table that equals it, so the memo tables never compare two copies of
+    # a 450-deep sequence field by field.
+    path = tmp_path / "long.deacp"
+    path.write_text("actions a\nproc P = " + " . ".join(["a"] * 450) + "\n",
+                    encoding="utf-8")
+    done = run_cli(command[0], str(path), *command[1:])
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_long_silent_chain_explores(tmp_path):

@@ -308,7 +308,7 @@ def test_build_lts_groups_maps_by_what_the_next_step_reads(text, reads):
     spec, ctx = _wvu("comm { a | b = c }\n")
     t = proc(spec, text)
     sos = _Sos(ctx)
-    assert sos.reads(T.canonical(t, ctx.carrier)) == reads
+    assert sos.reads(T.canonical(t, ctx)) == reads
     for state in build_lts(t, ctx, domain=("w", "u", "v")).states:
         assert sos.reads(state) <= T.occurring_flex_vars(state)
     for domain in (None, ("w", "u", "v"), ("u",)):
@@ -348,7 +348,7 @@ def _in_fresh_thread(fn):
     return out[0]
 
 
-# Multi-map builds of deep terms, near the widest choice and the longest
+# Multi-map builds of deep terms, up to near the widest choice and the longest
 # sequence that `canonical` and the step rules, which recurse once per level,
 # handle in the default recursion limit on a fresh thread: reading what a
 # state's next step reads may recurse no deeper than they do.
@@ -356,7 +356,11 @@ def _in_fresh_thread(fn):
     (" . ".join(["a"] * 300) + " . ([u > 0] -> a)", 302),
     (" . ".join(["a"] * 328), 329),
     (" + ".join(f"[u > {i % 3 - 1}] -> {'ab'[i % 2]}" for i in range(328)), 2),
-], ids=["sequence-300", "sequence-328", "choice-328"])
+    (" . ".join(["a"] * 480) + " . ([u > 0] -> a)", 482),
+    (" . ".join(["a"] * 488), 489),
+    (" + ".join(f"[u > {i % 3 - 1}] -> {'ab'[i % 2]}" for i in range(488)), 2),
+], ids=["sequence-300", "sequence-328", "choice-328", "sequence-480", "sequence-488",
+        "choice-488"])
 def test_deep_terms_build_under_every_map(text, states):
     spec = P.parse_spec("domain -2..1\nvars u, v\nactions a, b\n")
     ctx = spec.context()
@@ -368,7 +372,7 @@ def test_deep_terms_build_under_every_map(text, states):
     assert [len(lts.states) for lts in _in_fresh_thread(build)] == [states, states]
 
 
-# --- canonical targets without the module-wide cache -------------------------------
+# --- canonical targets and the context's term table --------------------------------
 
 @pytest.mark.parametrize("names, seed", [(("u", "v"), 4), (("w", "u", "v"), 5)])
 def test_explored_states_and_targets_are_canonical(names, seed):
@@ -396,7 +400,7 @@ def test_explored_states_and_targets_are_canonical(names, seed):
         targets = [tgt for moves in sigma_sos.step_cache.values() for _, tgt in moves]
         targets += [tgt for moves in cond_sos.step_cache.values() for _, _, tgt in moves]
         for u in states + targets:
-            assert T.canonical(u, ctx.carrier) == u, u
+            assert T.canonical(u, ctx) == u, u
 
 
 def _counter(v):
@@ -410,15 +414,60 @@ H3 = ("domain 0..7\nvars x, y, z\nactions ax, ay, az\n" + "".join(map(_counter, 
       + "proc H = hide{x :=, y :=, z :=}(eval{x = 0, y = 0, z = 0}(X || Y || Z))\n")
 
 
-def test_explored_states_stay_out_of_the_canonical_cache():
+def test_each_context_owns_its_term_table():
     spec = P.parse_spec(H3)
     t, ctx = spec.process("H"), spec.context()
+    other = spec.context()
+    assert other == ctx and other is not ctx
+    assert len(build_lts(t, ctx).states) == 729
+    assert ctx._table and not other._table
+    assert not dataclasses.replace(ctx)._table
 
-    def entries():
-        return sum(len(cache) for cache in T._CANON_CACHE.values())
 
-    before = entries()
-    lts = build_lts(t, ctx)
-    assert len(lts.states) == 729
-    # the input and the unfolding of each equation, not the states
-    assert entries() - before < len(lts.states)
+def test_targets_are_the_input_subterms_they_equal():
+    spec = P.parse_spec("actions a\n")
+    lts = build_lts(proc(spec, "a . a . a"), spec.context())
+    root = lts.states[0]
+    assert lts.states[1] is root.left
+
+
+def _module_state() -> dict:
+    """The size of every dict, list and set at module level in deacp, and of
+    each such container directly inside one."""
+    import importlib
+    import pkgutil
+
+    import deacp
+
+    containers = (dict, list, set)
+    sizes = {}
+    for info in pkgutil.iter_modules(deacp.__path__):
+        module = importlib.import_module(f"deacp.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, containers) and not name.startswith("__"):
+                inner = value.values() if isinstance(value, dict) else value
+                sizes[info.name, name] = (len(value), [len(v) for v in inner
+                                                       if isinstance(v, containers)])
+    return sizes
+
+
+def test_analyses_leave_module_state_unchanged():
+    """No process-wide cache: whatever an analysis memoizes lives in its
+    context or its own objects."""
+    from deacp.bisim import decide_rab, decide_rb
+    from deacp.linear import prove_equal, replay_certificate
+    from deacp.security import SecuritySpec, check_dnii
+
+    before = _module_state()
+    spec = P.parse_spec("domain -3..2\nvars h, l\nactions a, b, send/1\n")
+    ctx = spec.context()
+    left, right = proc(spec, "a . (b + tau . b)"), proc(spec, "a . b")
+    assert len(build_lts(left, ctx).states) == 4
+    assert decide_rb(left, right, ctx).equivalent
+    assert decide_rab(left, right, ctx).equivalent
+    result = prove_equal(left, right, ctx)
+    assert result.equal and replay_certificate(result.certificate, ctx) == (True, [])
+    copy = SecuritySpec(proc(spec, "send(l) . h := h + 1"), low=("l",),
+                        ext=(T.ActionPattern("name", "send"),))
+    assert check_dnii(copy, ctx).holds
+    assert _module_state() == before

@@ -203,16 +203,15 @@ def test_action_patterns(base_spec):
 
 
 def test_canonical_state_rules(base_spec, ctx):
-    carrier = ctx.carrier
     a = T.Atom(T.BasicAction("a"))
-    assert T.canonical(T.Seq(T.EPSILON, a), carrier) == a
-    assert T.canonical(T.Seq(a, T.EPSILON), carrier) == a
-    assert T.canonical(T.Alt(a, T.DELTA), carrier) == a
-    assert T.canonical(T.Seq(T.DELTA, a), carrier) == T.DELTA
-    assert T.canonical(T.Guard(TRUE, a), carrier) == a
+    assert T.canonical(T.Seq(T.EPSILON, a), ctx) == a
+    assert T.canonical(T.Seq(a, T.EPSILON), ctx) == a
+    assert T.canonical(T.Alt(a, T.DELTA), ctx) == a
+    assert T.canonical(T.Seq(T.DELTA, a), ctx) == T.DELTA
+    assert T.canonical(T.Guard(TRUE, a), ctx) == a
     five = T.Atom(T.ParamAction("a", (Lit(5),)))
     sum_ = T.Atom(T.ParamAction("a", (proc(base_spec, "a(3 + 2)").action.args[0],)))
-    assert T.canonical(sum_, carrier) == five
+    assert T.canonical(sum_, ctx) == five
 
 
 _A = T.Atom(T.BasicAction("a"))
@@ -279,30 +278,30 @@ SIMPLIFY_FIXED = {
 def test_simplify_rule(t, expected):
     carrier = D.Carrier()
     assert T.simplify(t, carrier) == expected
-    assert T.canonical(t, carrier) == expected
+    assert T.canonical(t, T.Context(carrier)) == expected
 
 
 @pytest.mark.parametrize("t", SIMPLIFY_FIXED.values(), ids=SIMPLIFY_FIXED.keys())
 def test_simplify_leaves_term_alone(t):
     carrier = D.Carrier()
     assert T.simplify(t, carrier) is t
-    assert T.canonical(t, carrier) == t
+    assert T.canonical(t, T.Context(carrier)) == t
 
 
 def test_canonical_leaves_recursion_constants_untouched():
     # the unfolding of X would lose its guard and clamp its literal
-    carrier = D.Carrier()
-    assert T.canonical(_LOOP, carrier) is _LOOP
-    assert T.canonical(T.Seq(_A, _LOOP), carrier).right is _LOOP
-    assert T.canonical(T.unfold(_LOOP), carrier) == T.Seq(
+    ctx = T.Context()
+    assert T.canonical(_LOOP, ctx) is _LOOP
+    assert T.canonical(T.Seq(_A, _LOOP), ctx).right is _LOOP
+    assert T.canonical(T.unfold(_LOOP), ctx) == T.Seq(
         T.Atom(T.ParamAction("a", (Lit(15),))), _LOOP)
 
 
 def test_canonical_applies_the_rules_bottom_up():
-    carrier = D.Carrier()
+    ctx = T.Context()
     closed = Cmp("<", D.App("-", (Lit(1), Lit(2))), Lit(0))  # -1 < 0
     t = T.Seq(T.Guard(closed, T.EPSILON), T.Par(T.Eval(_M, T.DELTA), T.Alt(T.DELTA, _A)))
-    assert T.canonical(t, carrier) == T.Par(T.DELTA, _A)
+    assert T.canonical(t, ctx) == T.Par(T.DELTA, _A)
 
 
 def _examples() -> dict:
