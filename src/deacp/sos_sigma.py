@@ -37,8 +37,7 @@ class _Rules:
         """Canonical form of a target the rules build from canonical parts:
         the one object in the context's table that stands for it, so the
         memo tables compare it with its equals by identity."""
-        t = T.simplify(t, self.ctx.carrier)
-        return self.ctx._table.setdefault(t, t)
+        return T.shared(T.simplify(t, self.ctx.carrier), self.ctx)
 
     def _unfold(self, const: T.RecConst) -> T.ProcTerm:
         """Canonical unfolding of a constant, computed once per explorer."""

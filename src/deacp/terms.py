@@ -360,7 +360,12 @@ class Context:
     """Everything the semantics needs besides the term itself, and one table
     of terms: each term `canonical` was asked for maps to its canonical form,
     and each canonical form, every target of the step rules included, maps to
-    itself, the one object that stands for it."""
+    itself, the one object that stands for it (`shared`).
+
+    The table keeps every state explored under the context for as long as
+    the context lives. A caller that analyzes many unrelated systems and
+    does not want that can give each one a fresh context,
+    `dataclasses.replace(ctx)`, which starts with an empty table."""
 
     carrier: Carrier = Carrier()
     decl: FlexVarDecl = FlexVarDecl(())
@@ -660,6 +665,12 @@ def simplify(t, carrier: Carrier):
     return t
 
 
+def shared(t, ctx: Context):
+    """The one object in the context's table that stands for the canonical
+    form `t`: an equal form already there, or `t` itself, entered now."""
+    return ctx._table.setdefault(t, t)
+
+
 def canonical(t, ctx: Context):
     """Canonical state form: `simplify` applied bottom-up to every node,
     memoized in the context's table.
@@ -674,6 +685,6 @@ def canonical(t, ctx: Context):
         hit = table.get(u)
         if hit is None:
             hit = u if type(u) is RecConst else simplify(map_children(u, walk), carrier)
-            hit = table[u] = table.setdefault(hit, hit)
+            hit = table[u] = shared(hit, ctx)
         return hit
     return walk(t)

@@ -387,6 +387,10 @@ def test_explored_states_and_targets_are_canonical(names, seed):
                     gamma=T.CommFunction.of({("a", "b"): "c"}))
     rng = random.Random(seed)
     corpus = [G.random_proc(rng, cfg, ctx) for _ in range(40)] + _rsp_sides(names, seed, 6)[1]
+    # Exploring enters every state and target in `ctx`'s table as its own
+    # canonical form, so the check recomputes them in a table only
+    # `canonical` fills.
+    fresh = dataclasses.replace(ctx)
     for t in corpus:
         try:
             states = build_lts(t, ctx).states + build_cond_lts(t, ctx).states
@@ -400,7 +404,7 @@ def test_explored_states_and_targets_are_canonical(names, seed):
         targets = [tgt for moves in sigma_sos.step_cache.values() for _, tgt in moves]
         targets += [tgt for moves in cond_sos.step_cache.values() for _, _, tgt in moves]
         for u in states + targets:
-            assert T.canonical(u, ctx) == u, u
+            assert T.canonical(u, fresh) == u, u
 
 
 def _counter(v):
@@ -431,29 +435,65 @@ def test_targets_are_the_input_subterms_they_equal():
     assert lts.states[1] is root.left
 
 
+def test_one_context_across_many_pairs_holds_what_fresh_ones_would():
+    """The table of a context reused across unrelated queries, as
+    `conjecture` reuses one, holds no more than a fresh context per query
+    would hold together, and grows by a few entries per pair (about 8 on
+    this corpus)."""
+    from deacp import gen as G
+    from deacp.bisim import conjecture_experiment
+
+    ctx = G.default_context()
+    pairs = G.pair_corpus(ctx, 100, seed=0)
+    conjecture_experiment(ctx, pairs=pairs)
+    apart = 0
+    for pair in pairs:
+        own = dataclasses.replace(ctx)
+        conjecture_experiment(own, pairs=[pair])
+        apart += len(own._table)
+    assert len(ctx._table) <= apart
+    assert len(ctx._table) <= 10 * len(pairs)
+
+
+def _size(value):
+    """How much `value` holds, if it is something that can fill up: a dict,
+    list or set (with the sizes of such containers directly inside it), a
+    `functools` cache, or a context's term table."""
+    if isinstance(value, (dict, list, set)):
+        inner = value.values() if isinstance(value, dict) else value
+        return len(value), [len(v) for v in inner if isinstance(v, (dict, list, set))]
+    if isinstance(value, T.Context):
+        return len(value._table)
+    if callable(getattr(value, "cache_info", None)):
+        return value.cache_info().currsize
+    return None
+
+
 def _module_state() -> dict:
-    """The size of every dict, list and set at module level in deacp, and of
-    each such container directly inside one."""
+    """`_size` of every value at module level in deacp, and of every
+    attribute of a class defined there."""
     import importlib
+    import inspect
     import pkgutil
 
     import deacp
 
-    containers = (dict, list, set)
     sizes = {}
     for info in pkgutil.iter_modules(deacp.__path__):
         module = importlib.import_module(f"deacp.{info.name}")
         for name, value in vars(module).items():
-            if isinstance(value, containers) and not name.startswith("__"):
-                inner = value.values() if isinstance(value, dict) else value
-                sizes[info.name, name] = (len(value), [len(v) for v in inner
-                                                       if isinstance(v, containers)])
+            if name.startswith("__"):
+                continue
+            sizes[info.name, name] = _size(value)
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    sizes[info.name, name, attr] = _size(member)
     return sizes
 
 
 def test_analyses_leave_module_state_unchanged():
-    """No process-wide cache: whatever an analysis memoizes lives in its
-    context or its own objects."""
+    """No module-level cache (container, `functools` cache or context):
+    whatever an analysis memoizes lives in its context or its own objects."""
     from deacp.bisim import decide_rab, decide_rb
     from deacp.linear import prove_equal, replay_certificate
     from deacp.security import SecuritySpec, check_dnii
