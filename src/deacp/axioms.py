@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import terms as T
+from .bisim import actions_equivalent
 from .conditions import (
     And, CFalse, Condition, Or, TRUE, args_equal, constant_value, subst_map, valid_iff,
 )
@@ -163,8 +164,6 @@ def _action_of(term):
 
 
 def _recognize_imp1(t1, t2, ctx) -> bool:
-    from .bisim import actions_equivalent
-
     a1, a2 = _action_of(t1), _action_of(t2)
     if a1 is None or a2 is None or a1 == a2:
         return False

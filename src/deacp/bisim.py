@@ -10,8 +10,8 @@ from typing import Optional
 
 from . import terms as T
 from .conditions import signature
-from .data_algebra import EvalMap, eval_data, flex_vars
-from .errors import DeacpError, DeclarationError, ShapeError
+from .data_algebra import EvalMap
+from .errors import DeacpError, ShapeError
 from .parser import render_action, render_term
 from .sos_cond import CondLts, build_cond_lts, expand_to_sigma
 from .sos_sigma import SigmaLts, build_lts
@@ -19,59 +19,32 @@ from .sos_sigma import SigmaLts, build_lts
 
 # --- data-equivalent actions --------------------------------------------------
 
-def _data_equal_valid(e1, e2, ctx: T.Context, cache: Optional[dict] = None) -> bool:
-    """Whether e1 = e2 holds under every evaluation of their flexible
-    variables: they are equal, or their signatures are; `cache` keeps each
-    term's signature."""
-    if e1 == e2:
-        return True
-    cache = {} if cache is None else cache
-    for e in (e1, e2):
-        if e not in cache:
-            cache[e] = signature(e, ctx.carrier, ctx.enum_bound)
-    return cache[e1] == cache[e2]
-
-
-def actions_equivalent(a1: T.Action, a2: T.Action, ctx: T.Context,
-                       cache: Optional[dict] = None) -> bool:
-    """The data-equivalence relation on atomic actions and the silent step."""
-    if a1 == a2:
-        return True
-    if isinstance(a1, T.TauAction) or isinstance(a2, T.TauAction):
-        return False
-    if isinstance(a1, T.BasicAction) or isinstance(a2, T.BasicAction):
-        return False  # syntactic equality already failed
-    if isinstance(a1, T.ParamAction) and isinstance(a2, T.ParamAction):
-        if a1.name != a2.name or len(a1.args) != len(a2.args):
-            return False
-        return all(_data_equal_valid(e1, e2, ctx, cache) for e1, e2 in zip(a1.args, a2.args))
-    if isinstance(a1, T.AssignAction) and isinstance(a2, T.AssignAction):
-        return a1.var == a2.var and _data_equal_valid(a1.expr, a2.expr, ctx, cache)
-    return False
-
-
-def action_class(alpha: T.Action, ctx: T.Context, sigma: Optional[EvalMap] = None):
-    """Canonical representative of alpha's data-equivalence class.
-
-    Data arguments are evaluated, under sigma when given; open arguments
-    without a map are an error.
-    """
-    def value(e):
-        if sigma is not None:
-            return eval_data(e, sigma, ctx.carrier)
-        if flex_vars(e):
-            raise DeclarationError("open data argument with no evaluation map")
-        return eval_data(e, EvalMap(()), ctx.carrier)
-
-    if isinstance(alpha, T.TauAction):
-        return ("tau",)
-    if isinstance(alpha, T.BasicAction):
-        return ("basic", alpha.name)
+def _head(alpha: T.Action):
+    """The syntactic part of alpha's class key: kind, name and arity, or an
+    assignment's variable; the silent step and a basic action are their own
+    head."""
     if isinstance(alpha, T.ParamAction):
-        return ("param", alpha.name, tuple(value(e) for e in alpha.args))
+        return (T.ParamAction, alpha.name, len(alpha.args))
     if isinstance(alpha, T.AssignAction):
-        return ("assign", alpha.var, value(alpha.expr))
-    raise TypeError(f"not an action: {alpha!r}")
+        return (T.AssignAction, alpha.var)
+    return alpha
+
+
+def action_class(alpha: T.Action, ctx: T.Context):
+    """Key of alpha's data-equivalence class: its head plus the signature
+    (value table) of each data argument, so two actions are equivalent
+    exactly when their keys are equal."""
+    head = _head(alpha)
+    if head is alpha:
+        return alpha
+    data = alpha.args if isinstance(alpha, T.ParamAction) else (alpha.expr,)
+    return head + tuple(signature(e, ctx.carrier, ctx.enum_bound) for e in data)
+
+
+def actions_equivalent(a1: T.Action, a2: T.Action, ctx: T.Context) -> bool:
+    """The data-equivalence relation on atomic actions and the silent step."""
+    return a1 == a2 or (_head(a1) == _head(a2)
+                        and action_class(a1, ctx) == action_class(a2, ctx))
 
 
 # --- silent closure -------------------------------------------------------------
@@ -136,20 +109,30 @@ _SIDES = ("left", "right")
 
 
 class _ActionClasses:
-    """Ids of the data-equivalence classes of actions; the silent step is 0."""
+    """Ids of the data-equivalence classes of actions in first-seen order,
+    with a representative each; the silent step is 0. An action is keyed
+    (its data tabulated) only once another action shares its head."""
 
     def __init__(self, ctx: T.Context):
         self.ctx = ctx
         self.reps = [T.TAU]
         self.ids = {T.TAU: 0}
-        self.cache: dict = {}
+        self.heads: dict = {}  # head -> its one action while unkeyed, else None
+        self.keys: dict = {}  # action_class key -> id
 
     def __call__(self, action) -> int:
         hit = self.ids.get(action)
         if hit is None:
-            hit = next((k for k, rep in enumerate(self.reps)
-                        if actions_equivalent(action, rep, self.ctx, self.cache)),
-                       len(self.reps))
+            head = _head(action)
+            if head not in self.heads:
+                self.heads[head] = action
+                hit = len(self.reps)
+            else:
+                lone = self.heads[head]
+                if lone is not None:
+                    self.heads[head] = None
+                    self.keys[action_class(lone, self.ctx)] = self.ids[lone]
+                hit = self.keys.setdefault(action_class(action, self.ctx), len(self.reps))
             if hit == len(self.reps):
                 self.reps.append(action)
             self.ids[action] = hit

@@ -17,7 +17,7 @@ from .bisim import (
     shared_domain,
     verify_branching_bisimulation,
 )
-from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, constant_value
+from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, constant_value, eval_cond
 from .data_algebra import map_children
 from .errors import (
     CfarInapplicableError,
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .parser import render_term
 from .sos_sigma import build_lts
-from .conditions import eval_cond
 
 
 # --- proof certificates -----------------------------------------------------
@@ -139,9 +138,8 @@ def _trim(table: dict, root: str) -> list:
 # --- the linearizer -----------------------------------------------------------
 
 class _Linearizer:
-    def __init__(self, ctx: T.Context, allow_abstraction: bool):
+    def __init__(self, ctx: T.Context):
         self.ctx = ctx
-        self.allow_abstraction = allow_abstraction
         self.table: dict = {}
         self.counter = 0
         self.cfar_steps: list = []
@@ -204,10 +202,6 @@ class _Linearizer:
             body = self.build(t.body)
             return self.filter_image(body, t.patterns)
         if isinstance(t, T.Abstr):
-            if not self.allow_abstraction:
-                raise UnsupportedFragmentError(
-                    "abstraction operators need the bool-conditional pipeline"
-                )
             body = self.build(t.body)
             return self.collapse_abstraction(body, t.patterns)
         if isinstance(t, T.Eval):
@@ -646,8 +640,7 @@ def linearize(t: T.ProcTerm, ctx: T.Context) -> tuple:
         raise UnsupportedFragmentError(
             "abstraction operators need the bool-conditional pipeline"
         )
-    engine = _Linearizer(ctx, allow_abstraction=False)
-    return engine.run(t)
+    return _Linearizer(ctx).run(t)
 
 
 def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
@@ -665,7 +658,7 @@ def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
             ]},
             payload={"original": t},
         ))
-    engine = _Linearizer(ctx, allow_abstraction=True)
+    engine = _Linearizer(ctx)
     spec, root = engine.run(normalized)
     const = T.RecConst(root, spec)
     steps.append(ProofStep(

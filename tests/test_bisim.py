@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -13,6 +14,7 @@ from deacp import parser as P
 from deacp import terms as T
 from deacp.bisim import (
     BisimResult,
+    _ActionClasses,
     action_class,
     actions_equivalent,
     decide_rab,
@@ -26,8 +28,8 @@ from deacp.bisim import (
     strong_bisim_signature,
     verify_branching_bisimulation,
 )
-from deacp.data_algebra import App, EvalMap, Flex, Lit
-from deacp.errors import DeacpError, DeclarationError
+from deacp.data_algebra import App, Flex, Lit
+from deacp.errors import DeacpError, EnumerationLimitError
 from deacp.sos_cond import build_cond_lts, expand_to_sigma
 from deacp.sos_sigma import build_lts
 
@@ -48,19 +50,13 @@ def test_action_class_tau_vs_basic(ctx):
     assert action_class(T.TAU, ctx) != action_class(T.BasicAction("a"), ctx)
 
 
-def test_action_class_open_argument_requires_map(ctx):
-    open_action = T.ParamAction("a", (Flex("v"),))
-    with pytest.raises(DeclarationError):
-        action_class(open_action, ctx)
-    sigma = EvalMap.of({v: 1 for v in ctx.decl})
-    assert action_class(open_action, ctx, sigma) == ("param", "a", (1,))
-
-
 def test_actions_equivalent_on_open_arguments(ctx):
-    # validity-based equivalence: v + 0 always equals v
+    # validity-based equivalence: v + 0 always equals v, so they share a key
     e1 = T.ParamAction("a", (App("+", (Flex("v"), Lit(0))),))
     e2 = T.ParamAction("a", (Flex("v"),))
     e3 = T.ParamAction("a", (Lit(0),))
+    assert action_class(e1, ctx) == action_class(e2, ctx)
+    assert action_class(e2, ctx) != action_class(e3, ctx)
     assert actions_equivalent(e1, e2, ctx)
     assert not actions_equivalent(e2, e3, ctx)
 
@@ -69,10 +65,12 @@ def test_actions_equivalent_matches_the_pairwise_oracle(small_ctx):
     """Signatures decide data equality as evaluating both terms under every
     map over the union of their variables does. Each generated action is
     paired with one of the same kind and name: its data replaced by a
-    spelling equal by construction, or by fresh generated data."""
+    spelling equal by construction, or by fresh generated data. One
+    `_ActionClasses` numbers all of them, so the first action of each head
+    arrives untabulated and is keyed only when a second shares its head."""
     rng = random.Random(21)
     cfg = G.GenConfig(flex_vars=("u", "v", "h"), param_arities={"a": (1, 2), "b": (1,)})
-    cache: dict = {}
+    classes = _ActionClasses(small_ctx)
     verdicts = []
     for k in range(1500):
         a1 = G.random_action(rng, cfg, small_ctx)
@@ -87,10 +85,25 @@ def test_actions_equivalent_matches_the_pairwise_oracle(small_ctx):
         else:
             a2 = G.random_action(rng, cfg, small_ctx)
         expected = validity_oracle.actions_equivalent(a1, a2, small_ctx)
-        assert actions_equivalent(a1, a2, small_ctx, cache) == expected, (a1, a2)
+        assert actions_equivalent(a1, a2, small_ctx) == expected, (a1, a2)
+        assert (classes(a1) == classes(a2)) == expected, (a1, a2)
         if a1 != a2 and type(a1) is type(a2) is not T.BasicAction:
             verdicts.append(expected)
     assert verdicts.count(True) > 300 and verdicts.count(False) > 200
+    assert all(classes(rep) == c for c, rep in enumerate(classes.reps))
+
+
+def test_only_actions_sharing_a_head_are_tabulated():
+    """A lone assignment to x reading four variables is never tabulated
+    (8^4 maps exceed the bound of 1000); a second assignment to x makes
+    both tabulated."""
+    spec = P.parse_spec("domain -4..3\nvars x, p, q, r, s\n")
+    ctx = dataclasses.replace(spec.context(), enum_bound=1000)
+    lone = proc(spec, "x := p + q + r + s . epsilon")
+    assert decide_rb(lone, lone, ctx).equivalent
+    pair = proc(spec, "x := p + q + r + s . epsilon + x := s + r + q + p + 1 . epsilon")
+    with pytest.raises(EnumerationLimitError):
+        decide_rb(pair, pair, ctx)
 
 
 def test_silent_closure(base_spec, ctx):

@@ -1,5 +1,5 @@
 """Map-by-map validity: an independent oracle for deacp.conditions.signature
-and deacp.bisim.actions_equivalent.
+and the action-class keys of deacp.bisim.
 
 `cond_signature` builds a condition's truth table as a dict and drops each
 variable whose value never matters by checking every pair of maps that
