@@ -50,6 +50,16 @@ def test_action_class_tau_vs_basic(ctx):
     assert action_class(T.TAU, ctx) != action_class(T.BasicAction("a"), ctx)
 
 
+def test_action_class_open_argument_requires_map(ctx):
+    # an open argument has no value without a map: its key tabulates the
+    # argument over every map of v, so it is the key of no closed argument
+    open_action = T.ParamAction("a", (Flex("v"),))
+    key = action_class(open_action, ctx)
+    assert key == (T.ParamAction, "a", 1, (("v",), tuple(ctx.carrier.values())))
+    for c in ctx.carrier.values():
+        assert key != action_class(T.ParamAction("a", (Lit(c),)), ctx)
+
+
 def test_actions_equivalent_on_open_arguments(ctx):
     # validity-based equivalence: v + 0 always equals v, so they share a key
     e1 = T.ParamAction("a", (App("+", (Flex("v"), Lit(0))),))
