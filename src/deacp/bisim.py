@@ -474,7 +474,7 @@ def decide_rb(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> BisimResult:
     """Rooted branching bisimilarity of two closed terms."""
     domain = shared_domain(t1, t2, ctx)
     l1 = build_lts(t1, ctx, domain=domain)
-    l2 = build_lts(t2, ctx, domain=domain)
+    l2 = l1 if _same(t1, t2, ctx) else build_lts(t2, ctx, domain=domain)
     return rooted_branching_bisim(l1, l2, ctx)
 
 
@@ -482,8 +482,14 @@ def decide_rab(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> BisimResult:
     """The condition-labelled equivalence of two closed terms."""
     domain = shared_domain(t1, t2, ctx)
     c1 = build_cond_lts(t1, ctx, domain=domain)
-    c2 = build_cond_lts(t2, ctx, domain=domain)
+    c2 = c1 if _same(t1, t2, ctx) else build_cond_lts(t2, ctx, domain=domain)
     return rooted_ab_bisim(c1, c2, ctx, domain)
+
+
+def _same(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> bool:
+    """Whether two terms have one canonical form, so that one explored system
+    serves both sides; compared by identity, never field by field."""
+    return T.canonical(t1, ctx) is T.canonical(t2, ctx)
 
 
 # --- agreement experiment ----------------------------------------------------------

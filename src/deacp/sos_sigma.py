@@ -4,11 +4,11 @@ Transitions are indexed by an evaluation map and an atomic action (or the
 silent step); termination is indexed by an evaluation map. A term wrapped in
 an evaluation operator behaves identically under every ambient map, so LTS
 construction enumerates ambient maps only over the flexible variables that
-occur outside carried maps, and derives each state once per class of maps
-that agree on the variables its next step reads: the guards and
-synchronization data it evaluates before its first action, not those its
-later steps evaluate, such as the other equations of a recursive
-specification.
+occur outside carried maps. Over more than one ambient map, each subterm is
+derived once per class of maps that agree on the variables its next step
+reads: the guards and synchronization data it evaluates before its first
+action, not those its later steps evaluate, such as the other equations of
+a recursive specification.
 """
 
 from __future__ import annotations
@@ -55,11 +55,30 @@ class _Rules:
 
 
 class _Sos(_Rules):
-    """Map-indexed rules with per-(term, map) memoization."""
+    """Map-indexed rules. Over the ambient maps of a build, when there is more
+    than one, steps and termination are memoized per (term, class of maps that
+    agree on what the term reads), the class named and derived by its first
+    map; otherwise, and for a map outside them, per (term, map)."""
 
-    def __init__(self, ctx: T.Context):
+    def __init__(self, ctx: T.Context, maps: tuple = ()):
         super().__init__(ctx)
         self.read_cache: dict = {}  # term -> (variables it reads, whether it can terminate)
+        self.maps = maps
+        self.classes = {} if len(maps) > 1 else None  # read set -> {map: its class's first map}
+
+    def _key(self, t, sigma):
+        """t, and the first map in self.maps that agrees with sigma on what t
+        reads; a map outside them, such as an eval's carried map, is its own."""
+        reads = self._reads(t)[0]
+        firsts = self.classes.get(reads)
+        if firsts is None:
+            # Entries are sorted by name, not in domain order: project by name.
+            at = [i for i, (name, _) in enumerate(self.maps[0].entries) if name in reads]
+            seen = {}
+            firsts = self.classes[reads] = {
+                m: seen.setdefault(tuple([m.entries[i] for i in at]), m) for m in self.maps
+            }
+        return t, firsts.get(sigma, sigma)
 
     def reads(self, t: T.ProcTerm) -> frozenset:
         """Flexible variables whose ambient values t's steps and termination
@@ -127,10 +146,10 @@ class _Sos(_Rules):
 
     def steps(self, t: T.ProcTerm, sigma: EvalMap) -> tuple:
         """All pairs (action, canonical target) derivable for t under sigma."""
-        key = (t, sigma)
+        key = (t, sigma) if self.classes is None else self._key(t, sigma)
         hit = self.step_cache.get(key)
         if hit is None:
-            hit = self.step_cache[key] = tuple(dict.fromkeys(self._steps(t, sigma)))
+            hit = self.step_cache[key] = tuple(dict.fromkeys(self._steps(t, key[1])))
         return hit
 
     def _steps(self, t, sigma):
@@ -195,10 +214,15 @@ class _Sos(_Rules):
         raise TypeError(f"not a process term: {t!r}")
 
     def terminates(self, t: T.ProcTerm, sigma: EvalMap) -> bool:
-        key = (t, sigma)
+        if self.classes is None:
+            key = (t, sigma)
+        elif self._reads(t)[1]:
+            key = self._key(t, sigma)
+        else:
+            return False  # t cannot terminate under any map
         hit = self.term_cache.get(key)
         if hit is None:
-            hit = self.term_cache[key] = self._terminates(t, sigma)
+            hit = self.term_cache[key] = self._terminates(t, key[1])
         return hit
 
     def _terminates(self, t, sigma):
@@ -332,40 +356,14 @@ def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None) -> 
     if domain is None:
         domain = ambient_domain(t, ctx)
     maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
-    sos = _Sos(ctx)
+    sos = _Sos(ctx, maps)
     terminating = set()
-    classes = {}  # read set -> per map, the first map that agrees with it there
-
-    def representatives(reads):
-        hit = classes.get(reads)
-        if hit is None:
-            # Entries are sorted by name, not in domain order: project by name.
-            at = [i for i, (name, _) in enumerate(maps[0].entries) if name in reads]
-            first = {}
-            hit = classes[reads] = tuple(
-                first.setdefault(tuple([m.entries[i] for i in at]), m) for m in maps
-            )
-        return hit
 
     def successors(sid, state):
-        # A state's steps and termination depend on the ambient map only
-        # through the variables its next step reads, so each class of maps
-        # that agree there is derived once, under its first map, and the
-        # others reuse it.
-        reps = maps if len(maps) == 1 else representatives(sos.reads(state))
-        facts = {}  # first map of a class -> (steps, terminates)
-        for sigma, rep in zip(maps, reps):
-            if rep is sigma:
-                moves = sos.steps(state, sigma)
-                for action, target in moves:
-                    yield sigma, action, target
-                ends = sos.terminates(state, sigma)
-                facts[sigma] = moves, ends
-            else:
-                moves, ends = facts[rep]
-                for action, target in moves:
-                    yield sigma, action, target
-            if ends:
+        for sigma in maps:
+            for action, target in sos.steps(state, sigma):
+                yield sigma, action, target
+            if sos.terminates(state, sigma):
                 terminating.add((sid, sigma))
 
     states, transitions = explore(T.canonical(t, ctx), successors, ctx.state_bound)

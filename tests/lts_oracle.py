@@ -3,6 +3,10 @@ and SigmaLts.to_json_dict.
 
 It derives every state under every ambient map in turn, whatever variables
 the state reads, and renders the JSON export with a fresh map dict per row.
+Its `_Sos(ctx)` is given no ambient maps, so it memoizes per (subterm, map)
+and derives every subterm under every map that reaches it, where
+`build_lts` derives one per class of the maps that agree on what the
+subterm reads.
 """
 
 from deacp import terms as T

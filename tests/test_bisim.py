@@ -184,6 +184,29 @@ def test_ab_bisim_identity(base_spec, ctx):
     assert decide_rab(t, t, ctx).equivalent
 
 
+@pytest.mark.parametrize("decide, name, build, engine", [
+    (decide_rb, "build_lts", build_lts, rooted_branching_bisim),
+    (decide_rab, "build_cond_lts", build_cond_lts,
+     lambda c1, c2, ctx: rooted_ab_bisim(c1, c2, ctx, c1.domain)),
+])
+def test_a_self_check_builds_its_system_once(base_spec, ctx, monkeypatch, decide, name,
+                                             build, engine):
+    import deacp.bisim as B
+
+    built = []
+    monkeypatch.setattr(B, name, lambda t, *args, **kw: built.append(t) or build(t, *args, **kw))
+    text = "[v = 0] -> a . b + tau . c"
+    t = proc(base_spec, text)
+    # the same term, an equal copy of it, and a different one
+    for other, builds in ((t, 1), (proc(base_spec, text), 1), (proc(base_spec, "a + c"), 2)):
+        built.clear()
+        result = decide(t, other, ctx)
+        assert len(built) == builds, other
+        domain = shared_domain(t, other, ctx)
+        separate = engine(build(t, ctx, domain=domain), build(other, ctx, domain=domain), ctx)
+        assert result == separate
+
+
 def test_rb_is_an_equivalence_on_a_corpus(small_ctx):
     rng = random.Random(41)
     cfg = G.GenConfig(max_depth=2)

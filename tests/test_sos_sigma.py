@@ -6,9 +6,11 @@ import lts_oracle
 from conftest import proc
 from deacp import parser as P
 from deacp import terms as T
-from deacp.data_algebra import Carrier, EvalMap, FlexVarDecl, Lit, enumerate_maps
+from deacp.data_algebra import (
+    Carrier, EvalMap, FlexVarDecl, Lit, enumerate_maps, flex_vars, subterms,
+)
 from deacp.errors import DeacpError, ExplorationLimitError
-from deacp.parser import render_action
+from deacp.parser import render_action, render_term
 from deacp.sos_cond import _CondSos, build_cond_lts
 from deacp.sos_sigma import SigmaLts, _Sos, build_lts, step, terminates
 
@@ -289,6 +291,62 @@ def test_read_set_is_within_the_occurring_variables(names, seed):
     assert smaller  # the corpus exercises states that read less than they mention
 
 
+def _process_subterms(state, sos):
+    """Every process term the step rules can reach from state: its process
+    subterms, and those of each constant's unfolding."""
+    seen, todo = {}, [state]
+    while todo:
+        for u in subterms(todo.pop(), prune=(T.RecConst,)):
+            if isinstance(u, T.ProcTerm) and u not in seen:
+                seen[u] = None
+                if isinstance(u, T.RecConst):
+                    todo.append(sos._unfold(u))
+    return seen
+
+
+@pytest.mark.parametrize("names, seed", RSP_CORPORA)
+def test_steps_depend_only_on_what_a_subterm_reads(names, seed):
+    """The invariant the memo keys rest on, checked per map: maps that agree
+    on what a subterm reads give it the same steps and termination, and a
+    subterm that its syntax says cannot terminate does not, under any map."""
+    ctx, consts = _rsp_sides(names, seed, 12)
+    maps = list(enumerate_maps(FlexVarDecl(names), ctx.carrier))
+    sos = _Sos(ctx)
+    checked = {}
+    for const in consts:
+        for state in build_lts(const, ctx, domain=names).states:
+            checked.update(_process_subterms(state, sos))
+    for t in checked:
+        reads, ends = sos._reads(t)
+        facts = {}  # values of the read variables -> (steps, terminates)
+        for sigma in maps:
+            mine = sos.steps(t, sigma), sos.terminates(t, sigma)
+            at = tuple(sigma.value(v) for v in sorted(reads))
+            assert facts.setdefault(at, mine) == mine, (t, sigma)
+            assert ends or not mine[1], (t, sigma)
+    guards = [t for t in checked if isinstance(t, T.Guard) and flex_vars(t.cond)]
+    assert len(checked) > 100 and guards
+
+
+def test_the_memo_holds_one_entry_per_class_of_what_a_subterm_reads():
+    spec = P.parse_spec("domain -4..3\nvars x, y, z\nactions a, b, c, send/1\n")
+    ctx = spec.context()
+    t = T.canonical(proc(spec, "[x < 1] -> a . b + [x + y >= z] -> send(z) . c"), ctx)
+    guard = t.left
+    assert render_term(guard) == "[x < 1] -> a . b"
+    maps = tuple(enumerate_maps(FlexVarDecl(("x", "y", "z")), ctx.carrier))
+
+    def held(sos):
+        for sigma in maps:
+            sos.steps(t, sigma)
+        return [sum(u is term for u, _ in sos.step_cache) for term in (t, guard, guard.body)]
+
+    # Over the maps of a build, one entry per class of what each subterm reads.
+    assert held(_Sos(ctx, maps)) == [512, 8, 1]
+    # Without them, one per map that reaches it: a . b only where x < 1 holds.
+    assert held(_Sos(ctx)) == [512, 512, 320]
+
+
 @pytest.mark.parametrize("text, reads", [
     ("a . ([v > 0] -> c)", set()),
     # the left side ends under u > 0 only, and then the guard on v is next
@@ -300,6 +358,14 @@ def test_read_set_is_within_the_occurring_variables(names, seed):
     ("eval{m}([u > 0] -> epsilon) . ([w > 0] -> c)", {"w"}),
     ("eval{m}(a) . ([w > 0] -> c)", set()),
     (MISSING_V, {"u", "v"}),
+    # guards over one, two and three variables, the last with a saturating sum
+    ("[w < 0] -> a . b", {"w"}),
+    ("[u > 0] -> a . c + [not w = v] -> b", {"u", "v", "w"}),
+    ("[w + u >= v] -> c . a + [v < 1 and not u = -2] -> b", {"u", "v", "w"}),
+    # data actions read their arguments, which synchronization evaluates
+    ("[u < 0] -> a(w) . b + c", {"u", "w"}),
+    ("a(w) . ([u > 0] -> b(u))", {"w"}),
+    ("([u > -1] -> a(w) . c) || ([v < 1] -> b(u + v) . c)", {"u", "v", "w"}),
     # the root reads nothing; the bound decides whether the build stops
     # before the state that raises for v, outside the domain ("u",)
     ("a . (" + MISSING_V + ")", set()),
