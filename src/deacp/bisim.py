@@ -90,21 +90,6 @@ class BisimResult:
         return out
 
 
-def _violation(l1, l2, pair, side, kind, sigma, action=None, target=None):
-    i, j = pair
-    return {
-        "left_state": render_term(l1.states[i]),
-        "right_state": render_term(l2.states[j]),
-        "left_id": i,
-        "right_id": j,
-        "side": side,
-        "kind": kind,
-        "map": sigma.as_dict(),
-        "action": render_action(action) if action is not None else None,
-        "target": render_term(target) if target is not None else None,
-    }
-
-
 _SIDES = ("left", "right")
 
 
@@ -138,104 +123,118 @@ class _ActionClasses:
             self.ids[action] = hit
         return hit
 
-    def same(self, a, b) -> bool:
-        return self(a) == self(b)
 
+class _Union:
+    """The disjoint union of map-indexed systems over one domain, each
+    system's states numbered after the previous one's, with one numbering of
+    action classes and maps (from the first system's maps, in order).
 
-class _Indexed:
-    """Per-state, per-map moves and termination maps."""
+    moves[x] maps a map id to the (class id, target) of each step of state x
+    under it, and ends with (-1, x) when x terminates under that map.
+    """
 
-    def __init__(self, lts: SigmaLts):
-        self.lts = lts
-        self.by_sigma = []
-        for ts in lts.transitions:
-            index: dict = {}
-            for sigma, action, tgt in ts:
-                index.setdefault(sigma, []).append((action, tgt))
-            self.by_sigma.append(index)
-        order = {sigma: k for k, sigma in enumerate(lts.maps)}
-        self.stops = [[] for _ in lts.states]
-        for sid, sigma in lts.terminating:
-            self.stops[sid].append(sigma)
-        for maps in self.stops:
-            maps.sort(key=order.__getitem__)
+    def __init__(self, ltss, ctx: T.Context):
+        for lts in ltss[1:]:
+            if lts.domain != ltss[0].domain:
+                raise ShapeError(
+                    f"ambient domains differ: {ltss[0].domain} vs {lts.domain}; "
+                    "build both systems over the union of their occurring variables"
+                )
+        self.ltss, self.classes = ltss, _ActionClasses(ctx)
+        self.map_id = map_id = {sigma: m for m, sigma in enumerate(ltss[0].maps)}
+        self.bases, self.roots, self.moves = [], [], []
+        for lts in ltss:
+            base = len(self.moves)
+            self.bases.append(base)
+            self.roots.append(base + lts.root)
+            for ts in lts.transitions:
+                out: dict = {}
+                for sigma, action, tgt in ts:
+                    out.setdefault(map_id.setdefault(sigma, len(map_id)), []).append(
+                        (self.classes(action), base + tgt))
+                self.moves.append(out)
+            for s, m in sorted((base + s, map_id.setdefault(sigma, len(map_id)))
+                               for s, sigma in lts.terminating):
+                self.moves[s].setdefault(m, []).append((-1, s))
+        self.maps = list(map_id)
 
-    def moves(self, state: int, sigma: EvalMap):
-        return self.by_sigma[state].get(sigma, ())
-
-    def answers(self, start: int, sigma: EvalMap, keep, related_paths: bool) -> list:
-        """The states kept by keep that a silent path from start under sigma
-        reaches; with related_paths, through kept states only."""
+    def reach(self, start: int, m: int, keep=None) -> set:
+        """The states that silent steps under map id m lead to from start,
+        start included; with keep, through states that keep keeps only."""
         seen, frontier = {start}, [start]
         while frontier:
-            for action, tgt in self.moves(frontier.pop(), sigma):
-                if tgt not in seen and isinstance(action, T.TauAction) \
-                        and (not related_paths or keep(tgt)):
-                    seen.add(tgt)
-                    frontier.append(tgt)
-        return [u for u in seen if keep(u)]
+            for c, t in self.moves[frontier.pop()].get(m, ()):
+                if not c and t not in seen and (keep is None or keep(t)):
+                    seen.add(t)
+                    frontier.append(t)
+        return seen
+
+    def observers(self) -> tuple:
+        """For each root of a pair: its side, its system, the system's first
+        union id, the root and the other root."""
+        (l1, l2), (b1, b2), (r1, r2) = self.ltss, self.bases, self.roots
+        return (("left", l1, b1, r1, r2), ("right", l2, b2, r2, r1))
 
 
-def _sides(ix1, ix2, pair, related):
-    """(side, observing system, its state, answering system, its state, linked),
-    where linked(observer's state, answerer's state) applies related in
-    (left, right) order."""
-    i, j = pair
-    return (("left", ix1, i, ix2, j, related),
-            ("right", ix2, j, ix1, i, lambda x, y: related(y, x)))
+def _violation(u: _Union, side, kind, sigma, action=None, target=None):
+    l1, l2 = u.ltss
+    return {
+        "left_state": render_term(l1.states[l1.root]),
+        "right_state": render_term(l2.states[l2.root]),
+        "left_id": l1.root,
+        "right_id": l2.root,
+        "side": side,
+        "kind": kind,
+        "map": sigma.as_dict(),
+        "action": render_action(action) if action is not None else None,
+        "target": render_term(target) if target is not None else None,
+    }
 
 
-def _transfer(ix1, ix2, related, pair, same, related_paths):
-    """Yield every violation of the transfer conditions by pair, where
-    related(i, j) tells whether a left and a right state are related.
+def _transfer(u: _Union, related, related_paths: bool):
+    """Yield every violation of the transfer conditions by the roots, where
+    related(x, y) tells whether two states of the union are related.
 
     Each step of one side must be answered, under the same map, by the other
     side after silent steps to a state related to the observer: by an
     equivalent step between related targets or, for a silent step, by
     staying there. Each termination must be answered the same way.
     """
-    l1, l2 = ix1.lts, ix2.lts
-    sides = _sides(ix1, ix2, pair, related)
-    for side, mine, me, other, start, linked in sides:
-        for sigma, action, target in mine.lts.transitions[me]:
-            silent = isinstance(action, T.TauAction)
-            if not any(
-                (silent and linked(target, u))
-                or any(same(action, a) and linked(target, t) for a, t in other.moves(u, sigma))
-                for u in other.answers(start, sigma, partial(linked, me), related_paths)
-            ):
-                yield _violation(l1, l2, pair, side, "step", sigma, action,
-                                 mine.lts.states[target])
-    for side, mine, me, other, start, linked in sides:
-        for sigma in mine.stops[me]:
-            if not any((u, sigma) in other.lts.terminating
-                       for u in other.answers(start, sigma, partial(linked, me), related_paths)):
-                yield _violation(l1, l2, pair, side, "termination", sigma)
+    def answers(me, start, m):
+        keep = partial(related, me)
+        return [v for v in u.reach(start, m, keep if related_paths else None) if keep(v)]
+
+    for side, lts, base, me, start in u.observers():
+        for sigma, action, target in lts.transitions[me - base]:
+            m, c, t = u.map_id[sigma], u.classes(action), base + target
+            if not any((not c and related(t, v))
+                       or any(d == c and related(t, w) for d, w in u.moves[v].get(m, ()))
+                       for v in answers(me, start, m)):
+                yield _violation(u, side, "step", sigma, action, lts.states[target])
+    for side, lts, base, me, start in u.observers():
+        for m in sorted(m for m, ms in u.moves[me].items() if ms[-1][0] < 0):
+            if not any((-1, v) in u.moves[v].get(m, ()) for v in answers(me, start, m)):
+                yield _violation(u, side, "termination", u.maps[m])
 
 
-def _root_violations(ix1, ix2, related, same):
+def _root_violations(u: _Union, related):
     """Yield every violation of the root condition: each step of a root is
     answered by a single step of the other root, and both roots terminate
     under the same maps."""
-    l1, l2 = ix1.lts, ix2.lts
-    pair = (l1.root, l2.root)
-    for side, mine, me, other, start, linked in _sides(ix1, ix2, pair, related):
-        for sigma, action, target in mine.lts.transitions[me]:
-            if not any(same(action, a) and linked(target, t)
-                       for a, t in other.moves(start, sigma)):
-                yield _violation(l1, l2, pair, side, "root-step", sigma, action,
-                                 mine.lts.states[target])
+    for side, lts, base, me, other in u.observers():
+        for sigma, action, target in lts.transitions[me - base]:
+            m, c, t = u.map_id[sigma], u.classes(action), base + target
+            if not any(d == c and related(t, w) for d, w in u.moves[other].get(m, ())):
+                yield _violation(u, side, "root-step", sigma, action, lts.states[target])
+    l1, l2 = u.ltss
     for sigma in l1.maps:
         left = (l1.root, sigma) in l1.terminating
         if left != ((l2.root, sigma) in l2.terminating):
-            yield _violation(l1, l2, pair, "left" if left else "right",
-                             "root-termination", sigma)
+            yield _violation(u, "left" if left else "right", "root-termination", sigma)
 
 
-def _blocks(ixs, classes, related_paths: bool) -> list:
-    """Block of each state of the disjoint union of the indexed systems ixs
-    (each system's states follow the previous one's) in the coarsest stable
-    partition.
+def _blocks(u: _Union, related_paths: bool) -> list:
+    """Block of each state of the union in the coarsest stable partition.
 
     Signature refinement after Blom & Orzan (PDMC 2003): a state's signature
     is its block, the (map, action class, target block) of every step it can
@@ -244,34 +243,15 @@ def _blocks(ixs, classes, related_paths: bool) -> list:
     block is inert and left out. With related_paths the silent steps must
     also stay in the block. Blocks split until no signature splits one.
     """
-    map_id: dict = {}
-    moves = []  # per state: map id -> [(class id, target)], termination as (-1, itself)
-    for ix in ixs:
-        base = len(moves)
-        for by_sigma, maps in zip(ix.by_sigma, ix.stops):
-            out = {map_id.setdefault(sigma, len(map_id)): [(classes(a), base + t) for a, t in ms]
-                   for sigma, ms in by_sigma.items()}
-            for sigma in maps:
-                out.setdefault(map_id.setdefault(sigma, len(map_id)), []).append((-1, len(moves)))
-            moves.append(out)
+    moves = u.moves
 
-    def observations(s, keep):
+    def observations(s, keep=None):
         """(state, map, class, target) of every move of every state that a
         silent path from s under a map reaches through states kept by keep."""
-        found = []
-        for m in moves[s]:
-            seen, frontier = {s}, [s]
-            while frontier:
-                u = frontier.pop()
-                for c, t in moves[u].get(m, ()):
-                    found.append((u, m, c, t))
-                    if not c and t not in seen and keep(t):
-                        seen.add(t)
-                        frontier.append(t)
-        return found
+        return [(v, m, c, t) for m in moves[s] for v in u.reach(s, m, keep)
+                for c, t in moves[v].get(m, ())]
 
-    fixed = None if related_paths else [observations(s, lambda t: True)
-                                        for s in range(len(moves))]
+    fixed = None if related_paths else [observations(s) for s in range(len(moves))]
     block = [0] * len(moves)
     count = 1
     while True:
@@ -279,26 +259,12 @@ def _blocks(ixs, classes, related_paths: bool) -> list:
         fresh = []
         for s, b in enumerate(block):
             obs = fixed[s] if fixed else observations(s, lambda t: block[t] == b)
-            sig = frozenset((m, c, block[t]) for u, m, c, t in obs
-                            if block[u] == b and (c or block[t] != b))
+            sig = frozenset((m, c, block[t]) for v, m, c, t in obs
+                            if block[v] == b and (c or block[t] != b))
             fresh.append(ids.setdefault((b, sig), len(ids)))
         if len(ids) == count:
             return fresh
         block, count = fresh, len(ids)
-
-
-def _prologue(ltss, ctx: T.Context, related_paths: bool) -> tuple:
-    """The indexed systems over one domain, their action classes, and the
-    block of each state of their disjoint union."""
-    for lts in ltss[1:]:
-        if lts.domain != ltss[0].domain:
-            raise ShapeError(
-                f"ambient domains differ: {ltss[0].domain} vs {lts.domain}; "
-                "build both systems over the union of their occurring variables"
-            )
-    ixs = [_Indexed(lts) for lts in ltss]
-    classes = _ActionClasses(ctx)
-    return ixs, classes, _blocks(ixs, classes, related_paths)
 
 
 def _groups(block, n1: int) -> tuple:
@@ -311,28 +277,24 @@ def _groups(block, n1: int) -> tuple:
                  if left and right)
 
 
-def _explain_roots(ix1, ix2, block, same, related_paths: bool):
+def _explain_roots(u: _Union, block, related_paths: bool):
     """Yield the roots' violations against the partition: of the root
     condition when they share a block, else of the transfer conditions
     with the root pair taken as related."""
-    n1 = len(ix1.lts.states)
-    roots = (ix1.lts.root, ix2.lts.root)
-
-    def related(i, j):
-        return block[i] == block[n1 + j]
-
-    if related(*roots):
-        return _root_violations(ix1, ix2, related, same)
-    return _transfer(ix1, ix2, lambda i, j: related(i, j) or (i, j) == roots, roots,
-                     same, related_paths)
+    r1, r2 = u.roots
+    if block[r1] == block[r2]:
+        return _root_violations(u, lambda x, y: block[x] == block[y])
+    return _transfer(u, lambda x, y: block[x] == block[y] or {x, y} == {r1, r2},
+                     related_paths)
 
 
 def _decide(l1: SigmaLts, l2: SigmaLts, ctx: T.Context, related_paths: bool) -> BisimResult:
     """The greatest relation by signature refinement, then the root
     condition; unrelated roots are explained by their first transfer
     violation against that relation plus the root pair."""
-    (ix1, ix2), classes, block = _prologue((l1, l2), ctx, related_paths)
-    cex = next(_explain_roots(ix1, ix2, block, classes.same, related_paths), None)
+    u = _Union((l1, l2), ctx)
+    block = _blocks(u, related_paths)
+    cex = next(_explain_roots(u, block, related_paths), None)
     return BisimResult(cex is None, cex, _groups(block, len(l1.states)), related_paths)
 
 
@@ -348,17 +310,12 @@ def rooted_branching_classes(ltss, ctx: T.Context) -> list:
     One refinement of the union of all systems gives the root's block, and
     under that partition the root condition compares the (map, action class,
     target block) of the root's direct steps and the maps under which the
-    root terminates.
+    root terminates (class -1, target the root).
     """
-    ixs, classes, block = _prologue(ltss, ctx, related_paths=False)
-    keys, base = [], 0
-    for ix in ixs:
-        root = ix.lts.root
-        steps = frozenset((sigma, classes(a), block[base + t])
-                          for sigma, a, t in ix.lts.transitions[root])
-        keys.append((block[base + root], steps, frozenset(ix.stops[root])))
-        base += len(ix.lts.states)
-    return keys
+    u = _Union(ltss, ctx)
+    block = _blocks(u, related_paths=False)
+    return [(block[r], frozenset((m, c, block[t]) for m, ms in u.moves[r].items() for c, t in ms))
+            for r in u.roots]
 
 
 def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, groups,
@@ -374,49 +331,47 @@ def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, groups,
     steps under that map reach. The roots must share a group and satisfy
     the root condition.
     """
-    ixs = (_Indexed(l1), _Indexed(l2))
-    group_of: tuple = ({}, {})
+    u = _Union((l1, l2), ctx)
+    group_of: dict = {}  # union state -> its group
     for g, members in enumerate(groups):
         for k, ids in enumerate(members):
             for s in ids:
-                if s not in range(len(ixs[k].lts.states)) or group_of[k].setdefault(s, g) != g:
+                if s not in range(len(u.ltss[k].states)) \
+                        or group_of.setdefault(u.bases[k] + s, g) != g:
                     return [{"kind": "bad-member", "side": _SIDES[k], "state": s}]
-    classes = _ActionClasses(ctx)
 
-    def view(k, sigma, states, outside):
-        """(action class, target group) of the states' steps under sigma, and
-        (-1, None) for termination. A target in no group counts as outside:
-        "none" in what a member owes, which no offer (None there) meets."""
-        ix, group = ixs[k], group_of[k]
-        out = {(classes(a), group.get(t, outside)) for u in states for a, t in ix.moves(u, sigma)}
-        if any((u, sigma) in ix.lts.terminating for u in states):
-            out.add((-1, None))
-        return out
+    def view(states, m, outside):
+        """(action class, target group) of the states' moves under map id m,
+        and (-1, None) for termination. A target in no group counts as
+        outside: "none" in what a member owes, which no offer (None there)
+        meets."""
+        return {(c, group_of.get(t, outside) if c >= 0 else None)
+                for v in states for c, t in u.moves[v].get(m, ())}
 
     issues = []
     for g, members in enumerate(groups):
         for k in (0, 1):
             debts: dict = {}
-            for p in members[k]:
-                for sigma in dict.fromkeys([*ixs[k].by_sigma[p], *ixs[k].stops[p]]):
-                    debts.setdefault(sigma, set()).update(view(k, sigma, [p], "none") - {(0, g)})
-            ix, group = ixs[1 - k], group_of[1 - k]
+            for x in (u.bases[k] + p for p in members[k]):
+                for m in u.moves[x]:
+                    debts.setdefault(m, set()).update(view([x], m, "none") - {(0, g)})
             for q in members[1 - k]:
-                for sigma, owed in debts.items():
-                    reach = ix.answers(q, sigma, lambda u: group.get(u) == g, False)
-                    missing = owed - view(1 - k, sigma, reach, None)
+                for m, owed in debts.items():
+                    reach = [v for v in u.reach(u.bases[1 - k] + q, m) if group_of.get(v) == g]
+                    missing = owed - view(reach, m, None)
                     if missing:
-                        named = [(render_action(classes.reps[c]) if c >= 0 else "termination", t)
+                        named = [(render_action(u.classes.reps[c]) if c >= 0 else "termination", t)
                                  for c, t in missing]
                         issues.append({"kind": "unanswered", "side": _SIDES[1 - k], "state": q,
-                                       "map": sigma.as_dict(), "missing": sorted(named, key=repr)})
+                                       "map": u.maps[m].as_dict(),
+                                       "missing": sorted(named, key=repr)})
 
-    def related(i, j):
-        return group_of[0].get(i, -1) == group_of[1].get(j, -2)
+    def related(x, y):
+        return group_of.get(x, -1) == group_of.get(y, -2)
 
-    if not related(l1.root, l2.root):
+    if not related(*u.roots):
         issues.append({"kind": "root-missing"})
-    issues.extend(_root_violations(*ixs, related, classes.same))
+    issues.extend(_root_violations(u, related))
     return issues
 
 
@@ -429,8 +384,8 @@ def replay_counterexample(l1: SigmaLts, l2: SigmaLts, result: BisimResult,
     ce = result.counterexample
     if ce is None or (ce["left_id"], ce["right_id"]) != (l1.root, l2.root):
         return False
-    (ix1, ix2), classes, block = _prologue((l1, l2), ctx, result.related_paths)
-    return ce in _explain_roots(ix1, ix2, block, classes.same, result.related_paths)
+    u = _Union((l1, l2), ctx)
+    return ce in _explain_roots(u, _blocks(u, result.related_paths), result.related_paths)
 
 
 # --- the silent-step-free special case -------------------------------------------
@@ -440,8 +395,9 @@ def strong_bisim_signature(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> bool:
     without silent steps it coincides with rooted branching bisimilarity."""
     if not (l1.is_tau_free() and l2.is_tau_free()):
         raise ShapeError("signature refinement requires silent-step-free systems")
-    _, _, block = _prologue((l1, l2), ctx, related_paths=False)
-    return block[l1.root] == block[len(l1.states) + l2.root]
+    u = _Union((l1, l2), ctx)
+    block = _blocks(u, related_paths=False)
+    return block[u.roots[0]] == block[u.roots[1]]
 
 
 # --- the condition-labelled equivalence, decided per satisfying map ---------------

@@ -443,8 +443,9 @@ class ClusterAnalysis:
     clusters: list  # ClusterInfo for every strongly connected candidate
 
 
-def _scc(order, edges) -> list:
-    """Tarjan's algorithm, iterative; components in deterministic order."""
+def _scc(pos: dict, edges) -> list:
+    """Tarjan's algorithm, iterative, over the vertices of pos, which gives
+    each its place; components in the order of their first vertex."""
     index = {}
     low = {}
     onstack = set()
@@ -486,20 +487,21 @@ def _scc(order, edges) -> list:
                     comp.append(w)
                     if w == node:
                         break
-                components.append(tuple(sorted(comp, key=order.index)))
+                components.append(tuple(sorted(comp, key=pos.__getitem__)))
 
-    for v in order:
+    for v in pos:
         if v not in index:
             strongconnect(v)
-    components.sort(key=lambda comp: order.index(comp[0]))
+    components.sort(key=lambda comp: pos[comp[0]])
     return components
 
 
-def _cluster_info(table: dict, order: list, members, patterns: tuple) -> ClusterInfo:
+def _cluster_info(table: dict, pos: dict, members, patterns: tuple) -> ClusterInfo:
     """A candidate set against the cluster definitions: its exit rows, the
-    cluster condition, conservativity and whether a hidden move stays inside."""
+    cluster condition, conservativity and whether a hidden move stays inside.
+    pos gives each variable's place in the specification."""
     member_set = frozenset(members)
-    members = tuple(name for name in order if name in member_set)
+    members = tuple(sorted((name for name in member_set if name in pos), key=pos.__getitem__))
     is_cluster, cyclic = True, False
     exits: dict = {}  # insertion-ordered set of rows
     for name in members:
@@ -513,7 +515,8 @@ def _cluster_info(table: dict, order: list, members, patterns: tuple) -> Cluster
     conservative = is_cluster
     if is_cluster:
         carriers = frozenset(n for n in members if any(row in exits for row in table[n]))
-        conservative = all(carriers <= _reach_table(table, name) for name in members)
+        conservative = all(carriers <= {name} or carriers <= _reach_table(table, name)
+                           for name in members)
     return ClusterInfo(members, member_set, cyclic, is_cluster, tuple(exits), conservative)
 
 
@@ -524,7 +527,8 @@ def _find_clusters(table: dict, order: list, patterns: tuple) -> list:
         name: [row[2] for row in table[name] if _internal_row(row, everything, patterns)]
         for name in order
     }
-    return [_cluster_info(table, order, comp, patterns) for comp in _scc(order, edges)]
+    pos = {name: k for k, name in enumerate(order)}
+    return [_cluster_info(table, pos, comp, patterns) for comp in _scc(pos, edges)]
 
 
 def _reach_table(table: dict, start: str) -> frozenset:
@@ -553,7 +557,8 @@ def analyze_clusters(spec: T.RecSpec, patterns: tuple) -> ClusterAnalysis:
 
 def cluster_of(spec: T.RecSpec, patterns: tuple, members) -> ClusterInfo:
     """Validate an arbitrary candidate set against the cluster definitions."""
-    return _cluster_info(spec_to_table(spec), list(spec.variables), members, patterns)
+    pos = {name: k for k, name in enumerate(spec.variables)}
+    return _cluster_info(spec_to_table(spec), pos, members, patterns)
 
 
 def _cfar_step(spec: T.RecSpec, info: ClusterInfo, patterns: tuple,

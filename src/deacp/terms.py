@@ -567,7 +567,6 @@ def reachable(spec: RecSpec, start: str) -> frozenset:
 class Classification:
     abstraction_free: bool
     bool_conditional: bool
-    closed: bool
 
 
 def classify(t: ProcTerm, ctx: Context) -> Classification:
@@ -578,7 +577,6 @@ def classify(t: ProcTerm, ctx: Context) -> Classification:
     return Classification(
         abstraction_free=not contains_abstraction(t),
         bool_conditional=bool_cond,
-        closed=is_closed(t),
     )
 
 

@@ -43,6 +43,7 @@ def test_every_axiom_has_twenty_sound_instances(small_ctx):
     for name in AX.SOUNDNESS_SUITE:
         lhs, rhs = G.axiom_instance(name, rng, cfg, small_ctx)
         assert decide_rb(lhs, rhs, small_ctx).equivalent, name
+        assert AX.AXIOMS[name].relates(lhs, rhs, small_ctx), name
 
 
 def test_merge_axiom_silent_leak_is_real(base_spec, ctx):

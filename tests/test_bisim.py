@@ -29,7 +29,7 @@ from deacp.bisim import (
     verify_branching_bisimulation,
 )
 from deacp.data_algebra import App, Flex, Lit
-from deacp.errors import DeacpError, EnumerationLimitError
+from deacp.errors import DeacpError, EnumerationLimitError, ShapeError
 from deacp.sos_cond import build_cond_lts, expand_to_sigma
 from deacp.sos_sigma import build_lts
 
@@ -257,6 +257,24 @@ def test_witness_relation_verifies(base_spec, ctx):
     result = rooted_branching_bisim(l1, l2, ctx)
     assert result.equivalent
     assert verify_branching_bisimulation(l1, l2, result.groups, ctx) == []
+    # A positive verdict has no counterexample to replay.
+    assert replay_counterexample(l1, l2, result, ctx) is False
+
+
+def test_systems_over_different_domains_are_refused(base_spec, ctx):
+    t = proc(base_spec, "[v = 0] -> a")
+    l1, l2 = build_lts(t, ctx, domain=("v",)), build_lts(t, ctx, domain=("u", "v"))
+    for check in (lambda: rooted_branching_bisim(l1, l2, ctx),
+                  lambda: rooted_branching_classes([l1, l1, l2], ctx),
+                  lambda: verify_branching_bisimulation(l1, l2, (((0,), (0,)),), ctx)):
+        with pytest.raises(ShapeError, match="ambient domains differ"):
+            check()
+
+
+def test_strong_signature_refuses_silent_steps(base_spec, ctx):
+    silent, plain = (build_lts(proc(base_spec, t), ctx, domain=()) for t in ("tau . a", "a"))
+    with pytest.raises(ShapeError, match="silent-step-free"):
+        strong_bisim_signature(silent, plain, ctx)
 
 
 def test_counterexample_replays(base_spec, ctx):

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -110,6 +111,19 @@ def test_analyze_clusters_singletons_without_hiding(base_spec, ctx):
     analysis = analyze_clusters(const.spec, ())
     assert [c.members for c in analysis.clusters] == [("X",), ("Y",)]
     assert all(not c.cyclic and c.conservative for c in analysis.clusters)
+
+
+def test_analyze_clusters_on_a_long_hidden_chain(base_spec, ctx):
+    """2001 singleton components, each non-cyclic and conservative: finding
+    and checking them takes time linear in the number of variables."""
+    eqs = ", ".join(f"X{k} = [true] -> a . X{k + 1}" for k in range(2000))
+    t = hide_a(base_spec, f"rec X0 where {{ {eqs}, X2000 = [true] -> epsilon }}")
+    started = time.process_time()
+    analysis = analyze_clusters(t.body.spec, t.patterns)
+    elapsed = time.process_time() - started
+    assert [c.members for c in analysis.clusters] == [(f"X{k}",) for k in range(2001)]
+    assert all(not c.cyclic and c.conservative for c in analysis.clusters)
+    assert elapsed < 0.5, elapsed
 
 
 def test_cluster_of_flags_unreachable_exit(base_spec, ctx):
@@ -268,6 +282,57 @@ def test_replay_rejects_an_rsp_step_that_breaks_the_root_condition(base_spec, ct
              ProofStep("LIN", c2, t2, details=lin, payload={"input": t2, "reverse": True})]
     ok, issues = replay_certificate(ProofCertificate(t1, t2, steps), ctx)
     assert not ok and issues and all("'kind': 'root-step'" in i for i in issues), issues
+
+
+FAIR_PAIR = (f"hide{{a}}({CLUSTER_SRC})", "b + tau . (b + c)")  # LIN, RSP, LIN and CFAR
+IMP2_PAIR = ("hide{a}([v = v] -> a . b)", "tau . b")  # IMP2 first
+A6_PAIR = ("a + delta", "a")  # one axiom step
+
+
+def _step(cert, rule):
+    return next(s for s in cert.steps if s.rule == rule)
+
+
+def _edited(cert, name, **change):
+    """cert with its first step of the rule name changed."""
+    step = _step(cert, name)
+    return ProofCertificate(cert.left, cert.right,
+                            [replace(step, **change) if s is step else s for s in cert.steps])
+
+
+@pytest.mark.parametrize("pair, tamper, issue", [
+    (FAIR_PAIR, lambda c: ProofCertificate(c.right, c.right, c.steps),
+     "chain does not start at the left-hand term"),
+    (FAIR_PAIR, lambda c: ProofCertificate(c.left, c.left, c.steps),
+     "chain does not end at the right-hand term"),
+    (FAIR_PAIR, lambda c: ProofCertificate(c.left, c.right,
+                                           [s for s in c.steps if s.rule != "RSP"]),
+     "chain break between LIN and LIN"),
+    (FAIR_PAIR, lambda c: _edited(c, "LIN", after=_step(c, "RSP").after),
+     "LIN replay produced a different specification"),
+    (FAIR_PAIR, lambda c: _edited(c, "LIN", details={"construction": "linearize"}),
+     "LIN replay failed: "),
+    (FAIR_PAIR, lambda c: _edited(c, "RSP", payload={"domain": ()}),
+     "RSP step carries no witness"),
+    (FAIR_PAIR, lambda c: _edited(c, "CFAR", after=_step(c, "CFAR").before),
+     "CFAR step does not match the recomputed equation"),
+    (IMP2_PAIR, lambda c: _edited(c, "IMP2", after=c.right),
+     "IMP2 replay produced a different normalization"),
+    (A6_PAIR, lambda c: _edited(c, "A6", after=T.DELTA),
+     "step does not instantiate axiom A6"),
+    (A6_PAIR, lambda c: _edited(c, "A6", rule="A99"),
+     "unknown rule 'A99'"),
+], ids=["chain-start", "chain-end", "chain-break", "lin-target", "lin-failed", "rsp-witness",
+        "cfar-after", "imp2-target", "axiom", "unknown-rule"])
+def test_replay_rejects_each_tampered_step(base_spec, ctx, pair, tamper, issue):
+    """Each rejection of replay, on a real certificate tampered once; the
+    steps left alone, RSP included, still replay, and a changed end of a
+    step may add only chain issues."""
+    certificate = prove_equal(*(proc(base_spec, t) for t in pair), ctx).certificate
+    assert replay_certificate(certificate, ctx) == (True, [])
+    ok, issues = replay_certificate(tamper(certificate), ctx)
+    assert ok is False and any(i.startswith(issue) for i in issues), issues
+    assert all(i.startswith((issue, "chain")) for i in issues), issues
 
 
 def test_replay_rejects_cfar_step_naming_another_cluster(base_spec, ctx):

@@ -167,9 +167,9 @@ def test_classify_bool_conditional(base_spec, ctx):
     assert T.classify(proc(base_spec, "[v = 0] -> a"), ctx).bool_conditional is False
 
 
-def test_classify_closed(base_spec, ctx):
-    assert T.classify(proc(base_spec, "a . b"), ctx).closed is True
-    assert T.classify(T.RecVar("X"), ctx).closed is False
+def test_is_closed(base_spec, ctx):
+    assert T.is_closed(proc(base_spec, "a . b"))
+    assert not T.is_closed(T.RecVar("X"))
 
 
 def test_comm_function_validation():
@@ -322,7 +322,7 @@ def _examples() -> dict:
         T.Alt(a, a), T.Seq(a, a), T.Par(a, a), T.LeftMerge(a, a), T.CommMerge(a, a),
         T.Encap(hide, a), T.Abstr(hide, a), T.Guard(less, a),
         T.Eval(D.EvalMap.of({"x": 1}), a), T.RecVar("X"), loop, T.RecConst("X", loop),
-        T.CommFunction.of({("a", "b"): "c"}), T.Context(), T.Classification(True, False, True),
+        T.CommFunction.of({("a", "b"): "c"}), T.Context(), T.Classification(True, False),
     ]
     return {type(term): term for term in out}
 
