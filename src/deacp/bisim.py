@@ -141,7 +141,7 @@ class _Union:
                     "build both systems over the union of their occurring variables"
                 )
         self.ltss, self.classes = ltss, _ActionClasses(ctx)
-        self.map_id = map_id = {sigma: m for m, sigma in enumerate(ltss[0].maps)}
+        self.map_id = map_id = {sigma: m for lts in ltss[:1] for m, sigma in enumerate(lts.maps)}
         self.bases, self.roots, self.moves = [], [], []
         for lts in ltss:
             base = len(self.moves)
@@ -168,6 +168,10 @@ class _Union:
                     seen.add(t)
                     frontier.append(t)
         return seen
+
+    def terminates(self, x: int, m: int) -> bool:
+        """Whether state x terminates under map id m."""
+        return self.moves[x].get(m, [(0, x)])[-1][0] < 0
 
     def observers(self) -> tuple:
         """For each root of a pair: its side, its system, the system's first
@@ -212,8 +216,8 @@ def _transfer(u: _Union, related, related_paths: bool):
                        for v in answers(me, start, m)):
                 yield _violation(u, side, "step", sigma, action, lts.states[target])
     for side, lts, base, me, start in u.observers():
-        for m in sorted(m for m, ms in u.moves[me].items() if ms[-1][0] < 0):
-            if not any((-1, v) in u.moves[v].get(m, ()) for v in answers(me, start, m)):
+        for m in sorted(m for m in u.moves[me] if u.terminates(me, m)):
+            if not any(u.terminates(v, m) for v in answers(me, start, m)):
                 yield _violation(u, side, "termination", u.maps[m])
 
 
@@ -226,10 +230,10 @@ def _root_violations(u: _Union, related):
             m, c, t = u.map_id[sigma], u.classes(action), base + target
             if not any(d == c and related(t, w) for d, w in u.moves[other].get(m, ())):
                 yield _violation(u, side, "root-step", sigma, action, lts.states[target])
-    l1, l2 = u.ltss
-    for sigma in l1.maps:
-        left = (l1.root, sigma) in l1.terminating
-        if left != ((l2.root, sigma) in l2.terminating):
+    r1, r2 = u.roots
+    for m, sigma in enumerate(u.maps):
+        left = u.terminates(r1, m)
+        if left != u.terminates(r2, m):
             yield _violation(u, "left" if left else "right", "root-termination", sigma)
 
 

@@ -545,6 +545,24 @@ def test_a_witness_with_one_state_moved_is_rejected(base_spec, ctx):
          "missing": [("termination", None)]}]
 
 
+def test_unanswered_names_the_first_written_form_of_an_action_class(base_spec, ctx):
+    """a(5) and a(3 + 2) are one class. The checker names a class by the form
+    the union of both systems lists first (left before right, in transition
+    order), whatever order the witness's groups present them in."""
+    five = T.ParamAction("a", (Lit(5),))
+    sum_ = T.ParamAction("a", (App("+", (Lit(3), Lit(2))),))
+    l1 = build_lts(proc(base_spec, "a . epsilon"), ctx, domain=())
+    sigma = l1.maps[0]
+    l1 = dataclasses.replace(l1, transitions=[((sigma, five, 1),), ()])
+    l2 = dataclasses.replace(l1, states=[*l1.states, l1.states[1]],
+                             transitions=[((sigma, sum_, 1),), (), ()])
+    groups = (((), (0,)), ((0,), (2,)), ((1,), (1,)))
+    assert verify_branching_bisimulation(l1, l2, groups, ctx) == [
+        {"kind": "unanswered", "side": "right", "state": 2, "map": {},
+         "missing": [("a(5)", 2)]},
+        {"kind": "root-missing"}]
+
+
 DETOUR_SRC = """
 domain 0..1
 vars v
@@ -628,3 +646,4 @@ def test_rooted_branching_classes_match_pairwise_decisions():
         assert (keys[i] == keys[j]) == equivalent, (i, j)
         verdicts.add(equivalent)
     assert verdicts == {True, False}
+    assert rooted_branching_classes([], ctx) == []

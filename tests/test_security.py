@@ -138,6 +138,15 @@ def test_dnii_unbuildable_variant_after_equivalent_ones_raises(bounded):
             check(SecuritySpec(p, low=(), ext=SEND), ctx)
 
 
+def test_dnii_unbuildable_first_variant_raises(bounded):
+    # every variant exceeds the bound, the first (h = -4) included
+    spec, ctx = bounded
+    p = proc(spec, "a . a . a . a . send(h)")
+    for check in (check_dnii, dnii_oracle.check_dnii):
+        with pytest.raises(ExplorationLimitError):
+            check(SecuritySpec(p, low=(), ext=SEND), ctx)
+
+
 def _outcome(check, spec, ctx):
     try:
         return check(spec, ctx).to_json_dict()
