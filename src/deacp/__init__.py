@@ -42,7 +42,6 @@ from .bisim import (
     strong_bisim_signature,
 )
 from .linear import (
-    ClusterAnalysis,
     ProofCertificate,
     ProveResult,
     analyze_clusters,

@@ -332,10 +332,6 @@ class _Linearizer:
                     "a silent cycle is not confined to a conservative cluster: "
                     + ", ".join(info.members)
                 )
-            if info.cyclic and not info.conservative:
-                raise CfarInapplicableError(
-                    "cluster is not conservative: " + ", ".join(info.members)
-                )
         member_cluster = {}
         for info in clusters:
             if info.cyclic:
@@ -377,7 +373,7 @@ class _Linearizer:
         spec = table_to_spec({n: sub[n] for n in order}, order)
         for info in clusters:
             if info.cyclic:
-                self.cfar_steps.append(_cfar_step(spec, info, patterns, self.ctx))
+                self.cfar_steps.append(_cfar_step(spec, info, patterns))
         return mapping[root]
 
     def _replace_pure_tau(self, sub: dict, root: str):
@@ -429,18 +425,10 @@ class ClusterInfo:
     cyclic: bool
     is_cluster: bool
     exit_rows: tuple  # summand rows leaving the cluster, in specification order
-    conservative: bool
 
     @property
     def exit_terms(self) -> tuple:
         return tuple(map(_summand, self.exit_rows))
-
-
-@dataclass
-class ClusterAnalysis:
-    spec: T.RecSpec
-    patterns: tuple
-    clusters: list  # ClusterInfo for every strongly connected candidate
 
 
 def _scc(pos: dict, edges) -> list:
@@ -496,73 +484,45 @@ def _scc(pos: dict, edges) -> list:
     return components
 
 
-def _cluster_info(table: dict, pos: dict, members, patterns: tuple) -> ClusterInfo:
-    """A candidate set against the cluster definitions: its exit rows, the
-    cluster condition, conservativity and whether a hidden move stays inside.
-    pos gives each variable's place in the specification."""
-    member_set = frozenset(members)
-    members = tuple(sorted((name for name in member_set if name in pos), key=pos.__getitem__))
-    is_cluster, cyclic = True, False
-    exits: dict = {}  # insertion-ordered set of rows
-    for name in members:
-        for row in table[name]:
-            if row[1] is not None and row[2] in member_set:
-                if _internal_row(row, member_set, patterns):
-                    cyclic = True
-                    continue
-                is_cluster = False
-            exits[row] = None
-    conservative = is_cluster
-    if is_cluster:
-        carriers = frozenset(n for n in members if any(row in exits for row in table[n]))
-        conservative = all(carriers <= {name} or carriers <= _reach_table(table, name)
-                           for name in members)
-    return ClusterInfo(members, member_set, cyclic, is_cluster, tuple(exits), conservative)
-
-
 def _find_clusters(table: dict, order: list, patterns: tuple) -> list:
-    """Every strongly connected component of the hidden moves, analysed."""
+    """Every strongly connected component of the hidden moves, with its exit
+    rows, whether it is a cluster and whether a hidden move stays inside.
+    A component's members reach one another by hidden moves, so every
+    cluster found is conservative: each member reaches each exit."""
     everything = frozenset(order)
     edges = {
         name: [row[2] for row in table[name] if _internal_row(row, everything, patterns)]
         for name in order
     }
     pos = {name: k for k, name in enumerate(order)}
-    return [_cluster_info(table, pos, comp, patterns) for comp in _scc(pos, edges)]
+    infos = []
+    for members in _scc(pos, edges):
+        member_set = frozenset(members)
+        is_cluster, cyclic = True, False
+        exits: dict = {}  # insertion-ordered set of rows
+        for name in members:
+            for row in table[name]:
+                if row[1] is not None and row[2] in member_set:
+                    if _internal_row(row, member_set, patterns):
+                        cyclic = True
+                        continue
+                    is_cluster = False
+                exits[row] = None
+        infos.append(ClusterInfo(members, member_set, cyclic, is_cluster, tuple(exits)))
+    return infos
 
 
-def _reach_table(table: dict, start: str) -> frozenset:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        name = frontier.pop()
-        for _, action, target in table.get(name, ()):
-            if target is not None and target in table and target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return frozenset(seen)
-
-
-def analyze_clusters(spec: T.RecSpec, patterns: tuple) -> ClusterAnalysis:
-    """Maximal strongly-connected candidate clusters of the hidden moves,
-    their exit sets, and conservativity per the definitions."""
+def analyze_clusters(spec: T.RecSpec, patterns: tuple) -> list:
+    """The clusters among the maximal strongly connected components of the
+    hidden moves, with their exit sets."""
     if not T.is_linear_spec(spec):
         raise GuardednessError("cluster analysis needs a linear specification")
-    table = spec_to_table(spec)
-    order = list(spec.variables)
-    infos = _find_clusters(table, order, patterns)
-    return ClusterAnalysis(spec=spec, patterns=tuple(patterns),
-                           clusters=[c for c in infos if c.is_cluster])
-
-
-def cluster_of(spec: T.RecSpec, patterns: tuple, members) -> ClusterInfo:
-    """Validate an arbitrary candidate set against the cluster definitions."""
-    pos = {name: k for k, name in enumerate(spec.variables)}
-    return _cluster_info(spec_to_table(spec), pos, members, patterns)
+    infos = _find_clusters(spec_to_table(spec), list(spec.variables), patterns)
+    return [c for c in infos if c.is_cluster]
 
 
 def _cfar_step(spec: T.RecSpec, info: ClusterInfo, patterns: tuple,
-               ctx: T.Context, member: Optional[str] = None) -> ProofStep:
+               member: Optional[str] = None) -> ProofStep:
     var = member if member is not None else info.members[0]
     closed_exits = [
         T.subst_rec_vars(term, {name: T.RecConst(name, spec)
@@ -588,21 +548,13 @@ def apply_cfar(spec: T.RecSpec, var: str, patterns: tuple, ctx: T.Context) -> tu
     right-hand side (under the silent prefix) and the certifying step."""
     if var not in spec:
         raise DeacpError(f"no equation for {var!r}")
-    table = spec_to_table(spec)
-    order = list(spec.variables)
-    infos = _find_clusters(table, order, patterns)
-    for info in infos:
-        if var in info.member_set:
-            if not info.is_cluster:
-                raise CfarInapplicableError(
-                    f"{var!r} lies on a silent cycle that is not a cluster"
-                )
-            if not info.conservative:
-                raise CfarInapplicableError(
-                    f"the cluster of {var!r} is not conservative"
-                )
-            step = _cfar_step(spec, info, tuple(patterns), ctx, member=var)
-            return step.after, step
+    infos = _find_clusters(spec_to_table(spec), list(spec.variables), patterns)
+    info = next(c for c in infos if var in c.member_set)
+    if info.is_cluster:
+        step = _cfar_step(spec, info, tuple(patterns), member=var)
+        return step.after, step
+    if info.cyclic:
+        raise CfarInapplicableError(f"{var!r} lies on a silent cycle that is not a cluster")
     raise CfarInapplicableError(f"no conservative cluster contains {var!r}")
 
 
@@ -648,6 +600,13 @@ def linearize(t: T.ProcTerm, ctx: T.Context) -> tuple:
     return _Linearizer(ctx).run(t)
 
 
+def _lin_step(source: T.ProcTerm, const: T.RecConst, construction: str) -> ProofStep:
+    """The step from a term to the linear specification that construction,
+    replayed on the source, builds for it."""
+    return ProofStep("LIN", source, const, details={"construction": construction},
+                     payload={"input": source})
+
+
 def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
     """Like linearize but for closed bool-conditional terms, eliminating
     abstraction through cluster collapse; returns (spec, variable, certificate)."""
@@ -666,11 +625,7 @@ def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
     engine = _Linearizer(ctx)
     spec, root = engine.run(normalized)
     const = T.RecConst(root, spec)
-    steps.append(ProofStep(
-        "LIN", normalized, const,
-        details={"construction": "normalize_bool_conditional"},
-        payload={"input": normalized},
-    ))
+    steps.append(_lin_step(normalized, const, "normalize_bool_conditional"))
     certificate = ProofCertificate(t, const, steps + engine.bed_steps + engine.cfar_steps)
     return spec, root, certificate
 
@@ -717,12 +672,8 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
         spec1, var1 = linearize(t1, ctx)
         spec2, var2 = linearize(t2, ctx)
         const1, const2 = T.RecConst(var1, spec1), T.RecConst(var2, spec2)
-        steps.append(ProofStep("LIN", t1, const1,
-                               details={"construction": "linearize"},
-                               payload={"input": t1}))
-        tail = [ProofStep("LIN", t2, const2,
-                          details={"construction": "linearize"},
-                          payload={"input": t2})]
+        steps.append(_lin_step(t1, const1, "linearize"))
+        tail = [_lin_step(t2, const2, "linearize")]
     elif cls1.bool_conditional and cls2.bool_conditional:
         spec1, var1, cert1 = normalize_bool_conditional(t1, ctx)
         spec2, var2, cert2 = normalize_bool_conditional(t2, ctx)

@@ -13,13 +13,13 @@ from deacp.errors import CfarInapplicableError, UnsupportedFragmentError
 from deacp.linear import (
     analyze_clusters,
     apply_cfar,
-    cluster_of,
     linearize,
     normalize_bool_conditional,
     ProofCertificate,
     ProofStep,
     prove_equal,
     replay_certificate,
+    spec_to_table,
 )
 from deacp.parser import render_term
 from deacp.sos_sigma import build_lts
@@ -91,8 +91,7 @@ def test_linearize_rejects_abstraction(base_spec, ctx):
 def test_analyze_clusters_on_the_cycle_example(base_spec, ctx):
     const = proc(base_spec, CLUSTER_SRC)
     patterns = (T.ActionPattern("name", "a"),)
-    analysis = analyze_clusters(const.spec, patterns)
-    cyclic = [c for c in analysis.clusters if c.cyclic]
+    cyclic = [c for c in analyze_clusters(const.spec, patterns) if c.cyclic]
     assert len(cyclic) == 1
     cluster = cyclic[0]
     assert set(cluster.members) == {"X", "Y"}
@@ -100,7 +99,6 @@ def test_analyze_clusters_on_the_cycle_example(base_spec, ctx):
         "[true] -> b . Z",
         "[true] -> c . Z",
     ]
-    assert cluster.conservative
 
 
 def test_analyze_clusters_singletons_without_hiding(base_spec, ctx):
@@ -108,34 +106,93 @@ def test_analyze_clusters_singletons_without_hiding(base_spec, ctx):
         base_spec,
         "rec X where { X = [true] -> a . Y, Y = [true] -> epsilon }",
     )
-    analysis = analyze_clusters(const.spec, ())
-    assert [c.members for c in analysis.clusters] == [("X",), ("Y",)]
-    assert all(not c.cyclic and c.conservative for c in analysis.clusters)
+    clusters = analyze_clusters(const.spec, ())
+    assert [c.members for c in clusters] == [("X",), ("Y",)]
+    assert not any(c.cyclic for c in clusters)
 
 
 def test_analyze_clusters_on_a_long_hidden_chain(base_spec, ctx):
-    """2001 singleton components, each non-cyclic and conservative: finding
-    and checking them takes time linear in the number of variables."""
+    """2001 singleton components, none cyclic: finding them takes time
+    linear in the number of variables."""
     eqs = ", ".join(f"X{k} = [true] -> a . X{k + 1}" for k in range(2000))
     t = hide_a(base_spec, f"rec X0 where {{ {eqs}, X2000 = [true] -> epsilon }}")
     started = time.process_time()
-    analysis = analyze_clusters(t.body.spec, t.patterns)
+    clusters = analyze_clusters(t.body.spec, t.patterns)
     elapsed = time.process_time() - started
-    assert [c.members for c in analysis.clusters] == [(f"X{k}",) for k in range(2001)]
-    assert all(not c.cyclic and c.conservative for c in analysis.clusters)
+    assert [c.members for c in clusters] == [(f"X{k}",) for k in range(2001)]
+    assert not any(c.cyclic for c in clusters)
     assert elapsed < 0.5, elapsed
 
 
-def test_cluster_of_flags_unreachable_exit(base_spec, ctx):
-    # Y cannot reach the exit carried by X, so {X, Y} is not conservative.
-    const = proc(
-        base_spec,
-        "rec X where { X = [true] -> a . Y + [true] -> b . Z,"
-        " Y = [true] -> a . Y, Z = [true] -> epsilon }",
-    )
-    info = cluster_of(const.spec, (T.ActionPattern("name", "a"),), ("X", "Y"))
-    assert info.is_cluster
-    assert not info.conservative
+def hidden_cycle(spec, n):
+    """hide{a} over a cycle of n hidden steps whose last member exits by b."""
+    eqs = ", ".join(f"X{k} = [true] -> a . X{k + 1}" for k in range(n - 1))
+    return hide_a(spec, f"rec X0 where {{ {eqs}, X{n - 1} = [true] -> a . X0"
+                        f" + [true] -> b . E, E = [true] -> epsilon }}")
+
+
+def test_analyze_clusters_on_a_long_hidden_cycle(base_spec, ctx):
+    """One cyclic cluster of 2000 members: each member's exits are read once,
+    so the analysis takes time linear in the size of the cluster."""
+    t = hidden_cycle(base_spec, 2000)
+    started = time.process_time()
+    clusters = analyze_clusters(t.body.spec, t.patterns)
+    elapsed = time.process_time() - started
+    assert [c.members for c in clusters] == [tuple(f"X{k}" for k in range(2000)), ("E",)]
+    assert clusters[0].cyclic
+    assert [render_term(e) for e in clusters[0].exit_terms] == ["[true] -> b . E"]
+    assert elapsed < 0.5, elapsed
+
+
+def test_prove_and_replay_on_a_long_hidden_cycle(base_spec, ctx):
+    """Replaying the fair-abstraction lemma of a 1000-member cluster analyses
+    its specification once more; it costs a small part of the proof."""
+    t = hidden_cycle(base_spec, 1000)
+    started = time.process_time()
+    result = prove_equal(t, proc(base_spec, "tau . b"), ctx)
+    proved = time.process_time()
+    assert result.equal
+    assert replay_certificate(result.certificate, ctx) == (True, [])
+    replayed = time.process_time()
+    assert [len(s.payload["members"]) for s in result.certificate.steps
+            if s.rule == "CFAR"] == [1000]
+    assert proved - started < 10, proved - started
+    assert replayed - proved < 0.25, replayed - proved
+
+
+def _hidden_reach(table, info, patterns, start):
+    """The members reached from start by hidden moves inside the cluster."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        for cond, action, target in table[frontier.pop()]:
+            hidden = action is not None and (
+                isinstance(action, T.TauAction) or T.matches_any(action, patterns))
+            if hidden and cond == TRUE and target in info.member_set and target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
+
+
+def test_every_cluster_found_is_conservative(base_spec, ctx):
+    """Each member of a cluster reaches each member that carries an exit
+    through hidden moves inside the cluster, so fair abstraction applies."""
+    rng = random.Random(3)
+    cfg = G.GenConfig()
+    patterns = (T.ActionPattern("name", "a"),)
+    cyclic = 0
+    for k in range(400):
+        if k % 2:
+            spec = G.random_glrs(rng, cfg, ctx)
+        else:
+            spec = G.cluster_spec(rng, cfg, ctx, "a", size=rng.randint(1, 5))[0]
+        table = spec_to_table(spec)
+        for info in analyze_clusters(spec, patterns):
+            cyclic += info.cyclic
+            carriers = {n for n in info.members
+                        if any(row in info.exit_rows for row in table[n])}
+            for name in info.members:
+                assert carriers <= _hidden_reach(table, info, patterns, name), (spec, name)
+    assert cyclic >= 200
 
 
 def test_apply_cfar_on_the_paper_shape(base_spec, ctx):
@@ -173,6 +230,13 @@ def test_apply_cfar_requires_a_conservative_cluster(base_spec, ctx):
         " Y = [true] -> a . X, Z = [true] -> epsilon }",
     )
     with pytest.raises(CfarInapplicableError):
+        apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),), ctx)
+
+
+def test_apply_cfar_on_a_variable_on_no_silent_cycle(base_spec, ctx):
+    # X's own step b keeps {X} from being a cluster, but no hidden move is a cycle.
+    const = proc(base_spec, "rec X where { X = [true] -> b . X }")
+    with pytest.raises(CfarInapplicableError, match="^no conservative cluster contains 'X'$"):
         apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),), ctx)
 
 
