@@ -186,11 +186,11 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_cfar(args) -> int:
-    spec, ctx = _load(args)
+    spec, _ = _load(args)
     term = spec.process(args.process)
     if not isinstance(term, T.Abstr) or not isinstance(term.body, T.RecConst):
         raise DeacpError("cfar expects a process of the form hide{...}(rec ...)")
-    rhs, step = apply_cfar(term.body.spec, term.body.var, term.patterns, ctx)
+    rhs, step = apply_cfar(term.body.spec, term.body.var, term.patterns)
     payload = step.to_json_dict()
     text = f"{render_term(step.before)}\n= {render_term(rhs)}"
     _emit(payload, args.json, text)

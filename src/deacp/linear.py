@@ -543,7 +543,7 @@ def _cfar_step(spec: T.RecSpec, info: ClusterInfo, patterns: tuple,
     )
 
 
-def apply_cfar(spec: T.RecSpec, var: str, patterns: tuple, ctx: T.Context) -> tuple:
+def apply_cfar(spec: T.RecSpec, var: str, patterns: tuple) -> tuple:
     """The fair-abstraction equation for var's cluster: returns the rewritten
     right-hand side (under the silent prefix) and the certifying step."""
     if var not in spec:
@@ -760,7 +760,7 @@ def _replay_step(step: ProofStep, ctx: T.Context) -> list:
         if spec is None or members is None or patterns is None:
             return ["CFAR step carries no cluster data"]
         try:
-            expected, recomputed = apply_cfar(spec, var, patterns, ctx)
+            expected, recomputed = apply_cfar(spec, var, patterns)
         except DeacpError as exc:
             return [f"CFAR replay failed: {exc}"]
         if recomputed.payload["members"] != tuple(members):

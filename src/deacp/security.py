@@ -18,7 +18,7 @@ from .conditions import args_equal, satisfiable
 from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps
 from .errors import DeacpError, DeclarationError, EnumerationLimitError
 from .parser import render_action
-from .sos_sigma import build_lts
+from .sos_sigma import _Sos, build_lts
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,11 @@ def check_dnii(spec: SecuritySpec, ctx: T.Context) -> DniiVerdict:
     low-security variables; quantification ranges over occurring variables
     (others cannot affect any transition) with unordered high pairs.
 
-    The equivalence is decided by one refinement per low part. In pair
-    order the first inequivalent pair is (0, j) for the first variant j
-    unlike variant 0; pairs_checked counts up to it, and a variant that
-    cannot be built is an error only if no earlier pair leaks.
+    The variants of one low part are built with one explorer, and their
+    equivalence is decided by one refinement. In pair order the first
+    inequivalent pair is (0, j) for the first variant j unlike variant 0;
+    pairs_checked counts up to it, and a variant that cannot be built is an
+    error only if no earlier pair leaks.
     """
     sets = derive_sets(spec, ctx)
     if not T.is_closed(spec.process):
@@ -146,10 +147,11 @@ def check_dnii(spec: SecuritySpec, ctx: T.Context) -> DniiVerdict:
     for low_part in low_maps:
         sigmas = [EvalMap.of({**base, **low_part.as_dict(), **h.as_dict()})
                   for h in high_maps]
-        ltss, failure = [], None
+        ltss, failure, sos = [], None, _Sos(ctx)
         for sigma in sigmas:
             try:
-                ltss.append(build_lts(_observed_term(spec, sets, sigma), ctx, domain=()))
+                ltss.append(build_lts(_observed_term(spec, sets, sigma), ctx, domain=(),
+                                      explorer=sos))
             except (DeacpError, RecursionError) as exc:  # raised unless an earlier pair leaks
                 failure = exc
                 break

@@ -4,11 +4,12 @@ Transitions are indexed by an evaluation map and an atomic action (or the
 silent step); termination is indexed by an evaluation map. A term wrapped in
 an evaluation operator behaves identically under every ambient map, so LTS
 construction enumerates ambient maps only over the flexible variables that
-occur outside carried maps. Over more than one ambient map, each subterm is
-derived once per class of maps that agree on the variables its next step
-reads: the guards and synchronization data it evaluates before its first
-action, not those its later steps evaluate, such as the other equations of
-a recursive specification.
+occur outside carried maps. Each subterm is derived once per assignment of
+values to the variables its next step reads, under every map alike (the
+ambient maps of a build and a map carried by an evaluation operator): the
+guards and synchronization data it evaluates before its first action, not
+those its later steps evaluate, such as the other equations of a recursive
+specification.
 """
 
 from __future__ import annotations
@@ -55,30 +56,30 @@ class _Rules:
 
 
 class _Sos(_Rules):
-    """Map-indexed rules. Over the ambient maps of a build, when there is more
-    than one, steps and termination are memoized per (term, class of maps that
-    agree on what the term reads), the class named and derived by its first
-    map; otherwise, and for a map outside them, per (term, map)."""
+    """Map-indexed rules. Steps and termination are memoized per (term, the
+    values the map gives the variables the term reads), whatever the map:
+    maps that agree there share one entry, derived under the first of them
+    to reach it."""
 
-    def __init__(self, ctx: T.Context, maps: tuple = ()):
+    def __init__(self, ctx: T.Context):
         super().__init__(ctx)
         self.read_cache: dict = {}  # term -> (variables it reads, whether it can terminate)
-        self.maps = maps
-        self.classes = {} if len(maps) > 1 else None  # read set -> {map: its class's first map}
+        self.views: dict = {}  # (read set, map) -> the map's entries on the read set
 
     def _key(self, t, sigma):
-        """t, and the first map in self.maps that agrees with sigma on what t
-        reads; a map outside them, such as an eval's carried map, is its own."""
+        """t, and sigma's entries on the variables t reads; under the empty
+        map, the one ambient map of a build over no variables, that is ()
+        whatever t reads, so t's read set is not worked out."""
+        if not sigma.entries:
+            return t, ()
         reads = self._reads(t)[0]
-        firsts = self.classes.get(reads)
-        if firsts is None:
-            # Entries are sorted by name, not in domain order: project by name.
-            at = [i for i, (name, _) in enumerate(self.maps[0].entries) if name in reads]
-            seen = {}
-            firsts = self.classes[reads] = {
-                m: seen.setdefault(tuple([m.entries[i] for i in at]), m) for m in self.maps
-            }
-        return t, firsts.get(sigma, sigma)
+        if not reads:
+            return t, ()
+        view = self.views.get((reads, sigma))
+        if view is None:
+            view = self.views[reads, sigma] = tuple(
+                entry for entry in sigma.entries if entry[0] in reads)
+        return t, view
 
     def reads(self, t: T.ProcTerm) -> frozenset:
         """Flexible variables whose ambient values t's steps and termination
@@ -146,10 +147,10 @@ class _Sos(_Rules):
 
     def steps(self, t: T.ProcTerm, sigma: EvalMap) -> tuple:
         """All pairs (action, canonical target) derivable for t under sigma."""
-        key = (t, sigma) if self.classes is None else self._key(t, sigma)
+        key = self._key(t, sigma)
         hit = self.step_cache.get(key)
         if hit is None:
-            hit = self.step_cache[key] = tuple(dict.fromkeys(self._steps(t, key[1])))
+            hit = self.step_cache[key] = tuple(dict.fromkeys(self._steps(t, sigma)))
         return hit
 
     def _steps(self, t, sigma):
@@ -214,15 +215,14 @@ class _Sos(_Rules):
         raise TypeError(f"not a process term: {t!r}")
 
     def terminates(self, t: T.ProcTerm, sigma: EvalMap) -> bool:
-        if self.classes is None:
-            key = (t, sigma)
-        elif self._reads(t)[1]:
-            key = self._key(t, sigma)
-        else:
-            return False  # t cannot terminate under any map
+        # Whether t can terminate at all is read off its syntax, except under
+        # the empty map, where, as in _key, nothing about t is worked out.
+        if sigma.entries and not self._reads(t)[1]:
+            return False
+        key = self._key(t, sigma)
         hit = self.term_cache.get(key)
         if hit is None:
-            hit = self.term_cache[key] = self._terminates(t, key[1])
+            hit = self.term_cache[key] = self._terminates(t, sigma)
         return hit
 
     def _terminates(self, t, sigma):
@@ -349,14 +349,18 @@ def explore(root: T.ProcTerm, successors, bound: int) -> tuple:
     return states, transitions
 
 
-def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None) -> SigmaLts:
-    """Breadth-first closure of the step relation over every enumerated map."""
+def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None,
+              explorer: Optional[_Sos] = None) -> SigmaLts:
+    """Breadth-first closure of the step relation over every enumerated map.
+
+    Builds of related terms under one context can share the memo tables of
+    one explorer, `_Sos(ctx)`; by default each build starts its own."""
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
         domain = ambient_domain(t, ctx)
     maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
-    sos = _Sos(ctx, maps)
+    sos = _Sos(ctx) if explorer is None else explorer
     terminating = set()
 
     def successors(sid, state):

@@ -3,10 +3,11 @@ and SigmaLts.to_json_dict.
 
 It derives every state under every ambient map in turn, whatever variables
 the state reads, and renders the JSON export with a fresh map dict per row.
-Its `_Sos(ctx)` is given no ambient maps, so it memoizes per (subterm, map)
-and derives every subterm under every map that reaches it, where
-`build_lts` derives one per class of the maps that agree on what the
-subterm reads.
+Its explorer, `PerMapSos`, memoizes per (subterm, whole map), so it derives
+every subterm under every map that reaches it, and it judges termination by
+the rules alone; `build_lts` derives a subterm once per assignment of values
+to the variables the subterm reads, and skips termination where the syntax
+rules it out.
 """
 
 from deacp import terms as T
@@ -16,13 +17,27 @@ from deacp.parser import render_action, render_term
 from deacp.sos_sigma import SigmaLts, _Sos, ambient_domain, explore
 
 
+class PerMapSos(_Sos):
+    """`_Sos` keyed by the whole map, with no shortcut for termination."""
+
+    def _key(self, t, sigma):
+        return t, sigma
+
+    def terminates(self, t, sigma):
+        key = (t, sigma)
+        hit = self.term_cache.get(key)
+        if hit is None:
+            hit = self.term_cache[key] = self._terminates(t, sigma)
+        return hit
+
+
 def build_lts(t, ctx, domain=None) -> SigmaLts:
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
         domain = ambient_domain(t, ctx)
     maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
-    sos = _Sos(ctx)
+    sos = PerMapSos(ctx)
     terminating = set()
 
     def successors(sid, state):

@@ -133,7 +133,7 @@ def test_criterion_03_fair_abstraction_example(worked, ctx):
     )
     target = proc(worked, "b + tau . (b + c)")
     equivalent = decide_rb(hidden, target, ctx).equivalent
-    rhs, step = apply_cfar(hidden.body.spec, "X", hidden.patterns, ctx)
+    rhs, step = apply_cfar(hidden.body.spec, "X", hidden.patterns)
     prefixed_ok = (
         isinstance(step.before, T.Seq)
         and isinstance(step.before.left.action, T.TauAction)

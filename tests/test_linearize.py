@@ -198,7 +198,7 @@ def test_every_cluster_found_is_conservative(base_spec, ctx):
 def test_apply_cfar_on_the_paper_shape(base_spec, ctx):
     const = proc(base_spec, CLUSTER_SRC)
     patterns = (T.ActionPattern("name", "a"),)
-    rhs, step = apply_cfar(const.spec, "X", patterns, ctx)
+    rhs, step = apply_cfar(const.spec, "X", patterns)
     assert step.details["cluster"] == ["X", "Y"]
     assert step.details["exits"] == ["[true] -> b . Z", "[true] -> c . Z"]
     # the rewritten side is the silent prefix over the abstracted exit sum
@@ -211,33 +211,33 @@ def test_apply_cfar_degenerate_singleton(base_spec, ctx):
         base_spec,
         "rec X where { X = [true] -> a . X + [true] -> b . Z, Z = [true] -> epsilon }",
     )
-    rhs, step = apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),), ctx)
+    rhs, step = apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),))
     assert step.details["cluster"] == ["X"]
     assert decide_rb(step.before, step.after, ctx).equivalent
 
 
 def test_apply_cfar_livelock_yields_inaction_sum(base_spec, ctx):
     const = proc(base_spec, "rec X where { X = [true] -> a . X }")
-    rhs, step = apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),), ctx)
+    rhs, step = apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),))
     assert render_term(rhs) == "tau . hide{a}(delta)"
     assert decide_rb(step.before, step.after, ctx).equivalent
 
 
-def test_apply_cfar_requires_a_conservative_cluster(base_spec, ctx):
+def test_apply_cfar_requires_a_conservative_cluster(base_spec):
     const = proc(
         base_spec,
         "rec X where { X = [true] -> a . Y + [true] -> b . X,"
         " Y = [true] -> a . X, Z = [true] -> epsilon }",
     )
     with pytest.raises(CfarInapplicableError):
-        apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),), ctx)
+        apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),))
 
 
-def test_apply_cfar_on_a_variable_on_no_silent_cycle(base_spec, ctx):
+def test_apply_cfar_on_a_variable_on_no_silent_cycle(base_spec):
     # X's own step b keeps {X} from being a cluster, but no hidden move is a cycle.
     const = proc(base_spec, "rec X where { X = [true] -> b . X }")
     with pytest.raises(CfarInapplicableError, match="^no conservative cluster contains 'X'$"):
-        apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),), ctx)
+        apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),))
 
 
 def test_normalize_cfar_example(base_spec, ctx):
@@ -422,7 +422,7 @@ def test_replay_reports_cfar_step_naming_a_variable_on_no_cluster(base_spec, ctx
                         " X0 = [true] -> a . X1 + [true] -> b . E,"
                         " X1 = [true] -> a . X0 + [true] -> b . E, E = [true] -> epsilon,"
                         " Y0 = [true] -> a . Y1 + [true] -> c . Y1, Y1 = [true] -> a . Y0 })")
-    _, cfar = apply_cfar(t.body.spec, "X0", t.patterns, ctx)
+    _, cfar = apply_cfar(t.body.spec, "X0", t.patterns)
     certificate = ProofCertificate(cfar.before, cfar.after, [cfar])
     assert replay_certificate(certificate, ctx) == (True, [])
     for change in ({"variable": "Y0"}, {"members": None}, {"patterns": None}):

@@ -7,11 +7,11 @@ from conftest import proc
 from deacp import gen as G
 from deacp import parser as P
 from deacp import terms as T
-from deacp.data_algebra import Carrier, FlexVarDecl
+from deacp.data_algebra import Carrier, FlexVarDecl, enumerate_maps
 from deacp.errors import DeacpError, DeclarationError, ExplorationLimitError
 from deacp.parser import render_action
 from deacp.security import SecuritySpec, _observed_term, check_dnii, derive_sets
-from deacp.sos_sigma import build_lts
+from deacp.sos_sigma import _Sos, build_lts, lts_equal_up_to_renaming
 
 
 SEND = (T.ActionPattern("name", "send"),)
@@ -183,3 +183,29 @@ def test_dnii_matches_pairwise_oracle_on_sweep_specs(domain, text):
     ctx = spec.context()
     dnii = SecuritySpec(proc(spec, text), tuple(spec.security_low), tuple(spec.security_ext))
     assert _outcome(check_dnii, dnii, ctx) == _outcome(dnii_oracle.check_dnii, dnii, ctx)
+
+
+@pytest.mark.parametrize("domain,text", [
+    ("-8..7", "send(l) . h := h + 2 . send(l)"),
+    ("-4..3", "a(h) . h := h + k . send(1)"),
+    ("-4..3", "[h + k >= 1] -> send(0) + [not h + k >= 1] -> send(2)"),
+])
+def test_dnii_variants_from_one_explorer_match_fresh_builds(domain, text):
+    """check_dnii builds the variants of a low part with one explorer: each
+    system equals a fresh build's, and the verdict the pairwise oracle's."""
+    spec = P.parse_spec(f"domain {domain}\nvars l, h, k\nactions send/1, a/1\n"
+                        "security { low = { l }; ext = { send/1 } }\n")
+    ctx = spec.context()
+    dnii = SecuritySpec(proc(spec, text), tuple(spec.security_low), tuple(spec.security_ext))
+    sets = derive_sets(dnii, ctx)
+    low = tuple(v for v in dnii.low if v in T.all_flex_vars(dnii.process))
+    for low_part in enumerate_maps(FlexVarDecl(low), ctx.carrier):
+        sos = _Sos(ctx)
+        for high in enumerate_maps(FlexVarDecl(sets.high), ctx.carrier):
+            sigma = T.EvalMap.of({"l": 0, "h": 0, "k": 0, **low_part.as_dict(), **high.as_dict()})
+            t = _observed_term(dnii, sets, sigma)
+            shared = build_lts(t, ctx, domain=(), explorer=sos)
+            assert lts_equal_up_to_renaming(shared, build_lts(t, ctx, domain=())), sigma
+    mine, oracle = check_dnii(dnii, ctx), dnii_oracle.check_dnii(dnii, ctx)
+    assert (mine.holds, mine.pairs_checked, mine.sigma, mine.sigma_prime) == (
+        oracle.holds, oracle.pairs_checked, oracle.sigma, oracle.sigma_prime)

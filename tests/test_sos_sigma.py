@@ -308,10 +308,12 @@ def _process_subterms(state, sos):
 def test_steps_depend_only_on_what_a_subterm_reads(names, seed):
     """The invariant the memo keys rest on, checked per map: maps that agree
     on what a subterm reads give it the same steps and termination, and a
-    subterm that its syntax says cannot terminate does not, under any map."""
+    subterm that its syntax says cannot terminate does not, under any map.
+    The oracle's explorer derives each subterm under each map, so the facts
+    compared here come from separate derivations."""
     ctx, consts = _rsp_sides(names, seed, 12)
     maps = list(enumerate_maps(FlexVarDecl(names), ctx.carrier))
-    sos = _Sos(ctx)
+    sos = lts_oracle.PerMapSos(ctx)
     checked = {}
     for const in consts:
         for state in build_lts(const, ctx, domain=names).states:
@@ -341,10 +343,33 @@ def test_the_memo_holds_one_entry_per_class_of_what_a_subterm_reads():
             sos.steps(t, sigma)
         return [sum(u is term for u, _ in sos.step_cache) for term in (t, guard, guard.body)]
 
-    # Over the maps of a build, one entry per class of what each subterm reads.
-    assert held(_Sos(ctx, maps)) == [512, 8, 1]
-    # Without them, one per map that reaches it: a . b only where x < 1 holds.
-    assert held(_Sos(ctx)) == [512, 512, 320]
+    # One entry per class of what each subterm reads.
+    assert held(_Sos(ctx)) == [512, 8, 1]
+    # Keyed by the whole map, one per map that reaches it: a . b only where x < 1 holds.
+    assert held(lts_oracle.PerMapSos(ctx)) == [512, 512, 320]
+
+
+def test_a_carried_map_is_memoized_by_what_each_subterm_reads():
+    """Under eval{x = 0, y = 0}(X || Y), counter X reads only x: it is
+    derived once per value of x, not once per state of the product."""
+    spec = P.parse_spec("domain 0..7\nvars x, y\nactions a, b\n")
+    ctx = spec.context()
+
+    def counter(v, act):
+        c = v.upper()
+        return (f"(rec {c} where {{ {c} = [{v} < 7] -> {v} := {v} + 1 . {c}"
+                f" + [{v} >= 7] -> {act} . {c}Z, {c}Z = [true] -> epsilon }})")
+
+    t = T.canonical(proc(spec, f"eval{{x = 0, y = 0}}({counter('x', 'a')} || {counter('y', 'b')})"),
+                    ctx)
+    sos = _Sos(ctx)
+    lts = build_lts(t, ctx, domain=(), explorer=sos)
+    assert len(lts.states) == 81  # (8 values + the state after the action)^2
+    x, y = t.body.left, t.body.right
+    for counter_term, var in ((x, "x"), (y, "y")):
+        views = [view for u, view in sos.step_cache if u is counter_term]
+        assert len(views) == 8
+        assert {tuple(name for name, _ in view) for view in views} == {(var,)}
 
 
 @pytest.mark.parametrize("text, reads", [
