@@ -13,8 +13,8 @@ from .conditions import signature
 from .data_algebra import EvalMap
 from .errors import DeacpError, ShapeError
 from .parser import render_action, render_term
-from .sos_cond import CondLts, build_cond_lts, expand_to_sigma
-from .sos_sigma import SigmaLts, build_lts
+from .sos_cond import CondLts, _CondSos, build_cond_lts, expand_to_sigma
+from .sos_sigma import SigmaLts, _Sos, build_lts
 
 
 # --- data-equivalent actions --------------------------------------------------
@@ -430,19 +430,25 @@ def shared_domain(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> tuple:
     return tuple(v for v in ctx.decl if v in occ)
 
 
-def decide_rb(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> BisimResult:
-    """Rooted branching bisimilarity of two closed terms."""
+def decide_rb(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context,
+              explorer: Optional[_Sos] = None) -> BisimResult:
+    """Rooted branching bisimilarity of two closed terms. Both sides are
+    built with one explorer: `explorer`, which a caller passes to share it
+    with further builds of its query, or a new one."""
     domain = shared_domain(t1, t2, ctx)
-    l1 = build_lts(t1, ctx, domain=domain)
-    l2 = l1 if _same(t1, t2, ctx) else build_lts(t2, ctx, domain=domain)
+    sos = _Sos(ctx) if explorer is None else explorer
+    l1 = build_lts(t1, ctx, domain=domain, explorer=sos)
+    l2 = l1 if _same(t1, t2, ctx) else build_lts(t2, ctx, domain=domain, explorer=sos)
     return rooted_branching_bisim(l1, l2, ctx)
 
 
 def decide_rab(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> BisimResult:
-    """The condition-labelled equivalence of two closed terms."""
+    """The condition-labelled equivalence of two closed terms, both sides
+    built with one explorer."""
     domain = shared_domain(t1, t2, ctx)
-    c1 = build_cond_lts(t1, ctx, domain=domain)
-    c2 = c1 if _same(t1, t2, ctx) else build_cond_lts(t2, ctx, domain=domain)
+    sos = _CondSos(ctx)
+    c1 = build_cond_lts(t1, ctx, domain=domain, explorer=sos)
+    c2 = c1 if _same(t1, t2, ctx) else build_cond_lts(t2, ctx, domain=domain, explorer=sos)
     return rooted_ab_bisim(c1, c2, ctx, domain)
 
 

@@ -239,9 +239,12 @@ class EvalMap:
         return dict(self.entries)
 
     def updated(self, var: str, value: int) -> "EvalMap":
-        if var not in self:
-            raise DeclarationError(f"flexible variable {var!r} not declared")
-        return EvalMap(tuple(sorted({**self.as_dict(), var: value}.items())))
+        """The map with var's entry replaced; the entries stay sorted."""
+        entries = self.entries
+        for i, (name, _) in enumerate(entries):
+            if name == var:
+                return EvalMap(entries[:i] + ((var, value),) + entries[i + 1:])
+        raise DeclarationError(f"flexible variable {var!r} not declared")
 
 
 def update_map(sigma: EvalMap, var: str, value: int) -> EvalMap:

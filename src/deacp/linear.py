@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedFragmentError,
 )
 from .parser import render_term
-from .sos_sigma import build_lts
+from .sos_sigma import _Sos, build_lts
 
 
 # --- proof certificates -----------------------------------------------------
@@ -654,8 +654,10 @@ def _swap_step(step: ProofStep) -> ProofStep:
 
 def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
     """Decide derivable equality of two closed terms in the supported
-    fragments and assemble a replayable certificate."""
-    result = decide_rb(t1, t2, ctx)
+    fragments and assemble a replayable certificate. The query explores
+    with one explorer: both sides, then both linear forms."""
+    sos = _Sos(ctx)
+    result = decide_rb(t1, t2, ctx, explorer=sos)
     if not result.equivalent:
         return ProveResult(False, counterexample=result.counterexample, bisim=result)
 
@@ -688,8 +690,8 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
         )
 
     domain = shared_domain(const1, const2, ctx)
-    l1 = build_lts(const1, ctx, domain=domain)
-    l2 = build_lts(const2, ctx, domain=domain)
+    l1 = build_lts(const1, ctx, domain=domain, explorer=sos)
+    l2 = build_lts(const2, ctx, domain=domain, explorer=sos)
     linked = rooted_branching_bisim(l1, l2, ctx)
     if not linked.equivalent:
         raise DeacpError("internal error: linearized forms are not equivalent")
@@ -706,8 +708,14 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
 # --- certificate replay -----------------------------------------------------------------
 
 def replay_certificate(cert: ProofCertificate, ctx: T.Context) -> tuple:
-    """Re-validate every step of a certificate; returns (ok, issues)."""
+    """Re-validate every step of a certificate; returns (ok, issues).
+
+    Every RSP step is replayed with one explorer of the replay's own, never
+    the prover's: a checker that reads the prover's memo tables checks
+    nothing. Only the context's tables of canonical forms and unfoldings,
+    which hold no verdict, are shared."""
     issues = []
+    sos = _Sos(ctx)
     chain = [s for s in cert.steps if s.role == "chain"]
     if chain:
         if chain[0].before != cert.left:
@@ -718,11 +726,11 @@ def replay_certificate(cert: ProofCertificate, ctx: T.Context) -> tuple:
             if a.after != b.before:
                 issues.append(f"chain break between {a.rule} and {b.rule}")
     for step in cert.steps:
-        issues.extend(_replay_step(step, ctx))
+        issues.extend(_replay_step(step, ctx, sos))
     return (not issues), issues
 
 
-def _replay_step(step: ProofStep, ctx: T.Context) -> list:
+def _replay_step(step: ProofStep, ctx: T.Context, sos: _Sos) -> list:
     rule = step.rule
     # The prover reverses the LIN, RSP and IMP2 steps of the right-hand chain.
     source, target = step.before, step.after
@@ -747,8 +755,8 @@ def _replay_step(step: ProofStep, ctx: T.Context) -> list:
         domain = step.payload.get("domain")
         if groups is None:
             return ["RSP step carries no witness"]
-        l1 = build_lts(source, ctx, domain=domain)
-        l2 = build_lts(target, ctx, domain=domain)
+        l1 = build_lts(source, ctx, domain=domain, explorer=sos)
+        l2 = build_lts(target, ctx, domain=domain, explorer=sos)
         bad = verify_branching_bisimulation(l1, l2, groups, ctx)
         return [f"RSP witness violation: {b}" for b in bad[:3]]
     if rule == "CFAR":

@@ -56,7 +56,7 @@ class _LabelRegistry:
 
 
 class _CondSos(_Rules):
-    """Condition-labelled rules with per-term memoization."""
+    """Condition-labelled rules, memoized per term (by identity, see `_Rules`)."""
 
     def __init__(self, ctx: T.Context):
         super().__init__(ctx)
@@ -81,14 +81,14 @@ class _CondSos(_Rules):
         return out
 
     def steps(self, t: T.ProcTerm) -> tuple:
-        hit = self.step_cache.get(t)
+        hit = self.step_cache.get(id(t))
         if hit is None:
-            hit = self.step_cache[t] = tuple(dict.fromkeys(self._steps(t)))
-        return hit
+            hit = self.step_cache[id(t)] = t, tuple(dict.fromkeys(self._steps(t)))
+        return hit[1]
 
     def _steps(self, t):
         if isinstance(t, T.Atom):
-            return [(TRUE, t.action, T.EPSILON)]
+            return [(TRUE, t.action, self._ended())]
         if isinstance(t, (T.Inaction, T.Empty)):
             return []
         if isinstance(t, T.Alt):
@@ -154,16 +154,16 @@ class _CondSos(_Rules):
                 if eval_cond(phi, t.emap, self.ctx.carrier)
             ]
         if isinstance(t, T.RecConst):
-            return list(self.steps(self._unfold(t)))
+            return list(self.steps(T.unfolded(t, self.ctx)))
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} has no transitions")
         raise TypeError(f"not a process term: {t!r}")
 
     def terminating(self, t: T.ProcTerm) -> tuple:
-        hit = self.term_cache.get(t)
+        hit = self.term_cache.get(id(t))
         if hit is None:
-            hit = self.term_cache[t] = tuple(dict.fromkeys(self._terminating(t)))
-        return hit
+            hit = self.term_cache[id(t)] = t, tuple(dict.fromkeys(self._terminating(t)))
+        return hit[1]
 
     def _terminating(self, t):
         if isinstance(t, T.Empty):
@@ -196,7 +196,7 @@ class _CondSos(_Rules):
                     out.append(TRUE)
             return out
         if isinstance(t, T.RecConst):
-            return list(self.terminating(self._unfold(t)))
+            return list(self.terminating(T.unfolded(t, self.ctx)))
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} cannot terminate")
         raise TypeError(f"not a process term: {t!r}")
@@ -249,12 +249,15 @@ class CondLts:
         }
 
 
-def build_cond_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None) -> CondLts:
+def build_cond_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None,
+                   explorer: Optional[_CondSos] = None) -> CondLts:
+    """Breadth-first closure of the condition-labelled step relation. As in
+    `build_lts`, the builds of one query can share one explorer, `_CondSos(ctx)`."""
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
         domain = ambient_domain(t, ctx)
-    sos = _CondSos(ctx)
+    sos = _CondSos(ctx) if explorer is None else explorer
     terminating = set()
 
     def successors(sid, state):

@@ -25,28 +25,31 @@ from .parser import render_action, render_term
 
 
 class _Rules:
-    """What both rule engines share: memo tables, canonical forms, the
-    unfolding of each recursion constant and evaluation under a carried map."""
+    """What both rule engines share: memo tables, canonical forms and
+    evaluation under a carried map. An explorer serves every build of one
+    query; the unfoldings of recursion constants belong to the context
+    (`T.unfolded`), as canonical forms do.
+
+    The memo tables key a term by its identity, `id(t)`, which costs no
+    Python-level hash. The terms the rules reach are canonical, one object
+    per value, so keying them by identity loses no sharing. Every entry
+    holds the object it keys, so no id is reused while the entry exists,
+    not even that of a term that is not canonical and that the caller drops."""
 
     def __init__(self, ctx: T.Context):
         self.ctx = ctx
-        self.step_cache: dict = {}
-        self.term_cache: dict = {}
-        self.unfold_cache: dict = {}  # RecConst -> canonical unfolding
+        self.step_cache: dict = {}  # key -> (the term keyed, its steps)
+        self.term_cache: dict = {}  # key -> (the term keyed, its termination)
 
     def _canon(self, t):
         """Canonical form of a target the rules build from canonical parts:
         the one object in the context's table that stands for it, so the
-        memo tables compare it with its equals by identity."""
+        memo tables and `explore` tell it from other states by identity."""
         return T.shared(T.simplify(t, self.ctx.carrier), self.ctx)
 
-    def _unfold(self, const: T.RecConst) -> T.ProcTerm:
-        """Canonical unfolding of a constant, computed once per explorer."""
-        hit = self.unfold_cache.get(const)
-        if hit is None:
-            T.require_glrs(const.spec)
-            hit = self.unfold_cache[const] = T.canonical(T.unfold(const), self.ctx)
-        return hit
+    def _ended(self):
+        """The canonical successful termination, the target of every atom's step."""
+        return T.shared(T.EPSILON, self.ctx)
 
     def _evaluated(self, action: T.Action, carried: EvalMap, target: T.ProcTerm) -> tuple:
         """A step of an evaluated body: its label with the data evaluated under
@@ -59,27 +62,31 @@ class _Sos(_Rules):
     """Map-indexed rules. Steps and termination are memoized per (term, the
     values the map gives the variables the term reads), whatever the map:
     maps that agree there share one entry, derived under the first of them
-    to reach it."""
+    to reach it. Maps are keyed by identity too: each entry of `views`
+    holds its map, since an explorer outlives the maps of a single build."""
 
     def __init__(self, ctx: T.Context):
         super().__init__(ctx)
-        self.read_cache: dict = {}  # term -> (variables it reads, whether it can terminate)
-        self.views: dict = {}  # (read set, map) -> the map's entries on the read set
+        # id(term) -> (term, (variables it reads, whether it can terminate))
+        self.read_cache: dict = {}
+        # (read set, id(map)) -> (map, the map's entries on the read set)
+        self.views: dict = {}
 
     def _key(self, t, sigma):
-        """t, and sigma's entries on the variables t reads; under the empty
-        map, the one ambient map of a build over no variables, that is ()
-        whatever t reads, so t's read set is not worked out."""
+        """id(t), and sigma's entries on the variables t reads; under the
+        empty map, the one ambient map of a build over no variables, those
+        are () whatever t reads, so t's read set is not worked out."""
         if not sigma.entries:
-            return t, ()
+            return id(t), ()
         reads = self._reads(t)[0]
         if not reads:
-            return t, ()
-        view = self.views.get((reads, sigma))
-        if view is None:
-            view = self.views[reads, sigma] = tuple(
+            return id(t), ()
+        at = reads, id(sigma)
+        hit = self.views.get(at)
+        if hit is None:
+            hit = self.views[at] = sigma, tuple(
                 entry for entry in sigma.entries if entry[0] in reads)
-        return t, view
+        return id(t), hit[1]
 
     def reads(self, t: T.ProcTerm) -> frozenset:
         """Flexible variables whose ambient values t's steps and termination
@@ -87,10 +94,10 @@ class _Sos(_Rules):
         return self._reads(t)[0]
 
     def _reads(self, t):
-        hit = self.read_cache.get(t)
+        hit = self.read_cache.get(id(t))
         if hit is None:
-            hit = self.read_cache[t] = self._read_rules(t)
-        return hit
+            hit = self.read_cache[id(t)] = t, self._read_rules(t)
+        return hit[1]
 
     def _read_rules(self, t):
         """The read set of t, and whether t can terminate under some map,
@@ -123,7 +130,7 @@ class _Sos(_Rules):
             return frozenset(), self._reads(t.body)[1]
         if isinstance(t, T.RecConst):
             try:
-                body = self._unfold(t)
+                body = T.unfolded(t, self.ctx)
             except GuardednessError:
                 # Read all it mentions; its steps raise wherever they reach it.
                 return T.occurring_flex_vars(t), True
@@ -150,12 +157,12 @@ class _Sos(_Rules):
         key = self._key(t, sigma)
         hit = self.step_cache.get(key)
         if hit is None:
-            hit = self.step_cache[key] = tuple(dict.fromkeys(self._steps(t, sigma)))
-        return hit
+            hit = self.step_cache[key] = t, tuple(dict.fromkeys(self._steps(t, sigma)))
+        return hit[1]
 
     def _steps(self, t, sigma):
         if isinstance(t, T.Atom):
-            return [(t.action, T.EPSILON)]
+            return [(t.action, self._ended())]
         if isinstance(t, (T.Inaction, T.Empty)):
             return []
         if isinstance(t, T.Alt):
@@ -209,7 +216,7 @@ class _Sos(_Rules):
         if isinstance(t, T.Eval):
             return [self._evaluated(a, t.emap, tgt) for a, tgt in self.steps(t.body, t.emap)]
         if isinstance(t, T.RecConst):
-            return list(self.steps(self._unfold(t), sigma))
+            return list(self.steps(T.unfolded(t, self.ctx), sigma))
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} has no transitions")
         raise TypeError(f"not a process term: {t!r}")
@@ -222,8 +229,8 @@ class _Sos(_Rules):
         key = self._key(t, sigma)
         hit = self.term_cache.get(key)
         if hit is None:
-            hit = self.term_cache[key] = self._terminates(t, sigma)
-        return hit
+            hit = self.term_cache[key] = t, self._terminates(t, sigma)
+        return hit[1]
 
     def _terminates(self, t, sigma):
         if isinstance(t, T.Empty):
@@ -244,7 +251,7 @@ class _Sos(_Rules):
             # Termination of an evaluated process is ambient-independent.
             return self.terminates(t.body, t.emap)
         if isinstance(t, T.RecConst):
-            return self.terminates(self._unfold(t), sigma)
+            return self.terminates(T.unfolded(t, self.ctx), sigma)
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} cannot terminate")
         raise TypeError(f"not a process term: {t!r}")
@@ -328,20 +335,23 @@ def explore(root: T.ProcTerm, successors, bound: int) -> tuple:
     """Breadth-first closure from root. successors(id, state) yields the
     state's (label, action, target) steps and may record facts of its own
     under the id, such as termination; returns the states, in the order their
-    ids are handed out, and per state a tuple of (label, action, target id)."""
+    ids are handed out, and per state a tuple of (label, action, target id).
+
+    States are canonical, one object per value, so they are told apart by
+    identity; `states` holds every object whose id is a key of `ids`."""
     states = [root]
-    ids = {root: 0}
+    ids = {id(root): 0}
     transitions = []
     n_transitions = 0
     for sid, state in enumerate(states):  # states grows while it is walked
         out = []
         for label, action, target in successors(sid, state):
-            tid = ids.get(target)
+            tid = ids.get(id(target))
             if tid is None:
                 tid = len(states)
                 if tid >= bound:
                     raise ExplorationLimitError(bound, len(states), n_transitions)
-                ids[target] = tid
+                ids[id(target)] = tid
                 states.append(target)
             out.append((label, action, tid))
             n_transitions += 1
@@ -353,7 +363,7 @@ def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None,
               explorer: Optional[_Sos] = None) -> SigmaLts:
     """Breadth-first closure of the step relation over every enumerated map.
 
-    Builds of related terms under one context can share the memo tables of
+    The builds of one query under one context can share the memo tables of
     one explorer, `_Sos(ctx)`; by default each build starts its own."""
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")

@@ -357,15 +357,18 @@ class CommFunction:
 
 @frozen_dataclass
 class Context:
-    """Everything the semantics needs besides the term itself, and one table
-    of terms: each term `canonical` was asked for maps to its canonical form,
-    and each canonical form, every target of the step rules included, maps to
-    itself, the one object that stands for it (`shared`).
+    """Everything the semantics needs besides the term itself, and two tables
+    of terms. In the first, each term `canonical` was asked for maps to its
+    canonical form, and each canonical form, every target of the step rules
+    included, maps to itself, the one object that stands for it (`shared`).
+    The second maps each recursion constant the step rules reached to its
+    canonical unfolding (`unfolded`), so that every explorer under the
+    context unfolds a constant once.
 
-    The table keeps every state explored under the context for as long as
-    the context lives. A caller that analyzes many unrelated systems and
-    does not want that can give each one a fresh context,
-    `dataclasses.replace(ctx)`, which starts with an empty table."""
+    The tables keep every state explored and every constant unfolded under
+    the context for as long as the context lives. A caller that analyzes
+    many unrelated systems and does not want that can give each one a fresh
+    context, `dataclasses.replace(ctx)`, which starts with empty tables."""
 
     carrier: Carrier = Carrier()
     decl: FlexVarDecl = FlexVarDecl(())
@@ -377,6 +380,7 @@ class Context:
         # Beside the fields, like `RecSpec._rhs`: equality, hashing and
         # `dataclasses.replace` stay field-wise, and a replaced context starts empty.
         object.__setattr__(self, "_table", {})
+        object.__setattr__(self, "_unfolded", {})
 
 
 # --- structural predicates ----------------------------------------------------
@@ -446,9 +450,9 @@ def all_flex_vars(t: ProcTerm) -> frozenset:
 
 # --- linear terms and guarded linear recursive specifications -----------------
 
-def is_linear(t: ProcTerm) -> bool:
-    """Membership in the inductively defined set of linear terms."""
-    stack = [t]
+def _linear_summands(t: ProcTerm) -> Optional[list]:
+    """t's guarded summands, left to right, when t is linear; otherwise None."""
+    out, stack = [], [t]
     while stack:
         u = stack.pop()
         if isinstance(u, Alt):
@@ -460,23 +464,23 @@ def is_linear(t: ProcTerm) -> bool:
                 and isinstance(body.left, Atom)
                 and isinstance(body.right, RecVar)
             ):
-                return False
+                return None
+            out.append(u)
         elif not isinstance(u, Inaction):
-            return False
-    return True
+            return None
+    return out
+
+
+def is_linear(t: ProcTerm) -> bool:
+    """Membership in the inductively defined set of linear terms."""
+    return _linear_summands(t) is not None
 
 
 def summands(t: ProcTerm) -> list:
     """Flatten a linear term into its guarded summands, left to right."""
-    if not is_linear(t):
+    out = _linear_summands(t)
+    if out is None:
         raise ShapeError("summands of a non-linear term requested")
-    out, stack = [], [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Alt):
-            stack += (u.right, u.left)
-        elif isinstance(u, Guard):
-            out.append(u)
     return out
 
 
@@ -487,35 +491,23 @@ def summand_parts(s: Guard) -> tuple:
     return (s.cond, s.body.left.action, s.body.right.name)
 
 
-def _unguarded_edges(spec: RecSpec) -> dict:
-    """X -> Y when Y occurs tau-prefixed (hence unguarded) in the equation for X."""
-    edges = {name: set() for name, _ in spec.equations}
-    for name, rhs in spec.equations:
-        for s in summands(rhs):
-            _, alpha, target = summand_parts(s)
-            if alpha is not None and isinstance(alpha, TauAction):
-                edges[name].add(target)
-    return edges
-
-
 def _has_cycle(edges: dict) -> bool:
-    """Whether the graph has a cycle: peel nodes no remaining edge enters
-    (Kahn's algorithm) and see whether any node is left over."""
+    """Whether the graph, whose edges point only at its own nodes, has a
+    cycle: peel nodes no remaining edge enters (Kahn's algorithm) and see
+    whether any node is left over."""
     entering = dict.fromkeys(edges, 0)
     for targets in edges.values():
         for m in targets:
-            if m in entering:  # edges may point at variables of other specs
-                entering[m] += 1
+            entering[m] += 1
     free = [n for n, k in entering.items() if k == 0]
     peeled = 0
     while free:
         n = free.pop()
         peeled += 1
         for m in edges[n]:
-            if m in entering:
-                entering[m] -= 1
-                if entering[m] == 0:
-                    free.append(m)
+            entering[m] -= 1
+            if entering[m] == 0:
+                free.append(m)
     return peeled < len(edges)
 
 
@@ -533,14 +525,24 @@ def is_guarded_linear_spec(spec: RecSpec) -> bool:
 
 
 def _guarded_linear(spec: RecSpec) -> bool:
-    if not is_linear_spec(spec):
-        return False
+    """One walk over each right-hand side: it is linear, its targets are
+    variables of spec, and X -> Y when Y occurs tau-prefixed (hence
+    unguarded) in the equation for X."""
+    edges = {}
     for name, rhs in spec.equations:
-        for s in summands(rhs):
-            _, _, target = summand_parts(s)
-            if target is not None and target not in spec:
+        parts = _linear_summands(rhs)
+        if parts is None:
+            return False
+        unguarded = edges[name] = set()
+        for s in parts:
+            _, alpha, target = summand_parts(s)
+            if target is None:
+                continue
+            if target not in spec:
                 return False
-    return not _has_cycle(_unguarded_edges(spec))
+            if isinstance(alpha, TauAction):
+                unguarded.add(target)
+    return not _has_cycle(edges)
 
 
 def require_glrs(spec: RecSpec):
@@ -686,3 +688,15 @@ def canonical(t, ctx: Context):
             hit = table[u] = shared(hit, ctx)
         return hit
     return walk(t)
+
+
+def unfolded(const: RecConst, ctx: Context) -> ProcTerm:
+    """Canonical unfolding of a guarded linear constant, kept in the
+    context's table of unfoldings: like a canonical form, it depends on the
+    term and the context alone. Raises GuardednessError for a constant of
+    any other specification."""
+    hit = ctx._unfolded.get(const)
+    if hit is None:
+        require_glrs(const.spec)
+        hit = ctx._unfolded[const] = canonical(unfold(const), ctx)
+    return hit

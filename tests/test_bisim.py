@@ -207,6 +207,26 @@ def test_a_self_check_builds_its_system_once(base_spec, ctx, monkeypatch, decide
         assert result == separate
 
 
+def test_decide_rb_and_decide_rab_each_build_both_sides_with_one_explorer(
+        base_spec, ctx, monkeypatch):
+    from deacp import sos_cond, sos_sigma
+
+    def counting(init, seen):
+        def counting_init(self, c):
+            seen.append(self)
+            init(self, c)
+        return counting_init
+
+    made = {sos_sigma._Sos: [], sos_cond._CondSos: []}
+    for cls, seen in made.items():
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__, seen))
+    left, right = proc(base_spec, "a . (b + tau . b)"), proc(base_spec, "tau . a . b")
+    assert not decide_rb(left, right, ctx).equivalent
+    assert [len(seen) for seen in made.values()] == [1, 0]
+    assert not decide_rab(left, right, ctx).equivalent
+    assert [len(seen) for seen in made.values()] == [1, 1]
+
+
 def test_rb_is_an_equivalence_on_a_corpus(small_ctx):
     rng = random.Random(41)
     cfg = G.GenConfig(max_depth=2)

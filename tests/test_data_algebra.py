@@ -102,3 +102,19 @@ def test_update_eval_roundtrip():
         updated = update_map(sigma, "u", value)
         assert eval_data(Flex("u"), updated, CARRIER) == value
         assert eval_data(Flex("v"), updated, CARRIER) == 2
+
+
+@pytest.mark.parametrize("names", [("d",), ("d", "i", "j"), ("a", "m", "q", "r", "z")])
+def test_updated_replaces_one_entry_as_rebuilding_the_map_would(names):
+    import random
+
+    rng = random.Random(len(names))
+    for _ in range(20):
+        old = {name: rng.randint(-16, 15) for name in names}
+        sigma = EvalMap.of(old)
+        for var in names:
+            value = rng.randint(-16, 15)
+            assert sigma.updated(var, value) == EvalMap.of({**old, var: value})
+        for unknown in ("b", "k", "zz"):
+            with pytest.raises(DeclarationError):
+                sigma.updated(unknown, 0)

@@ -477,3 +477,106 @@ def test_replay_checks_absorbed_silent_equations(base_spec, ctx):
         )
         assert not ok and len(issues) == 1 and issues[0].startswith("BED"), issues
     assert (proved, absorbing) == (99, 71)
+
+
+# --- one explorer per query, never shared with the checker ---------------------------
+
+def _watch_explorers(monkeypatch):
+    """Every `_Sos` made from now on, and the explorer each `build_lts` call
+    of the prover or the checker runs with."""
+    from deacp import bisim, linear, sos_sigma
+
+    made, used = [], []
+    init = sos_sigma._Sos.__init__
+
+    def counting_init(self, ctx):
+        made.append(self)
+        init(self, ctx)
+
+    def watched_build(*args, explorer=None, **kwargs):
+        used.append(explorer)
+        return build_lts(*args, explorer=explorer, **kwargs)
+
+    monkeypatch.setattr(sos_sigma._Sos, "__init__", counting_init)
+    for module in (bisim, linear):
+        monkeypatch.setattr(module, "build_lts", watched_build)
+    return made, used
+
+
+def _assert_prover_and_checker_explore_apart(pairs, monkeypatch):
+    """Each prove_equal call makes one explorer and builds every system with
+    it; each replay makes one of its own, never the prover's."""
+    made, used = _watch_explorers(monkeypatch)
+    replays = 0
+    for left, right, ctx in pairs:
+        del made[:], used[:]
+        result = prove_equal(left, right, ctx)
+        assert len(made) == 1 and used
+        prover = made[0]
+        assert all(e is prover for e in used)
+        if not result.equal:
+            continue
+        del made[:], used[:]
+        assert replay_certificate(result.certificate, ctx) == (True, [])
+        assert len(made) == 1 and made[0] is not prover
+        assert all(e is made[0] for e in used)
+        replays += bool(used)
+    assert replays  # some certificates carry an RSP step
+
+
+def _bench_module(name):
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    loader = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+def test_the_checker_never_explores_with_the_provers_explorer(monkeypatch):
+    """On the benchmark's frozen proof corpus and the worked examples."""
+    import os
+
+    from deacp import parser as P
+
+    workloads = _bench_module("workloads")
+    files = [os.path.join(workloads.CORPUS_DIR, f) for f in workloads.CORPUS_FILES]
+    sources = [workloads.read_corpus(path) for path in files]
+    text, ops = workloads._worked_examples()
+    sources.append((text, [(op["left"], op["right"]) for op in ops]))
+    pairs = []
+    for text, names in sources:
+        spec = P.parse_spec(text)
+        ctx = spec.context()
+        pairs += [(spec.process(left), spec.process(right), ctx) for left, right in names]
+    assert len(pairs) == 150
+    _assert_prover_and_checker_explore_apart(pairs, monkeypatch)
+
+
+def test_a_prove_and_its_replay_unfold_each_constant_once(base_spec, monkeypatch):
+    """Unfoldings belong to the context: the prover's explorer and the
+    checker's, under one context, unfold each constant once between them."""
+    from deacp import terms
+
+    calls = []
+    unfold = terms.unfold
+
+    def counting_unfold(const):
+        calls.append(const)
+        return unfold(const)
+
+    monkeypatch.setattr(terms, "unfold", counting_unfold)
+    division = ("eval{sigma}(q := 0 . r := i . rec Q where {"
+                " Q = [r >= j] -> q := q + 1 . R + [r < j] -> epsilon,"
+                " R = [true] -> r := r - j . Q })")
+    chain = "q := 0 . r := 11 . q := 1 . r := 8 . q := 2 . r := 5 . q := 3 . r := 2"
+    for left, right in ((division, chain), (f"hide{{a}}({CLUSTER_SRC})", "b + tau . (b + c)")):
+        ctx = base_spec.context()
+        del calls[:]
+        result = prove_equal(proc(base_spec, left), proc(base_spec, right), ctx)
+        assert result.equal
+        assert replay_certificate(result.certificate, ctx) == (True, [])
+        assert calls and len(calls) == len(set(calls)), calls
+        assert set(calls) == set(ctx._unfolded)

@@ -300,7 +300,7 @@ def _process_subterms(state, sos):
             if isinstance(u, T.ProcTerm) and u not in seen:
                 seen[u] = None
                 if isinstance(u, T.RecConst):
-                    todo.append(sos._unfold(u))
+                    todo.append(T.unfolded(u, sos.ctx))
     return seen
 
 
@@ -341,9 +341,11 @@ def test_the_memo_holds_one_entry_per_class_of_what_a_subterm_reads():
     def held(sos):
         for sigma in maps:
             sos.steps(t, sigma)
-        return [sum(u is term for u, _ in sos.step_cache) for term in (t, guard, guard.body)]
+        return [sum(u is term for u, _ in sos.step_cache.values())
+                for term in (t, guard, guard.body)]
 
-    # One entry per class of what each subterm reads.
+    # Entries, counted by the term each one holds: one per class of what
+    # each subterm reads.
     assert held(_Sos(ctx)) == [512, 8, 1]
     # Keyed by the whole map, one per map that reaches it: a . b only where x < 1 holds.
     assert held(lts_oracle.PerMapSos(ctx)) == [512, 512, 320]
@@ -367,9 +369,33 @@ def test_a_carried_map_is_memoized_by_what_each_subterm_reads():
     assert len(lts.states) == 81  # (8 values + the state after the action)^2
     x, y = t.body.left, t.body.right
     for counter_term, var in ((x, "x"), (y, "y")):
-        views = [view for u, view in sos.step_cache if u is counter_term]
+        views = [view for (_, view), (held, _) in sos.step_cache.items() if held is counter_term]
         assert len(views) == 8
         assert {tuple(name for name, _ in view) for view in views} == {(var,)}
+
+
+def test_an_explorer_never_answers_for_a_dropped_term():
+    """The memo tables key terms by identity. Fresh temporaries that are not
+    canonical, each dropped after its queries, never get an entry of an
+    earlier one whose id the interpreter could otherwise hand out again."""
+    spec = P.parse_spec("domain 0..3\nvars x, y\nactions a, b, c\n")
+    ctx = spec.context()
+    sos, cond_sos = _Sos(ctx), _CondSos(ctx)
+
+    def answers(explorer, cond_explorer, t):
+        return ([[render_action(a) for a, _ in explorer.steps(t, sigma)] for sigma in maps],
+                [explorer.terminates(t, sigma) for sigma in maps],
+                sorted(render_action(a) for _, a, _ in cond_explorer.steps(t)),
+                len(cond_explorer.terminating(t)))
+
+    for i in range(600):
+        name, bound = "abc"[i % 3], i % 4
+        t = proc(spec, f"[x < {bound}] -> {name} + [y >= {bound}] -> epsilon")
+        # The maps are temporaries too, in another order each time.
+        maps = enumerate_maps(FlexVarDecl(("x", "y")), ctx.carrier)[::(-1) ** i]
+        fresh = answers(_Sos(ctx), _CondSos(ctx), t)
+        assert answers(sos, cond_sos, t) == fresh, (i, render_term(t))
+        del t, maps
 
 
 @pytest.mark.parametrize("text, reads", [
@@ -492,8 +518,8 @@ def test_explored_states_and_targets_are_canonical(names, seed):
             for sigma in enumerate_maps(FlexVarDecl(names), ctx.carrier):
                 sigma_sos.steps(state, sigma)
             cond_sos.steps(state)
-        targets = [tgt for moves in sigma_sos.step_cache.values() for _, tgt in moves]
-        targets += [tgt for moves in cond_sos.step_cache.values() for _, _, tgt in moves]
+        targets = [tgt for _, moves in sigma_sos.step_cache.values() for _, tgt in moves]
+        targets += [tgt for _, moves in cond_sos.step_cache.values() for _, _, tgt in moves]
         for u in states + targets:
             assert T.canonical(u, fresh) == u, u
 
@@ -517,6 +543,9 @@ def test_each_context_owns_its_term_table():
     assert len(build_lts(t, ctx).states) == 729
     assert ctx._table and not other._table
     assert not dataclasses.replace(ctx)._table
+    # The unfoldings of the three counters' constants, one per equation.
+    assert len(ctx._unfolded) == 6 and not other._unfolded
+    assert not dataclasses.replace(ctx)._unfolded
 
 
 def test_targets_are_the_input_subterms_they_equal():
@@ -537,24 +566,26 @@ def test_one_context_across_many_pairs_holds_what_fresh_ones_would():
     ctx = G.default_context()
     pairs = G.pair_corpus(ctx, 100, seed=0)
     conjecture_experiment(ctx, pairs=pairs)
-    apart = 0
+    apart = unfolded_apart = 0
     for pair in pairs:
         own = dataclasses.replace(ctx)
         conjecture_experiment(own, pairs=[pair])
         apart += len(own._table)
+        unfolded_apart += len(own._unfolded)
     assert len(ctx._table) <= apart
     assert len(ctx._table) <= 10 * len(pairs)
+    assert len(ctx._unfolded) <= unfolded_apart
 
 
 def _size(value):
     """How much `value` holds, if it is something that can fill up: a dict,
     list or set (with the sizes of such containers directly inside it), a
-    `functools` cache, or a context's term table."""
+    `functools` cache, or a context's tables of terms and unfoldings."""
     if isinstance(value, (dict, list, set)):
         inner = value.values() if isinstance(value, dict) else value
         return len(value), [len(v) for v in inner if isinstance(v, (dict, list, set))]
     if isinstance(value, T.Context):
-        return len(value._table)
+        return len(value._table), len(value._unfolded)
     if callable(getattr(value, "cache_info", None)):
         return value.cache_info().currsize
     return None
