@@ -88,12 +88,12 @@ TRUE = CTrue()
 FALSE = CFalse()
 
 CMP_OPS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -119,36 +119,34 @@ def eval_cond(
     bindings: Optional[Mapping[str, int]] = None,
 ) -> bool:
     """Classical truth value of phi under sigma; quantifiers range over the carrier."""
-    if isinstance(phi, CTrue):
-        return True
-    if isinstance(phi, CFalse):
-        return False
-    if isinstance(phi, Cmp):
-        return CMP_OPS[phi.op](
-            eval_data(phi.left, sigma, carrier, bindings),
-            eval_data(phi.right, sigma, carrier, bindings),
-        )
-    if isinstance(phi, Not):
+    cls = type(phi)
+    if cls is Cmp:
+        return CMP_OPS[phi.op](eval_data(phi.left, sigma, carrier, bindings),
+                               eval_data(phi.right, sigma, carrier, bindings))
+    if cls is And:
+        return (eval_cond(phi.left, sigma, carrier, bindings)
+                and eval_cond(phi.right, sigma, carrier, bindings))
+    if cls is Not:
         return not eval_cond(phi.body, sigma, carrier, bindings)
-    if isinstance(phi, And):
-        return eval_cond(phi.left, sigma, carrier, bindings) and eval_cond(
-            phi.right, sigma, carrier, bindings
-        )
-    if isinstance(phi, Or):
-        return eval_cond(phi.left, sigma, carrier, bindings) or eval_cond(
-            phi.right, sigma, carrier, bindings
-        )
-    if isinstance(phi, Implies):
-        return (not eval_cond(phi.left, sigma, carrier, bindings)) or eval_cond(
-            phi.right, sigma, carrier, bindings
-        )
-    if isinstance(phi, (Forall, Exists)):
+    if cls is CTrue:
+        return True
+    if cls is CFalse:
+        return False
+    if cls is Or:
+        return (eval_cond(phi.left, sigma, carrier, bindings)
+                or eval_cond(phi.right, sigma, carrier, bindings))
+    if cls is Implies:
+        return (not eval_cond(phi.left, sigma, carrier, bindings)
+                or eval_cond(phi.right, sigma, carrier, bindings))
+    if cls is Forall or cls is Exists:
+        # The body is evaluated at every value, so an error it raises at any
+        # value surfaces whatever the others give.
         inner = dict(bindings) if bindings else {}
         results = []
         for value in carrier.values():
             inner[phi.var] = value
             results.append(eval_cond(phi.body, sigma, carrier, inner))
-        return all(results) if isinstance(phi, Forall) else any(results)
+        return all(results) if cls is Forall else any(results)
     raise TypeError(f"not a condition: {phi!r}")
 
 

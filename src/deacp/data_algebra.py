@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from operator import is_
+from operator import add, is_, mul, sub
 from typing import Iterator, Mapping, Optional
 
 from .errors import (
@@ -181,9 +181,9 @@ class App:
 DataTerm = Lit | Flex | DVar | App
 
 OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": add,
+    "-": sub,
+    "*": mul,
 }
 
 
@@ -199,19 +199,23 @@ def eval_data(
     bindings: Optional[Mapping[str, int]] = None,
 ) -> int:
     """Value of e under sigma, with each operator saturating at the bounds."""
-    if isinstance(e, Lit):
-        return carrier.clamp(e.value)
-    if isinstance(e, Flex):
+    cls = type(e)
+    if cls is Flex:
         return sigma.value(e.name)
-    if isinstance(e, DVar):
+    if cls is Lit:
+        value = e.value
+    elif cls is App:
+        left, right = e.args
+        value = OPS[e.op](eval_data(left, sigma, carrier, bindings),
+                          eval_data(right, sigma, carrier, bindings))
+    elif cls is DVar:
         if bindings is not None and e.name in bindings:
             return bindings[e.name]
         raise MalformedConditionError(f"free data variable {e.name!r}")
-    if isinstance(e, App):
-        left = eval_data(e.args[0], sigma, carrier, bindings)
-        right = eval_data(e.args[1], sigma, carrier, bindings)
-        return carrier.clamp(OPS[e.op](left, right))
-    raise TypeError(f"not a data term: {e!r}")
+    else:
+        raise TypeError(f"not a data term: {e!r}")
+    lo, hi = carrier.lo, carrier.hi
+    return lo if value < lo else hi if value > hi else value
 
 
 # --- evaluation maps --------------------------------------------------------

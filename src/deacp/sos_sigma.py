@@ -9,7 +9,9 @@ values to the variables its next step reads, under every map alike (the
 ambient maps of a build and a map carried by an evaluation operator): the
 guards and synchronization data it evaluates before its first action, not
 those its later steps evaluate, such as the other equations of a recursive
-specification.
+specification. A sum is walked summand by summand in place, so the sums and
+guards inside it are evaluated under each map that reaches it and are not
+derived on their own.
 """
 
 from __future__ import annotations
@@ -62,8 +64,11 @@ class _Sos(_Rules):
     """Map-indexed rules. Steps and termination are memoized per (term, the
     values the map gives the variables the term reads), whatever the map:
     maps that agree there share one entry, derived under the first of them
-    to reach it. Maps are keyed by identity too: each entry of `views`
-    holds its map, since an explorer outlives the maps of a single build."""
+    to reach it. A sum or guard inside a sum has no step entry; the walk of
+    the outermost one (`_summand_steps`) derives it. Maps are keyed by
+    identity too: each entry of `views` holds its map, since an explorer
+    outlives a single build; the builds of one explorer over one domain
+    share its maps (`maps`)."""
 
     def __init__(self, ctx: T.Context):
         super().__init__(ctx)
@@ -71,6 +76,19 @@ class _Sos(_Rules):
         self.read_cache: dict = {}
         # (read set, id(map)) -> (map, the map's entries on the read set)
         self.views: dict = {}
+        # domain -> every total map over it, enumerated once per explorer
+        self.map_cache: dict = {}
+
+    def maps(self, domain: tuple) -> tuple:
+        """Every total map over the variables of domain, in the order of
+        `enumerate_maps`; each build over domain gets the same map objects,
+        so `views` holds one entry per (read set, map value)."""
+        hit = self.map_cache.get(domain)
+        if hit is None:
+            ctx = self.ctx
+            hit = self.map_cache[domain] = tuple(
+                enumerate_maps(FlexVarDecl(domain), ctx.carrier, ctx.enum_bound))
+        return hit
 
     def _key(self, t, sigma):
         """id(t), and sigma's entries on the variables t reads; under the
@@ -161,12 +179,12 @@ class _Sos(_Rules):
         return hit[1]
 
     def _steps(self, t, sigma):
+        if isinstance(t, (T.Alt, T.Guard)):
+            return self._summand_steps(t, sigma)
         if isinstance(t, T.Atom):
             return [(t.action, self._ended())]
         if isinstance(t, (T.Inaction, T.Empty)):
             return []
-        if isinstance(t, T.Alt):
-            return list(self.steps(t.left, sigma)) + list(self.steps(t.right, sigma))
         if isinstance(t, T.Seq):
             out = [
                 (a, self._canon(T.Seq(target, t.right)))
@@ -209,10 +227,6 @@ class _Sos(_Rules):
                 label = T.TAU if T.matches_any(a, t.patterns) else a
                 out.append((label, self._canon(T.Abstr(t.patterns, tgt))))
             return out
-        if isinstance(t, T.Guard):
-            if eval_cond(t.cond, sigma, self.ctx.carrier):
-                return list(self.steps(t.body, sigma))
-            return []
         if isinstance(t, T.Eval):
             return [self._evaluated(a, t.emap, tgt) for a, tgt in self.steps(t.body, t.emap)]
         if isinstance(t, T.RecConst):
@@ -220,6 +234,26 @@ class _Sos(_Rules):
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} has no transitions")
         raise TypeError(f"not a process term: {t!r}")
+
+    def _summand_steps(self, t, sigma):
+        """Steps of a sum or guard, walked over its `+` spine in place: left
+        to right, each guard evaluated under sigma before its body, and every
+        other summand's steps taken from the memo. The sums and guards inside
+        t get no memo entries of their own."""
+        carrier = self.ctx.carrier
+        out = []
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            cls = type(u)
+            if cls is T.Alt:
+                stack += (u.right, u.left)
+            elif cls is T.Guard:
+                if eval_cond(u.cond, sigma, carrier):
+                    stack.append(u.body)
+            else:
+                out += self.steps(u, sigma)
+        return out
 
     def terminates(self, t: T.ProcTerm, sigma: EvalMap) -> bool:
         # Whether t can terminate at all is read off its syntax, except under
@@ -369,8 +403,9 @@ def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None,
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
         domain = ambient_domain(t, ctx)
-    maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
+    domain = tuple(domain)
     sos = _Sos(ctx) if explorer is None else explorer
+    maps = sos.maps(domain)
     terminating = set()
 
     def successors(sid, state):
@@ -381,7 +416,7 @@ def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None,
                 terminating.add((sid, sigma))
 
     states, transitions = explore(T.canonical(t, ctx), successors, ctx.state_bound)
-    return SigmaLts(states=states, root=0, domain=tuple(domain), maps=maps,
+    return SigmaLts(states=states, root=0, domain=domain, maps=maps,
                     transitions=transitions, terminating=terminating)
 
 

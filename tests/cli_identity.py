@@ -1,0 +1,121 @@
+"""Byte-identity of the command line between two source trees.
+
+    python tests/cli_identity.py OLD_TREE NEW_TREE [--seeds 1 2]
+
+Each tree is a checkout whose `src/deacp` is the package under test. For each
+tree, one child interpreter with PYTHONHASHSEED=0 imports that tree's deacp
+and runs `deacp.cli.main` in-process, the spec on standard input, on every op
+of the four workload plans of this checkout's bench/workloads.py, at each
+seed: `lts`, `lts --cond`, `bisim`, `ab-bisim`, `dnii` and `prove`, all with
+`--json`. The script prints the first run whose standard output, standard
+error or exit code differs between the trees and exits 1; it exits 0 when
+every run agrees. It writes nothing, under bench/ or elsewhere.
+
+This is a plain script: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def cli_args(op) -> list:
+    kind = op["kind"]
+    if kind in ("lts", "lts_cond", "dnii"):
+        args = ["dnii" if kind == "dnii" else "lts", "-", "--process", op["process"]]
+        return args + (["--cond"] if kind == "lts_cond" else []) + ["--json"]
+    command = {"rb": "bisim", "rab": "ab-bisim", "prove": "prove"}[kind]
+    return [command, "-", "--left", op["left"], "--right", op["right"], "--json"]
+
+
+def run_cli(main, argv, text) -> dict:
+    """stdout, stderr and exit code of one in-process `main(argv)` on `text`."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback the command line would show
+                code = f"uncaught {type(exc).__name__}: {exc}"
+    finally:
+        sys.stdin = stdin
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def child(tree, seeds) -> None:
+    """Every run of one tree, as a JSON list on standard output."""
+    sys.path[:0] = [os.path.join(tree, "src"), BENCH]
+    import workloads
+    from deacp.cli import main
+
+    runs = []
+    for seed in seeds:
+        for workload in workloads.WORKLOADS:
+            plan = workloads.make_plan(workload, seed)
+            for index, op in enumerate(plan["ops"]):
+                argv = cli_args(op)
+                result = run_cli(main, argv, plan["specs"][op["spec"]])
+                runs.append({"run": f"seed {seed} {workload} op {index}: deacp {' '.join(argv)}",
+                             **result})
+    json.dump(runs, sys.stdout)
+
+
+def first_difference(a: str, b: str) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for n, (x, y) in enumerate(zip(lines_a, lines_b), 1):
+        if x != y:
+            return f"line {n}:\n  - {x[:300]}\n  + {y[:300]}"
+    n = min(len(lines_a), len(lines_b))
+    return f"{len(lines_a)} lines against {len(lines_b)}, equal up to line {n}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("trees", nargs="+", help="the two checkouts to compare")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        child(args.trees[0], args.seeds)
+        return 0
+    if len(args.trees) != 2:
+        ap.error("give exactly two trees")
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    results = []
+    for tree in args.trees:
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", tree,
+             "--seeds", *map(str, args.seeds)],
+            capture_output=True, text=True, env=env)
+        if proc.returncode != 0:
+            print(f"{tree}: child failed\n{proc.stderr.strip()[-2000:]}", file=sys.stderr)
+            return 2
+        results.append(json.loads(proc.stdout))
+    old, new = results
+    if len(old) != len(new):
+        print(f"{len(old)} runs against {len(new)}")
+        return 1
+    for a, b in zip(old, new):
+        for field in ("exit", "stdout", "stderr"):
+            if a[field] != b[field]:
+                detail = (f"{a[field]!r} against {b[field]!r}" if field == "exit"
+                          else first_difference(a[field], b[field]))
+                print(f"{a['run']}\n{field} differs: {detail}")
+                return 1
+    print(f"{len(old)} runs identical (seeds {' '.join(map(str, args.seeds))})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

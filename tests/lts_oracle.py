@@ -7,7 +7,9 @@ Its explorer, `PerMapSos`, memoizes per (subterm, whole map), so it derives
 every subterm under every map that reaches it, and it judges termination by
 the rules alone; `build_lts` derives a subterm once per assignment of values
 to the variables the subterm reads, and skips termination where the syntax
-rules it out.
+rules it out. `PerMapSos` derives a sum from its two sides and a guard from
+its body, each through the memo, and evaluates guards with the reference
+interpreter of validity_oracle; `build_lts` walks a sum's summands in place.
 """
 
 from deacp import terms as T
@@ -15,13 +17,24 @@ from deacp.data_algebra import FlexVarDecl, enumerate_maps
 from deacp.errors import GuardednessError
 from deacp.parser import render_action, render_term
 from deacp.sos_sigma import SigmaLts, _Sos, ambient_domain, explore
+from validity_oracle import eval_cond
 
 
 class PerMapSos(_Sos):
-    """`_Sos` keyed by the whole map, with no shortcut for termination."""
+    """`_Sos` keyed by the whole map, with no shortcut for termination and
+    the recursive rules for sums and guards."""
 
     def _key(self, t, sigma):
         return t, sigma
+
+    def _steps(self, t, sigma):
+        if isinstance(t, T.Alt):
+            return list(self.steps(t.left, sigma)) + list(self.steps(t.right, sigma))
+        if isinstance(t, T.Guard):
+            if eval_cond(t.cond, sigma, self.ctx.carrier):
+                return list(self.steps(t.body, sigma))
+            return []
+        return super()._steps(t, sigma)
 
     def terminates(self, t, sigma):
         key = (t, sigma)

@@ -9,6 +9,8 @@ from deacp.conditions import (
     CFalse,
     Cmp,
     Exists,
+    Forall,
+    Implies,
     Not,
     Or,
     TRUE,
@@ -17,7 +19,9 @@ from deacp.conditions import (
     signature,
     valid_iff,
 )
-from deacp.data_algebra import App, Carrier, DEFAULT_ENUM_BOUND, DVar, EvalMap, Flex, FlexVarDecl, Lit
+from deacp.data_algebra import (
+    App, Carrier, DEFAULT_ENUM_BOUND, DVar, EvalMap, Flex, FlexVarDecl, Lit, eval_data, subterms,
+)
 from deacp.errors import EnumerationLimitError, MalformedConditionError
 from deacp import gen as G
 
@@ -149,3 +153,119 @@ def test_enumeration_limits_name_what_they_count():
         signature(wide, CARRIER, bound=1000)
     with pytest.raises(EnumerationLimitError, match="1024 evaluation maps"):
         satisfiable(Cmp("=", wide, Lit(0)), FlexVarDecl(("a", "b")), CARRIER, bound=1000)
+
+
+# --- the evaluators against the reference interpreters of validity_oracle -----------
+
+CMPS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+def _data(rng, carrier, bound, depth):
+    """A data term over u, v, w, the bound variables, and literals at, inside
+    and beyond the carrier's bounds, so that sums and products saturate."""
+    kind = rng.choice(("lit", "flex", "flex", "dvar", "app", "app") if depth else ("lit", "flex", "dvar"))
+    if kind == "lit":
+        return Lit(rng.choice((carrier.lo - 9, carrier.lo, -1, 0, 1, carrier.hi, carrier.hi + 9)))
+    if kind == "flex":
+        return Flex(rng.choice(("u", "v", "w")))
+    if kind == "dvar":
+        return DVar(rng.choice(bound)) if bound else Lit(rng.randint(carrier.lo, carrier.hi))
+    return App(rng.choice(("+", "-", "*")),
+               (_data(rng, carrier, bound, depth - 1), _data(rng, carrier, bound, depth - 1)))
+
+
+def _cond(rng, carrier, bound, depth):
+    """A condition with quantifiers nested up to `depth` deep; a quantifier
+    sometimes rebinds the name of an enclosing one."""
+    if depth == 0:
+        kind = rng.choice(("true", "false", "cmp", "cmp"))
+    else:
+        kind = rng.choice(("cmp", "not", "and", "or", "implies", "forall", "exists"))
+    if kind == "true":
+        return TRUE
+    if kind == "false":
+        return CFalse()
+    if kind == "cmp":
+        return Cmp(rng.choice(CMPS), _data(rng, carrier, bound, 2), _data(rng, carrier, bound, 2))
+    if kind == "not":
+        return Not(_cond(rng, carrier, bound, depth - 1))
+    if kind in ("forall", "exists"):
+        var = rng.choice(bound + (f"d{len(bound)}",))
+        body = _cond(rng, carrier, bound + (var,) if var not in bound else bound, depth - 1)
+        return (Forall if kind == "forall" else Exists)(var, body)
+    node = {"and": And, "or": Or, "implies": Implies}[kind]
+    return node(_cond(rng, carrier, bound, depth - 1), _cond(rng, carrier, bound, depth - 1))
+
+
+def _outcome(evaluate, x, sigma, carrier, bindings=None):
+    try:
+        return "value", evaluate(x, sigma, carrier, bindings)
+    except Exception as exc:  # the type and message must match too
+        return type(exc).__name__, str(exc)
+
+
+def test_the_evaluators_agree_with_the_reference_interpreters(small_ctx):
+    """Values, and errors with their messages, on generated conditions and
+    data terms under random maps; some maps leave w undeclared."""
+    rng = random.Random(22)
+    carrier = Carrier(-4, 3)
+    maps = [EvalMap.of({"u": rng.randint(-4, 3), "v": rng.randint(-4, 3), "w": rng.randint(-4, 3)})
+            for _ in range(30)] + [EvalMap.of({"u": -4, "v": 3})]
+    cfg = G.GenConfig(flex_vars=("u", "v", "w"), cond_depth=3)
+    seen = set()
+    for k in range(1500):
+        phi = G.random_cond(rng, cfg, small_ctx) if k % 3 == 0 else _cond(rng, carrier, (), 4)
+        e = _data(rng, carrier, ("d0",), 3)
+        bindings = {"d0": rng.randint(-4, 3)} if k % 4 else None
+        for sigma in rng.sample(maps, 3):
+            got = _outcome(eval_cond, phi, sigma, carrier)
+            assert got == _outcome(validity_oracle.eval_cond, phi, sigma, carrier), (phi, sigma)
+            value = _outcome(eval_data, e, sigma, carrier, bindings)
+            assert value == _outcome(validity_oracle.eval_data, e, sigma, carrier, bindings), e
+            seen.add(got[0])
+            seen.add(value[0])
+        seen.update((type(x).__name__, getattr(x, "op", None)) for x in subterms(phi))
+        if type(e) is App and value[0] == "value":
+            left, right = (validity_oracle.eval_data(a, sigma, carrier, bindings) for a in e.args)
+            raw = {"+": left + right, "-": left - right, "*": left * right}[e.op]
+            seen.add("saturated low" if raw < carrier.lo else "saturated high" if raw > carrier.hi
+                     else "inside")
+    constructs = {("Cmp", op) for op in CMPS} | {
+        (name, None) for name in ("CTrue", "CFalse", "Not", "And", "Or", "Implies", "Forall", "Exists")
+    } | {("App", op) for op in "+-*"}
+    assert constructs <= seen
+    assert {"value", "DeclarationError", "MalformedConditionError",
+            "saturated low", "saturated high", "inside"} <= seen
+
+
+def test_nested_quantifiers_agree_with_the_reference_interpreter():
+    carrier = Carrier(-2, 1)
+    sigma = EvalMap.of({"u": 1})
+    d0, d1 = DVar("d0"), DVar("d1")
+    phi = Forall("d0", Exists("d1", And(Cmp("<=", d0, d1), Cmp(">=", App("+", (d1, Flex("u"))), d0))))
+    shadow = Forall("d0", Exists("d0", Cmp("=", d0, Lit(1))))
+    for x in (phi, shadow, Not(phi), Implies(shadow, phi), Or(Not(phi), shadow)):
+        assert eval_cond(x, sigma, carrier) == validity_oracle.eval_cond(x, sigma, carrier)
+    assert eval_cond(phi, sigma, carrier) and eval_cond(shadow, sigma, carrier)
+
+
+@pytest.mark.parametrize("evaluate, x, sigma, error, message", [
+    ("cond", Cmp("<", Flex("w"), Lit(0)), EvalMap.of({"u": 0}),
+     "DeclarationError", "flexible variable 'w' not declared"),
+    ("data", App("+", (Lit(1), Flex("w"))), EvalMap.of({}),
+     "DeclarationError", "flexible variable 'w' not declared"),
+    ("cond", Cmp("=", DVar("d"), Lit(0)), EvalMap.of({}),
+     "MalformedConditionError", "free data variable 'd'"),
+    ("data", DVar("d"), EvalMap.of({}), "MalformedConditionError", "free data variable 'd'"),
+    ("cond", Lit(0), EvalMap.of({}), "TypeError", "not a condition: Lit(value=0)"),
+    ("data", TRUE, EvalMap.of({}), "TypeError", "not a data term: CTrue()"),
+    # The body is evaluated at every value: the error at d = 1 is raised
+    # though d = -2 already makes the universal false.
+    ("cond", Forall("d", And(Cmp(">", DVar("d"), Lit(0)), Cmp("=", Flex("w"), Lit(0)))),
+     EvalMap.of({}), "DeclarationError", "flexible variable 'w' not declared"),
+])
+def test_the_evaluators_raise_as_the_reference_interpreters_do(evaluate, x, sigma, error, message):
+    carrier = Carrier(-2, 1)
+    mine = eval_cond if evaluate == "cond" else eval_data
+    reference = getattr(validity_oracle, f"eval_{evaluate}")
+    assert _outcome(mine, x, sigma, carrier) == _outcome(reference, x, sigma, carrier) == (error, message)

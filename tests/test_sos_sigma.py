@@ -228,6 +228,19 @@ def test_build_lts_matches_per_map_oracle_on_generated_terms(names, seed):
     ("eval{m}(u := v . ([u > 0] -> a)) || ([w < 0] -> b)", ("w", "u", "v")),
     # u = 1 reaches the guard on v, which no map of the domain defines
     (MISSING_V, ("u",)),
+    # duplicate summands, plain and guarded
+    ("a + a", ("u",)),
+    ("[u < 0] -> a + [u < 1] -> a", ("w", "u", "v")),
+    # nested guards, and a sum inside a guard inside a sum
+    ("[u < 0] -> [v > 0] -> ([w = 1] -> a + b) + [v < 1] -> (c + [u > -1] -> a)", ("w", "u", "v")),
+    # sums under sequence, merge, hiding, encapsulation and a carried map
+    ("([u < 0] -> a + b) . ([v > 0] -> c + a)", ("u", "v")),
+    ("([u < 0] -> a + [v = 0] -> b) || ([w > 0] -> c + b)", ("w", "u", "v")),
+    ("hide{a}([u < 0] -> a + b(v)) . c", ("u", "v")),
+    ("encap{b}([u < 0] -> a + b + [v > 0] -> c)", ("u", "v")),
+    ("eval{m}([u = 0] -> a(v) + [v = 1] -> u := v . b(u)) + [w < 0] -> c", ("w", "u", "v")),
+    # a guard on a variable no map defines, reached after a sum's steps
+    ("(a + [u < 0] -> b) + [v > 0] -> c", ("u",)),
 ])
 def test_build_lts_groups_maps_by_variable_name(text, domain):
     spec, ctx = _wvu()
@@ -345,10 +358,25 @@ def test_the_memo_holds_one_entry_per_class_of_what_a_subterm_reads():
                 for term in (t, guard, guard.body)]
 
     # Entries, counted by the term each one holds: one per class of what
-    # each subterm reads.
-    assert held(_Sos(ctx)) == [512, 8, 1]
+    # the root reads, none for the guard the root's walk evaluates in place,
+    # and one for the guard's body, which reads nothing.
+    assert held(_Sos(ctx)) == [512, 0, 1]
     # Keyed by the whole map, one per map that reaches it: a . b only where x < 1 holds.
     assert held(lts_oracle.PerMapSos(ctx)) == [512, 512, 320]
+
+
+def test_an_explorer_enumerates_each_domains_maps_once():
+    """Builds over one domain with one explorer share its map objects, so
+    `views` holds one entry per (read set, map value), not one per build."""
+    spec = P.parse_spec("domain -2..1\nvars x, y\nactions a, b\n")
+    ctx = spec.context()
+    sos = _Sos(ctx)
+    texts = ("[x < 0] -> a . ([y > 0] -> b)", "[y < 0] -> b + [x = 1] -> a", "[x < 0] -> a . ([y > 0] -> b)")
+    ltss = [build_lts(proc(spec, text), ctx, domain=("x", "y"), explorer=sos) for text in texts]
+    assert all(lts.maps is ltss[0].maps for lts in ltss) and len(ltss[0].maps) == 16
+    assert build_lts(proc(spec, "a"), ctx, domain=("y",), explorer=sos).maps is sos.maps(("y",))
+    distinct = {(reads, sigma.entries) for (reads, _), (sigma, _) in sos.views.items()}
+    assert len(sos.views) == len(distinct) > 16
 
 
 def test_a_carried_map_is_memoized_by_what_each_subterm_reads():

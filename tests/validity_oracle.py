@@ -1,6 +1,9 @@
-"""Map-by-map validity: an independent oracle for deacp.conditions.signature
-and the action-class keys of deacp.bisim.
+"""Map-by-map validity: an independent oracle for deacp.conditions.signature,
+the evaluators and the action-class keys of deacp.bisim.
 
+`eval_cond` and `eval_data` are the reference interpreters of conditions and
+data terms: one `isinstance` test per construct, in the order of the
+grammar, with a lambda per operator and `Carrier.clamp` for saturation.
 `cond_signature` builds a condition's truth table as a dict and drops each
 variable whose value never matters by checking every pair of maps that
 differ in it alone. `actions_equivalent` compares two data terms by
@@ -10,9 +13,70 @@ evaluating both under every map over the union of their variables.
 import itertools
 
 from deacp import terms as T
-from deacp.conditions import eval_cond
-from deacp.data_algebra import EvalMap, FlexVarDecl, enumerate_maps, eval_data, flex_vars
-from deacp.errors import EnumerationLimitError
+from deacp.conditions import And, CFalse, Cmp, CTrue, Exists, Forall, Implies, Not, Or
+from deacp.data_algebra import App, DVar, EvalMap, Flex, FlexVarDecl, Lit, enumerate_maps, flex_vars
+from deacp.errors import EnumerationLimitError, MalformedConditionError
+
+CMP = {
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+ARITH = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+}
+
+
+def eval_data(e, sigma, carrier, bindings=None):
+    if isinstance(e, Lit):
+        return carrier.clamp(e.value)
+    if isinstance(e, Flex):
+        return sigma.value(e.name)
+    if isinstance(e, DVar):
+        if bindings is not None and e.name in bindings:
+            return bindings[e.name]
+        raise MalformedConditionError(f"free data variable {e.name!r}")
+    if isinstance(e, App):
+        left = eval_data(e.args[0], sigma, carrier, bindings)
+        right = eval_data(e.args[1], sigma, carrier, bindings)
+        return carrier.clamp(ARITH[e.op](left, right))
+    raise TypeError(f"not a data term: {e!r}")
+
+
+def eval_cond(phi, sigma, carrier, bindings=None):
+    if isinstance(phi, CTrue):
+        return True
+    if isinstance(phi, CFalse):
+        return False
+    if isinstance(phi, Cmp):
+        return CMP[phi.op](eval_data(phi.left, sigma, carrier, bindings),
+                           eval_data(phi.right, sigma, carrier, bindings))
+    if isinstance(phi, Not):
+        return not eval_cond(phi.body, sigma, carrier, bindings)
+    if isinstance(phi, And):
+        return (eval_cond(phi.left, sigma, carrier, bindings)
+                and eval_cond(phi.right, sigma, carrier, bindings))
+    if isinstance(phi, Or):
+        return (eval_cond(phi.left, sigma, carrier, bindings)
+                or eval_cond(phi.right, sigma, carrier, bindings))
+    if isinstance(phi, Implies):
+        return (not eval_cond(phi.left, sigma, carrier, bindings)
+                or eval_cond(phi.right, sigma, carrier, bindings))
+    if isinstance(phi, (Forall, Exists)):
+        # Every value is tried, so an error at any value is raised.
+        inner = dict(bindings) if bindings else {}
+        results = []
+        for value in carrier.values():
+            inner[phi.var] = value
+            results.append(eval_cond(phi.body, sigma, carrier, inner))
+        return all(results) if isinstance(phi, Forall) else any(results)
+    raise TypeError(f"not a condition: {phi!r}")
 
 
 def cond_signature(phi, carrier, bound):
