@@ -9,9 +9,9 @@ values to the variables its next step reads, under every map alike (the
 ambient maps of a build and a map carried by an evaluation operator): the
 guards and synchronization data it evaluates before its first action, not
 those its later steps evaluate, such as the other equations of a recursive
-specification. A sum is walked summand by summand in place, so the sums and
-guards inside it are evaluated under each map that reaches it and are not
-derived on their own.
+specification. A sum or guard is walked in place, summand by summand, so the
+sums and guards inside it are evaluated under each map that reaches it and
+are not derived on their own.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class _Sos(_Rules):
     """Map-indexed rules. Steps and termination are memoized per (term, the
     values the map gives the variables the term reads), whatever the map:
     maps that agree there share one entry, derived under the first of them
-    to reach it. A sum or guard inside a sum has no step entry; the walk of
-    the outermost one (`_summand_steps`) derives it. Maps are keyed by
+    to reach it. A sum or guard inside another has no step entry; the walk
+    of the outermost one (`_summand_steps`) derives it. Maps are keyed by
     identity too: each entry of `views` holds its map, since an explorer
     outlives a single build; the builds of one explorer over one domain
     share its maps (`maps`)."""
