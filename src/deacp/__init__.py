@@ -27,8 +27,8 @@ from .terms import (
     summands,
 )
 from .parser import SpecFile, parse_condition, parse_process, parse_spec, render_spec, render_term
-from .sos_sigma import SigmaLts, build_lts, lts_equal_up_to_renaming, step, terminates
-from .sos_cond import CondLts, build_cond_lts, expand_to_sigma, step_cond, terminates_cond
+from .sos_sigma import SigmaLts, build_lts, lts_equal_up_to_renaming
+from .sos_cond import CondLts, build_cond_lts, expand_to_sigma
 from .bisim import (
     BisimResult,
     action_class,

@@ -2,7 +2,9 @@
 
 Transitions carry a satisfiable condition instead of an evaluation map;
 instantiating each transition at every satisfying map recovers the
-map-indexed semantics exactly.
+map-indexed semantics exactly. As in `sos_sigma`, one rule function derives
+a subterm's steps and the conditions under which it terminates together, and
+one memo entry holds both.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class _LabelRegistry:
 
 
 class _CondSos(_Rules):
-    """Condition-labelled rules, memoized per term (by identity, see `_Rules`)."""
+    """Condition-labelled rules; moves and termination conditions are
+    memoized together per term (by identity, see `_Rules`)."""
 
     def __init__(self, ctx: T.Context):
         super().__init__(ctx)
@@ -80,33 +83,55 @@ class _CondSos(_Rules):
                     out.append((label, c, tx, ty))
         return out
 
-    def steps(self, t: T.ProcTerm) -> tuple:
+    def _conjs(self, phis, psis) -> list:
+        """The satisfiable conjunctions of each phi with each psi, in order."""
+        out = []
+        for phi in phis:
+            for psi in psis:
+                label = self._conj(phi, psi)
+                if label is not None:
+                    out.append(label)
+        return out
+
+    def derive(self, t: T.ProcTerm) -> tuple:
+        """(moves, ends): the triples (condition, action, canonical target)
+        derivable for t, and the conditions under which t terminates."""
         hit = self.step_cache.get(id(t))
         if hit is None:
-            hit = self.step_cache[id(t)] = t, tuple(dict.fromkeys(self._steps(t)))
+            moves, ends = self._derive(t)
+            hit = self.step_cache[id(t)] = t, (tuple(dict.fromkeys(moves)),
+                                               tuple(dict.fromkeys(ends)))
         return hit[1]
 
-    def _steps(self, t):
+    def _derive(self, t):
         if isinstance(t, T.Atom):
-            return [(TRUE, t.action, self._ended())]
-        if isinstance(t, (T.Inaction, T.Empty)):
-            return []
+            return [(TRUE, t.action, self._ended())], ()
+        if isinstance(t, T.Inaction):
+            return (), ()
+        if isinstance(t, T.Empty):
+            return (), (TRUE,)
         if isinstance(t, T.Alt):
-            return list(self.steps(t.left)) + list(self.steps(t.right))
+            left_moves, left_ends = self.derive(t.left)
+            right_moves, right_ends = self.derive(t.right)
+            return left_moves + right_moves, left_ends + right_ends
         if isinstance(t, T.Seq):
+            moves, ends = self.derive(t.left)
             out = [
                 (phi, a, self._canon(T.Seq(target, t.right)))
-                for phi, a, target in self.steps(t.left)
+                for phi, a, target in moves
             ]
-            for phi in self.terminating(t.left):
-                for psi, a, target in self.steps(t.right):
+            if not ends:
+                return out, ()
+            right_moves, right_ends = self.derive(t.right)
+            for phi in ends:
+                for psi, a, target in right_moves:
                     label = self._conj(phi, psi)
                     if label is not None:
                         out.append((label, a, target))
-            return out
+            return out, self._conjs(ends, right_ends)
         if isinstance(t, T.Par):
-            left_moves = self.steps(t.left)
-            right_moves = self.steps(t.right)
+            left_moves, left_ends = self.derive(t.left)
+            right_moves, right_ends = self.derive(t.right)
             out = [
                 (phi, a, self._canon(T.Par(tgt, t.right))) for phi, a, tgt in left_moves
             ]
@@ -117,98 +142,52 @@ class _CondSos(_Rules):
                 (phi, c, self._canon(T.Par(tx, ty)))
                 for phi, c, tx, ty in self._sync(left_moves, right_moves)
             ]
-            return out
+            return out, self._conjs(left_ends, right_ends)
         if isinstance(t, T.LeftMerge):
             return [
                 (phi, a, self._canon(T.Par(tgt, t.right)))
-                for phi, a, tgt in self.steps(t.left)
-            ]
+                for phi, a, tgt in self.derive(t.left)[0]
+            ], ()
         if isinstance(t, T.CommMerge):
             return [
                 (phi, c, self._canon(T.Par(tx, ty)))
-                for phi, c, tx, ty in self._sync(self.steps(t.left), self.steps(t.right))
-            ]
+                for phi, c, tx, ty in self._sync(self.derive(t.left)[0], self.derive(t.right)[0])
+            ], ()
         if isinstance(t, T.Encap):
+            moves, ends = self.derive(t.body)
             return [
                 (phi, a, self._canon(T.Encap(t.patterns, tgt)))
-                for phi, a, tgt in self.steps(t.body)
+                for phi, a, tgt in moves
                 if not T.matches_any(a, t.patterns)
-            ]
+            ], ends
         if isinstance(t, T.Abstr):
+            moves, ends = self.derive(t.body)
             out = []
-            for phi, a, tgt in self.steps(t.body):
+            for phi, a, tgt in moves:
                 label_action = T.TAU if T.matches_any(a, t.patterns) else a
                 out.append((phi, label_action, self._canon(T.Abstr(t.patterns, tgt))))
-            return out
+            return out, ends
         if isinstance(t, T.Guard):
+            moves, ends = self.derive(t.body)
             out = []
-            for phi, a, tgt in self.steps(t.body):
+            for phi, a, tgt in moves:
                 label = self._conj(phi, t.cond)
                 if label is not None:
                     out.append((label, a, tgt))
-            return out
+            return out, self._conjs(ends, (t.cond,))
         if isinstance(t, T.Eval):
+            moves, ends = self.derive(t.body)
+            carrier = self.ctx.carrier
             return [
                 (TRUE, *self._evaluated(a, t.emap, tgt))
-                for phi, a, tgt in self.steps(t.body)
-                if eval_cond(phi, t.emap, self.ctx.carrier)
-            ]
+                for phi, a, tgt in moves
+                if eval_cond(phi, t.emap, carrier)
+            ], [TRUE for phi in ends if eval_cond(phi, t.emap, carrier)]
         if isinstance(t, T.RecConst):
-            return list(self.steps(T.unfolded(t, self.ctx)))
+            return self.derive(T.unfolded(t, self.ctx))
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} has no transitions")
         raise TypeError(f"not a process term: {t!r}")
-
-    def terminating(self, t: T.ProcTerm) -> tuple:
-        hit = self.term_cache.get(id(t))
-        if hit is None:
-            hit = self.term_cache[id(t)] = t, tuple(dict.fromkeys(self._terminating(t)))
-        return hit[1]
-
-    def _terminating(self, t):
-        if isinstance(t, T.Empty):
-            return [TRUE]
-        if isinstance(t, (T.Inaction, T.Atom, T.LeftMerge, T.CommMerge)):
-            return []
-        if isinstance(t, T.Alt):
-            return list(self.terminating(t.left)) + list(self.terminating(t.right))
-        if isinstance(t, (T.Seq, T.Par)):
-            out = []
-            for phi in self.terminating(t.left):
-                for psi in self.terminating(t.right):
-                    label = self._conj(phi, psi)
-                    if label is not None:
-                        out.append(label)
-            return out
-        if isinstance(t, (T.Encap, T.Abstr)):
-            return list(self.terminating(t.body))
-        if isinstance(t, T.Guard):
-            out = []
-            for phi in self.terminating(t.body):
-                label = self._conj(phi, t.cond)
-                if label is not None:
-                    out.append(label)
-            return out
-        if isinstance(t, T.Eval):
-            out = []
-            for phi in self.terminating(t.body):
-                if eval_cond(phi, t.emap, self.ctx.carrier):
-                    out.append(TRUE)
-            return out
-        if isinstance(t, T.RecConst):
-            return list(self.terminating(T.unfolded(t, self.ctx)))
-        if isinstance(t, T.RecVar):
-            raise GuardednessError(f"free recursion variable {t.name!r} cannot terminate")
-        raise TypeError(f"not a process term: {t!r}")
-
-
-def step_cond(t: T.ProcTerm, ctx: T.Context) -> set:
-    """Derivable (condition, action, target) triples of a closed term."""
-    return set(_CondSos(ctx).steps(T.canonical(t, ctx)))
-
-
-def terminates_cond(t: T.ProcTerm, ctx: T.Context) -> set:
-    return set(_CondSos(ctx).terminating(T.canonical(t, ctx)))
 
 
 @dataclass
@@ -261,8 +240,9 @@ def build_cond_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None
     terminating = set()
 
     def successors(sid, state):
-        yield from sos.steps(state)
-        terminating.update((sid, cond) for cond in sos.terminating(state))
+        moves, ends = sos.derive(state)
+        terminating.update((sid, cond) for cond in ends)
+        return moves
 
     states, transitions = explore(T.canonical(t, ctx), successors, ctx.state_bound)
     return CondLts(states=states, root=0, domain=tuple(domain),

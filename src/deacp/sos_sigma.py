@@ -9,9 +9,11 @@ values to the variables its next step reads, under every map alike (the
 ambient maps of a build and a map carried by an evaluation operator): the
 guards and synchronization data it evaluates before its first action, not
 those its later steps evaluate, such as the other equations of a recursive
-specification. A sum or guard is walked in place, summand by summand, so the
-sums and guards inside it are evaluated under each map that reaches it and
-are not derived on their own.
+specification. One rule function derives a subterm's steps and its
+termination together, by the one case split over the operators that defines
+both, and one memo entry holds both. A sum or guard is walked in place,
+summand by summand, so the sums and guards inside it are evaluated under each
+map that reaches it and are not derived on their own.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from .parser import render_action, render_term
 
 
 class _Rules:
-    """What both rule engines share: memo tables, canonical forms and
+    """What both rule engines share: the memo table, canonical forms and
     evaluation under a carried map. An explorer serves every build of one
     query; the unfoldings of recursion constants belong to the context
     (`T.unfolded`), as canonical forms do.
 
-    The memo tables key a term by its identity, `id(t)`, which costs no
+    The memo table keys a term by its identity, `id(t)`, which costs no
     Python-level hash. The terms the rules reach are canonical, one object
     per value, so keying them by identity loses no sharing. Every entry
     holds the object it keys, so no id is reused while the entry exists,
@@ -40,13 +42,12 @@ class _Rules:
 
     def __init__(self, ctx: T.Context):
         self.ctx = ctx
-        self.step_cache: dict = {}  # key -> (the term keyed, its steps)
-        self.term_cache: dict = {}  # key -> (the term keyed, its termination)
+        self.step_cache: dict = {}  # key -> (the term keyed, (its moves, its termination))
 
     def _canon(self, t):
         """Canonical form of a target the rules build from canonical parts:
         the one object in the context's table that stands for it, so the
-        memo tables and `explore` tell it from other states by identity."""
+        memo table and `explore` tell it from other states by identity."""
         return T.shared(T.simplify(t, self.ctx.carrier), self.ctx)
 
     def _ended(self):
@@ -61,11 +62,11 @@ class _Rules:
 
 
 class _Sos(_Rules):
-    """Map-indexed rules. Steps and termination are memoized per (term, the
-    values the map gives the variables the term reads), whatever the map:
-    maps that agree there share one entry, derived under the first of them
-    to reach it. A sum or guard inside another has no step entry; the walk
-    of the outermost one (`_summand_steps`) derives it. Maps are keyed by
+    """Map-indexed rules. Moves and termination are memoized together per
+    (term, the values the map gives the variables the term reads), whatever
+    the map: maps that agree there share one entry, derived under the first
+    of them to reach it. A sum or guard inside another has no memo entry;
+    the walk of the outermost one (`_summands`) derives it. Maps are keyed by
     identity too: each entry of `views` holds its map, since an explorer
     outlives a single build; the builds of one explorer over one domain
     share its maps (`maps`)."""
@@ -170,78 +171,87 @@ class _Sos(_Rules):
                 out.append((c, tx, ty))
         return out
 
-    def steps(self, t: T.ProcTerm, sigma: EvalMap) -> tuple:
-        """All pairs (action, canonical target) derivable for t under sigma."""
+    def derive(self, t: T.ProcTerm, sigma: EvalMap) -> tuple:
+        """(moves, ends): the pairs (action, canonical target) derivable for
+        t under sigma, and whether t terminates under sigma."""
         key = self._key(t, sigma)
         hit = self.step_cache.get(key)
         if hit is None:
-            hit = self.step_cache[key] = t, tuple(dict.fromkeys(self._steps(t, sigma)))
+            moves, ends = self._derive(t, sigma)
+            hit = self.step_cache[key] = t, (tuple(dict.fromkeys(moves)), ends)
         return hit[1]
 
-    def _steps(self, t, sigma):
+    def _derive(self, t, sigma):
         if isinstance(t, (T.Alt, T.Guard)):
-            return self._summand_steps(t, sigma)
+            return self._summands(t, sigma)
         if isinstance(t, T.Atom):
-            return [(t.action, self._ended())]
-        if isinstance(t, (T.Inaction, T.Empty)):
-            return []
+            return [(t.action, self._ended())], False
+        if isinstance(t, T.Inaction):
+            return (), False
+        if isinstance(t, T.Empty):
+            return (), True
         if isinstance(t, T.Seq):
-            out = [
-                (a, self._canon(T.Seq(target, t.right)))
-                for a, target in self.steps(t.left, sigma)
-            ]
-            if self.terminates(t.left, sigma):
-                out.extend(self.steps(t.right, sigma))
-            return out
+            moves, ends = self.derive(t.left, sigma)
+            out = [(a, self._canon(T.Seq(target, t.right))) for a, target in moves]
+            if not ends:
+                return out, False
+            moves, ends = self.derive(t.right, sigma)
+            out += moves
+            return out, ends
         if isinstance(t, T.Par):
-            left_moves = self.steps(t.left, sigma)
-            right_moves = self.steps(t.right, sigma)
+            left_moves, left_ends = self.derive(t.left, sigma)
+            right_moves, right_ends = self.derive(t.right, sigma)
             out = [(a, self._canon(T.Par(tgt, t.right))) for a, tgt in left_moves]
             out += [(a, self._canon(T.Par(t.left, tgt))) for a, tgt in right_moves]
             out += [
                 (c, self._canon(T.Par(tx, ty)))
                 for c, tx, ty in self._sync(left_moves, right_moves, sigma)
             ]
-            return out
+            return out, left_ends and right_ends
         if isinstance(t, T.LeftMerge):
             return [
                 (a, self._canon(T.Par(tgt, t.right)))
-                for a, tgt in self.steps(t.left, sigma)
-            ]
+                for a, tgt in self.derive(t.left, sigma)[0]
+            ], False
         if isinstance(t, T.CommMerge):
             return [
                 (c, self._canon(T.Par(tx, ty)))
                 for c, tx, ty in self._sync(
-                    self.steps(t.left, sigma), self.steps(t.right, sigma), sigma
+                    self.derive(t.left, sigma)[0], self.derive(t.right, sigma)[0], sigma
                 )
-            ]
+            ], False
         if isinstance(t, T.Encap):
+            moves, ends = self.derive(t.body, sigma)
             return [
                 (a, self._canon(T.Encap(t.patterns, tgt)))
-                for a, tgt in self.steps(t.body, sigma)
+                for a, tgt in moves
                 if not T.matches_any(a, t.patterns)
-            ]
+            ], ends
         if isinstance(t, T.Abstr):
+            moves, ends = self.derive(t.body, sigma)
             out = []
-            for a, tgt in self.steps(t.body, sigma):
+            for a, tgt in moves:
                 label = T.TAU if T.matches_any(a, t.patterns) else a
                 out.append((label, self._canon(T.Abstr(t.patterns, tgt))))
-            return out
+            return out, ends
         if isinstance(t, T.Eval):
-            return [self._evaluated(a, t.emap, tgt) for a, tgt in self.steps(t.body, t.emap)]
+            # An evaluated process steps and terminates whatever the ambient map.
+            moves, ends = self.derive(t.body, t.emap)
+            return [self._evaluated(a, t.emap, tgt) for a, tgt in moves], ends
         if isinstance(t, T.RecConst):
-            return list(self.steps(T.unfolded(t, self.ctx), sigma))
+            return self.derive(T.unfolded(t, self.ctx), sigma)
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} has no transitions")
         raise TypeError(f"not a process term: {t!r}")
 
-    def _summand_steps(self, t, sigma):
-        """Steps of a sum or guard, walked over its `+` spine in place: left
-        to right, each guard evaluated under sigma before its body, and every
-        other summand's steps taken from the memo. The sums and guards inside
-        t get no memo entries of their own."""
+    def _summands(self, t, sigma):
+        """Moves and termination of a sum or guard, walked over its `+` spine
+        in place: left to right, each guard evaluated under sigma before its
+        body, and every other summand taken from the memo; the sum ends when
+        a summand does. The sums and guards inside t get no memo entries of
+        their own."""
         carrier = self.ctx.carrier
-        out = []
+        out, ends = [], False
         stack = [t]
         while stack:
             u = stack.pop()
@@ -252,52 +262,10 @@ class _Sos(_Rules):
                 if eval_cond(u.cond, sigma, carrier):
                     stack.append(u.body)
             else:
-                out += self.steps(u, sigma)
-        return out
-
-    def terminates(self, t: T.ProcTerm, sigma: EvalMap) -> bool:
-        # Whether t can terminate at all is read off its syntax, except under
-        # the empty map, where, as in _key, nothing about t is worked out.
-        if sigma.entries and not self._reads(t)[1]:
-            return False
-        key = self._key(t, sigma)
-        hit = self.term_cache.get(key)
-        if hit is None:
-            hit = self.term_cache[key] = t, self._terminates(t, sigma)
-        return hit[1]
-
-    def _terminates(self, t, sigma):
-        if isinstance(t, T.Empty):
-            return True
-        if isinstance(t, (T.Inaction, T.Atom, T.LeftMerge, T.CommMerge)):
-            return False
-        if isinstance(t, T.Alt):
-            return self.terminates(t.left, sigma) or self.terminates(t.right, sigma)
-        if isinstance(t, (T.Seq, T.Par)):
-            return self.terminates(t.left, sigma) and self.terminates(t.right, sigma)
-        if isinstance(t, (T.Encap, T.Abstr)):
-            return self.terminates(t.body, sigma)
-        if isinstance(t, T.Guard):
-            return eval_cond(t.cond, sigma, self.ctx.carrier) and self.terminates(
-                t.body, sigma
-            )
-        if isinstance(t, T.Eval):
-            # Termination of an evaluated process is ambient-independent.
-            return self.terminates(t.body, t.emap)
-        if isinstance(t, T.RecConst):
-            return self.terminates(T.unfolded(t, self.ctx), sigma)
-        if isinstance(t, T.RecVar):
-            raise GuardednessError(f"free recursion variable {t.name!r} cannot terminate")
-        raise TypeError(f"not a process term: {t!r}")
-
-
-def step(t: T.ProcTerm, sigma: EvalMap, ctx: T.Context) -> set:
-    """Derivable (action, target) pairs of a closed term under one map."""
-    return set(_Sos(ctx).steps(T.canonical(t, ctx), sigma))
-
-
-def terminates(t: T.ProcTerm, sigma: EvalMap, ctx: T.Context) -> bool:
-    return _Sos(ctx).terminates(T.canonical(t, ctx), sigma)
+                moves, u_ends = self.derive(u, sigma)
+                out += moves
+                ends = ends or u_ends
+        return out, ends
 
 
 @dataclass
@@ -410,9 +378,10 @@ def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None,
 
     def successors(sid, state):
         for sigma in maps:
-            for action, target in sos.steps(state, sigma):
+            moves, ends = sos.derive(state, sigma)
+            for action, target in moves:
                 yield sigma, action, target
-            if sos.terminates(state, sigma):
+            if ends:
                 terminating.add((sid, sigma))
 
     states, transitions = explore(T.canonical(t, ctx), successors, ctx.state_bound)

@@ -3,12 +3,11 @@ and SigmaLts.to_json_dict.
 
 It derives every state under every ambient map in turn, whatever variables
 the state reads, and renders the JSON export with a fresh map dict per row.
-Its explorer, `PerMapSos`, memoizes per (subterm, whole map), so it derives
-every subterm under every map that reaches it, and it judges termination by
-the rules alone; `build_lts` derives a subterm once per assignment of values
-to the variables the subterm reads, and skips termination where the syntax
-rules it out. `PerMapSos` derives a sum from its two sides and a guard from
-its body, each through the memo, and evaluates guards with the reference
+Its explorer, `PerMapSos`, memoizes moves and termination per (subterm,
+whole map), so it derives every subterm under every map that reaches it;
+`build_lts` derives a subterm once per assignment of values to the variables
+the subterm reads. `PerMapSos` derives a sum from its two sides and a guard
+from its body, each through the memo, and evaluates guards with the reference
 interpreter of validity_oracle; `build_lts` walks a sum's summands in place.
 """
 
@@ -21,27 +20,22 @@ from validity_oracle import eval_cond
 
 
 class PerMapSos(_Sos):
-    """`_Sos` keyed by the whole map, with no shortcut for termination and
-    the recursive rules for sums and guards."""
+    """`_Sos` keyed by the whole map, with the recursive rules for sums and
+    guards."""
 
     def _key(self, t, sigma):
         return t, sigma
 
-    def _steps(self, t, sigma):
+    def _derive(self, t, sigma):
         if isinstance(t, T.Alt):
-            return list(self.steps(t.left, sigma)) + list(self.steps(t.right, sigma))
+            (left, left_ends), (right, right_ends) = (
+                self.derive(t.left, sigma), self.derive(t.right, sigma))
+            return left + right, left_ends or right_ends
         if isinstance(t, T.Guard):
             if eval_cond(t.cond, sigma, self.ctx.carrier):
-                return list(self.steps(t.body, sigma))
-            return []
-        return super()._steps(t, sigma)
-
-    def terminates(self, t, sigma):
-        key = (t, sigma)
-        hit = self.term_cache.get(key)
-        if hit is None:
-            hit = self.term_cache[key] = self._terminates(t, sigma)
-        return hit
+                return self.derive(t.body, sigma)
+            return (), False
+        return super()._derive(t, sigma)
 
 
 def build_lts(t, ctx, domain=None) -> SigmaLts:
@@ -55,9 +49,10 @@ def build_lts(t, ctx, domain=None) -> SigmaLts:
 
     def successors(sid, state):
         for sigma in maps:
-            for action, target in sos.steps(state, sigma):
+            moves, ends = sos.derive(state, sigma)
+            for action, target in moves:
                 yield sigma, action, target
-            if sos.terminates(state, sigma):
+            if ends:
                 terminating.add((sid, sigma))
 
     states, transitions = explore(T.canonical(t, ctx), successors, ctx.state_bound)

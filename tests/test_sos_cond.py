@@ -8,12 +8,18 @@ from deacp import terms as T
 from deacp.conditions import CTrue
 from deacp.data_algebra import EvalMap
 from deacp.parser import render_action, render_cond
-from deacp.sos_cond import build_cond_lts, expand_to_sigma, step_cond, terminates_cond
+from deacp.sos_cond import _CondSos, build_cond_lts, expand_to_sigma
 from deacp.sos_sigma import build_lts, lts_equal_up_to_renaming
 
 
+def derive(t, ctx):
+    """The moves of t, and the conditions under which it terminates, as sets."""
+    moves, ends = _CondSos(ctx).derive(T.canonical(t, ctx))
+    return set(moves), set(ends)
+
+
 def test_guarded_action(base_spec, ctx):
-    moves = step_cond(proc(base_spec, "[v >= 0] -> a"), ctx)
+    moves, _ = derive(proc(base_spec, "[v >= 0] -> a"), ctx)
     assert len(moves) == 1
     (cond, action, target), = moves
     assert render_cond(cond) == "v >= 0"
@@ -22,19 +28,19 @@ def test_guarded_action(base_spec, ctx):
 
 
 def test_unsatisfiable_guard_pruned(base_spec, ctx):
-    assert step_cond(proc(base_spec, "[false] -> a"), ctx) == set()
-    assert step_cond(proc(base_spec, "[v < v] -> a"), ctx) == set()
+    assert derive(proc(base_spec, "[false] -> a"), ctx)[0] == set()
+    assert derive(proc(base_spec, "[v < v] -> a"), ctx)[0] == set()
 
 
 def test_plain_action_has_true_label(base_spec, ctx):
-    moves = step_cond(proc(base_spec, "a"), ctx)
+    moves, _ = derive(proc(base_spec, "a"), ctx)
     assert moves == {(CTrue(), T.BasicAction("a"), T.EPSILON)}
 
 
 def test_termination_conditions(base_spec, ctx):
-    assert terminates_cond(T.EPSILON, ctx) == {CTrue()}
-    assert terminates_cond(T.DELTA, ctx) == set()
-    conds = terminates_cond(proc(base_spec, "[v = 0] -> epsilon"), ctx)
+    assert derive(T.EPSILON, ctx)[1] == {CTrue()}
+    assert derive(T.DELTA, ctx)[1] == set()
+    _, conds = derive(proc(base_spec, "[v = 0] -> epsilon"), ctx)
     assert [render_cond(c) for c in conds] == ["v = 0"]
 
 

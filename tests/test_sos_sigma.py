@@ -12,7 +12,7 @@ from deacp.data_algebra import (
 from deacp.errors import DeacpError, ExplorationLimitError
 from deacp.parser import render_action, render_term
 from deacp.sos_cond import _CondSos, build_cond_lts
-from deacp.sos_sigma import SigmaLts, _Sos, build_lts, step, terminates
+from deacp.sos_sigma import SigmaLts, _Sos, build_lts
 
 
 EMPTY = EvalMap(())
@@ -25,18 +25,24 @@ def sigma_of(spec, **values):
     return EvalMap.of(base)
 
 
+def derive(t, sigma, ctx):
+    """The moves of t under sigma, as a set, and whether t terminates there."""
+    moves, ends = _Sos(ctx).derive(T.canonical(t, ctx), sigma)
+    return set(moves), ends
+
+
 def test_action_axiom(base_spec, ctx):
-    assert step(proc(base_spec, "a"), sigma_of(base_spec), ctx) == {
+    assert derive(proc(base_spec, "a"), sigma_of(base_spec), ctx)[0] == {
         (T.BasicAction("a"), T.EPSILON)
     }
 
 
 def test_inaction_and_empty(base_spec, ctx):
     sigma = sigma_of(base_spec)
-    assert step(T.DELTA, sigma, ctx) == set()
-    assert step(T.EPSILON, sigma, ctx) == set()
-    assert terminates(T.EPSILON, sigma, ctx) is True
-    assert terminates(T.DELTA, sigma, ctx) is False
+    assert derive(T.DELTA, sigma, ctx)[0] == set()
+    assert derive(T.EPSILON, sigma, ctx)[0] == set()
+    assert derive(T.EPSILON, sigma, ctx)[1] is True
+    assert derive(T.DELTA, sigma, ctx)[1] is False
 
 
 def test_assignment_under_evaluation(base_spec, ctx):
@@ -44,7 +50,7 @@ def test_assignment_under_evaluation(base_spec, ctx):
     # map plays no role
     t = proc(base_spec, "eval{sigma}(d := i . b)")
     for ambient in (sigma_of(base_spec), sigma_of(base_spec, d=5)):
-        moves = step(t, ambient, ctx)
+        moves, _ = derive(t, ambient, ctx)
         assert len(moves) == 1
         (action, target), = moves
         assert action == T.AssignAction("d", Lit(11))
@@ -54,8 +60,8 @@ def test_assignment_under_evaluation(base_spec, ctx):
 
 def test_guard_termination(base_spec, ctx):
     t = proc(base_spec, "[v = 0] -> epsilon")
-    assert terminates(t, sigma_of(base_spec, v=0), ctx) is True
-    assert terminates(t, sigma_of(base_spec, v=1), ctx) is False
+    assert derive(t, sigma_of(base_spec, v=0), ctx)[1] is True
+    assert derive(t, sigma_of(base_spec, v=1), ctx)[1] is False
 
 
 def test_chain_lts(base_spec, ctx):
@@ -112,15 +118,15 @@ def test_evaluated_terms_are_ambient_independent(base_spec, ctx):
 def test_synchronization_needs_matching_data(base_spec, ctx):
     good = proc(base_spec, "encap{a, b}(a(v) . a || b(v) . b)")
     sigma = sigma_of(base_spec, v=1)
-    moves = step(good, sigma, ctx)
+    moves, _ = derive(good, sigma, ctx)
     assert {render_action(a) for a, _ in moves} == {"c(v)"}
     mismatched = proc(base_spec, "encap{a, b}(a(0) . a || b(1) . b)")
-    assert step(mismatched, sigma, ctx) == set()
+    assert derive(mismatched, sigma, ctx)[0] == set()
 
 
 def test_mixed_basic_and_parameterized_never_synchronize(base_spec, ctx):
     t = proc(base_spec, "a(1) . a | b")
-    assert step(t, sigma_of(base_spec), ctx) == set()
+    assert derive(t, sigma_of(base_spec), ctx)[0] == set()
 
 
 def test_finite_steps_on_random_terms(small_ctx):
@@ -132,7 +138,7 @@ def test_finite_steps_on_random_terms(small_ctx):
     for _ in range(80):
         t = G.random_proc(rng, cfg, small_ctx, depth=2)
         sigma = G.random_emap(rng, small_ctx)
-        moves = step(t, sigma, small_ctx)
+        moves, _ = derive(t, sigma, small_ctx)
         assert isinstance(moves, set)
         assert len(moves) < 500
 
@@ -335,7 +341,7 @@ def test_steps_depend_only_on_what_a_subterm_reads(names, seed):
         reads, ends = sos._reads(t)
         facts = {}  # values of the read variables -> (steps, terminates)
         for sigma in maps:
-            mine = sos.steps(t, sigma), sos.terminates(t, sigma)
+            mine = sos.derive(t, sigma)
             at = tuple(sigma.value(v) for v in sorted(reads))
             assert facts.setdefault(at, mine) == mine, (t, sigma)
             assert ends or not mine[1], (t, sigma)
@@ -353,7 +359,7 @@ def test_the_memo_holds_one_entry_per_class_of_what_a_subterm_reads():
 
     def held(sos):
         for sigma in maps:
-            sos.steps(t, sigma)
+            sos.derive(t, sigma)
         return [sum(u is term for u, _ in sos.step_cache.values())
                 for term in (t, guard, guard.body)]
 
@@ -411,10 +417,12 @@ def test_an_explorer_never_answers_for_a_dropped_term():
     sos, cond_sos = _Sos(ctx), _CondSos(ctx)
 
     def answers(explorer, cond_explorer, t):
-        return ([[render_action(a) for a, _ in explorer.steps(t, sigma)] for sigma in maps],
-                [explorer.terminates(t, sigma) for sigma in maps],
-                sorted(render_action(a) for _, a, _ in cond_explorer.steps(t)),
-                len(cond_explorer.terminating(t)))
+        derived = [explorer.derive(t, sigma) for sigma in maps]
+        cond_moves, cond_ends = cond_explorer.derive(t)
+        return ([[render_action(a) for a, _ in moves] for moves, _ in derived],
+                [ends for _, ends in derived],
+                sorted(render_action(a) for _, a, _ in cond_moves),
+                len(cond_ends))
 
     for i in range(600):
         name, bound = "abc"[i % 3], i % 4
@@ -517,6 +525,25 @@ def test_deep_terms_build_under_every_map(text, states):
     assert [len(lts.states) for lts in _in_fresh_thread(build)] == [states, states]
 
 
+def test_a_wide_sum_terminates_under_the_empty_map_without_recursion():
+    """A sum's termination comes from the walk of its summands, with its
+    moves, under the empty map too. `canonical` still recurses along `+`,
+    so the 3000-way choice is made canonical under a raised limit first."""
+    import sys
+
+    spec = P.parse_spec("actions a, b\n")
+    ctx = spec.context()
+    t = proc(spec, " + ".join(["a . b"] + ["b"] * 2998 + ["epsilon"]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 10000)
+    try:
+        t = T.canonical(t, ctx)
+    finally:
+        sys.setrecursionlimit(limit)
+    lts = _in_fresh_thread(lambda: build_lts(t, ctx))
+    assert (len(lts.states), lts.num_transitions, len(lts.terminating)) == (3, 3, 2)
+
+
 # --- canonical targets and the context's term table --------------------------------
 
 @pytest.mark.parametrize("names, seed", [(("u", "v"), 4), (("w", "u", "v"), 5)])
@@ -544,10 +571,10 @@ def test_explored_states_and_targets_are_canonical(names, seed):
         sigma_sos, cond_sos = _Sos(ctx), _CondSos(ctx)
         for state in states:
             for sigma in enumerate_maps(FlexVarDecl(names), ctx.carrier):
-                sigma_sos.steps(state, sigma)
-            cond_sos.steps(state)
-        targets = [tgt for _, moves in sigma_sos.step_cache.values() for _, tgt in moves]
-        targets += [tgt for _, moves in cond_sos.step_cache.values() for _, _, tgt in moves]
+                sigma_sos.derive(state, sigma)
+            cond_sos.derive(state)
+        targets = [tgt for _, (moves, _) in sigma_sos.step_cache.values() for _, tgt in moves]
+        targets += [tgt for _, (moves, _) in cond_sos.step_cache.values() for _, _, tgt in moves]
         for u in states + targets:
             assert T.canonical(u, fresh) == u, u
 
