@@ -3,8 +3,9 @@
 Transitions carry a satisfiable condition instead of an evaluation map;
 instantiating each transition at every satisfying map recovers the
 map-indexed semantics exactly. As in `sos_sigma`, one rule function derives
-a subterm's steps and the conditions under which it terminates together, and
-one memo entry holds both.
+a subterm's steps and the conditions under which it terminates, and one memo
+entry holds both. The termination conditions are conjoined only after the
+moves and only when asked for, since that order fixes the printed labels.
 """
 
 from __future__ import annotations
@@ -83,27 +84,40 @@ class _CondSos(_Rules):
                     out.append((label, c, tx, ty))
         return out
 
-    def _conjs(self, phis, psis) -> list:
-        """The satisfiable conjunctions of each phi with each psi, in order."""
+    def _conjs(self, phis, t) -> list:
+        """The satisfiable conjunctions of each phi with each condition under
+        which t terminates, in order; t's are derived only if there is a phi."""
         out = []
         for phi in phis:
-            for psi in psis:
+            for psi in self.derive(t)[1]:
                 label = self._conj(phi, psi)
                 if label is not None:
                     out.append(label)
         return out
 
-    def derive(self, t: T.ProcTerm) -> tuple:
-        """(moves, ends): the triples (condition, action, canonical target)
+    def derive(self, t: T.ProcTerm) -> list:
+        """[moves, ends]: the triples (condition, action, canonical target)
         derivable for t, and the conditions under which t terminates."""
+        entry = self._started(t)
+        if type(entry[1]) is not tuple:
+            entry[1] = tuple(dict.fromkeys(entry[1]()))
+        return entry
+
+    def _started(self, t: T.ProcTerm) -> list:
+        """t's memo entry with its moves derived; until `derive` asks for
+        t's ends, the entry holds the function that derives them."""
         hit = self.step_cache.get(id(t))
         if hit is None:
             moves, ends = self._derive(t)
-            hit = self.step_cache[id(t)] = t, (tuple(dict.fromkeys(moves)),
-                                               tuple(dict.fromkeys(ends)))
+            hit = self.step_cache[id(t)] = t, [tuple(dict.fromkeys(moves)), ends]
         return hit[1]
 
     def _derive(self, t):
+        """t's moves, and its ends: a tuple, or a function that derives them.
+        A term's ends are conjoined after all its moves, and only when a
+        state's or a `Seq` left side's termination asks for them;
+        `_LabelRegistry` labels each class by the first condition it sees,
+        so this order fixes the printed labels."""
         if isinstance(t, T.Atom):
             return [(TRUE, t.action, self._ended())], ()
         if isinstance(t, T.Inaction):
@@ -111,27 +125,23 @@ class _CondSos(_Rules):
         if isinstance(t, T.Empty):
             return (), (TRUE,)
         if isinstance(t, T.Alt):
-            left_moves, left_ends = self.derive(t.left)
-            right_moves, right_ends = self.derive(t.right)
-            return left_moves + right_moves, left_ends + right_ends
+            return (self._started(t.left)[0] + self._started(t.right)[0],
+                    lambda: self.derive(t.left)[1] + self.derive(t.right)[1])
         if isinstance(t, T.Seq):
-            moves, ends = self.derive(t.left)
             out = [
                 (phi, a, self._canon(T.Seq(target, t.right)))
-                for phi, a, target in moves
+                for phi, a, target in self._started(t.left)[0]
             ]
-            if not ends:
-                return out, ()
-            right_moves, right_ends = self.derive(t.right)
-            for phi in ends:
-                for psi, a, target in right_moves:
+            left_ends = self.derive(t.left)[1]
+            for phi in left_ends:
+                for psi, a, target in self._started(t.right)[0]:
                     label = self._conj(phi, psi)
                     if label is not None:
                         out.append((label, a, target))
-            return out, self._conjs(ends, right_ends)
+            return out, lambda: self._conjs(left_ends, t.right)
         if isinstance(t, T.Par):
-            left_moves, left_ends = self.derive(t.left)
-            right_moves, right_ends = self.derive(t.right)
+            left_moves = self._started(t.left)[0]
+            right_moves = self._started(t.right)[0]
             out = [
                 (phi, a, self._canon(T.Par(tgt, t.right))) for phi, a, tgt in left_moves
             ]
@@ -142,49 +152,46 @@ class _CondSos(_Rules):
                 (phi, c, self._canon(T.Par(tx, ty)))
                 for phi, c, tx, ty in self._sync(left_moves, right_moves)
             ]
-            return out, self._conjs(left_ends, right_ends)
+            return out, lambda: self._conjs(self.derive(t.left)[1], t.right)
         if isinstance(t, T.LeftMerge):
             return [
                 (phi, a, self._canon(T.Par(tgt, t.right)))
-                for phi, a, tgt in self.derive(t.left)[0]
+                for phi, a, tgt in self._started(t.left)[0]
             ], ()
         if isinstance(t, T.CommMerge):
             return [
-                (phi, c, self._canon(T.Par(tx, ty)))
-                for phi, c, tx, ty in self._sync(self.derive(t.left)[0], self.derive(t.right)[0])
+                (phi, c, self._canon(T.Par(tx, ty))) for phi, c, tx, ty
+                in self._sync(self._started(t.left)[0], self._started(t.right)[0])
             ], ()
         if isinstance(t, T.Encap):
-            moves, ends = self.derive(t.body)
             return [
                 (phi, a, self._canon(T.Encap(t.patterns, tgt)))
-                for phi, a, tgt in moves
+                for phi, a, tgt in self._started(t.body)[0]
                 if not T.matches_any(a, t.patterns)
-            ], ends
+            ], lambda: self.derive(t.body)[1]
         if isinstance(t, T.Abstr):
-            moves, ends = self.derive(t.body)
             out = []
-            for phi, a, tgt in moves:
+            for phi, a, tgt in self._started(t.body)[0]:
                 label_action = T.TAU if T.matches_any(a, t.patterns) else a
                 out.append((phi, label_action, self._canon(T.Abstr(t.patterns, tgt))))
-            return out, ends
+            return out, lambda: self.derive(t.body)[1]
         if isinstance(t, T.Guard):
-            moves, ends = self.derive(t.body)
             out = []
-            for phi, a, tgt in moves:
+            for phi, a, tgt in self._started(t.body)[0]:
                 label = self._conj(phi, t.cond)
                 if label is not None:
                     out.append((label, a, tgt))
-            return out, self._conjs(ends, (t.cond,))
+            return out, lambda: self._conjs((t.cond,), t.body)
         if isinstance(t, T.Eval):
-            moves, ends = self.derive(t.body)
             carrier = self.ctx.carrier
             return [
                 (TRUE, *self._evaluated(a, t.emap, tgt))
-                for phi, a, tgt in moves
+                for phi, a, tgt in self._started(t.body)[0]
                 if eval_cond(phi, t.emap, carrier)
-            ], [TRUE for phi in ends if eval_cond(phi, t.emap, carrier)]
+            ], lambda: [TRUE for phi in self.derive(t.body)[1] if eval_cond(phi, t.emap, carrier)]
         if isinstance(t, T.RecConst):
-            return self.derive(T.unfolded(t, self.ctx))
+            body = T.unfolded(t, self.ctx)
+            return self._started(body)[0], lambda: self.derive(body)[1]
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} has no transitions")
         raise TypeError(f"not a process term: {t!r}")

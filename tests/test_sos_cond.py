@@ -92,6 +92,24 @@ def test_cond_json_shape(base_spec, ctx):
     assert "map" not in payload["transitions"][0]
 
 
+@pytest.mark.parametrize("text, labels", [
+    ("(([v >= 0] -> epsilon) . ([v <= 0] -> epsilon)) || ([v = 0] -> c)", {"v = 0"}),
+    ("(([v >= 0] -> epsilon) || ([v <= 0] -> epsilon)) || ([v = 0] -> c)", {"v = 0"}),
+    ("((([v >= 0] -> epsilon) || ([v <= 0] -> epsilon)) ||_ a) + ([v = 0] -> c)",
+     {"true", "v = 0"}),
+    ("((([v >= 0] -> epsilon) || ([v <= 0] -> epsilon)) | a) + ([v = 0] -> c)",
+     {"true", "v = 0"}),
+    ("([v >= 0] -> ([v <= 0] -> epsilon) + a) . ([v = 0] -> c)",
+     {"true", "v <= 0 and v >= 0"}),
+])
+def test_labels_follow_the_order_conditions_are_met(base_spec, ctx, text, labels):
+    """A class of equivalent conditions prints as the first member the
+    rules conjoin: a state's moves come before its termination, and a
+    subterm's termination is conjoined only when a termination asks for it."""
+    payload = build_cond_lts(proc(base_spec, text), ctx).to_json_dict()
+    assert {f["cond"] for f in payload["transitions"] + payload["terminating"]} == labels
+
+
 @pytest.mark.parametrize("body", ["a", "epsilon"])
 def test_eval_reads_a_partial_carried_map_in_both_semantics(base_spec, ctx, body):
     # The map lacks u, which only the short-circuited disjunct mentions.
