@@ -13,7 +13,6 @@ from .data_algebra import (
     FlexVarDecl,
     enumerate_maps,
     eval_data,
-    update_map,
 )
 from .conditions import eval_cond, satisfiable, valid_iff
 from .terms import (
@@ -23,11 +22,10 @@ from .terms import (
     classify,
     is_guarded_linear_spec,
     is_linear,
-    reachable,
     summands,
 )
 from .parser import SpecFile, parse_condition, parse_process, parse_spec, render_spec, render_term
-from .sos_sigma import SigmaLts, build_lts, lts_equal_up_to_renaming
+from .sos_sigma import SigmaLts, build_lts
 from .sos_cond import CondLts, build_cond_lts, expand_to_sigma
 from .bisim import (
     BisimResult,
@@ -38,8 +36,6 @@ from .bisim import (
     decide_rb,
     rooted_ab_bisim,
     rooted_branching_bisim,
-    silent_closure,
-    strong_bisim_signature,
 )
 from .linear import (
     ProofCertificate,

@@ -1,16 +1,15 @@
-"""Equivalence checking: data-equivalent action classes, silent closure,
-rooted branching bisimulation on map-indexed systems, the condition-labelled
-analogue decided per satisfying map, and the agreement experiment."""
+"""Equivalence checking: data-equivalent action classes, rooted branching
+bisimulation on map-indexed systems, the condition-labelled analogue decided
+per satisfying map, and the agreement experiment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional
 
 from . import terms as T
 from .conditions import signature
-from .data_algebra import EvalMap
 from .errors import DeacpError, ShapeError
 from .parser import render_action, render_term
 from .sos_cond import CondLts, _CondSos, build_cond_lts, expand_to_sigma
@@ -45,21 +44,6 @@ def actions_equivalent(a1: T.Action, a2: T.Action, ctx: T.Context) -> bool:
     """The data-equivalence relation on atomic actions and the silent step."""
     return a1 == a2 or (_head(a1) == _head(a2)
                         and action_class(a1, ctx) == action_class(a2, ctx))
-
-
-# --- silent closure -------------------------------------------------------------
-
-def silent_closure(lts: SigmaLts, state: int, sigma: EvalMap) -> frozenset:
-    """States reachable from state through silent steps under sigma, reflexively."""
-    seen = {state}
-    frontier = [state]
-    while frontier:
-        s = frontier.pop()
-        for sig, action, tgt in lts.transitions[s]:
-            if sig == sigma and isinstance(action, T.TauAction) and tgt not in seen:
-                seen.add(tgt)
-                frontier.append(tgt)
-    return frozenset(seen)
 
 
 # --- results ----------------------------------------------------------------------
@@ -392,18 +376,6 @@ def replay_counterexample(l1: SigmaLts, l2: SigmaLts, result: BisimResult,
     return ce in _explain_roots(u, _blocks(u, result.related_paths), result.related_paths)
 
 
-# --- the silent-step-free special case -------------------------------------------
-
-def strong_bisim_signature(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> bool:
-    """Strong bisimilarity of the roots by signature refinement; on systems
-    without silent steps it coincides with rooted branching bisimilarity."""
-    if not (l1.is_tau_free() and l2.is_tau_free()):
-        raise ShapeError("signature refinement requires silent-step-free systems")
-    u = _Union((l1, l2), ctx)
-    block = _blocks(u, related_paths=False)
-    return block[u.roots[0]] == block[u.roots[1]]
-
-
 # --- the condition-labelled equivalence, decided per satisfying map ---------------
 
 def rooted_ab_bisim(c1: CondLts, c2: CondLts, ctx: T.Context,
@@ -475,15 +447,7 @@ class ConjectureReport:
         return self.both_equivalent + self.both_inequivalent
 
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "both_equivalent": self.both_equivalent,
-            "both_inequivalent": self.both_inequivalent,
-            "rb_only": self.rb_only,
-            "rab_only": self.rab_only,
-            "divergent": self.divergent,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         lines = [

@@ -17,7 +17,6 @@ from . import security as SEC
 from . import sos_cond as SC
 from . import sos_sigma as S
 from . import terms as T
-from .data_algebra import Carrier
 from .errors import DeacpError
 from .linear import apply_cfar, linearize, normalize_bool_conditional, prove_equal
 from .parser import parse_spec, render_spec, render_term
@@ -42,11 +41,7 @@ def _emit(payload, as_json: bool, text: str):
 
 
 def _load(args) -> tuple:
-    spec = parse_spec(_read_text(args.file))
-    if args.data_lo is not None or args.data_hi is not None:
-        lo = args.data_lo if args.data_lo is not None else spec.carrier.lo
-        hi = args.data_hi if args.data_hi is not None else spec.carrier.hi
-        spec.carrier = Carrier(lo, hi)
+    spec = parse_spec(_read_text(args.file), args.data_lo, args.data_hi)
     return spec, spec.context(state_bound=args.state_bound)
 
 

@@ -251,10 +251,6 @@ class EvalMap:
         raise DeclarationError(f"flexible variable {var!r} not declared")
 
 
-def update_map(sigma: EvalMap, var: str, value: int) -> EvalMap:
-    return sigma.updated(var, value)
-
-
 @frozen_dataclass
 class FlexVarDecl:
     """Ordered declaration of the flexible variables of a specification."""

@@ -97,14 +97,8 @@ def _disjoin(conds):
 
 
 def spec_to_table(spec: T.RecSpec) -> dict:
-    table = {}
-    for name, rhs in spec.equations:
-        rows = []
-        for s in T.summands(rhs):
-            cond, action, target = T.summand_parts(s)
-            rows.append((cond, action, target))
-        table[name] = rows
-    return table
+    return {name: [T.summand_parts(s) for s in T.summands(rhs)]
+            for name, rhs in spec.equations}
 
 
 def _summand(row) -> T.ProcTerm:
@@ -431,59 +425,6 @@ class ClusterInfo:
         return tuple(map(_summand, self.exit_rows))
 
 
-def _scc(pos: dict, edges) -> list:
-    """Tarjan's algorithm, iterative, over the vertices of pos, which gives
-    each its place; components in the order of their first vertex."""
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    components = []
-    counter = [0]
-
-    def strongconnect(v):
-        work = [(v, iter(edges.get(v, ())))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(edges.get(w, ()))))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(tuple(sorted(comp, key=pos.__getitem__)))
-
-    for v in pos:
-        if v not in index:
-            strongconnect(v)
-    components.sort(key=lambda comp: pos[comp[0]])
-    return components
-
-
 def _find_clusters(table: dict, order: list, patterns: tuple) -> list:
     """Every strongly connected component of the hidden moves, with its exit
     rows, whether it is a cluster and whether a hidden move stays inside.
@@ -494,9 +435,8 @@ def _find_clusters(table: dict, order: list, patterns: tuple) -> list:
         name: [row[2] for row in table[name] if _internal_row(row, everything, patterns)]
         for name in order
     }
-    pos = {name: k for k, name in enumerate(order)}
     infos = []
-    for members in _scc(pos, edges):
+    for members in T.strong_components(order, edges):
         member_set = frozenset(members)
         is_cluster, cyclic = True, False
         exits: dict = {}  # insertion-ordered set of rows

@@ -155,10 +155,12 @@ _DATA_TERMS = (D.Lit, D.Flex, D.DVar, D.App)
 
 
 class Parser:
-    def __init__(self, tokens: list, spec: Optional[SpecFile] = None):
+    def __init__(self, tokens: list, spec: Optional[SpecFile] = None,
+                 lo: Optional[int] = None, hi: Optional[int] = None):
         self.tokens = tokens
         self.pos = 0
-        self.spec = spec or SpecFile()
+        self.bounds = lo, hi  # override the carrier's bounds where not None
+        self.spec = spec or SpecFile(carrier=self.carrier(D.DEFAULT_LO, D.DEFAULT_HI))
         self.rec_depth = 0
         self.dvars = []  # quantified variables in scope, innermost last
         self.nodes: dict = {}  # every node built, so equal subterms share one object
@@ -259,6 +261,11 @@ class Parser:
 
     # --- file structure -------------------------------------------------------
 
+    def carrier(self, lo: int, hi: int) -> D.Carrier:
+        """The carrier lo..hi with the overriding bounds in their place."""
+        over_lo, over_hi = self.bounds
+        return D.Carrier(lo if over_lo is None else over_lo, hi if over_hi is None else over_hi)
+
     def parse_file(self) -> SpecFile:
         while self.peek().kind != "eof":
             tok = self.peek()
@@ -267,7 +274,7 @@ class Parser:
                 self.expect("..")
                 hi = self.expect_int()
                 try:
-                    self.spec.carrier = D.Carrier(lo, hi)
+                    self.spec.carrier = self.carrier(lo, hi)
                 except DeclarationError as exc:
                     raise SpecSyntaxError(str(exc), tok.line, tok.col)
             elif self.accept("vars"):
@@ -610,8 +617,12 @@ class Parser:
         raise SpecSyntaxError(f"undeclared name {name!r}", tok.line, tok.col)
 
 
-def parse_spec(text: str) -> SpecFile:
-    return Parser(tokenize(text)).parse_file()
+def parse_spec(text: str, lo: Optional[int] = None, hi: Optional[int] = None) -> SpecFile:
+    """The specification text declares. lo and hi, where given, replace the
+    bounds of its carrier (declared or default) while it is parsed, so every
+    literal and map value is checked against the carrier in effect, and a
+    map's unmentioned variables get their default in it."""
+    return Parser(tokenize(text), lo=lo, hi=hi).parse_file()
 
 
 def parse_process(text: str, spec: SpecFile) -> T.ProcTerm:

@@ -287,13 +287,6 @@ class SigmaLts:
     def num_transitions(self) -> int:
         return sum(len(ts) for ts in self.transitions)
 
-    def is_tau_free(self) -> bool:
-        return all(
-            not isinstance(a, T.TauAction)
-            for ts in self.transitions
-            for _, a, _ in ts
-        )
-
     def to_json_dict(self) -> dict:
         # Each action is rendered once, and each map's dict is built once and
         # shared by its rows; a map's entries are its sorted items.
@@ -388,23 +381,3 @@ def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None,
     return SigmaLts(states=states, root=0, domain=domain, maps=maps,
                     transitions=transitions, terminating=terminating)
 
-
-def lts_equal_up_to_renaming(l1: SigmaLts, l2: SigmaLts) -> bool:
-    """Equality of two explored systems keyed by canonical state terms."""
-    if l1.domain != l2.domain:
-        return False
-    if set(l1.states) != set(l2.states):
-        return False
-    if l1.states[l1.root] != l2.states[l2.root]:
-        return False
-    def edge_set(l):
-        out = set()
-        for src, ts in enumerate(l.transitions):
-            for sigma, action, tgt in ts:
-                out.add((l.states[src], sigma, action, l.states[tgt]))
-        return out
-    if edge_set(l1) != edge_set(l2):
-        return False
-    term1 = {(l1.states[s], m) for s, m in l1.terminating}
-    term2 = {(l2.states[s], m) for s, m in l2.terminating}
-    return term1 == term2

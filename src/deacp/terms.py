@@ -491,24 +491,47 @@ def summand_parts(s: Guard) -> tuple:
     return (s.cond, s.body.left.action, s.body.right.name)
 
 
-def _has_cycle(edges: dict) -> bool:
-    """Whether the graph, whose edges point only at its own nodes, has a
-    cycle: peel nodes no remaining edge enters (Kahn's algorithm) and see
-    whether any node is left over."""
-    entering = dict.fromkeys(edges, 0)
-    for targets in edges.values():
-        for m in targets:
-            entering[m] += 1
-    free = [n for n, k in entering.items() if k == 0]
-    peeled = 0
-    while free:
-        n = free.pop()
-        peeled += 1
-        for m in edges[n]:
-            entering[m] -= 1
-            if entering[m] == 0:
-                free.append(m)
-    return peeled < len(edges)
+def strong_components(order, edges: dict) -> list:
+    """The strongly connected components of the graph on the nodes of order,
+    where edges.get(n, ()) lists the targets of n's edges: Tarjan's
+    algorithm, iterative, so a graph of any depth needs no recursion. Each
+    component lists its nodes in the order of order, and the components
+    come in the order of their first nodes."""
+    pos = {v: k for k, v in enumerate(order)}
+    index, low, at = {}, {}, {}
+    stack, onstack, components = [], set(), []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        at[v] = len(stack)
+        stack.append(v)
+        onstack.add(v)
+        return v, iter(edges.get(v, ()))
+
+    for root in order:
+        if root in index:
+            continue
+        work = [visit(root)]
+        while work:
+            node, it = work[-1]
+            for w in it:
+                if w not in index:
+                    work.append(visit(w))
+                    break
+                if w in onstack:
+                    low[node] = min(low[node], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = stack[at[node]:]
+                    del stack[at[node]:]
+                    onstack.difference_update(comp)
+                    components.append(tuple(sorted(comp, key=pos.__getitem__)))
+    components.sort(key=lambda comp: pos[comp[0]])
+    return components
 
 
 def is_linear_spec(spec: RecSpec) -> bool:
@@ -527,7 +550,8 @@ def is_guarded_linear_spec(spec: RecSpec) -> bool:
 def _guarded_linear(spec: RecSpec) -> bool:
     """One walk over each right-hand side: it is linear, its targets are
     variables of spec, and X -> Y when Y occurs tau-prefixed (hence
-    unguarded) in the equation for X."""
+    unguarded) in the equation for X. A cycle of such edges is a strongly
+    connected component with more than one member, or with a self-loop."""
     edges = {}
     for name, rhs in spec.equations:
         parts = _linear_summands(rhs)
@@ -542,27 +566,15 @@ def _guarded_linear(spec: RecSpec) -> bool:
                 return False
             if isinstance(alpha, TauAction):
                 unguarded.add(target)
-    return not _has_cycle(edges)
+    if not any(edges.values()):
+        return True
+    return all(len(comp) == 1 and comp[0] not in edges[comp[0]]
+               for comp in strong_components(spec.variables, edges))
 
 
 def require_glrs(spec: RecSpec):
     if not is_guarded_linear_spec(spec):
         raise GuardednessError("recursive specification is not guarded linear")
-
-
-def reachable(spec: RecSpec, start: str) -> frozenset:
-    """Reflexive-transitive closure of occurs-in-right-hand-side from start."""
-    if start not in spec:
-        raise DeclarationError(f"unknown recursion variable {start!r}")
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        name = frontier.pop()
-        for target in sorted(free_rec_vars(spec.rhs(name))):
-            if target in spec and target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return frozenset(seen)
 
 
 @frozen_dataclass

@@ -4,10 +4,12 @@
 
 Each tree is a checkout whose `src/deacp` is the package under test. For each
 tree, one child interpreter with PYTHONHASHSEED=0 imports that tree's deacp
-and runs `deacp.cli.main` in-process, the spec on standard input, on every op
-of the four workload plans of this checkout's bench/workloads.py, at each
-seed: `lts`, `lts --cond`, `bisim`, `ab-bisim`, `dnii` and `prove`, all with
-`--json`. The script prints the first run whose standard output, standard
+and runs `deacp.cli.main` in-process, the spec on standard input, on the
+four workload plans of this checkout's bench/workloads.py, at each seed:
+`parse` once per spec; every op (`lts`, `lts --cond`, `bisim`, `ab-bisim`,
+`dnii` or `prove`), and `linearize` on both sides of every `prove`; and
+`conjecture --pairs 40 --seed SEED` once per seed; all with `--json`. The
+script prints the first run whose standard output, standard
 error or exit code differs between the trees and exits 1; it exits 0 when
 every run agrees. It writes nothing, under bench/ or elsewhere.
 
@@ -28,12 +30,17 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def cli_args(op) -> list:
+    """The command lines one op runs: the op itself, then for `prove` the
+    linearization of each side."""
     kind = op["kind"]
     if kind in ("lts", "lts_cond", "dnii"):
         args = ["dnii" if kind == "dnii" else "lts", "-", "--process", op["process"]]
-        return args + (["--cond"] if kind == "lts_cond" else []) + ["--json"]
+        return [args + (["--cond"] if kind == "lts_cond" else []) + ["--json"]]
     command = {"rb": "bisim", "rab": "ab-bisim", "prove": "prove"}[kind]
-    return [command, "-", "--left", op["left"], "--right", op["right"], "--json"]
+    runs = [[command, "-", "--left", op["left"], "--right", op["right"], "--json"]]
+    if kind == "prove":
+        runs += [["linearize", "-", "--process", op[side], "--json"] for side in ("left", "right")]
+    return runs
 
 
 def run_cli(main, argv, text) -> dict:
@@ -60,14 +67,19 @@ def child(tree, seeds) -> None:
     from deacp.cli import main
 
     runs = []
+
+    def record(where, argv, text):
+        runs.append({"run": f"seed {where}: deacp {' '.join(argv)}", **run_cli(main, argv, text)})
+
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             plan = workloads.make_plan(workload, seed)
+            for name, text in plan["specs"].items():
+                record(f"{seed} {workload} spec {name}", ["parse", "-", "--json"], text)
             for index, op in enumerate(plan["ops"]):
-                argv = cli_args(op)
-                result = run_cli(main, argv, plan["specs"][op["spec"]])
-                runs.append({"run": f"seed {seed} {workload} op {index}: deacp {' '.join(argv)}",
-                             **result})
+                for argv in cli_args(op):
+                    record(f"{seed} {workload} op {index}", argv, plan["specs"][op["spec"]])
+        record(seed, ["conjecture", "--json", "--pairs", "40", "--seed", str(seed)], "")
     json.dump(runs, sys.stdout)
 
 

@@ -15,8 +15,20 @@ import functools
 import itertools
 
 from deacp import terms as T
-from deacp.bisim import silent_closure
 from validity_oracle import actions_equivalent
+
+
+def silent_closure(lts, state, sigma) -> frozenset:
+    """States reachable from state through silent steps under sigma, reflexively."""
+    seen = {state}
+    frontier = [state]
+    while frontier:
+        s = frontier.pop()
+        for sig, action, tgt in lts.transitions[s]:
+            if sig == sigma and isinstance(action, T.TauAction) and tgt not in seen:
+                seen.add(tgt)
+                frontier.append(tgt)
+    return frozenset(seen)
 
 
 class _System:

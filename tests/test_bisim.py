@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import lts_oracle
 import pair_oracle
 import validity_oracle
 from conftest import proc
@@ -24,8 +25,6 @@ from deacp.bisim import (
     rooted_branching_bisim,
     rooted_branching_classes,
     shared_domain,
-    silent_closure,
-    strong_bisim_signature,
     verify_branching_bisimulation,
 )
 from deacp.data_algebra import App, Flex, Lit
@@ -120,10 +119,10 @@ def test_silent_closure(base_spec, ctx):
     t = proc(base_spec, "tau . tau . a")
     lts = build_lts(t, ctx)
     sigma = lts.maps[0]
-    closure = silent_closure(lts, lts.root, sigma)
+    closure = pair_oracle.silent_closure(lts, lts.root, sigma)
     assert len(closure) == 3  # the two silent steps plus reflexivity
     plain = build_lts(proc(base_spec, "a . b"), ctx)
-    assert silent_closure(plain, plain.root, plain.maps[0]) == {plain.root}
+    assert pair_oracle.silent_closure(plain, plain.root, plain.maps[0]) == {plain.root}
 
 
 def test_silent_closure_is_map_indexed(base_spec, ctx):
@@ -131,8 +130,8 @@ def test_silent_closure_is_map_indexed(base_spec, ctx):
     lts = build_lts(t, ctx, domain=("v",))
     with_tau = [m for m in lts.maps if m.value("v") == 0][0]
     without = [m for m in lts.maps if m.value("v") == 1][0]
-    assert len(silent_closure(lts, lts.root, with_tau)) == 2
-    assert silent_closure(lts, lts.root, without) == {lts.root}
+    assert len(pair_oracle.silent_closure(lts, lts.root, with_tau)) == 2
+    assert pair_oracle.silent_closure(lts, lts.root, without) == {lts.root}
 
 
 def test_alt_inaction_equivalent(base_spec, ctx):
@@ -291,12 +290,6 @@ def test_systems_over_different_domains_are_refused(base_spec, ctx):
             check()
 
 
-def test_strong_signature_refuses_silent_steps(base_spec, ctx):
-    silent, plain = (build_lts(proc(base_spec, t), ctx, domain=()) for t in ("tau . a", "a"))
-    with pytest.raises(ShapeError, match="silent-step-free"):
-        strong_bisim_signature(silent, plain, ctx)
-
-
 def test_counterexample_replays(base_spec, ctx):
     left = proc(base_spec, "a . b")
     right = proc(base_spec, "a . c")
@@ -413,10 +406,10 @@ def test_signature_refinement_agrees_on_tau_free(small_ctx):
         domain = shared_domain(t1, t2, small_ctx)
         l1 = build_lts(t1, small_ctx, domain=domain)
         l2 = build_lts(t2, small_ctx, domain=domain)
-        if not (l1.is_tau_free() and l2.is_tau_free()):
+        if not (lts_oracle.tau_free(l1) and lts_oracle.tau_free(l2)):
             continue
         naive, _ = pair_oracle.decide(l1, l2, small_ctx)
-        fast = strong_bisim_signature(l1, l2, small_ctx)
+        fast = rooted_branching_bisim(l1, l2, small_ctx).equivalent
         assert naive == fast
         checked += 1
     assert checked >= 25
@@ -452,7 +445,7 @@ def _silent_corpus():
         except DeacpError:
             continue
         if len(l1.states) <= 50 and len(l2.states) <= 50 \
-                and not (l1.is_tau_free() and l2.is_tau_free()):
+                and not (lts_oracle.tau_free(l1) and lts_oracle.tau_free(l2)):
             pairs.append((t1, t2))
     return ctx, pairs
 
@@ -658,7 +651,7 @@ def test_rooted_branching_classes_match_pairwise_decisions():
             continue
         if all(3 <= len(lts.states) <= 20 for lts in pair):
             ltss += pair
-    assert len(ltss) == 30 and any(not lts.is_tau_free() for lts in ltss)
+    assert len(ltss) == 30 and any(not lts_oracle.tau_free(lts) for lts in ltss)
     keys = rooted_branching_classes(ltss, ctx)
     verdicts = set()
     for i, j in itertools.combinations(range(len(ltss)), 2):

@@ -320,3 +320,46 @@ def test_wide_assignments_are_tabulated_only_when_compared(tmp_path, right, code
     path.write_text(WIDE, encoding="utf-8")
     done = run_cli("bisim", str(path), "--left", "P", "--right", right)
     assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
+
+
+# --data-lo and --data-hi replace the carrier's bounds while the file is
+# parsed: a map's unmentioned variable gets its default in that carrier, and
+# a literal or map value outside it is an input error.
+OVERRIDE = ("domain -4..3\nvars i, j\nactions a/1\nmap sigma { i = 2 }\n"
+            "proc P = eval{sigma}(a(j))\nproc R = eval{sigma}(a(i))\n")
+
+
+@pytest.mark.parametrize("flags, process, label", [
+    ([], "P", "a(0)"),
+    (["--data-lo", "1"], "P", "a(1)"),
+    (["--data-hi", "2"], "R", "a(2)"),
+    (["--data-lo", "-1", "--data-hi", "2"], "R", "a(2)"),
+])
+def test_carrier_override_applies_while_parsing(capsys, tmp_path, flags, process, label):
+    path = tmp_path / "override.deacp"
+    path.write_text(OVERRIDE, encoding="utf-8")
+    code, out, err = run(capsys, "lts", str(path), "--process", process, "--json", *flags)
+    assert (code, err) == (0, "")
+    assert [t["action"] for t in json.loads(out)["transitions"]] == [label]
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    (OVERRIDE, ["--data-hi", "1"], "error: 4:13: value 2 outside carrier\n"),
+    (OVERRIDE + "proc L = a(-4)\n", ["--data-lo", "-3"], "error: 7:12: literal -4 outside carrier\n"),
+    (OVERRIDE, ["--data-lo", "4"], "error: 1:1: empty carrier [4, 3]\n"),
+    ("vars i\n", ["--data-lo", "16"], "error: empty carrier [16, 15]\n"),
+])
+def test_carrier_override_rejects_values_outside_it(capsys, tmp_path, text, flags, message):
+    path = tmp_path / "override.deacp"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(path), *flags)
+    assert (code, out, err) == (2, "", message)
+
+
+def test_carrier_override_shows_in_parse_output(capsys, tmp_path):
+    path = tmp_path / "override.deacp"
+    path.write_text(OVERRIDE, encoding="utf-8")
+    code, out, _ = run(capsys, "parse", str(path), "--json", "--data-lo", "1")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["carrier"], payload["maps"]["sigma"]) == ([1, 3], {"i": 2, "j": 1})

@@ -9,7 +9,6 @@ from deacp.data_algebra import (
     Lit,
     enumerate_maps,
     eval_data,
-    update_map,
 )
 from deacp.errors import DeclarationError, EnumerationLimitError
 
@@ -45,7 +44,7 @@ def test_eval_undeclared_variable_is_an_error():
 
 def test_update_map_pointwise():
     sigma = EvalMap.of({"i": 11, "j": 3})
-    updated = update_map(sigma, "j", 7)
+    updated = sigma.updated("j", 7)
     assert updated.value("i") == 11
     assert updated.value("j") == 7
     assert sigma.value("j") == 3  # the original is untouched
@@ -53,17 +52,17 @@ def test_update_map_pointwise():
 
 def test_update_with_current_value_is_identity():
     sigma = EvalMap.of({"i": 11, "j": 3})
-    assert update_map(sigma, "j", sigma.value("j")) == sigma
+    assert sigma.updated("j", sigma.value("j")) == sigma
 
 
 def test_update_then_query():
     sigma = EvalMap.of({"i": 11, "j": 3, "d": 0})
-    assert update_map(sigma, "d", 11).value("d") == 11
+    assert sigma.updated("d", 11).value("d") == 11
 
 
 def test_update_undeclared_is_an_error():
     with pytest.raises(DeclarationError):
-        update_map(EvalMap.of({"i": 0}), "z", 1)
+        EvalMap.of({"i": 0}).updated("z", 1)
 
 
 def test_enumerate_single_variable():
@@ -99,7 +98,7 @@ def test_enumeration_bound_error_names_the_count():
 def test_update_eval_roundtrip():
     sigma = EvalMap.of({"u": 1, "v": 2})
     for value in (-4, 0, 3):
-        updated = update_map(sigma, "u", value)
+        updated = sigma.updated("u", value)
         assert eval_data(Flex("u"), updated, CARRIER) == value
         assert eval_data(Flex("v"), updated, CARRIER) == 2
 

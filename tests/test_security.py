@@ -4,6 +4,7 @@ import pytest
 
 import dnii_oracle
 from conftest import proc
+from lts_oracle import lts_equal_up_to_renaming
 from deacp import gen as G
 from deacp import parser as P
 from deacp import terms as T
@@ -11,7 +12,7 @@ from deacp.data_algebra import Carrier, FlexVarDecl, enumerate_maps
 from deacp.errors import DeacpError, DeclarationError, ExplorationLimitError
 from deacp.parser import render_action
 from deacp.security import SecuritySpec, _observed_term, check_dnii, derive_sets
-from deacp.sos_sigma import _Sos, build_lts, lts_equal_up_to_renaming
+from deacp.sos_sigma import _Sos, build_lts
 
 
 SEND = (T.ActionPattern("name", "send"),)

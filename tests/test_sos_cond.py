@@ -3,13 +3,14 @@ import random
 import pytest
 
 from conftest import proc
+from lts_oracle import lts_equal_up_to_renaming
 from deacp import gen as G
 from deacp import terms as T
 from deacp.conditions import CTrue
 from deacp.data_algebra import EvalMap
 from deacp.parser import render_action, render_cond
 from deacp.sos_cond import _CondSos, build_cond_lts, expand_to_sigma
-from deacp.sos_sigma import build_lts, lts_equal_up_to_renaming
+from deacp.sos_sigma import build_lts
 
 
 def derive(t, ctx):
@@ -42,6 +43,11 @@ def test_termination_conditions(base_spec, ctx):
     assert derive(T.DELTA, ctx)[1] == set()
     _, conds = derive(proc(base_spec, "[v = 0] -> epsilon"), ctx)
     assert [render_cond(c) for c in conds] == ["v = 0"]
+    # A sequence and a merge end where both sides end.
+    for op in (".", "||"):
+        _, conds = derive(proc(base_spec, f"([v >= 0] -> epsilon) {op} ([v <= 0] -> epsilon)"), ctx)
+        assert [render_cond(c) for c in conds] == ["v <= 0 and v >= 0"]
+        assert derive(proc(base_spec, f"([v = 0] -> epsilon) {op} ([v > 0] -> epsilon)"), ctx)[1] == set()
 
 
 def test_labels_are_satisfiable_everywhere(small_ctx):

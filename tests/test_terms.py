@@ -1,3 +1,4 @@
+import sys
 from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import pytest
@@ -83,6 +84,38 @@ def test_guarded_linear_spec_acyclic_tau_ok():
     assert T.is_guarded_linear_spec(spec) is True
 
 
+def _prefixed(action, target):
+    return T.Guard(TRUE, T.Seq(T.Atom(action), T.RecVar(target)))
+
+
+def test_guarded_linear_spec_rejects_two_variable_tau_cycle():
+    spec = T.RecSpec((
+        ("X", _prefixed(T.TAU, "Y")),
+        ("Y", T.Alt(_prefixed(T.TAU, "X"), T.Guard(TRUE, T.EPSILON))),
+    ))
+    assert T.is_guarded_linear_spec(spec) is False
+
+
+def test_guarded_linear_spec_rejects_tau_cycle_behind_action_guarded_loop():
+    a = T.BasicAction("a")
+    spec = T.RecSpec((
+        ("X", T.Alt(_prefixed(a, "X"), _prefixed(a, "Y"))),
+        ("Y", T.Alt(_prefixed(T.TAU, "Z"), _prefixed(T.TAU, "X"))),
+        ("Z", _prefixed(T.TAU, "Y")),
+    ))
+    assert T.is_guarded_linear_spec(spec) is False
+
+
+def test_guarded_linear_spec_walks_long_tau_chains_without_recursion():
+    """A chain of silent edges longer than the recursion limit is accepted,
+    and the same chain closed into a cycle is rejected."""
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    chain = tuple((f"X{i}", _prefixed(T.TAU, f"X{i + 1}")) for i in range(n - 1))
+    assert T.is_guarded_linear_spec(T.RecSpec(chain + ((f"X{n - 1}", T.Guard(TRUE, T.EPSILON)),)))
+    assert not T.is_guarded_linear_spec(T.RecSpec(chain + ((f"X{n - 1}", _prefixed(T.TAU, "X0")),)))
+
+
 def test_guarded_linear_spec_acyclic(base_spec):
     spec = rec_spec(base_spec, "rec X where { X = [true] -> a . Y, Y = [true] -> epsilon }")
     assert T.is_guarded_linear_spec(spec) is True
@@ -115,46 +148,6 @@ def test_recursive_specification_lookups_do_not_scan_the_equations():
     with pytest.raises(DeclarationError):
         T.RecSpec(equations + (("X0", T.DELTA),))
     assert spec == T.RecSpec(tuple((str(n), rhs) for n, rhs in equations))
-
-
-def test_reachable_self_loop(base_spec):
-    spec = rec_spec(base_spec, "rec X where { X = [true] -> a . X }")
-    assert T.reachable(spec, "X") == frozenset({"X"})
-
-
-def test_reachable_division_spec(base_spec):
-    spec = rec_spec(
-        base_spec,
-        "rec Q where { Q = [r >= j] -> q := q + 1 . R + [r < j] -> epsilon,"
-        " R = [true] -> r := r - j . Q }",
-    )
-    assert T.reachable(spec, "Q") == frozenset({"Q", "R"})
-
-
-def test_reachable_no_outgoing(base_spec):
-    spec = rec_spec(
-        base_spec, "rec X where { X = [true] -> epsilon, Y = [true] -> a . X }"
-    )
-    assert T.reachable(spec, "X") == frozenset({"X"})
-    assert T.reachable(spec, "Y") == frozenset({"X", "Y"})
-
-
-def test_reachable_unknown_variable(base_spec):
-    spec = rec_spec(base_spec, "rec X where { X = [true] -> epsilon }")
-    with pytest.raises(DeclarationError):
-        T.reachable(spec, "Z")
-
-
-def test_reachable_monotone_under_added_equations(base_spec):
-    smaller = rec_spec(
-        base_spec, "rec X where { X = [true] -> a . Y, Y = [true] -> epsilon }"
-    )
-    bigger = T.RecSpec(smaller.equations + (
-        ("Z", T.Guard(TRUE, T.EPSILON)),
-    ))
-    for var in smaller.variables:
-        assert T.reachable(smaller, var) <= T.reachable(bigger, var)
-        assert T.reachable(bigger, var) <= frozenset(bigger.variables)
 
 
 def test_classify_abstraction(base_spec, ctx):
