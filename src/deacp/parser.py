@@ -160,7 +160,8 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.bounds = lo, hi  # override the carrier's bounds where not None
-        self.spec = spec or SpecFile(carrier=self.carrier(D.DEFAULT_LO, D.DEFAULT_HI))
+        self.spec = spec or SpecFile()
+        self.default_carrier = spec is None  # the bounds are not yet applied to it
         self.rec_depth = 0
         self.dvars = []  # quantified variables in scope, innermost last
         self.nodes: dict = {}  # every node built, so equal subterms share one object
@@ -266,6 +267,15 @@ class Parser:
         over_lo, over_hi = self.bounds
         return D.Carrier(lo if over_lo is None else over_lo, hi if over_hi is None else over_hi)
 
+    def carrier_in_effect(self) -> D.Carrier:
+        """The declared carrier, or the default one with the overriding bounds
+        applied at its first use, so that a later domain line can still make
+        one-sided bounds valid."""
+        if self.default_carrier:
+            self.default_carrier = False
+            self.spec.carrier = self.carrier(self.spec.carrier.lo, self.spec.carrier.hi)
+        return self.spec.carrier
+
     def parse_file(self) -> SpecFile:
         while self.peek().kind != "eof":
             tok = self.peek()
@@ -277,6 +287,7 @@ class Parser:
                     self.spec.carrier = self.carrier(lo, hi)
                 except DeclarationError as exc:
                     raise SpecSyntaxError(str(exc), tok.line, tok.col)
+                self.default_carrier = False
             elif self.accept("vars"):
                 names = self.items(self.fresh_ident)
                 self.spec.decl = D.FlexVarDecl(self.spec.decl.names + tuple(names))
@@ -304,6 +315,7 @@ class Parser:
                 self.parse_security()
             else:
                 self.fail(f"expected a section keyword, found {tok.value!r}")
+        self.carrier_in_effect()
         return self.spec
 
     def parse_action_decl(self):
@@ -329,7 +341,8 @@ class Parser:
     def parse_map_entries(self) -> D.EvalMap:
         """Entries up to the closing brace; unmentioned declared variables get a default."""
         entries = dict(self.items(self.parse_map_entry, "}"))
-        default = 0 if 0 in self.spec.carrier else self.spec.carrier.lo
+        carrier = self.carrier_in_effect()
+        default = 0 if 0 in carrier else carrier.lo
         for name in self.spec.decl:
             entries.setdefault(name, default)
         return D.EvalMap.of(entries)
@@ -338,7 +351,7 @@ class Parser:
         var_tok = self.expect_var()
         self.expect("=")
         value = self.expect_int()
-        if value not in self.spec.carrier:
+        if value not in self.carrier_in_effect():
             raise SpecSyntaxError(f"value {value} outside carrier", var_tok.line, var_tok.col)
         return var_tok.value, value
 
@@ -518,7 +531,7 @@ class Parser:
                 )
         elif tok.value == "-" or tok.kind == "int":
             value = self.expect_int()
-            if value not in self.spec.carrier:
+            if value not in self.carrier_in_effect():
                 raise SpecSyntaxError(f"literal {value} outside carrier", tok.line, tok.col)
             node = D.Lit(value)
         elif tok.kind == "ident":

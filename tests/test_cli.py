@@ -356,6 +356,21 @@ def test_carrier_override_rejects_values_outside_it(capsys, tmp_path, text, flag
     assert (code, out, err) == (2, "", message)
 
 
+# One bound may lie past the other default bound when the declared domain
+# makes the range valid.
+@pytest.mark.parametrize("domain, flags, carrier", [
+    ("0..20", ["--data-lo", "16"], [16, 20]),
+    ("-30..-10", ["--data-hi", "-20"], [-30, -20]),
+])
+def test_one_sided_override_uses_the_declared_domain(capsys, tmp_path, domain, flags, carrier):
+    path = tmp_path / "override.deacp"
+    path.write_text(f"domain {domain}\nvars i\nmap sigma {{}}\n", encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(path), "--json", *flags)
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (payload["carrier"], payload["maps"]["sigma"]) == (carrier, {"i": carrier[0]})
+
+
 def test_carrier_override_shows_in_parse_output(capsys, tmp_path):
     path = tmp_path / "override.deacp"
     path.write_text(OVERRIDE, encoding="utf-8")
