@@ -12,7 +12,6 @@ import sys
 from functools import partial
 
 from . import bisim as B
-from . import gen as G
 from . import security as SEC
 from . import sos_cond as SC
 from . import sos_sigma as S
@@ -224,7 +223,9 @@ def _cmd_dnii(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    ctx = G.default_context()
+    from . import gen
+
+    ctx = gen.default_context()
     report = B.conjecture_experiment(ctx, args.pairs, seed=args.seed)
     _emit(report.to_json_dict(), args.json, report.summary())
     return EXIT_OK

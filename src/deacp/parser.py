@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import terms as T
 from . import conditions as C
@@ -26,19 +26,23 @@ KEYWORDS = {
     "encap", "hide", "eval",
 }
 
+# One match per token of a line: the blanks before it, then the token. At the
+# end of the line, or before a character no token starts with, the match holds
+# no token: only blanks and a comment, which runs to the end of its line.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<op>\|\|_|\|\||<->|->|<=|>=|!=|:=|\.\.|[-+*.|(){}\[\],;/=<>])
+    \s*
+    (?: (?P<op>\|\|_|\|\||<->|->|<=|>=|!=|:=|\.\.|[-+*.|(){}\[\],;/=<>])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<int>[0-9]+)
+      | \#.*
+    )?
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | op | eof
     value: str
     line: int
@@ -46,23 +50,20 @@ class Token:
 
 
 def tokenize(text: str) -> list:
+    """The tokens of `text`, then an end token. Lines break at newline
+    characters only, and a token's column is its offset in its line plus one."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SpecSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    append = tokens.append
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(chars):
+            kind = m.lastgroup
+            if kind is None:  # the end of the line, or a character no token starts with
+                break
+            start, end = m.span(kind)
+            append(Token(kind, chars[start:end], line, start + 1))
+        if m.end() < len(chars):
+            raise SpecSyntaxError(f"unexpected character {chars[m.end()]!r}", line, m.end() + 1)
+    append(Token("eof", "", line, len(chars) + 1))
     return tokens
 
 
@@ -157,7 +158,7 @@ _DATA_TERMS = (D.Lit, D.Flex, D.DVar, D.App)
 class Parser:
     def __init__(self, tokens: list, spec: Optional[SpecFile] = None,
                  lo: Optional[int] = None, hi: Optional[int] = None):
-        self.tokens = tokens
+        self.tokens = tokens + tokens[-1:]  # one more end token, for peek(1) at the end
         self.pos = 0
         self.bounds = lo, hi  # override the carrier's bounds where not None
         self.spec = spec or SpecFile()
@@ -169,7 +170,7 @@ class Parser:
     # --- token plumbing ---------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -177,20 +178,23 @@ class Parser:
             self.pos += 1
         return tok
 
+    # `value` is always a keyword or an operator, which no integer or end token
+    # spells, so the value alone identifies the token.
     def at(self, value: str) -> bool:
-        return self.peek().value == value and self.peek().kind in ("op", "ident")
+        return self.tokens[self.pos].value == value
 
     def accept(self, value: str) -> bool:
-        if self.at(value):
-            self.next()
+        if self.tokens[self.pos].value == value:
+            self.pos += 1
             return True
         return False
 
     def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if not self.at(value):
+        tok = self.tokens[self.pos]
+        if tok.value != value:
             raise SpecSyntaxError(f"expected {value!r}, found {tok.value!r}", tok.line, tok.col)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> Token:
         tok = self.peek()

@@ -6,12 +6,14 @@ Each tree is a checkout whose `src/deacp` is the package under test. For each
 tree, one child interpreter with PYTHONHASHSEED=0 imports that tree's deacp
 and runs `deacp.cli.main` in-process, the spec on standard input, on the
 four workload plans of this checkout's bench/workloads.py, at each seed:
-`parse` once per spec; every op (`lts`, `lts --cond`, `bisim`, `ab-bisim`,
-`dnii` or `prove`), and `linearize` on both sides of every `prove`; and
-`conjecture --pairs 40 --seed SEED` once per seed; all with `--json`. The
-script prints the first run whose standard output, standard
-error or exit code differs between the trees and exits 1; it exits 0 when
-every run agrees. It writes nothing, under bench/ or elsewhere.
+`parse` once per spec, and on malformed copies of it (cut short at five
+fractions of its length, or with a stray `$` in its middle); every op
+(`lts`, `lts --cond`, `bisim`, `ab-bisim`, `dnii` or `prove`), and
+`linearize` on both sides of every `prove`; and `conjecture --pairs 40
+--seed SEED` once per seed; all with `--json`. The script prints the first
+run whose standard output, standard error or exit code differs between the
+trees and exits 1; it exits 0 when every run agrees. It writes nothing,
+under bench/ or elsewhere.
 
 This is a plain script: pytest does not collect it.
 """
@@ -27,6 +29,10 @@ import subprocess
 import sys
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+# Each spec is also parsed cut short at these fractions of its length, and
+# with a `$` inserted at its middle, so error messages and their positions
+# are compared too.
+TRUNCATIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def cli_args(op) -> list:
@@ -75,7 +81,14 @@ def child(tree, seeds) -> None:
         for workload in workloads.WORKLOADS:
             plan = workloads.make_plan(workload, seed)
             for name, text in plan["specs"].items():
-                record(f"{seed} {workload} spec {name}", ["parse", "-", "--json"], text)
+                where = f"{seed} {workload} spec {name}"
+                record(where, ["parse", "-", "--json"], text)
+                for cut in TRUNCATIONS:
+                    record(f"{where} cut at {cut}", ["parse", "-", "--json"],
+                           text[:int(len(text) * cut)])
+                middle = len(text) // 2
+                record(f"{where} with a stray $", ["parse", "-", "--json"],
+                       text[:middle] + "$" + text[middle:])
             for index, op in enumerate(plan["ops"]):
                 for argv in cli_args(op):
                     record(f"{seed} {workload} op {index}", argv, plan["specs"][op["spec"]])

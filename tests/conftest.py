@@ -49,6 +49,12 @@ def cond(spec, text):
 
 def run_cli(*argv, hash_seed="0"):
     """`python -m deacp.cli`, importing the same deacp package as the tests."""
+    return run_python("-m", "deacp.cli", *argv, hash_seed=hash_seed)
+
+
+def run_python(*argv, hash_seed="0"):
+    """`python ARGV...` in a child interpreter that imports the same deacp
+    package as the tests."""
     import os
     import subprocess
     import sys
@@ -58,5 +64,16 @@ def run_cli(*argv, hash_seed="0"):
     src = os.path.dirname(os.path.dirname(deacp.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "deacp.cli", *argv],
-                          capture_output=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+
+
+def bench_module(name):
+    """bench/NAME.py, loaded from its file (bench/ is not a package)."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    loader = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module

@@ -6,15 +6,60 @@ one fix carried over: quantified variables count as data atoms, so
 `forall d. 1 + d > 0` parses. It recurses once per nesting level and, in a
 condition, reads a parenthesis first as a condition and then, on failure,
 again as a data term.
+
+Its tokenizer is the one deacp used before its one-match-per-token rewrite:
+one match per lexeme, whitespace and comments included, with the line and
+column carried along each lexeme.
 """
 
+import re
+from dataclasses import dataclass
 from typing import Optional
 
 from deacp import conditions as C
 from deacp import data_algebra as D
 from deacp import terms as T
 from deacp.errors import DeclarationError, SpecSyntaxError
-from deacp.parser import KEYWORDS, SpecFile, Token, tokenize
+from deacp.parser import KEYWORDS, SpecFile
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>[0-9]+)
+  | (?P<op>\|\|_|\|\||<->|->|<=|>=|!=|:=|\.\.|[-+*.|(){}\[\],;/=<>])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # ident | int | op | eof
+    value: str
+    line: int
+    col: int
+
+
+def tokenize(text: str) -> list:
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise SpecSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if m.lastgroup != "ws":
+            tokens.append(Token(m.lastgroup, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
 
 
 class Parser:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, run_python
 from deacp.cli import main
 
 
@@ -160,6 +160,12 @@ def test_conjecture_command(capsys):
     code, out, _ = run(capsys, "conjecture", "--pairs", "6", "--seed", "3")
     assert code == 0
     assert "pairs checked: 6" in out
+
+
+def test_only_conjecture_imports_the_generator():
+    """Every subcommand but `conjecture` starts without importing deacp.gen."""
+    done = run_python("-c", "import sys, deacp.cli; print('deacp.gen' in sys.modules)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"False\n", b"")
 
 
 def test_json_identical_across_processes_and_hash_seeds(leak_file):

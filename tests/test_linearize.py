@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import cond, proc
+from conftest import bench_module, cond, proc
 from deacp import gen as G
 from deacp import terms as T
 from deacp.bisim import decide_rb, rooted_branching_bisim, shared_domain
@@ -524,24 +524,13 @@ def _assert_prover_and_checker_explore_apart(pairs, monkeypatch):
     assert replays  # some certificates carry an RSP step
 
 
-def _bench_module(name):
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
-    loader = importlib.util.spec_from_file_location(f"bench_{name}", path)
-    module = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(module)
-    return module
-
-
 def test_the_checker_never_explores_with_the_provers_explorer(monkeypatch):
     """On the benchmark's frozen proof corpus and the worked examples."""
     import os
 
     from deacp import parser as P
 
-    workloads = _bench_module("workloads")
+    workloads = bench_module("workloads")
     files = [os.path.join(workloads.CORPUS_DIR, f) for f in workloads.CORPUS_FILES]
     sources = [workloads.read_corpus(path) for path in files]
     text, ops = workloads._worked_examples()

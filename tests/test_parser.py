@@ -1,10 +1,12 @@
+import os
 import random
+import time
 
 import pytest
 
 import parser_oracle
 import render_oracle
-from conftest import cond, proc, run_cli
+from conftest import bench_module, cond, proc, run_cli
 from deacp import conditions as C
 from deacp import data_algebra as D
 from deacp import gen as G
@@ -178,6 +180,64 @@ def test_parser_matches_the_oracle(small_ctx):
         assert mine == _outcome(parser_oracle.parse_spec, text), text
         accepted += not isinstance(mine, type)
     assert 300 < accepted < len(texts) - 2000
+
+
+# --- the tokenizer against the per-lexeme oracle ------------------------------
+
+BLANKS = (" ", "  ", "\t", "\r\n", "\n", "\f", " \f\t ", "\n\n  ", "  # note\n",
+          "#\r\n", "# a # b (\n\t")
+
+
+def _lexed(tokenizer, text):
+    """Each token as (kind, value, line, col), or the tokenizing error."""
+    try:
+        return [(tok.kind, tok.value, tok.line, tok.col) for tok in tokenizer(text)]
+    except SpecSyntaxError as exc:
+        return exc.message, exc.line, exc.col
+
+
+def test_tokenizer_matches_oracle(small_ctx):
+    """Every workload spec of the benchmark at seeds 1 and 2, its corpus files,
+    and generated specs with random blanks and comments between their tokens
+    tokenize as the per-lexeme oracle does; with a stray character inserted,
+    both fail with the same message, line and column."""
+    workloads = bench_module("workloads")
+    texts = [text for seed in (1, 2) for workload in workloads.WORKLOADS
+             for text in workloads.make_plan(workload, seed)["specs"].values()]
+    for name in workloads.CORPUS_FILES:
+        with open(os.path.join(workloads.CORPUS_DIR, name), encoding="utf-8") as handle:
+            texts.append(handle.read())
+    rng = random.Random(25)
+    config = G.GenConfig(param_arities={"a": (1, 2), "b": (1,)}, allow_abstr=True)
+    for _ in range(300):
+        body = render_term(G.random_proc(rng, config, small_ctx, depth=rng.randint(0, 4)))
+        values = [tok.value for tok in parser_oracle.tokenize(f"{HEADER}proc P = {body}")[:-1]]
+        spaced = "".join(value + rng.choice(BLANKS) for value in values)
+        texts.append(spaced + "# the last line, without a final newline")
+    strays = 0
+    for text in texts:
+        assert _lexed(tokenize, text) == _lexed(parser_oracle.tokenize, text)
+        for _ in range(2):
+            at = rng.randrange(len(text) + 1)
+            mutant = text[:at] + rng.choice("$\u00e9") + text[at:]
+            outcome = _lexed(tokenize, mutant)
+            assert outcome == _lexed(parser_oracle.tokenize, mutant), mutant
+            strays += isinstance(outcome, tuple)
+    assert strays > 400
+
+
+def test_parsing_stays_linear():
+    """Parsing ten times the lines costs less than fifteen times the time: no
+    token's line or column is found by scanning the text before it."""
+    def cpu_seconds(lines):
+        text = "domain 0..6\nvars x\nactions a, b, c\n" + "".join(
+            f"proc P{i} = [x > {i % 7}] -> a . b + c  # line {i}\n" for i in range(lines))
+        started = time.process_time()
+        parse_spec(text)
+        return time.process_time() - started
+
+    small, large = cpu_seconds(2000), cpu_seconds(20000)
+    assert large < 15 * small, (small, large)
 
 
 ZERO = D.Lit(0)
