@@ -363,19 +363,6 @@ def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, groups,
     return issues
 
 
-def replay_counterexample(l1: SigmaLts, l2: SigmaLts, result: BisimResult,
-                          ctx: T.Context) -> bool:
-    """Confirm a negative verdict: the recorded violation is one that the
-    conditions which decided it find for the roots against the greatest
-    relation, recomputed under the result's path condition rather than read
-    from the result."""
-    ce = result.counterexample
-    if ce is None or (ce["left_id"], ce["right_id"]) != (l1.root, l2.root):
-        return False
-    u = _Union((l1, l2), ctx)
-    return ce in _explain_roots(u, _blocks(u, result.related_paths), result.related_paths)
-
-
 # --- the condition-labelled equivalence, decided per satisfying map ---------------
 
 def rooted_ab_bisim(c1: CondLts, c2: CondLts, ctx: T.Context,

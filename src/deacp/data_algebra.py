@@ -236,9 +236,6 @@ class EvalMap:
                 return val
         raise DeclarationError(f"flexible variable {var!r} not declared")
 
-    def __contains__(self, var: str) -> bool:
-        return any(name == var for name, _ in self.entries)
-
     def as_dict(self) -> dict:
         return dict(self.entries)
 

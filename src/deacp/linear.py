@@ -11,7 +11,6 @@ from typing import Optional
 from . import axioms as AX
 from . import terms as T
 from .bisim import (
-    BisimResult,
     decide_rb,
     rooted_branching_bisim,
     shared_domain,
@@ -38,7 +37,7 @@ class ProofStep:
     after: T.ProcTerm
     role: str = "chain"  # chain | lemma
     details: dict = field(default_factory=dict)
-    payload: dict = field(default_factory=dict)  # machine data for replay
+    witness: Optional[tuple] = None  # an RSP step's groups, the one part not printed
 
     def to_json_dict(self) -> dict:
         return {
@@ -396,7 +395,6 @@ class _Linearizer:
                         "BED", before, after, role="lemma",
                         details={"variable": name,
                                  "note": "pure silent equation absorbed"},
-                        payload={"variable": name},
                     ))
                     changed = True
 
@@ -478,8 +476,6 @@ def _cfar_step(spec: T.RecSpec, info: ClusterInfo, patterns: tuple,
             "exits": [render_term(t) for t in info.exit_terms],
             "hide": [p.render() for p in patterns],
         },
-        payload={"spec": spec, "members": info.members, "patterns": patterns,
-                 "variable": var},
     )
 
 
@@ -543,8 +539,7 @@ def linearize(t: T.ProcTerm, ctx: T.Context) -> tuple:
 def _lin_step(source: T.ProcTerm, const: T.RecConst, construction: str) -> ProofStep:
     """The step from a term to the linear specification that construction,
     replayed on the source, builds for it."""
-    return ProofStep("LIN", source, const, details={"construction": construction},
-                     payload={"input": source})
+    return ProofStep("LIN", source, const, details={"construction": construction})
 
 
 def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
@@ -560,7 +555,6 @@ def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
             details={"replaced": [
                 (render_term(T.Guard(phi, T.EPSILON)), value) for phi, value in replaced
             ]},
-            payload={"original": t},
         ))
     engine = _Linearizer(ctx)
     spec, root = engine.run(normalized)
@@ -577,7 +571,6 @@ class ProveResult:
     equal: bool
     certificate: Optional[ProofCertificate] = None
     counterexample: Optional[dict] = None
-    bisim: Optional[BisimResult] = None
 
     def to_json_dict(self) -> dict:
         if self.equal:
@@ -586,10 +579,8 @@ class ProveResult:
 
 
 def _swap_step(step: ProofStep) -> ProofStep:
-    details = dict(step.details)
-    details["direction"] = "reverse"
     return ProofStep(step.rule, step.after, step.before, role=step.role,
-                     details=details, payload=dict(step.payload, reverse=True))
+                     details=dict(step.details, direction="reverse"))
 
 
 def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
@@ -599,12 +590,12 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
     sos = _Sos(ctx)
     result = decide_rb(t1, t2, ctx, explorer=sos)
     if not result.equivalent:
-        return ProveResult(False, counterexample=result.counterexample, bisim=result)
+        return ProveResult(False, counterexample=result.counterexample)
 
     axiom = AX.recognize_axiom(t1, t2, ctx)
     if axiom is not None:
         cert = ProofCertificate(t1, t2, [ProofStep(axiom, t1, t2)])
-        return ProveResult(True, certificate=cert, bisim=result)
+        return ProveResult(True, certificate=cert)
 
     cls1 = T.classify(t1, ctx)
     cls2 = T.classify(t2, ctx)
@@ -638,11 +629,11 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
     steps.append(ProofStep(
         "RSP", const1, const2,
         details={"witness_pairs": sum(len(left) * len(right) for left, right in linked.groups)},
-        payload={"groups": linked.groups, "domain": domain},
+        witness=linked.groups,
     ))
     steps.extend(_swap_step(s) for s in reversed(tail))
     certificate = ProofCertificate(t1, t2, steps + lemmas)
-    return ProveResult(True, certificate=certificate, bisim=result)
+    return ProveResult(True, certificate=certificate)
 
 
 # --- certificate replay -----------------------------------------------------------------
@@ -650,6 +641,8 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
 def replay_certificate(cert: ProofCertificate, ctx: T.Context) -> tuple:
     """Re-validate every step of a certificate; returns (ok, issues).
 
+    A step is read as `to_json_dict` prints it, its rule, role, ends and
+    details, plus an RSP step's witness groups, which are not printed.
     Every RSP step is replayed with one explorer of the replay's own, never
     the prover's: a checker that reads the prover's memo tables checks
     nothing. Only the context's tables of canonical forms and unfoldings,
@@ -672,9 +665,9 @@ def replay_certificate(cert: ProofCertificate, ctx: T.Context) -> tuple:
 
 def _replay_step(step: ProofStep, ctx: T.Context, sos: _Sos) -> list:
     rule = step.rule
-    # The prover reverses the LIN, RSP and IMP2 steps of the right-hand chain.
+    # The prover reverses the steps of the right-hand chain and prints so.
     source, target = step.before, step.after
-    if rule in ("LIN", "RSP", "IMP2") and step.payload.get("reverse", False):
+    if step.details.get("direction") == "reverse":
         source, target = target, source
     if rule == "LIN":
         construction = step.details.get("construction")
@@ -691,40 +684,40 @@ def _replay_step(step: ProofStep, ctx: T.Context, sos: _Sos) -> list:
             return ["LIN replay produced an unguarded specification"]
         return []
     if rule == "RSP":
-        groups = step.payload.get("groups")
-        domain = step.payload.get("domain")
-        if groups is None:
+        if step.witness is None:
             return ["RSP step carries no witness"]
-        l1 = build_lts(source, ctx, domain=domain, explorer=sos)
-        l2 = build_lts(target, ctx, domain=domain, explorer=sos)
-        bad = verify_branching_bisimulation(l1, l2, groups, ctx)
+        try:
+            domain = shared_domain(source, target, ctx)
+            l1 = build_lts(source, ctx, domain=domain, explorer=sos)
+            l2 = build_lts(target, ctx, domain=domain, explorer=sos)
+        except DeacpError as exc:
+            return [f"RSP replay failed: {exc}"]
+        bad = verify_branching_bisimulation(l1, l2, step.witness, ctx)
         return [f"RSP witness violation: {b}" for b in bad[:3]]
     if rule == "CFAR":
-        payload = step.payload
-        spec = payload.get("spec")
-        members = payload.get("members")
-        patterns = payload.get("patterns")
-        var = payload.get("variable")
-        if spec is None or members is None or patterns is None:
-            return ["CFAR step carries no cluster data"]
+        lhs = step.before
+        if not (isinstance(lhs, T.Seq) and lhs.left == T.Atom(T.TAU)
+                and isinstance(lhs.right, T.Abstr) and isinstance(lhs.right.body, T.RecConst)):
+            return ["CFAR lemma does not start from tau . hide{P}(rec X where E)"]
+        hidden = lhs.right
         try:
-            expected, recomputed = apply_cfar(spec, var, patterns)
+            _, recomputed = apply_cfar(hidden.body.spec, hidden.body.var, hidden.patterns)
         except DeacpError as exc:
             return [f"CFAR replay failed: {exc}"]
-        if recomputed.payload["members"] != tuple(members):
+        if recomputed.details["cluster"] != step.details.get("cluster"):
             return ["CFAR step names another cluster than its variable's"]
-        if expected != step.after:
+        if recomputed != step:
             return ["CFAR step does not match the recomputed equation"]
         return []
     if rule == "IMP2" and "replaced" in step.details:
         try:
-            normalized, _ = normalize_conditions(step.payload.get("original", source), ctx)
+            normalized, _ = normalize_conditions(source, ctx)
         except DeacpError as exc:
             return [f"IMP2 replay failed: {exc}"]
         if normalized != target:
             return ["IMP2 replay produced a different normalization"]
         return []
-    if rule == "BED" and "variable" in step.payload:
+    if rule == "BED" and "variable" in step.details:
         # a pure silent equation absorbed into one termination summand
         parts = (
             [T.summand_parts(s) for s in T.summands(step.before)]

@@ -107,11 +107,6 @@ class _Sos(_Rules):
                 entry for entry in sigma.entries if entry[0] in reads)
         return id(t), hit[1]
 
-    def reads(self, t: T.ProcTerm) -> frozenset:
-        """Flexible variables whose ambient values t's steps and termination
-        can depend on; a subset of T.occurring_flex_vars(t)."""
-        return self._reads(t)[0]
-
     def _reads(self, t):
         hit = self.read_cache.get(id(t))
         if hit is None:

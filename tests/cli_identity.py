@@ -10,7 +10,8 @@ four workload plans of this checkout's bench/workloads.py, at each seed:
 fractions of its length, or with a stray `$` in its middle); every op
 (`lts`, `lts --cond`, `bisim`, `ab-bisim`, `dnii` or `prove`), and
 `linearize` on both sides of every `prove`; and `conjecture --pairs 40
---seed SEED` once per seed; all with `--json`. The script prints the first
+--seed SEED` once per seed; then, once, the runs of FIXED_OPS and `cfar`
+on FIXED_SPEC; all with `--json`. The script prints the first
 run whose standard output, standard error or exit code differs between the
 trees and exits 1; it exits 0 when every run agrees. It writes nothing,
 under bench/ or elsewhere.
@@ -33,6 +34,36 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # with a `$` inserted at its middle, so error messages and their positions
 # are compared too.
 TRUNCATIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+# Paths no workload reaches: a synchronization, a BED lemma and a `cfar`
+# step, and counterexamples of kind root-step, termination and step.
+FIXED_SPEC = """domain 0..1
+vars u, v
+actions a, a/1, b, b/1, c, c/1, d
+comm { a | b = c }
+security { low = { u }; ext = { c, c/1 } }
+proc FAIR = hide{a}(rec X where { X = [true] -> a . Y + [true] -> b . Z,
+  Y = [true] -> a . X + [true] -> c . Z, Z = [true] -> epsilon })
+proc FAIRV = b + tau . (b + c)
+proc BED = hide{a}(b . (tau + tau . tau))
+proc B = b
+proc IMP2 = hide{a}([v = v] -> a . b)
+proc TB = tau . b
+proc TA = tau . a
+proc A = a
+proc GUARDED = [v = 0] -> epsilon + a
+proc UNGUARDED = epsilon + a
+proc SYNC = (a(v) . d || b(u)) + c(0)
+proc SYNCV = c(v) . d + a(v) . (d || b(u)) + b(u) . a(v) . d + c(0)
+proc LEAK = v := 1 . (a(v) || b(u))
+"""
+FIXED_OPS = (
+    [{"kind": "prove", "left": left, "right": right}
+     for left, right in (("BED", "B"), ("FAIR", "FAIRV"), ("IMP2", "TB"))]
+    + [{"kind": kind, "left": left, "right": right} for kind in ("rb", "rab")
+       for left, right in (("TA", "A"), ("GUARDED", "UNGUARDED"), ("SYNC", "SYNCV"))]
+    + [{"kind": "lts_cond", "process": "SYNC"}, {"kind": "dnii", "process": "LEAK"}]
+)
 
 
 def cli_args(op) -> list:
@@ -93,6 +124,10 @@ def child(tree, seeds) -> None:
                 for argv in cli_args(op):
                     record(f"{seed} {workload} op {index}", argv, plan["specs"][op["spec"]])
         record(seed, ["conjecture", "--json", "--pairs", "40", "--seed", str(seed)], "")
+    for index, op in enumerate(FIXED_OPS):
+        for argv in cli_args(op):
+            record(f"fixed op {index}", argv, FIXED_SPEC)
+    record("fixed", ["cfar", "-", "--process", "FAIR", "--json"], FIXED_SPEC)
     json.dump(runs, sys.stdout)
 
 

@@ -16,11 +16,13 @@ from deacp import terms as T
 from deacp.bisim import (
     BisimResult,
     _ActionClasses,
+    _blocks,
+    _explain_roots,
+    _Union,
     action_class,
     actions_equivalent,
     decide_rab,
     decide_rb,
-    replay_counterexample,
     rooted_ab_bisim,
     rooted_branching_bisim,
     rooted_branching_classes,
@@ -31,6 +33,18 @@ from deacp.data_algebra import App, Flex, Lit
 from deacp.errors import DeacpError, EnumerationLimitError, ShapeError
 from deacp.sos_cond import build_cond_lts, expand_to_sigma
 from deacp.sos_sigma import build_lts
+
+
+def replay_counterexample(l1, l2, result, ctx) -> bool:
+    """Confirm a negative verdict: the recorded violation is one that the
+    conditions which decided it find for the roots against the greatest
+    relation, recomputed under the result's path condition rather than read
+    from the result."""
+    ce = result.counterexample
+    if ce is None or (ce["left_id"], ce["right_id"]) != (l1.root, l2.root):
+        return False
+    u = _Union((l1, l2), ctx)
+    return ce in _explain_roots(u, _blocks(u, result.related_paths), result.related_paths)
 
 
 def test_action_class_evaluates_closed_data(ctx):

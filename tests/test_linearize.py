@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from dataclasses import replace
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import bench_module, cond, proc
 from deacp import gen as G
+from deacp import parser as P
 from deacp import terms as T
 from deacp.bisim import decide_rb, rooted_branching_bisim, shared_domain
 from deacp.conditions import CFalse, TRUE
@@ -154,7 +156,7 @@ def test_prove_and_replay_on_a_long_hidden_cycle(base_spec, ctx):
     assert result.equal
     assert replay_certificate(result.certificate, ctx) == (True, [])
     replayed = time.process_time()
-    assert [len(s.payload["members"]) for s in result.certificate.steps
+    assert [len(s.details["cluster"]) for s in result.certificate.steps
             if s.rule == "CFAR"] == [1000]
     assert proved - started < 10, proved - started
     assert replayed - proved < 0.25, replayed - proved
@@ -341,9 +343,9 @@ def test_replay_rejects_an_rsp_step_that_breaks_the_root_condition(base_spec, ct
     unrooted = rooted_branching_bisim(l1, l2, ctx)
     assert (l1.root, l2.root) in unrooted.relation
     lin = {"construction": "linearize"}
-    steps = [ProofStep("LIN", t1, c1, details=lin, payload={"input": t1}),
-             ProofStep("RSP", c1, c2, payload={"groups": unrooted.groups, "domain": domain}),
-             ProofStep("LIN", c2, t2, details=lin, payload={"input": t2, "reverse": True})]
+    steps = [ProofStep("LIN", t1, c1, details=lin),
+             ProofStep("RSP", c1, c2, witness=unrooted.groups),
+             ProofStep("LIN", c2, t2, details=dict(lin, direction="reverse"))]
     ok, issues = replay_certificate(ProofCertificate(t1, t2, steps), ctx)
     assert not ok and issues and all("'kind': 'root-step'" in i for i in issues), issues
 
@@ -376,7 +378,7 @@ def _edited(cert, name, **change):
      "LIN replay produced a different specification"),
     (FAIR_PAIR, lambda c: _edited(c, "LIN", details={"construction": "linearize"}),
      "LIN replay failed: "),
-    (FAIR_PAIR, lambda c: _edited(c, "RSP", payload={"domain": ()}),
+    (FAIR_PAIR, lambda c: _edited(c, "RSP", witness=None),
      "RSP step carries no witness"),
     (FAIR_PAIR, lambda c: _edited(c, "CFAR", after=_step(c, "CFAR").before),
      "CFAR step does not match the recomputed equation"),
@@ -406,9 +408,9 @@ def test_replay_rejects_cfar_step_naming_another_cluster(base_spec, ctx):
     cfar, = [s for s in certificate.steps if s.rule == "CFAR"]
     assert replay_certificate(certificate, ctx) == (True, [])
     # The exit variable alone is a conservative cluster, but not the variable's.
-    exit_var = cfar.payload["spec"].variables[-1]
-    for members in ((exit_var,), cfar.payload["members"] + ("W",)):
-        tampered = replace(cfar, payload=dict(cfar.payload, members=members))
+    exit_var = cfar.before.right.body.spec.variables[-1]
+    for members in ([exit_var], cfar.details["cluster"] + ["W"]):
+        tampered = replace(cfar, details=dict(cfar.details, cluster=members))
         steps = [tampered if s is cfar else s for s in certificate.steps]
         ok, issues = replay_certificate(
             ProofCertificate(certificate.left, certificate.right, steps), ctx
@@ -425,12 +427,101 @@ def test_replay_reports_cfar_step_naming_a_variable_on_no_cluster(base_spec, ctx
     _, cfar = apply_cfar(t.body.spec, "X0", t.patterns)
     certificate = ProofCertificate(cfar.before, cfar.after, [cfar])
     assert replay_certificate(certificate, ctx) == (True, [])
-    for change in ({"variable": "Y0"}, {"members": None}, {"patterns": None}):
-        tampered = replace(cfar, payload=dict(cfar.payload, **change))
+    hidden = cfar.before.right
+    on_no_cluster = T.Seq(cfar.before.left, replace(hidden, body=T.RecConst("Y0", hidden.body.spec)))
+    no_cluster = {k: v for k, v in cfar.details.items() if k != "cluster"}
+    for tampered in (replace(cfar, before=on_no_cluster), replace(cfar, details=no_cluster),
+                     replace(cfar, before=T.Seq(cfar.before.left, replace(hidden, patterns=())))):
         ok, issues = replay_certificate(
             ProofCertificate(cfar.before, cfar.after, [tampered]), ctx
         )
         assert not ok and len(issues) == 1 and issues[0].startswith("CFAR"), issues
+
+
+def _tampers(spec):
+    """Terms that stand in for one end of a step: a free recursion variable,
+    inaction, a contingent guard and an assignment."""
+    return [T.RecVar("Q")] + [proc(spec, t) for t in ("delta", "[v > 0] -> a", "v := v + 1 . a")]
+
+
+WORKED_PAIRS = (FAIR_PAIR, IMP2_PAIR, A6_PAIR, ("hide{a}(b . (tau + tau . tau))", "b"),
+                ("a . b", "a . b + a . b"))
+
+
+def test_replay_reports_every_replaced_end_and_never_raises(base_spec, ctx):
+    """Each end of each step replaced by each of the stand-in terms: replay
+    reports an issue and raises nothing, whichever rule reads it. A lemma
+    stands outside the chain, so its issues are its own: a CFAR lemma is
+    recomputed from its printed left-hand side, and one that starts anywhere
+    else fails."""
+    for pair in WORKED_PAIRS:
+        certificate = prove_equal(*(proc(base_spec, t) for t in pair), ctx).certificate
+        for k, step in enumerate(certificate.steps):
+            for end in ("before", "after"):
+                for term in _tampers(base_spec):
+                    steps = list(certificate.steps)
+                    steps[k] = replace(step, **{end: term})
+                    ok, issues = replay_certificate(
+                        ProofCertificate(certificate.left, certificate.right, steps), ctx)
+                    where = (pair, step.rule, end, render_term(term), issues)
+                    assert ok is False and issues, where
+                    if step.role == "lemma":
+                        assert all(i.startswith(step.rule) for i in issues), where
+
+
+def _reprinted(certificate, spec):
+    """The certificate rebuilt from its printed JSON: both ends of every step
+    parsed back, rule, role and details kept, and the RSP step's witness, the
+    one part not printed, carried over.
+
+    The ends are parsed against the spec's declarations alone, so a named
+    process cannot capture a linearizer variable, with every name that is
+    not declared read as a recursion variable, as a lemma's ends name the
+    variables of their specification. A communication result is declared
+    with the arities its operands share: `a/1 | b/1` makes `c/1`, which a
+    spec that declares `c` alone does not declare."""
+    printed = json.loads(json.dumps(certificate.to_json_dict()))
+    arities = {name: set(a) for name, a in spec.action_arities.items()}
+    for (left, right), result in spec.gamma.table:
+        arities.setdefault(result, set()).update(arities[left] & arities[right])
+    decls = replace(spec, procs={}, action_arities=arities)
+
+    def parse(text):
+        parser = P.Parser(P.tokenize(text), spec=decls)
+        parser.rec_depth = 1
+        term = parser.parse_expr("proc")
+        assert parser.peek().kind == "eof", text
+        return term
+
+    steps = [ProofStep(s["rule"], parse(s["before"]), parse(s["after"]), role=s["role"],
+                       details=s["details"], witness=step.witness)
+             for s, step in zip(printed["steps"], certificate.steps)]
+    return ProofCertificate(parse(printed["left"]), parse(printed["right"]), steps)
+
+
+def test_the_printed_worked_certificates_replay(base_spec, ctx):
+    for pair in WORKED_PAIRS:
+        certificate = prove_equal(*(proc(base_spec, t) for t in pair), ctx).certificate
+        assert replay_certificate(_reprinted(certificate, base_spec), ctx) == (True, []), pair
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_printed_corpus_certificates_replay(seed):
+    """Every certificate of the benchmark's proof plan, replayed from what
+    `prove --json` prints plus the RSP witness."""
+    plan = bench_module("workloads").make_plan("prove_corpus", seed)
+    specs = {name: P.parse_spec(text) for name, text in plan["specs"].items()}
+    contexts = {name: spec.context() for name, spec in specs.items()}
+    proved, rules = 0, []
+    for op in plan["ops"]:
+        spec, ctx = specs[op["spec"]], contexts[op["spec"]]
+        result = prove_equal(spec.process(op["left"]), spec.process(op["right"]), ctx)
+        if result.equal:
+            certificate = _reprinted(result.certificate, spec)
+            assert replay_certificate(certificate, ctx) == (True, []), op
+            proved += 1
+            rules += [s.rule for s in certificate.steps]
+    assert (proved, rules.count("RSP"), rules.count("CFAR")) == (149, 120, 105)
 
 
 def test_replay_checks_absorbed_silent_equations(base_spec, ctx):
