@@ -19,7 +19,7 @@ from .terms import (
     Context,
     CommFunction,
     RecSpec,
-    classify,
+    bool_conditional,
     is_guarded_linear_spec,
     is_linear,
     summands,

@@ -175,7 +175,7 @@ def _recognize_imp2(t1, t2, ctx) -> bool:
         return False
     if t1.body != t2.body or t1.cond == t2.cond:
         return False
-    return valid_iff(t1.cond, t2.cond, ctx.decl, ctx.carrier, ctx.enum_bound)
+    return valid_iff(t1.cond, t2.cond, ctx.decl, ctx.carrier)
 
 
 def _recognize_rdp(t1, t2, ctx) -> bool:
@@ -386,7 +386,7 @@ _ax("CM7Df", recognize=_recognize_cm7d_delta)
 # so with a contingent condition the two sides differ under maps falsifying
 # it; the schema is restricted to conditions with a constant truth value.
 def _constant_cond(phi, ctx) -> bool:
-    return constant_value(phi, ctx.decl, ctx.carrier, ctx.enum_bound) is not None
+    return constant_value(phi, ctx.decl, ctx.carrier) is not None
 
 
 _ax(

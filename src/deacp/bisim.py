@@ -37,7 +37,7 @@ def action_class(alpha: T.Action, ctx: T.Context):
     if head is alpha:
         return alpha
     data = alpha.args if isinstance(alpha, T.ParamAction) else (alpha.expr,)
-    return head + tuple(signature(e, ctx.carrier, ctx.enum_bound) for e in data)
+    return head + tuple(signature(e, ctx.carrier) for e in data)
 
 
 def actions_equivalent(a1: T.Action, a2: T.Action, ctx: T.Context) -> bool:
@@ -53,7 +53,6 @@ class BisimResult:
     equivalent: bool
     counterexample: Optional[dict] = None
     groups: tuple = ()  # (left state ids, right state ids) per block that meets both
-    related_paths: bool = False  # decided by the condition-labelled equivalence
 
     @property
     def relation(self) -> frozenset:
@@ -283,7 +282,7 @@ def _decide(l1: SigmaLts, l2: SigmaLts, ctx: T.Context, related_paths: bool) -> 
     u = _Union((l1, l2), ctx)
     block = _blocks(u, related_paths)
     cex = next(_explain_roots(u, block, related_paths), None)
-    return BisimResult(cex is None, cex, _groups(block, len(l1.states)), related_paths)
+    return BisimResult(cex is None, cex, _groups(block, len(l1.states)))
 
 
 def rooted_branching_bisim(l1: SigmaLts, l2: SigmaLts, ctx: T.Context) -> BisimResult:
@@ -365,8 +364,7 @@ def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, groups,
 
 # --- the condition-labelled equivalence, decided per satisfying map ---------------
 
-def rooted_ab_bisim(c1: CondLts, c2: CondLts, ctx: T.Context,
-                    domain: Optional[tuple] = None) -> BisimResult:
+def rooted_ab_bisim(c1: CondLts, c2: CondLts, ctx: T.Context, domain: tuple) -> BisimResult:
     """Decide the condition-labelled equivalence by instantiating every
     transition at each satisfying map.
 
@@ -375,8 +373,6 @@ def rooted_ab_bisim(c1: CondLts, c2: CondLts, ctx: T.Context,
     per-map granularity; a silent path matches only if every state it passes
     through stays related to the observing state.
     """
-    if domain is None:
-        domain = tuple(v for v in ctx.decl if v in c1.domain or v in c2.domain)
     l1 = expand_to_sigma(c1, ctx, domain)
     l2 = expand_to_sigma(c2, ctx, domain)
     return _decide(l1, l2, ctx, related_paths=True)
@@ -429,10 +425,6 @@ class ConjectureReport:
     divergent: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
 
-    @property
-    def agreements(self) -> int:
-        return self.both_equivalent + self.both_inequivalent
-
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -452,16 +444,16 @@ class ConjectureReport:
 
 
 def conjecture_experiment(ctx: T.Context, size: int = 0, seed: int = 0,
-                          config=None, pairs=None) -> ConjectureReport:
+                          pairs=None) -> ConjectureReport:
     """Compare the two equivalences on a corpus of term pairs — randomly
-    generated from the configuration, or supplied explicitly.
+    generated (`gen.pair_corpus`), or supplied explicitly.
 
     A divergence is reported as a finding, never raised as a failure.
     """
     if pairs is None:
         from . import gen
 
-        pairs = gen.pair_corpus(ctx, size, seed=seed, config=config)
+        pairs = gen.pair_corpus(ctx, size, seed=seed)
     report = ConjectureReport()
     for t1, t2 in pairs:
         report.total += 1

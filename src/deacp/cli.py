@@ -169,8 +169,7 @@ def _cmd_bisim(args, conditional: bool) -> int:
 def _cmd_linearize(args) -> int:
     spec, ctx = _load(args)
     term = spec.process(args.process)
-    cls = T.classify(term, ctx)
-    if cls.abstraction_free:
+    if not T.contains_abstraction(term):
         lin_spec, var = linearize(term, ctx)
     else:
         lin_spec, var, _ = normalize_bool_conditional(term, ctx)

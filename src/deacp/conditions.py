@@ -8,7 +8,7 @@ from functools import reduce
 from typing import Mapping, Optional
 
 from .data_algebra import (
-    DEFAULT_ENUM_BOUND,
+    ENUM_BOUND,
     Carrier,
     DataTerm,
     DVar,
@@ -176,60 +176,43 @@ def _declared_flex_vars(phi: Condition, decl: FlexVarDecl) -> frozenset:
     return names
 
 
-def values(x, names, carrier: Carrier, bound: int, what: str = "evaluation maps"):
+def values(x, names, carrier: Carrier, what: str = "evaluation maps"):
     """The value of the condition or data term x under each map over the
     sorted `names`, the maps in lexicographic order. Raises
     EnumerationLimitError, before yielding anything, when there are more than
-    `bound` maps; `what` names them in the message."""
+    ENUM_BOUND maps; `what` names them in the message."""
     names = tuple(sorted(names))
     count = map_count(len(names), carrier)
-    if count > bound:
-        raise EnumerationLimitError(count, bound, what)
+    if count > ENUM_BOUND:
+        raise EnumerationLimitError(count, ENUM_BOUND, what)
     evaluate = eval_cond if isinstance(x, Condition) else eval_data
     for combo in itertools.product(carrier.values(), repeat=len(names)):
         yield evaluate(x, EvalMap(tuple(zip(names, combo))), carrier)
 
 
-def valid_iff(
-    phi: Condition,
-    psi: Condition,
-    decl: FlexVarDecl,
-    carrier: Carrier,
-    bound: int = DEFAULT_ENUM_BOUND,
-) -> bool:
+def valid_iff(phi: Condition, psi: Condition, decl: FlexVarDecl, carrier: Carrier) -> bool:
     """True iff phi and psi agree under every evaluation map over decl.
 
     Only the flexible variables occurring in either condition can influence
     the outcome, so enumeration is restricted to those.
     """
     occ = _declared_flex_vars(phi, decl) | _declared_flex_vars(psi, decl)
-    return all(map(operator.eq, values(phi, occ, carrier, bound),
-                   values(psi, occ, carrier, bound)))
+    return all(map(operator.eq, values(phi, occ, carrier), values(psi, occ, carrier)))
 
 
-def constant_value(
-    phi: Condition,
-    decl: FlexVarDecl,
-    carrier: Carrier,
-    bound: int = DEFAULT_ENUM_BOUND,
-) -> Optional[bool]:
+def constant_value(phi: Condition, decl: FlexVarDecl, carrier: Carrier) -> Optional[bool]:
     """phi's truth value when every evaluation map over decl gives it the
     same one, else None."""
-    table = values(phi, _declared_flex_vars(phi, decl), carrier, bound)
+    table = values(phi, _declared_flex_vars(phi, decl), carrier)
     first = next(table)
     return first if all(truth == first for truth in table) else None
 
 
-def satisfiable(
-    phi: Condition,
-    decl: FlexVarDecl,
-    carrier: Carrier,
-    bound: int = DEFAULT_ENUM_BOUND,
-) -> bool:
-    return any(values(phi, _declared_flex_vars(phi, decl), carrier, bound))
+def satisfiable(phi: Condition, decl: FlexVarDecl, carrier: Carrier) -> bool:
+    return any(values(phi, _declared_flex_vars(phi, decl), carrier))
 
 
-def signature(x, carrier: Carrier, bound: int = DEFAULT_ENUM_BOUND) -> tuple:
+def signature(x, carrier: Carrier) -> tuple:
     """Context-free semantic key of a condition or data term: (the variables
     its value depends on, its value table over them).
 
@@ -239,7 +222,7 @@ def signature(x, carrier: Carrier, bound: int = DEFAULT_ENUM_BOUND) -> tuple:
     """
     names = sorted(flex_vars(x))
     what = "condition valuations" if isinstance(x, Condition) else "evaluation maps"
-    table = list(values(x, names, carrier, bound, what))
+    table = list(values(x, names, carrier, what))
     n = carrier.size
     kept = []
     for i, name in enumerate(names):

@@ -22,7 +22,7 @@ from .errors import (
 DEFAULT_LO = -16
 DEFAULT_HI = 15
 
-DEFAULT_ENUM_BOUND = 1_000_000
+ENUM_BOUND = 1_000_000  # the most maps, valuations or map pairs one enumeration visits
 
 
 # Annotations of the fields that hold no subterms.
@@ -272,16 +272,13 @@ def map_count(decl_size: int, carrier: Carrier) -> int:
     return carrier.size ** decl_size
 
 
-def enumerate_maps(
-    decl: FlexVarDecl,
-    carrier: Carrier,
-    bound: int = DEFAULT_ENUM_BOUND,
-) -> list:
-    """Every total map over decl, lexicographic in (variable order, value order)."""
-    count = map_count(len(decl), carrier)
-    if count > bound:
-        raise EnumerationLimitError(count, bound)
-    names = tuple(decl)
+def enumerate_maps(names, carrier: Carrier) -> list:
+    """Every total map over the sequence of variable names, lexicographic in
+    (name order, value order)."""
+    names = tuple(names)
+    count = map_count(len(names), carrier)
+    if count > ENUM_BOUND:
+        raise EnumerationLimitError(count, ENUM_BOUND)
     out = []
     for combo in itertools.product(carrier.values(), repeat=len(names)):
         out.append(EvalMap(tuple(sorted(zip(names, combo)))))

@@ -501,11 +501,10 @@ def rewritten_pair(rng: random.Random, cfg: GenConfig, ctx: T.Context,
     return t, current, trail
 
 
-def pair_corpus(ctx: T.Context, size: int, seed: int = 0,
-                config: Optional[GenConfig] = None):
+def pair_corpus(ctx: T.Context, size: int, seed: int = 0):
     """Corpus for the agreement experiment: axiom instances, rewritten pairs,
     and independent random pairs, one third each."""
-    cfg = config or GenConfig(max_depth=2, allow_eval=True, allow_rec=True)
+    cfg = GenConfig(max_depth=2)
     rng = random.Random(seed)
     out = []
     suite = [n for n in AX.SOUNDNESS_SUITE if n != "CM1E"]

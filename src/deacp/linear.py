@@ -504,7 +504,7 @@ def normalize_conditions(t: T.ProcTerm, ctx: T.Context) -> tuple:
     def norm_cond(phi):
         if isinstance(phi, (CTrue, CFalse)):
             return phi
-        value = constant_value(phi, ctx.decl, ctx.carrier, ctx.enum_bound)
+        value = constant_value(phi, ctx.decl, ctx.carrier)
         if value is None:
             raise UnsupportedFragmentError(
                 "condition is contingent; outside the bool-conditional fragment"
@@ -597,17 +597,16 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
         cert = ProofCertificate(t1, t2, [ProofStep(axiom, t1, t2)])
         return ProveResult(True, certificate=cert)
 
-    cls1 = T.classify(t1, ctx)
-    cls2 = T.classify(t2, ctx)
     steps: list = []
     lemmas: list = []
-    if cls1.abstraction_free and cls2.abstraction_free:
+    if not (T.contains_abstraction(t1) or T.contains_abstraction(t2)):
         spec1, var1 = linearize(t1, ctx)
         spec2, var2 = linearize(t2, ctx)
         const1, const2 = T.RecConst(var1, spec1), T.RecConst(var2, spec2)
         steps.append(_lin_step(t1, const1, "linearize"))
         tail = [_lin_step(t2, const2, "linearize")]
-    elif cls1.bool_conditional and cls2.bool_conditional:
+    # Both sides are tabulated, t1 first, so an error of either surfaces.
+    elif all([T.bool_conditional(t1, ctx), T.bool_conditional(t2, ctx)]):
         spec1, var1, cert1 = normalize_bool_conditional(t1, ctx)
         spec2, var2, cert2 = normalize_bool_conditional(t2, ctx)
         const1, const2 = T.RecConst(var1, spec1), T.RecConst(var2, spec2)

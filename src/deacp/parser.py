@@ -163,6 +163,7 @@ class Parser:
         self.bounds = lo, hi  # override the carrier's bounds where not None
         self.spec = spec or SpecFile()
         self.default_carrier = spec is None  # the bounds are not yet applied to it
+        self.map_built = False  # a map gives each variable declared so far a value
         self.rec_depth = 0
         self.dvars = []  # quantified variables in scope, innermost last
         self.nodes: dict = {}  # every node built, so equal subterms share one object
@@ -293,6 +294,9 @@ class Parser:
                     raise SpecSyntaxError(str(exc), tok.line, tok.col)
                 self.default_carrier = False
             elif self.accept("vars"):
+                if self.map_built:
+                    raise SpecSyntaxError("flexible variables must be declared before any map",
+                                          tok.line, tok.col)
                 names = self.items(self.fresh_ident)
                 self.spec.decl = D.FlexVarDecl(self.spec.decl.names + tuple(names))
             elif self.accept("actions"):
@@ -345,6 +349,7 @@ class Parser:
     def parse_map_entries(self) -> D.EvalMap:
         """Entries up to the closing brace; unmentioned declared variables get a default."""
         entries = dict(self.items(self.parse_map_entry, "}"))
+        self.map_built = True
         carrier = self.carrier_in_effect()
         default = 0 if 0 in carrier else carrier.lo
         for name in self.spec.decl:
@@ -613,7 +618,11 @@ class Parser:
             if self.accept("("):
                 args = self.items(partial(self.parse_expr, "data"))
                 self.expect(")")
-                if len(args) not in self.spec.action_arities[name]:
+                arities = self.spec.action_arities
+                # A communication of two actions of arity k is printed as `c(...)`.
+                if len(args) not in arities[name] and not any(
+                        c == name and len(args) in arities[a] & arities[b]
+                        for (a, b), c in self.spec.gamma.table):
                     raise SpecSyntaxError(
                         f"action {name!r} not declared with arity {len(args)}",
                         tok.line, tok.col,

@@ -15,7 +15,7 @@ from typing import Optional
 from . import terms as T
 from .bisim import rooted_branching_bisim, rooted_branching_classes
 from .conditions import args_equal, satisfiable
-from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps
+from .data_algebra import ENUM_BOUND, EvalMap, enumerate_maps
 from .errors import DeacpError, DeclarationError, EnumerationLimitError
 from .parser import render_action
 from .sos_sigma import _Sos, build_lts
@@ -65,7 +65,7 @@ def derive_sets(spec: SecuritySpec, ctx: T.Context) -> DerivedSets:
         c = ctx.gamma.communicate(a1, a2)  # None for assignments and mixed shapes
         if not isinstance(c, T.ParamAction):
             return c is not None
-        return satisfiable(args_equal(a1.args, a2.args), ctx.decl, ctx.carrier, ctx.enum_bound)
+        return satisfiable(args_equal(a1.args, a2.args), ctx.decl, ctx.carrier)
 
     encapsulated = [
         a for a in internal
@@ -134,12 +134,12 @@ def check_dnii(spec: SecuritySpec, ctx: T.Context) -> DniiVerdict:
     default = 0 if 0 in ctx.carrier else ctx.carrier.lo
     base = {v: default for v in ctx.decl}
 
-    low_maps = enumerate_maps(FlexVarDecl(low_occ), ctx.carrier, ctx.enum_bound)
-    high_maps = enumerate_maps(FlexVarDecl(high), ctx.carrier, ctx.enum_bound)
+    low_maps = enumerate_maps(low_occ, ctx.carrier)
+    high_maps = enumerate_maps(high, ctx.carrier)
     pairs = len(high_maps) * (len(high_maps) - 1) // 2
     total = len(low_maps) * pairs
-    if total > ctx.enum_bound:
-        raise EnumerationLimitError(total, ctx.enum_bound, "map pairs")
+    if total > ENUM_BOUND:
+        raise EnumerationLimitError(total, ENUM_BOUND, "map pairs")
 
     if not pairs:
         return DniiVerdict(holds=True, sets=sets)

@@ -24,7 +24,7 @@ from .conditions import (
     eval_cond,
     signature,
 )
-from .data_algebra import FlexVarDecl, enumerate_maps, subterms
+from .data_algebra import enumerate_maps, subterms
 from .errors import GuardednessError
 from .parser import render_action, render_cond, render_term
 from .sos_sigma import SigmaLts, _Rules, ambient_domain, explore
@@ -43,7 +43,7 @@ class _LabelRegistry:
 
     def normalize(self, phi: Condition) -> Optional[Condition]:
         """None when unsatisfiable; otherwise the canonical equivalent label."""
-        vars_, bits = signature(phi, self.ctx.carrier, self.ctx.enum_bound)
+        vars_, bits = signature(phi, self.ctx.carrier)
         if not any(bits):
             return None
         if all(bits):
@@ -260,7 +260,7 @@ def expand_to_sigma(clts: CondLts, ctx: T.Context, domain: Optional[tuple] = Non
     """Instantiate every condition-labelled fact at each of its satisfying maps."""
     if domain is None:
         domain = clts.domain
-    maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
+    maps = tuple(enumerate_maps(domain, ctx.carrier))
     transitions = []
     for ts in clts.transitions:
         out: dict = {}  # insertion-ordered set

@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import terms as T
 from .conditions import eval_cond
-from .data_algebra import EvalMap, FlexVarDecl, enumerate_maps, eval_data, flex_vars
+from .data_algebra import EvalMap, enumerate_maps, eval_data, flex_vars
 from .errors import ExplorationLimitError, GuardednessError
 from .parser import render_action, render_term
 
@@ -86,9 +86,7 @@ class _Sos(_Rules):
         so `views` holds one entry per (read set, map value)."""
         hit = self.map_cache.get(domain)
         if hit is None:
-            ctx = self.ctx
-            hit = self.map_cache[domain] = tuple(
-                enumerate_maps(FlexVarDecl(domain), ctx.carrier, ctx.enum_bound))
+            hit = self.map_cache[domain] = tuple(enumerate_maps(domain, self.ctx.carrier))
         return hit
 
     def _key(self, t, sigma):

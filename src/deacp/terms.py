@@ -16,7 +16,6 @@ from .conditions import (
     eval_cond,
 )
 from .data_algebra import (
-    DEFAULT_ENUM_BOUND,
     Carrier,
     DataTerm,
     EvalMap,
@@ -33,7 +32,7 @@ from .data_algebra import (
 from .errors import ArityError, DeclarationError, GuardednessError, ShapeError
 
 DEFAULT_STATE_BOUND = 100_000
-DEFAULT_COMM_BOUND = 64
+COMM_BOUND = 64  # the most declared actions whose communication table is checked
 
 
 # --- actions ----------------------------------------------------------------
@@ -331,13 +330,13 @@ class CommFunction:
             return None if c is None else ParamAction(c, ax.args)
         return None
 
-    def validate(self, actions: Iterable[str], bound: int = DEFAULT_COMM_BOUND):
+    def validate(self, actions: Iterable[str]):
         """Reject non-commutative tables (impossible by construction) and
         tables whose delta-extension is not associative on the declared actions."""
         names = sorted(set(actions))
-        if len(names) > bound:
+        if len(names) > COMM_BOUND:
             raise DeclarationError(
-                f"{len(names)} actions exceed the communication-check bound of {bound}"
+                f"{len(names)} actions exceed the communication-check bound of {COMM_BOUND}"
             )
         for (a, b), c in self.table:
             if a not in names or b not in names or c not in names:
@@ -373,7 +372,6 @@ class Context:
     carrier: Carrier = Carrier()
     decl: FlexVarDecl = FlexVarDecl(())
     gamma: CommFunction = CommFunction()
-    enum_bound: int = DEFAULT_ENUM_BOUND
     state_bound: int = DEFAULT_STATE_BOUND
 
     def __post_init__(self):
@@ -418,11 +416,6 @@ def contains_tau(t: ProcTerm) -> bool:
     """
     return any(isinstance(u, Abstr) or isinstance(u, Atom) and isinstance(u.action, TauAction)
                for u in subterms(t, PROCESS_LEAVES))
-
-
-def term_conditions(t: ProcTerm) -> list:
-    """Every condition occurring in t, including inside carried specifications."""
-    return [u.cond for u in subterms(t, PROCESS_LEAVES) if isinstance(u, Guard)]
 
 
 def occurring_actions(t: ProcTerm) -> list:
@@ -577,21 +570,11 @@ def require_glrs(spec: RecSpec):
         raise GuardednessError("recursive specification is not guarded linear")
 
 
-@frozen_dataclass
-class Classification:
-    abstraction_free: bool
-    bool_conditional: bool
-
-
-def classify(t: ProcTerm, ctx: Context) -> Classification:
-    bool_cond = all(
-        constant_value(phi, ctx.decl, ctx.carrier, ctx.enum_bound) is not None
-        for phi in term_conditions(t)
-    )
-    return Classification(
-        abstraction_free=not contains_abstraction(t),
-        bool_conditional=bool_cond,
-    )
+def bool_conditional(t: ProcTerm, ctx: Context) -> bool:
+    """Whether every condition occurring in t, carried specifications
+    included, has one truth value under every evaluation map."""
+    return all(constant_value(u.cond, ctx.decl, ctx.carrier) is not None
+               for u in subterms(t, PROCESS_LEAVES) if isinstance(u, Guard))
 
 
 # --- substitution and canonical form ------------------------------------------

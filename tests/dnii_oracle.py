@@ -11,7 +11,7 @@ import itertools
 
 from deacp import terms as T
 from deacp.bisim import rooted_branching_bisim
-from deacp.data_algebra import EvalMap, FlexVarDecl, enumerate_maps
+from deacp.data_algebra import ENUM_BOUND, EvalMap, enumerate_maps
 from deacp.errors import DeclarationError, EnumerationLimitError
 from deacp.security import DniiVerdict, _observed_term, derive_sets
 from deacp.sos_sigma import build_lts
@@ -26,11 +26,11 @@ def check_dnii(spec, ctx) -> DniiVerdict:
     default = 0 if 0 in ctx.carrier else ctx.carrier.lo
     base = {v: default for v in ctx.decl}
 
-    low_maps = enumerate_maps(FlexVarDecl(low_occ), ctx.carrier, ctx.enum_bound)
-    high_maps = enumerate_maps(FlexVarDecl(sets.high), ctx.carrier, ctx.enum_bound)
+    low_maps = enumerate_maps(low_occ, ctx.carrier)
+    high_maps = enumerate_maps(sets.high, ctx.carrier)
     total = len(low_maps) * len(high_maps) * (len(high_maps) - 1) // 2
-    if total > ctx.enum_bound:
-        raise EnumerationLimitError(total, ctx.enum_bound, "map pairs")
+    if total > ENUM_BOUND:
+        raise EnumerationLimitError(total, ENUM_BOUND, "map pairs")
 
     pairs_checked = 0
     for low_part in low_maps:

@@ -14,7 +14,7 @@ checked against rules that `build_lts` does not share.
 """
 
 from deacp import terms as T
-from deacp.data_algebra import FlexVarDecl, enumerate_maps
+from deacp.data_algebra import enumerate_maps
 from deacp.errors import GuardednessError
 from deacp.parser import render_action, render_term
 from deacp.sos_sigma import SigmaLts, _Sos, ambient_domain, explore
@@ -58,7 +58,7 @@ def build_lts(t, ctx, domain=None) -> SigmaLts:
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
         domain = ambient_domain(t, ctx)
-    maps = tuple(enumerate_maps(FlexVarDecl(tuple(domain)), ctx.carrier, ctx.enum_bound))
+    maps = tuple(enumerate_maps(domain, ctx.carrier))
     sos = PerMapSos(ctx)
     terminating = set()
 

@@ -244,8 +244,9 @@ def test_criterion_08_conjecture_experiment():
     elapsed = time.perf_counter() - started
     for finding in rep.divergent:
         print(f"  FINDING (not a failure): {finding}")
-    ok = rep.total == size and rep.agreements + len(rep.divergent) == size
-    report(8, ok, f"equivalences agree on {rep.agreements}/{rep.total} pairs "
+    agreements = rep.both_equivalent + rep.both_inequivalent
+    ok = rep.total == size and agreements + len(rep.divergent) == size
+    report(8, ok, f"equivalences agree on {agreements}/{rep.total} pairs "
                   f"({rep.both_equivalent} equivalent, {rep.both_inequivalent} "
                   f"inequivalent, {len(rep.divergent)} divergences logged) "
                   f"in {elapsed:.1f}s")

@@ -35,16 +35,17 @@ from deacp.sos_cond import build_cond_lts, expand_to_sigma
 from deacp.sos_sigma import build_lts
 
 
-def replay_counterexample(l1, l2, result, ctx) -> bool:
+def replay_counterexample(l1, l2, result, ctx, related_paths=False) -> bool:
     """Confirm a negative verdict: the recorded violation is one that the
     conditions which decided it find for the roots against the greatest
-    relation, recomputed under the result's path condition rather than read
-    from the result."""
+    relation, recomputed rather than read from the result. related_paths
+    says which equivalence decided it: the condition-labelled one (True) or
+    rooted branching bisimilarity."""
     ce = result.counterexample
     if ce is None or (ce["left_id"], ce["right_id"]) != (l1.root, l2.root):
         return False
     u = _Union((l1, l2), ctx)
-    return ce in _explain_roots(u, _blocks(u, result.related_paths), result.related_paths)
+    return ce in _explain_roots(u, _blocks(u, related_paths), related_paths)
 
 
 def test_action_class_evaluates_closed_data(ctx):
@@ -118,10 +119,10 @@ def test_actions_equivalent_matches_the_pairwise_oracle(small_ctx):
 
 def test_only_actions_sharing_a_head_are_tabulated():
     """A lone assignment to x reading four variables is never tabulated
-    (8^4 maps exceed the bound of 1000); a second assignment to x makes
+    (32^4 maps exceed the bound of 10^6); a second assignment to x makes
     both tabulated."""
-    spec = P.parse_spec("domain -4..3\nvars x, p, q, r, s\n")
-    ctx = dataclasses.replace(spec.context(), enum_bound=1000)
+    spec = P.parse_spec("domain -16..15\nvars x, p, q, r, s\n")
+    ctx = spec.context()
     lone = proc(spec, "x := p + q + r + s . epsilon")
     assert decide_rb(lone, lone, ctx).equivalent
     pair = proc(spec, "x := p + q + r + s . epsilon + x := s + r + q + p + 1 . epsilon")
@@ -365,7 +366,7 @@ def test_condition_labelled_counterexample_replays(base_spec, ctx):
     assert (result.counterexample["side"], result.counterexample["kind"],
             result.counterexample["action"]) == ("left", "step", "a")
     l1, l2 = expand_to_sigma(c1, ctx, ()), expand_to_sigma(c2, ctx, ())
-    assert replay_counterexample(l1, l2, result, ctx)
+    assert replay_counterexample(l1, l2, result, ctx, related_paths=True)
 
 
 def test_conjecture_experiment_on_axiom_corpus(small_ctx):
@@ -402,7 +403,7 @@ def test_conjecture_experiment_empty_corpus(ctx):
 
     rep = conjecture_experiment(ctx, pairs=[])
     assert rep.total == 0
-    assert rep.agreements == 0
+    assert rep.both_equivalent == rep.both_inequivalent == 0
     assert rep.divergent == [] and rep.skipped == []
 
 
@@ -493,7 +494,8 @@ def test_engine_matches_pair_refinement(corpus, related_paths):
         if verdict:
             assert result.witness == tuple(sorted(relation))
         else:
-            assert replay_counterexample(l1, l2, result, ctx), result.counterexample
+            assert replay_counterexample(l1, l2, result, ctx, related_paths), \
+                result.counterexample
         verdicts.add(verdict)
         checked += 1
     assert checked >= 0.9 * len(pairs) and verdicts == {True, False}

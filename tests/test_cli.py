@@ -4,6 +4,8 @@ import pytest
 
 from conftest import run_cli, run_python
 from deacp.cli import main
+from deacp.linear import prove_equal, replay_certificate
+from deacp.parser import parse_spec
 
 
 LEAK = """
@@ -326,6 +328,28 @@ def test_wide_assignments_are_tabulated_only_when_compared(tmp_path, right, code
     path.write_text(WIDE, encoding="utf-8")
     done = run_cli("bisim", str(path), "--left", "P", "--right", right)
     assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
+
+
+# The guard reads four variables of the default carrier, too many to
+# tabulate; the evaluation operator gives them values. An abstraction-free
+# proof and linearization tabulate no condition, so both decide the pair.
+WIDE_GUARD = ("domain -16..15\nvars p, q, r, s\nactions a\nmap m { p = 1 }\n"
+              "proc L = eval{m}([p + q + r + s > 0] -> a)\n"
+              "proc R = eval{m}([p + q + r + s > 0] -> a + [p + q + r + s > 0] -> a)\n")
+
+
+def test_abstraction_free_proofs_tabulate_no_condition(capsys, tmp_path):
+    path = tmp_path / "wide_guard.deacp"
+    path.write_text(WIDE_GUARD, encoding="utf-8")
+    for command, *names in (["bisim", "--left", "L", "--right", "R"],
+                            ["prove", "--left", "L", "--right", "R"],
+                            ["linearize", "--process", "L"], ["linearize", "--process", "R"]):
+        code, out, err = run(capsys, command, str(path), *names)
+        assert (code, err) == (0, ""), (command, names)
+    spec = parse_spec(WIDE_GUARD)
+    ctx = spec.context()
+    result = prove_equal(spec.process("L"), spec.process("R"), ctx)
+    assert replay_certificate(result.certificate, ctx) == (True, [])
 
 
 # --data-lo and --data-hi replace the carrier's bounds while the file is

@@ -20,7 +20,7 @@ from deacp.conditions import (
     valid_iff,
 )
 from deacp.data_algebra import (
-    App, Carrier, DEFAULT_ENUM_BOUND, DVar, EvalMap, Flex, FlexVarDecl, Lit, eval_data, subterms,
+    App, Carrier, DVar, EvalMap, Flex, FlexVarDecl, Lit, eval_data, subterms,
 )
 from deacp.errors import EnumerationLimitError, MalformedConditionError
 from deacp import gen as G
@@ -133,7 +133,7 @@ def test_signature_matches_the_oracle(small_ctx):
         phi = G.random_cond(rng, configs[k % 2], small_ctx)
         if k % 3 == 0:
             phi = G._equiv_cond_variant(rng, phi)
-        expected = validity_oracle.cond_signature(phi, carrier, DEFAULT_ENUM_BOUND)
+        expected = validity_oracle.cond_signature(phi, carrier)
         assert signature(phi, carrier) == expected, phi
 
 
@@ -146,13 +146,14 @@ def test_signature_drops_variables_that_never_matter():
 
 
 def test_enumeration_limits_name_what_they_count():
-    wide = App("+", (Flex("a"), Flex("b")))
-    with pytest.raises(EnumerationLimitError, match="1024 condition valuations"):
-        signature(Cmp("=", wide, Lit(0)), CARRIER, bound=1000)
-    with pytest.raises(EnumerationLimitError, match="1024 evaluation maps"):
-        signature(wide, CARRIER, bound=1000)
-    with pytest.raises(EnumerationLimitError, match="1024 evaluation maps"):
-        satisfiable(Cmp("=", wide, Lit(0)), FlexVarDecl(("a", "b")), CARRIER, bound=1000)
+    # Four variables of CARRIER have 32^4 = 1048576 maps, above the bound of 10^6.
+    wide = App("+", (App("+", (Flex("a"), Flex("b"))), App("+", (Flex("c"), Flex("d")))))
+    with pytest.raises(EnumerationLimitError, match="1048576 condition valuations"):
+        signature(Cmp("=", wide, Lit(0)), CARRIER)
+    with pytest.raises(EnumerationLimitError, match="1048576 evaluation maps"):
+        signature(wide, CARRIER)
+    with pytest.raises(EnumerationLimitError, match="1048576 evaluation maps"):
+        satisfiable(Cmp("=", wide, Lit(0)), FlexVarDecl(("a", "b", "c", "d")), CARRIER)
 
 
 # --- the evaluators against the reference interpreters of validity_oracle -----------

@@ -91,8 +91,8 @@ def test_enumerate_count_and_distinctness():
 
 def test_enumeration_bound_error_names_the_count():
     with pytest.raises(EnumerationLimitError) as err:
-        enumerate_maps(FlexVarDecl(("u", "v")), Carrier(-16, 15), bound=100)
-    assert err.value.count == 1024
+        enumerate_maps(("u", "v", "w", "x"), Carrier(-16, 15))
+    assert (err.value.count, err.value.bound) == (32 ** 4, 10 ** 6)
 
 
 def test_update_eval_roundtrip():

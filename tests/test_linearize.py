@@ -477,14 +477,9 @@ def _reprinted(certificate, spec):
     The ends are parsed against the spec's declarations alone, so a named
     process cannot capture a linearizer variable, with every name that is
     not declared read as a recursion variable, as a lemma's ends name the
-    variables of their specification. A communication result is declared
-    with the arities its operands share: `a/1 | b/1` makes `c/1`, which a
-    spec that declares `c` alone does not declare."""
+    variables of their specification."""
     printed = json.loads(json.dumps(certificate.to_json_dict()))
-    arities = {name: set(a) for name, a in spec.action_arities.items()}
-    for (left, right), result in spec.gamma.table:
-        arities.setdefault(result, set()).update(arities[left] & arities[right])
-    decls = replace(spec, procs={}, action_arities=arities)
+    decls = replace(spec, procs={})
 
     def parse(text):
         parser = P.Parser(P.tokenize(text), spec=decls)

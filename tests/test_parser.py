@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import cli_identity
 import parser_oracle
 import render_oracle
 from conftest import bench_module, cond, proc, run_cli
@@ -98,16 +99,54 @@ def test_non_guarded_rec_rejected():
         parse_spec("actions a\nproc P = rec X where { X = [true] -> tau . X }")
 
 
+LATE_VARS = ("domain 0..3\nvars x\nactions a\nmap m { x = 1 }\nvars y\n"
+             "proc P = eval{m}([y > 0] -> a)\n")
+
+
 def test_spec_roundtrip_identity(base_spec):
-    rendered = render_spec(base_spec)
-    again = parse_spec(rendered)
-    assert again.carrier == base_spec.carrier
-    assert again.decl == base_spec.decl
-    assert again.action_arities == base_spec.action_arities
-    assert again.gamma == base_spec.gamma
-    assert again.maps == base_spec.maps
-    assert again.procs == base_spec.procs
-    assert render_spec(again) == rendered
+    """The shared base spec, every workload spec of the benchmark at seeds 1
+    and 2, and the identity script's fixed spec print and parse back to an
+    equal spec file, which prints the same. A spec declaring variables after
+    a map is rejected: printed, its variables would precede the map, and the
+    map would give the later ones values."""
+    workloads = bench_module("workloads")
+    specs = [base_spec, parse_spec(cli_identity.FIXED_SPEC)] + [
+        parse_spec(text) for seed in (1, 2) for workload in workloads.WORKLOADS
+        for text in workloads.make_plan(workload, seed)["specs"].values()]
+    for spec in specs:
+        rendered = render_spec(spec)
+        again = parse_spec(rendered)
+        assert again.carrier == spec.carrier
+        assert again.decl == spec.decl
+        assert again.action_arities == spec.action_arities
+        assert again.gamma == spec.gamma
+        assert again.maps == spec.maps
+        assert again.procs == spec.procs
+        assert again.security_low == spec.security_low
+        assert again.security_ext == spec.security_ext
+        assert render_spec(again) == rendered
+    with pytest.raises(SpecSyntaxError, match="before any map") as err:
+        parse_spec(LATE_VARS)
+    assert (err.value.line, err.value.col) == (5, 1)
+
+
+def test_variables_after_a_map_are_rejected():
+    """An inline `eval{...}` builds a map too, so a `vars` line after it is
+    refused where it stands; `vars` lines before any map add up."""
+    with pytest.raises(SpecSyntaxError, match="before any map") as err:
+        parse_spec("vars x\nactions a\nproc P = eval{x = 1}(a)\nvars y\n")
+    assert (err.value.line, err.value.col) == (4, 1)
+    assert parse_spec("vars x\nvars y\nmap m { y = 1 }\n").maps["m"].as_dict() == {"x": 0, "y": 1}
+
+
+def test_a_printed_communication_parses_back():
+    """`a/1 | b/1 = c` makes `c(e)`, which parses back although `c` is
+    declared with arity 0 only; an arity no communicating pair shares is
+    still refused."""
+    spec = parse_spec("actions a/1, b/1, b/2, c\ncomm { a | b = c }\n")
+    assert parse_process("c(1)", spec) == T.Atom(T.ParamAction("c", (D.Lit(1),)))
+    with pytest.raises(SpecSyntaxError, match="not declared with arity 2"):
+        parse_process("c(1, 2)", spec)
 
 
 def test_random_term_roundtrip(small_spec, small_ctx):
@@ -230,11 +269,16 @@ def test_parsing_stays_linear():
     """Parsing ten times the lines costs less than fifteen times the time: no
     token's line or column is found by scanning the text before it."""
     def cpu_seconds(lines):
+        """The least CPU time of three parses, so one collector pause or a
+        busy core does not decide the ratio."""
         text = "domain 0..6\nvars x\nactions a, b, c\n" + "".join(
             f"proc P{i} = [x > {i % 7}] -> a . b + c  # line {i}\n" for i in range(lines))
-        started = time.process_time()
-        parse_spec(text)
-        return time.process_time() - started
+        times = []
+        for _ in range(3):
+            started = time.process_time()
+            parse_spec(text)
+            times.append(time.process_time() - started)
+        return min(times)
 
     small, large = cpu_seconds(2000), cpu_seconds(20000)
     assert large < 15 * small, (small, large)

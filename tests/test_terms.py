@@ -150,14 +150,14 @@ def test_recursive_specification_lookups_do_not_scan_the_equations():
     assert spec == T.RecSpec(tuple((str(n), rhs) for n, rhs in equations))
 
 
-def test_classify_abstraction(base_spec, ctx):
-    assert T.classify(proc(base_spec, "hide{a}(a)"), ctx).abstraction_free is False
-    assert T.classify(proc(base_spec, "encap{a}(a)"), ctx).abstraction_free is True
+def test_classify_abstraction(base_spec):
+    assert T.contains_abstraction(proc(base_spec, "hide{a}(a)")) is True
+    assert T.contains_abstraction(proc(base_spec, "encap{a}(a)")) is False
 
 
 def test_classify_bool_conditional(base_spec, ctx):
-    assert T.classify(proc(base_spec, "[v = v] -> a"), ctx).bool_conditional is True
-    assert T.classify(proc(base_spec, "[v = 0] -> a"), ctx).bool_conditional is False
+    assert T.bool_conditional(proc(base_spec, "[v = v] -> a"), ctx) is True
+    assert T.bool_conditional(proc(base_spec, "[v = 0] -> a"), ctx) is False
 
 
 def test_is_closed(base_spec, ctx):
@@ -315,7 +315,7 @@ def _examples() -> dict:
         T.Alt(a, a), T.Seq(a, a), T.Par(a, a), T.LeftMerge(a, a), T.CommMerge(a, a),
         T.Encap(hide, a), T.Abstr(hide, a), T.Guard(less, a),
         T.Eval(D.EvalMap.of({"x": 1}), a), T.RecVar("X"), loop, T.RecConst("X", loop),
-        T.CommFunction.of({("a", "b"): "c"}), T.Context(), T.Classification(True, False),
+        T.CommFunction.of({("a", "b"): "c"}), T.Context(),
     ]
     return {type(term): term for term in out}
 
@@ -362,7 +362,7 @@ def test_occurrence_queries_walk_deep_terms():
     assert T.occurring_actions(t) == [a]
     assert not T.contains_abstraction(t)
     assert not T.contains_tau(t)
-    assert T.term_conditions(t) == [less]
+    assert not T.bool_conditional(t, T.Context(decl=D.FlexVarDecl(("u", "v"))))
 
 
 def test_walk_helpers_keep_order_and_share_unchanged_parts():

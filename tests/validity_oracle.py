@@ -14,7 +14,7 @@ import itertools
 
 from deacp import terms as T
 from deacp.conditions import And, CFalse, Cmp, CTrue, Exists, Forall, Implies, Not, Or
-from deacp.data_algebra import App, DVar, EvalMap, Flex, FlexVarDecl, Lit, enumerate_maps, flex_vars
+from deacp.data_algebra import ENUM_BOUND, App, DVar, EvalMap, Flex, Lit, enumerate_maps, flex_vars
 from deacp.errors import EnumerationLimitError, MalformedConditionError
 
 CMP = {
@@ -79,11 +79,11 @@ def eval_cond(phi, sigma, carrier, bindings=None):
     raise TypeError(f"not a condition: {phi!r}")
 
 
-def cond_signature(phi, carrier, bound):
+def cond_signature(phi, carrier):
     names = sorted(flex_vars(phi))
     count = carrier.size ** len(names)
-    if count > bound:
-        raise EnumerationLimitError(count, bound, "condition valuations")
+    if count > ENUM_BOUND:
+        raise EnumerationLimitError(count, ENUM_BOUND, "condition valuations")
     values = list(carrier.values())
     table = {}
     for combo in itertools.product(values, repeat=len(names)):
@@ -104,7 +104,7 @@ def data_equal_valid(e1, e2, ctx) -> bool:
         return True
     names = tuple(sorted(flex_vars(e1) | flex_vars(e2)))
     return all(eval_data(e1, sigma, ctx.carrier) == eval_data(e2, sigma, ctx.carrier)
-               for sigma in enumerate_maps(FlexVarDecl(names), ctx.carrier, ctx.enum_bound))
+               for sigma in enumerate_maps(names, ctx.carrier))
 
 
 def actions_equivalent(a1, a2, ctx) -> bool:
