@@ -19,7 +19,6 @@ from .terms import (
     Context,
     CommFunction,
     RecSpec,
-    bool_conditional,
     is_guarded_linear_spec,
     is_linear,
     summands,
@@ -40,7 +39,6 @@ from .bisim import (
 from .linear import (
     ProofCertificate,
     ProveResult,
-    analyze_clusters,
     apply_cfar,
     linearize,
     normalize_bool_conditional,

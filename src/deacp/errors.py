@@ -57,9 +57,5 @@ class ShapeError(DeacpError):
     """A term does not have the syntactic shape an operation requires."""
 
 
-class CfarInapplicableError(DeacpError):
-    """No conservative cluster supports the requested fair-abstraction step."""
-
-
 class UnsupportedFragmentError(DeacpError):
     """Input falls outside the fragments the equational prover covers."""

@@ -18,12 +18,7 @@ from .bisim import (
 )
 from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, constant_value, eval_cond
 from .data_algebra import map_children
-from .errors import (
-    CfarInapplicableError,
-    DeacpError,
-    GuardednessError,
-    UnsupportedFragmentError,
-)
+from .errors import DeacpError, GuardednessError, UnsupportedFragmentError
 from .parser import render_term
 from .sos_sigma import _Sos, build_lts
 
@@ -318,20 +313,10 @@ class _Linearizer:
         order = _trim(self.table, root)
         sub = {name: list(self.table[name]) for name in order}
         self._replace_pure_tau(sub, root)
-        clusters = _find_clusters(sub, order, patterns)
-        for info in clusters:
-            if info.cyclic and not info.is_cluster:
-                raise CfarInapplicableError(
-                    "a silent cycle is not confined to a conservative cluster: "
-                    + ", ".join(info.members)
-                )
-        member_cluster = {}
-        for info in clusters:
-            if info.cyclic:
-                for m in info.members:
-                    member_cluster[m] = info
+        spec = table_to_spec(sub, order)
+        mapping = {name: self.fresh() for name in order}
 
-        def rename(row, mapping):
+        def rename(row):
             cond, action, target = row
             if action is None:
                 return (cond, None, None)
@@ -339,34 +324,21 @@ class _Linearizer:
                                 and T.matches_any(action, patterns)) else action
             return (cond, renamed, mapping[target])
 
-        mapping = {name: self.fresh() for name in order}
-        cluster_vars = {}
-        for info in clusters:
-            if info.cyclic:
-                cluster_vars[info] = self.fresh()
-        for info in clusters:
+        for name in order:
+            self.table[mapping[name]] = list(map(rename, sub[name]))
+        # A cyclic cluster collapses into one variable over its exits, which
+        # each member reaches by a silent step: the fair-abstraction lemma.
+        for info in _find_clusters(sub, order, patterns):
             if not info.cyclic:
                 continue
-            self.table[cluster_vars[info]] = [
-                rename(row, mapping) for row in info.exit_rows
-            ]
-        for name in order:
-            info = member_cluster.get(name)
-            if info is None:
-                self.table[mapping[name]] = [
-                    rename(row, mapping) for row in sub[name]
+            var = self.fresh()
+            self.table[var] = list(map(rename, info.exit_rows))
+            for name in info.members:
+                self.table[mapping[name]] = [(TRUE, T.TAU, var)] + [
+                    rename(row) for row in sub[name]
+                    if not _internal_row(row, info.member_set, patterns)
                 ]
-            else:
-                rows = [(TRUE, T.TAU, cluster_vars[info])]
-                for row in sub[name]:
-                    if not _internal_row(row, info.member_set, patterns):
-                        rows.append(rename(row, mapping))
-                self.table[mapping[name]] = rows
-        # Record the fair-abstraction lemmas behind each collapsed cluster.
-        spec = table_to_spec({n: sub[n] for n in order}, order)
-        for info in clusters:
-            if info.cyclic:
-                self.cfar_steps.append(_cfar_step(spec, info, patterns))
+            self.cfar_steps.append(_cfar_step(spec, info, info.members[0], patterns))
         return mapping[root]
 
     def _replace_pure_tau(self, sub: dict, root: str):
@@ -415,8 +387,7 @@ class ClusterInfo:
     members: tuple
     member_set: frozenset
     cyclic: bool
-    is_cluster: bool
-    exit_rows: tuple  # summand rows leaving the cluster, in specification order
+    exit_rows: tuple  # the members' rows that are no hidden step inside, in specification order
 
     @property
     def exit_terms(self) -> tuple:
@@ -424,10 +395,11 @@ class ClusterInfo:
 
 
 def _find_clusters(table: dict, order: list, patterns: tuple) -> list:
-    """Every strongly connected component of the hidden moves, with its exit
-    rows, whether it is a cluster and whether a hidden move stays inside.
-    A component's members reach one another by hidden moves, so every
-    cluster found is conservative: each member reaches each exit."""
+    """Every strongly connected component of the hidden moves: a cluster,
+    with its exit rows and whether a hidden move stays inside. A component's
+    members reach one another by hidden moves, so every cluster is
+    conservative: each member reaches each exit, a visible step back into
+    the cluster included."""
     everything = frozenset(order)
     edges = {
         name: [row[2] for row in table[name] if _internal_row(row, everything, patterns)]
@@ -436,32 +408,19 @@ def _find_clusters(table: dict, order: list, patterns: tuple) -> list:
     infos = []
     for members in T.strong_components(order, edges):
         member_set = frozenset(members)
-        is_cluster, cyclic = True, False
+        cyclic = False
         exits: dict = {}  # insertion-ordered set of rows
         for name in members:
             for row in table[name]:
-                if row[1] is not None and row[2] in member_set:
-                    if _internal_row(row, member_set, patterns):
-                        cyclic = True
-                        continue
-                    is_cluster = False
-                exits[row] = None
-        infos.append(ClusterInfo(members, member_set, cyclic, is_cluster, tuple(exits)))
+                if _internal_row(row, member_set, patterns):
+                    cyclic = True
+                else:
+                    exits[row] = None
+        infos.append(ClusterInfo(members, member_set, cyclic, tuple(exits)))
     return infos
 
 
-def analyze_clusters(spec: T.RecSpec, patterns: tuple) -> list:
-    """The clusters among the maximal strongly connected components of the
-    hidden moves, with their exit sets."""
-    if not T.is_linear_spec(spec):
-        raise GuardednessError("cluster analysis needs a linear specification")
-    infos = _find_clusters(spec_to_table(spec), list(spec.variables), patterns)
-    return [c for c in infos if c.is_cluster]
-
-
-def _cfar_step(spec: T.RecSpec, info: ClusterInfo, patterns: tuple,
-               member: Optional[str] = None) -> ProofStep:
-    var = member if member is not None else info.members[0]
+def _cfar_step(spec: T.RecSpec, info: ClusterInfo, var: str, patterns: tuple) -> ProofStep:
     closed_exits = [
         T.subst_rec_vars(term, {name: T.RecConst(name, spec)
                                 for name in spec.variables})
@@ -486,40 +445,41 @@ def apply_cfar(spec: T.RecSpec, var: str, patterns: tuple) -> tuple:
         raise DeacpError(f"no equation for {var!r}")
     infos = _find_clusters(spec_to_table(spec), list(spec.variables), patterns)
     info = next(c for c in infos if var in c.member_set)
-    if info.is_cluster:
-        step = _cfar_step(spec, info, tuple(patterns), member=var)
-        return step.after, step
-    if info.cyclic:
-        raise CfarInapplicableError(f"{var!r} lies on a silent cycle that is not a cluster")
-    raise CfarInapplicableError(f"no conservative cluster contains {var!r}")
+    step = _cfar_step(spec, info, var, tuple(patterns))
+    return step.after, step
 
 
 # --- condition normalization (the bool-conditional gate) ---------------------------
 
 def normalize_conditions(t: T.ProcTerm, ctx: T.Context) -> tuple:
-    """Replace every condition by its constant truth value; errors out on
-    contingent conditions."""
+    """Replace every constant condition by its truth value. A contingent
+    condition stays when an evaluation lies above it with no abstraction in
+    between, since the carried map decides it; elsewhere it is an error."""
     replaced = []
 
-    def norm_cond(phi):
+    def norm_cond(phi, evaluated):
         if isinstance(phi, (CTrue, CFalse)):
             return phi
         value = constant_value(phi, ctx.decl, ctx.carrier)
         if value is None:
+            if evaluated:
+                return phi
             raise UnsupportedFragmentError(
                 "condition is contingent; outside the bool-conditional fragment"
             )
         replaced.append((phi, value))
         return TRUE if value else CFalse()
 
-    def walk(u):
+    def walk(u, evaluated):
         if isinstance(u, T.Guard):
-            return T.Guard(norm_cond(u.cond), walk(u.body))
+            return T.Guard(norm_cond(u.cond, evaluated), walk(u.body, evaluated))
         if type(u) in T.PROCESS_LEAVES:
             return u
-        return map_children(u, walk)
+        if isinstance(u, (T.Eval, T.Abstr)):
+            evaluated = isinstance(u, T.Eval)
+        return map_children(u, lambda v: walk(v, evaluated))
 
-    return walk(t), replaced
+    return walk(t, False), replaced
 
 
 # --- public pipeline ----------------------------------------------------------------
@@ -540,6 +500,13 @@ def _lin_step(source: T.ProcTerm, const: T.RecConst, construction: str) -> Proof
     """The step from a term to the linear specification that construction,
     replayed on the source, builds for it."""
     return ProofStep("LIN", source, const, details={"construction": construction})
+
+
+def _linear_certificate(t: T.ProcTerm, ctx: T.Context) -> ProofCertificate:
+    """The one-step certificate from an abstraction-free term to its linear form."""
+    spec, var = linearize(t, ctx)
+    const = T.RecConst(var, spec)
+    return ProofCertificate(t, const, [_lin_step(t, const, "linearize")])
 
 
 def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
@@ -597,27 +564,16 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
         cert = ProofCertificate(t1, t2, [ProofStep(axiom, t1, t2)])
         return ProveResult(True, certificate=cert)
 
-    steps: list = []
-    lemmas: list = []
-    if not (T.contains_abstraction(t1) or T.contains_abstraction(t2)):
-        spec1, var1 = linearize(t1, ctx)
-        spec2, var2 = linearize(t2, ctx)
-        const1, const2 = T.RecConst(var1, spec1), T.RecConst(var2, spec2)
-        steps.append(_lin_step(t1, const1, "linearize"))
-        tail = [_lin_step(t2, const2, "linearize")]
-    # Both sides are tabulated, t1 first, so an error of either surfaces.
-    elif all([T.bool_conditional(t1, ctx), T.bool_conditional(t2, ctx)]):
-        spec1, var1, cert1 = normalize_bool_conditional(t1, ctx)
-        spec2, var2, cert2 = normalize_bool_conditional(t2, ctx)
-        const1, const2 = T.RecConst(var1, spec1), T.RecConst(var2, spec2)
-        steps.extend(s for s in cert1.steps if s.role == "chain")
-        lemmas.extend(s for s in cert1.steps if s.role == "lemma")
-        tail = [s for s in cert2.steps if s.role == "chain"]
-        lemmas.extend(s for s in cert2.steps if s.role == "lemma")
+    if T.contains_abstraction(t1) or T.contains_abstraction(t2):
+        try:
+            cert1, cert2 = (normalize_bool_conditional(t, ctx)[2] for t in (t1, t2))
+        except UnsupportedFragmentError:
+            raise UnsupportedFragmentError(
+                "both terms must be abstraction-free or both bool-conditional"
+            ) from None
     else:
-        raise UnsupportedFragmentError(
-            "both terms must be abstraction-free or both bool-conditional"
-        )
+        cert1, cert2 = (_linear_certificate(t, ctx) for t in (t1, t2))
+    const1, const2 = cert1.right, cert2.right
 
     domain = shared_domain(const1, const2, ctx)
     l1 = build_lts(const1, ctx, domain=domain, explorer=sos)
@@ -625,14 +581,15 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
     linked = rooted_branching_bisim(l1, l2, ctx)
     if not linked.equivalent:
         raise DeacpError("internal error: linearized forms are not equivalent")
-    steps.append(ProofStep(
+    rsp = ProofStep(
         "RSP", const1, const2,
         details={"witness_pairs": sum(len(left) * len(right) for left, right in linked.groups)},
         witness=linked.groups,
-    ))
-    steps.extend(_swap_step(s) for s in reversed(tail))
-    certificate = ProofCertificate(t1, t2, steps + lemmas)
-    return ProveResult(True, certificate=certificate)
+    )
+    chain1, chain2 = ([s for s in c.steps if s.role == "chain"] for c in (cert1, cert2))
+    lemmas = [s for c in (cert1, cert2) for s in c.steps if s.role == "lemma"]
+    steps = chain1 + [rsp] + [_swap_step(s) for s in reversed(chain2)] + lemmas
+    return ProveResult(True, certificate=ProofCertificate(t1, t2, steps))
 
 
 # --- certificate replay -----------------------------------------------------------------
@@ -679,8 +636,6 @@ def _replay_step(step: ProofStep, ctx: T.Context, sos: _Sos) -> list:
             return [f"LIN replay failed: {exc}"]
         if T.RecConst(var, spec) != target:
             return ["LIN replay produced a different specification"]
-        if not T.is_guarded_linear_spec(spec):
-            return ["LIN replay produced an unguarded specification"]
         return []
     if rule == "RSP":
         if step.witness is None:

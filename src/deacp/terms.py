@@ -12,7 +12,6 @@ from .conditions import (
     CTrue,
     Condition,
     cond_free_dvars,
-    constant_value,
     eval_cond,
 )
 from .data_algebra import (
@@ -568,13 +567,6 @@ def _guarded_linear(spec: RecSpec) -> bool:
 def require_glrs(spec: RecSpec):
     if not is_guarded_linear_spec(spec):
         raise GuardednessError("recursive specification is not guarded linear")
-
-
-def bool_conditional(t: ProcTerm, ctx: Context) -> bool:
-    """Whether every condition occurring in t, carried specifications
-    included, has one truth value under every evaluation map."""
-    return all(constant_value(u.cond, ctx.decl, ctx.carrier) is not None
-               for u in subterms(t, PROCESS_LEAVES) if isinstance(u, Guard))
 
 
 # --- substitution and canonical form ------------------------------------------

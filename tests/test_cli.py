@@ -106,6 +106,52 @@ def test_cfar_command(capsys, tmp_path):
     assert out.startswith("tau . hide{a}")
 
 
+# A hidden loop on G0 beside a visible assignment loop back into it: fair
+# abstraction takes the assignment as an exit of G0's cluster.
+REENTERED = ("domain -4..3\nvars u, v\nactions c\n"
+             "proc Q = hide{c}(rec G0 where { G0 = [true] -> c . G0"
+             " + [true] -> u := -4 * v . G0, G1 = [true] -> epsilon })\n")
+
+
+def test_a_cluster_with_a_visible_step_back_into_it(capsys, tmp_path):
+    path = tmp_path / "reentered.deacp"
+    path.write_text(REENTERED, encoding="utf-8")
+    for argv in (["prove", "--left", "Q", "--right", "Q"], ["cfar", "--process", "Q"]):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, ""), argv
+    spec = parse_spec(REENTERED)
+    ctx = spec.context()
+    result = prove_equal(spec.process("Q"), spec.process("Q"), ctx)
+    assert replay_certificate(result.certificate, ctx) == (True, [])
+
+
+# The guard under eval{m} is contingent over the ambient maps, but the
+# carried map decides it, and no abstraction lies in between. Beneath an
+# abstraction inside the evaluation, it stays outside the fragment.
+EVALUATED_GUARD = ("domain -4..3\nvars p\nactions a, b\nmap m { p = 1 }\n"
+                   "proc L = hide{a}(eval{m}([p > 0] -> a . b))\n"
+                   "proc R = tau . eval{m}(b)\n"
+                   "proc E = eval{m}(hide{a}([p > 0] -> a . b))\n")
+
+
+def test_a_guard_that_eval_decides(capsys, tmp_path):
+    path = tmp_path / "evaluated.deacp"
+    path.write_text(EVALUATED_GUARD, encoding="utf-8")
+    for argv, code, stderr in (
+        (["prove", "--left", "L", "--right", "R"], 0, ""),
+        (["linearize", "--process", "L"], 0, ""),
+        (["prove", "--left", "E", "--right", "R"], 2,
+         "error: both terms must be abstraction-free or both bool-conditional\n"),
+        (["linearize", "--process", "E"], 2,
+         "error: condition is contingent; outside the bool-conditional fragment\n"),
+    ):
+        assert run(capsys, argv[0], str(path), *argv[1:])[::2] == (code, stderr), argv
+    spec = parse_spec(EVALUATED_GUARD)
+    ctx = spec.context()
+    result = prove_equal(spec.process("L"), spec.process("R"), ctx)
+    assert replay_certificate(result.certificate, ctx) == (True, [])
+
+
 def test_syntax_error_exit_two(capsys, tmp_path):
     path = tmp_path / "bad.deacp"
     path.write_text("proc P = ???", encoding="utf-8")

@@ -11,9 +11,9 @@ from deacp import parser as P
 from deacp import terms as T
 from deacp.bisim import decide_rb, rooted_branching_bisim, shared_domain
 from deacp.conditions import CFalse, TRUE
-from deacp.errors import CfarInapplicableError, UnsupportedFragmentError
+from deacp.errors import UnsupportedFragmentError
 from deacp.linear import (
-    analyze_clusters,
+    _find_clusters,
     apply_cfar,
     linearize,
     normalize_bool_conditional,
@@ -35,6 +35,12 @@ CLUSTER_SRC = (
 
 def hide_a(spec, text):
     return proc(spec, f"hide{{a}}({text})")
+
+
+def clusters_of(spec, patterns):
+    """Every cluster of a linear specification, in the order the linearizer
+    meets them."""
+    return _find_clusters(spec_to_table(spec), list(spec.variables), patterns)
 
 
 def oracle_equal(t, spec_var, ctx):
@@ -93,7 +99,7 @@ def test_linearize_rejects_abstraction(base_spec, ctx):
 def test_analyze_clusters_on_the_cycle_example(base_spec, ctx):
     const = proc(base_spec, CLUSTER_SRC)
     patterns = (T.ActionPattern("name", "a"),)
-    cyclic = [c for c in analyze_clusters(const.spec, patterns) if c.cyclic]
+    cyclic = [c for c in clusters_of(const.spec, patterns) if c.cyclic]
     assert len(cyclic) == 1
     cluster = cyclic[0]
     assert set(cluster.members) == {"X", "Y"}
@@ -108,7 +114,7 @@ def test_analyze_clusters_singletons_without_hiding(base_spec, ctx):
         base_spec,
         "rec X where { X = [true] -> a . Y, Y = [true] -> epsilon }",
     )
-    clusters = analyze_clusters(const.spec, ())
+    clusters = clusters_of(const.spec, ())
     assert [c.members for c in clusters] == [("X",), ("Y",)]
     assert not any(c.cyclic for c in clusters)
 
@@ -119,7 +125,7 @@ def test_analyze_clusters_on_a_long_hidden_chain(base_spec, ctx):
     eqs = ", ".join(f"X{k} = [true] -> a . X{k + 1}" for k in range(2000))
     t = hide_a(base_spec, f"rec X0 where {{ {eqs}, X2000 = [true] -> epsilon }}")
     started = time.process_time()
-    clusters = analyze_clusters(t.body.spec, t.patterns)
+    clusters = clusters_of(t.body.spec, t.patterns)
     elapsed = time.process_time() - started
     assert [c.members for c in clusters] == [(f"X{k}",) for k in range(2001)]
     assert not any(c.cyclic for c in clusters)
@@ -138,7 +144,7 @@ def test_analyze_clusters_on_a_long_hidden_cycle(base_spec, ctx):
     so the analysis takes time linear in the size of the cluster."""
     t = hidden_cycle(base_spec, 2000)
     started = time.process_time()
-    clusters = analyze_clusters(t.body.spec, t.patterns)
+    clusters = clusters_of(t.body.spec, t.patterns)
     elapsed = time.process_time() - started
     assert [c.members for c in clusters] == [tuple(f"X{k}" for k in range(2000)), ("E",)]
     assert clusters[0].cyclic
@@ -188,7 +194,7 @@ def test_every_cluster_found_is_conservative(base_spec, ctx):
         else:
             spec = G.cluster_spec(rng, cfg, ctx, "a", size=rng.randint(1, 5))[0]
         table = spec_to_table(spec)
-        for info in analyze_clusters(spec, patterns):
+        for info in clusters_of(spec, patterns):
             cyclic += info.cyclic
             carriers = {n for n in info.members
                         if any(row in info.exit_rows for row in table[n])}
@@ -225,21 +231,25 @@ def test_apply_cfar_livelock_yields_inaction_sum(base_spec, ctx):
     assert decide_rb(step.before, step.after, ctx).equivalent
 
 
-def test_apply_cfar_requires_a_conservative_cluster(base_spec):
+def test_apply_cfar_requires_a_conservative_cluster(base_spec, ctx):
+    # The visible step b back into the cluster is one of its exits.
     const = proc(
         base_spec,
         "rec X where { X = [true] -> a . Y + [true] -> b . X,"
         " Y = [true] -> a . X, Z = [true] -> epsilon }",
     )
-    with pytest.raises(CfarInapplicableError):
-        apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),))
+    rhs, step = apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),))
+    assert step.details["cluster"] == ["X", "Y"]
+    assert step.details["exits"] == ["[true] -> b . X"]
+    assert decide_rb(step.before, step.after, ctx).equivalent
 
 
-def test_apply_cfar_on_a_variable_on_no_silent_cycle(base_spec):
-    # X's own step b keeps {X} from being a cluster, but no hidden move is a cycle.
+def test_apply_cfar_on_a_variable_on_no_silent_cycle(base_spec, ctx):
+    # No hidden move is a cycle: X alone is its cluster, and its one step b an exit.
     const = proc(base_spec, "rec X where { X = [true] -> b . X }")
-    with pytest.raises(CfarInapplicableError, match="^no conservative cluster contains 'X'$"):
-        apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),))
+    rhs, step = apply_cfar(const.spec, "X", (T.ActionPattern("name", "a"),))
+    assert step.details["cluster"] == ["X"]
+    assert decide_rb(step.before, step.after, ctx).equivalent
 
 
 def test_normalize_cfar_example(base_spec, ctx):
@@ -419,7 +429,7 @@ def test_replay_rejects_cfar_step_naming_another_cluster(base_spec, ctx):
 
 
 def test_replay_reports_cfar_step_naming_a_variable_on_no_cluster(base_spec, ctx):
-    # Y0 lies on a hidden cycle that its visible step b keeps from being a cluster.
+    # Y0 lies on another cluster than X0's, one with a visible step back into it.
     t = proc(base_spec, "hide{a}(rec X0 where {"
                         " X0 = [true] -> a . X1 + [true] -> b . E,"
                         " X1 = [true] -> a . X0 + [true] -> b . E, E = [true] -> epsilon,"
@@ -545,10 +555,7 @@ def test_replay_checks_absorbed_silent_equations(base_spec, ctx):
     proved = absorbing = 0
     for _ in range(100):
         t = T.Abstr(hide.patterns, T.Seq(G.random_proc(rng, cfg, ctx), hide.body))
-        try:
-            certificate = prove_equal(t, t, ctx).certificate
-        except CfarInapplicableError:
-            continue  # a hidden cycle with a visible step inside it is no cluster
+        certificate = prove_equal(t, t, ctx).certificate
         proved += 1
         absorbed = [s for s in certificate.steps if s.rule == "BED"]
         if not absorbed:
@@ -562,7 +569,33 @@ def test_replay_checks_absorbed_silent_equations(base_spec, ctx):
             ProofCertificate(certificate.left, certificate.right, steps), ctx
         )
         assert not ok and len(issues) == 1 and issues[0].startswith("BED"), issues
-    assert (proved, absorbing) == (99, 71)
+    assert (proved, absorbing) == (100, 71)
+
+
+def test_every_hidden_glrs_proves_itself():
+    """Fair abstraction applies to every strongly connected component of the
+    hidden moves, a visible step back into it included: each of 400 seeded
+    hide{P}(rec ...) terms proves itself, its certificate replays, and its
+    linear form is equivalent to it."""
+    cfg = G.GenConfig(max_depth=2, bool_cond_only=True)
+    ctx = G.default_context(cfg)
+    rng = random.Random(7)
+    reentered = 0
+    for i in range(400):
+        spec = G.random_glrs(rng, cfg, ctx)
+        if i % 2:
+            patterns = G.random_patterns(rng, cfg)
+        else:
+            patterns = (T.ActionPattern("name", rng.choice(cfg.action_names)),)
+        t = T.Abstr(patterns, T.RecConst(spec.variables[0], spec))
+        result = prove_equal(t, t, ctx)
+        assert result.equal, render_term(t)
+        assert replay_certificate(result.certificate, ctx) == (True, []), render_term(t)
+        lin_spec, var, _ = normalize_bool_conditional(t, ctx)
+        assert decide_rb(t, T.RecConst(var, lin_spec), ctx).equivalent, render_term(t)
+        reentered += any(c.cyclic and any(row[2] in c.member_set for row in c.exit_rows)
+                         for c in clusters_of(spec, patterns))
+    assert reentered == 12  # terms with an exit back into a silent cycle
 
 
 # --- one explorer per query, never shared with the checker ---------------------------

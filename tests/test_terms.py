@@ -9,7 +9,8 @@ from deacp import data_algebra as D
 from deacp import terms as T
 from deacp.conditions import TRUE, Cmp
 from deacp.data_algebra import Flex, Lit
-from deacp.errors import DeclarationError, ShapeError
+from deacp.errors import DeclarationError, ShapeError, UnsupportedFragmentError
+from deacp.linear import normalize_conditions
 from deacp.parser import render_term
 
 
@@ -156,8 +157,10 @@ def test_classify_abstraction(base_spec):
 
 
 def test_classify_bool_conditional(base_spec, ctx):
-    assert T.bool_conditional(proc(base_spec, "[v = v] -> a"), ctx) is True
-    assert T.bool_conditional(proc(base_spec, "[v = 0] -> a"), ctx) is False
+    normalized, replaced = normalize_conditions(proc(base_spec, "[v = v] -> a"), ctx)
+    assert render_term(normalized) == "[true] -> a" and [value for _, value in replaced] == [True]
+    with pytest.raises(UnsupportedFragmentError):
+        normalize_conditions(proc(base_spec, "[v = 0] -> a"), ctx)
 
 
 def test_is_closed(base_spec, ctx):
@@ -362,7 +365,6 @@ def test_occurrence_queries_walk_deep_terms():
     assert T.occurring_actions(t) == [a]
     assert not T.contains_abstraction(t)
     assert not T.contains_tau(t)
-    assert not T.bool_conditional(t, T.Context(decl=D.FlexVarDecl(("u", "v"))))
 
 
 def test_walk_helpers_keep_order_and_share_unchanged_parts():
