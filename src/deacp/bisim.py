@@ -13,7 +13,7 @@ from .conditions import signature
 from .errors import DeacpError, ShapeError
 from .parser import render_action, render_term
 from .sos_cond import CondLts, _CondSos, build_cond_lts, expand_to_sigma
-from .sos_sigma import SigmaLts, _Sos, build_lts
+from .sos_sigma import SigmaLts, _Sos, ambient_domain, build_lts
 
 
 # --- data-equivalent actions --------------------------------------------------
@@ -364,25 +364,29 @@ def verify_branching_bisimulation(l1: SigmaLts, l2: SigmaLts, groups,
 
 # --- the condition-labelled equivalence, decided per satisfying map ---------------
 
-def rooted_ab_bisim(c1: CondLts, c2: CondLts, ctx: T.Context, domain: tuple) -> BisimResult:
-    """Decide the condition-labelled equivalence by instantiating every
-    transition at each satisfying map.
+def rooted_ab_bisim(c1: CondLts, c2: CondLts, ctx: T.Context) -> BisimResult:
+    """Decide the condition-labelled equivalence of two systems over one
+    domain by instantiating every transition at each satisfying map.
 
     Over a finite carrier each condition denotes a finite set of maps, so the
     finite covering sets in the transfer clauses can always be refined to
     per-map granularity; a silent path matches only if every state it passes
     through stays related to the observing state.
     """
-    l1 = expand_to_sigma(c1, ctx, domain)
-    l2 = expand_to_sigma(c2, ctx, domain)
-    return _decide(l1, l2, ctx, related_paths=True)
+    return _decide(expand_to_sigma(c1, ctx), expand_to_sigma(c2, ctx), ctx, related_paths=True)
 
 
 # --- convenience entry points ------------------------------------------------------
 
-def shared_domain(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> tuple:
-    occ = T.occurring_flex_vars(t1) | T.occurring_flex_vars(t2)
-    return tuple(v for v in ctx.decl if v in occ)
+def build_pair(build, t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context, explorer) -> tuple:
+    """Both systems a query compares: `build` (`build_lts` or
+    `build_cond_lts`) explores each term with `explorer` over the terms'
+    shared ambient domain. When the terms have one canonical form, the first
+    system serves both sides; compared by identity, never field by field."""
+    domain = ambient_domain(t1, t2, ctx=ctx)
+    l1 = build(t1, ctx, domain=domain, explorer=explorer)
+    same = T.canonical(t1, ctx) is T.canonical(t2, ctx)
+    return l1, l1 if same else build(t2, ctx, domain=domain, explorer=explorer)
 
 
 def decide_rb(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context,
@@ -390,27 +394,14 @@ def decide_rb(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context,
     """Rooted branching bisimilarity of two closed terms. Both sides are
     built with one explorer: `explorer`, which a caller passes to share it
     with further builds of its query, or a new one."""
-    domain = shared_domain(t1, t2, ctx)
     sos = _Sos(ctx) if explorer is None else explorer
-    l1 = build_lts(t1, ctx, domain=domain, explorer=sos)
-    l2 = l1 if _same(t1, t2, ctx) else build_lts(t2, ctx, domain=domain, explorer=sos)
-    return rooted_branching_bisim(l1, l2, ctx)
+    return rooted_branching_bisim(*build_pair(build_lts, t1, t2, ctx, sos), ctx)
 
 
 def decide_rab(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> BisimResult:
     """The condition-labelled equivalence of two closed terms, both sides
     built with one explorer."""
-    domain = shared_domain(t1, t2, ctx)
-    sos = _CondSos(ctx)
-    c1 = build_cond_lts(t1, ctx, domain=domain, explorer=sos)
-    c2 = c1 if _same(t1, t2, ctx) else build_cond_lts(t2, ctx, domain=domain, explorer=sos)
-    return rooted_ab_bisim(c1, c2, ctx, domain)
-
-
-def _same(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> bool:
-    """Whether two terms have one canonical form, so that one explored system
-    serves both sides; compared by identity, never field by field."""
-    return T.canonical(t1, ctx) is T.canonical(t2, ctx)
+    return rooted_ab_bisim(*build_pair(build_cond_lts, t1, t2, ctx, _CondSos(ctx)), ctx)
 
 
 # --- agreement experiment ----------------------------------------------------------

@@ -234,10 +234,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.run(args)
-    except DeacpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (DeacpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (RecursionError, MemoryError) as exc:

@@ -10,15 +10,10 @@ from typing import Optional
 
 from . import axioms as AX
 from . import terms as T
-from .bisim import (
-    decide_rb,
-    rooted_branching_bisim,
-    shared_domain,
-    verify_branching_bisimulation,
-)
+from .bisim import build_pair, decide_rb, verify_branching_bisimulation
 from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, constant_value, eval_cond
 from .data_algebra import map_children
-from .errors import DeacpError, GuardednessError, UnsupportedFragmentError
+from .errors import DeacpError, EnumerationLimitError, GuardednessError, UnsupportedFragmentError
 from .parser import render_term
 from .sos_sigma import _Sos, build_lts
 
@@ -313,6 +308,11 @@ class _Linearizer:
         order = _trim(self.table, root)
         sub = {name: list(self.table[name]) for name in order}
         self._replace_pure_tau(sub, root)
+        if _conditional_silent_cycle(sub, order, patterns):
+            raise UnsupportedFragmentError(
+                "a silent cycle has a hidden step whose condition is not true; "
+                "outside the bool-conditional fragment"
+            )
         spec = table_to_spec(sub, order)
         mapping = {name: self.fresh() for name in order}
 
@@ -371,13 +371,32 @@ class _Linearizer:
                     changed = True
 
 
+def _hidden_row(row, patterns) -> bool:
+    action = row[1]
+    return action is not None and (isinstance(action, T.TauAction)
+                                   or T.matches_any(action, patterns))
+
+
 def _internal_row(row, member_set, patterns) -> bool:
-    cond, action, target = row
-    if action is None or target not in member_set:
+    cond, _, target = row
+    return isinstance(cond, CTrue) and target in member_set and _hidden_row(row, patterns)
+
+
+def _conditional_silent_cycle(table: dict, order: list, patterns: tuple) -> bool:
+    """Whether a hidden row whose condition is not `true` lies inside a
+    strongly connected component of the hidden rows, whatever their
+    conditions. Such a row is an exit of its cluster, so the collapsed form
+    would keep a silent cycle. The components are computed only when some
+    hidden row has such a condition."""
+    conditional = [(name, row[2]) for name in order for row in table[name]
+                   if not isinstance(row[0], CTrue) and _hidden_row(row, patterns)]
+    if not conditional:
         return False
-    if not isinstance(cond, CTrue):
-        return False
-    return isinstance(action, T.TauAction) or T.matches_any(action, patterns)
+    edges = {name: [row[2] for row in table[name] if _hidden_row(row, patterns)]
+             for name in order}
+    component = {name: k for k, members in enumerate(T.strong_components(order, edges))
+                 for name in members}
+    return any(component[name] == component[target] for name, target in conditional)
 
 
 # --- cluster analysis ----------------------------------------------------------
@@ -453,14 +472,20 @@ def apply_cfar(spec: T.RecSpec, var: str, patterns: tuple) -> tuple:
 
 def normalize_conditions(t: T.ProcTerm, ctx: T.Context) -> tuple:
     """Replace every constant condition by its truth value. A contingent
-    condition stays when an evaluation lies above it with no abstraction in
-    between, since the carried map decides it; elsewhere it is an error."""
+    condition, or one with too many maps to tabulate, stays when an
+    evaluation lies above it with no abstraction in between, since the
+    carried map decides it; elsewhere it is an error."""
     replaced = []
 
     def norm_cond(phi, evaluated):
         if isinstance(phi, (CTrue, CFalse)):
             return phi
-        value = constant_value(phi, ctx.decl, ctx.carrier)
+        try:
+            value = constant_value(phi, ctx.decl, ctx.carrier)
+        except EnumerationLimitError:
+            if evaluated:
+                return phi
+            raise
         if value is None:
             if evaluated:
                 return phi
@@ -565,20 +590,12 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
         return ProveResult(True, certificate=cert)
 
     if T.contains_abstraction(t1) or T.contains_abstraction(t2):
-        try:
-            cert1, cert2 = (normalize_bool_conditional(t, ctx)[2] for t in (t1, t2))
-        except UnsupportedFragmentError:
-            raise UnsupportedFragmentError(
-                "both terms must be abstraction-free or both bool-conditional"
-            ) from None
+        cert1, cert2 = (normalize_bool_conditional(t, ctx)[2] for t in (t1, t2))
     else:
         cert1, cert2 = (_linear_certificate(t, ctx) for t in (t1, t2))
     const1, const2 = cert1.right, cert2.right
 
-    domain = shared_domain(const1, const2, ctx)
-    l1 = build_lts(const1, ctx, domain=domain, explorer=sos)
-    l2 = build_lts(const2, ctx, domain=domain, explorer=sos)
-    linked = rooted_branching_bisim(l1, l2, ctx)
+    linked = decide_rb(const1, const2, ctx, explorer=sos)
     if not linked.equivalent:
         raise DeacpError("internal error: linearized forms are not equivalent")
     rsp = ProofStep(
@@ -641,9 +658,7 @@ def _replay_step(step: ProofStep, ctx: T.Context, sos: _Sos) -> list:
         if step.witness is None:
             return ["RSP step carries no witness"]
         try:
-            domain = shared_domain(source, target, ctx)
-            l1 = build_lts(source, ctx, domain=domain, explorer=sos)
-            l2 = build_lts(target, ctx, domain=domain, explorer=sos)
+            l1, l2 = build_pair(build_lts, source, target, ctx, sos)
         except DeacpError as exc:
             return [f"RSP replay failed: {exc}"]
         bad = verify_branching_bisimulation(l1, l2, step.witness, ctx)

@@ -242,7 +242,7 @@ def build_cond_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
-        domain = ambient_domain(t, ctx)
+        domain = ambient_domain(t, ctx=ctx)
     sos = _CondSos(ctx) if explorer is None else explorer
     terminating = set()
 
@@ -256,11 +256,10 @@ def build_cond_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None
                    transitions=transitions, terminating=terminating)
 
 
-def expand_to_sigma(clts: CondLts, ctx: T.Context, domain: Optional[tuple] = None) -> SigmaLts:
-    """Instantiate every condition-labelled fact at each of its satisfying maps."""
-    if domain is None:
-        domain = clts.domain
-    maps = tuple(enumerate_maps(domain, ctx.carrier))
+def expand_to_sigma(clts: CondLts, ctx: T.Context) -> SigmaLts:
+    """Instantiate every condition-labelled fact at each of its satisfying
+    maps over the system's domain."""
+    maps = tuple(enumerate_maps(clts.domain, ctx.carrier))
     transitions = []
     for ts in clts.transitions:
         out: dict = {}  # insertion-ordered set
@@ -277,7 +276,7 @@ def expand_to_sigma(clts: CondLts, ctx: T.Context, domain: Optional[tuple] = Non
     return SigmaLts(
         states=list(clts.states),
         root=clts.root,
-        domain=tuple(domain),
+        domain=clts.domain,
         maps=maps,
         transitions=transitions,
         terminating=terminating,

@@ -313,9 +313,10 @@ class SigmaLts:
         }
 
 
-def ambient_domain(t: T.ProcTerm, ctx: T.Context) -> tuple:
-    """Declared variables that can influence t's behaviour, in declaration order."""
-    occurring = T.occurring_flex_vars(t)
+def ambient_domain(*terms: T.ProcTerm, ctx: T.Context) -> tuple:
+    """Declared variables that can influence the terms' behaviour, in
+    declaration order: the domain of the maps their systems range over."""
+    occurring = frozenset().union(*map(T.occurring_flex_vars, terms))
     return tuple(v for v in ctx.decl if v in occurring)
 
 
@@ -356,7 +357,7 @@ def build_lts(t: T.ProcTerm, ctx: T.Context, domain: Optional[tuple] = None,
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
-        domain = ambient_domain(t, ctx)
+        domain = ambient_domain(t, ctx=ctx)
     domain = tuple(domain)
     sos = _Sos(ctx) if explorer is None else explorer
     maps = sos.maps(domain)

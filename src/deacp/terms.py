@@ -526,10 +526,6 @@ def strong_components(order, edges: dict) -> list:
     return components
 
 
-def is_linear_spec(spec: RecSpec) -> bool:
-    return all(is_linear(rhs) for _, rhs in spec.equations)
-
-
 def is_guarded_linear_spec(spec: RecSpec) -> bool:
     """Linear right-hand sides and no cycle of unguarded (tau-prefixed)
     occurrences. The verdict is kept on the specification object, so no two

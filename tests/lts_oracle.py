@@ -57,7 +57,7 @@ def build_lts(t, ctx, domain=None) -> SigmaLts:
     if not T.is_closed(t):
         raise GuardednessError("cannot explore a term with free recursion variables")
     if domain is None:
-        domain = ambient_domain(t, ctx)
+        domain = ambient_domain(t, ctx=ctx)
     maps = tuple(enumerate_maps(domain, ctx.carrier))
     sos = PerMapSos(ctx)
     terminating = set()

@@ -19,13 +19,12 @@ from deacp.bisim import (
     conjecture_experiment,
     decide_rb,
     rooted_branching_bisim,
-    shared_domain,
 )
 from deacp.linear import apply_cfar, prove_equal, replay_certificate
 from deacp.parser import render_action
 from deacp.security import SecuritySpec, check_dnii
 from deacp.sos_cond import build_cond_lts, expand_to_sigma
-from deacp.sos_sigma import build_lts
+from deacp.sos_sigma import ambient_domain, build_lts
 
 
 def report(num: int, ok: bool, detail: str):
@@ -88,7 +87,7 @@ def test_criterion_01_subtraction_example(worked, ctx):
     result = prove_equal(left, right, ctx)
     replay_ok, issues = replay_certificate(result.certificate, ctx) if result.equal \
         else (False, ["no certificate"])
-    domain = shared_domain(left, right, ctx)
+    domain = ambient_domain(left, right, ctx=ctx)
     iso = _lts_isomorphic(
         build_lts(left, ctx, domain=domain), build_lts(right, ctx, domain=domain)
     )
@@ -289,7 +288,7 @@ def test_criterion_10_refinement_cross_check():
             t2 = G.rewritten_pair(rng, cfg, ctx, base=t1, steps=1)[1]
         else:
             t2 = G.random_proc(rng, cfg, ctx, 2, tau_ok=False)
-        domain = shared_domain(t1, t2, ctx)
+        domain = ambient_domain(t1, t2, ctx=ctx)
         l1 = build_lts(t1, ctx, domain=domain)
         l2 = build_lts(t2, ctx, domain=domain)
         if len(l1.states) > 50 or len(l2.states) > 50:

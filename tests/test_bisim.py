@@ -26,13 +26,13 @@ from deacp.bisim import (
     rooted_ab_bisim,
     rooted_branching_bisim,
     rooted_branching_classes,
-    shared_domain,
     verify_branching_bisimulation,
 )
 from deacp.data_algebra import App, Flex, Lit
 from deacp.errors import DeacpError, EnumerationLimitError, ShapeError
+from deacp.linear import prove_equal, replay_certificate
 from deacp.sos_cond import build_cond_lts, expand_to_sigma
-from deacp.sos_sigma import build_lts
+from deacp.sos_sigma import ambient_domain, build_lts
 
 
 def replay_counterexample(l1, l2, result, ctx, related_paths=False) -> bool:
@@ -172,7 +172,7 @@ def test_weakly_but_not_branching_bisimilar(base_spec, ctx):
     right = proc(base_spec, "a . (tau . (b + c) + a)")
     assert not decide_rb(left, right, ctx).equivalent
     assert not decide_rab(left, right, ctx).equivalent
-    domain = shared_domain(left, right, ctx)
+    domain = ambient_domain(left, right, ctx=ctx)
     l1 = build_lts(left, ctx, domain=domain)
     l2 = build_lts(right, ctx, domain=domain)
     assert rooted_branching_bisim(l1, l2, ctx).relation == \
@@ -200,14 +200,28 @@ def test_ab_bisim_identity(base_spec, ctx):
 
 @pytest.mark.parametrize("decide, name, build, engine", [
     (decide_rb, "build_lts", build_lts, rooted_branching_bisim),
-    (decide_rab, "build_cond_lts", build_cond_lts,
-     lambda c1, c2, ctx: rooted_ab_bisim(c1, c2, ctx, c1.domain)),
+    (decide_rab, "build_cond_lts", build_cond_lts, rooted_ab_bisim),
+    (prove_equal, "explore", None, replay_certificate),
 ])
 def test_a_self_check_builds_its_system_once(base_spec, ctx, monkeypatch, decide, name,
                                              build, engine):
     import deacp.bisim as B
+    from deacp import sos_sigma
 
     built = []
+    if decide is prove_equal:
+        # No axiom relates P to itself: the proof explores P and its linear
+        # form once each, and the replay explores the linear form once.
+        explore = sos_sigma.explore
+        monkeypatch.setattr(sos_sigma, name,
+                            lambda root, *args: built.append(root) or explore(root, *args))
+        t = proc(base_spec, "a . b + [u = 0] -> c")
+        result = decide(t, t, ctx)
+        assert len(built) == 2
+        built.clear()
+        assert engine(result.certificate, ctx) == (True, [])
+        assert len(built) == 1
+        return
     monkeypatch.setattr(B, name, lambda t, *args, **kw: built.append(t) or build(t, *args, **kw))
     text = "[v = 0] -> a . b + tau . c"
     t = proc(base_spec, text)
@@ -216,7 +230,7 @@ def test_a_self_check_builds_its_system_once(base_spec, ctx, monkeypatch, decide
         built.clear()
         result = decide(t, other, ctx)
         assert len(built) == builds, other
-        domain = shared_domain(t, other, ctx)
+        domain = ambient_domain(t, other, ctx=ctx)
         separate = engine(build(t, ctx, domain=domain), build(other, ctx, domain=domain), ctx)
         assert result == separate
 
@@ -285,7 +299,7 @@ def test_congruence_spot_checks(small_ctx):
 def test_witness_relation_verifies(base_spec, ctx):
     left = proc(base_spec, "a . (tau . (b + c) + b)")
     right = proc(base_spec, "a . (b + c)")
-    domain = shared_domain(left, right, ctx)
+    domain = ambient_domain(left, right, ctx=ctx)
     l1 = build_lts(left, ctx, domain=domain)
     l2 = build_lts(right, ctx, domain=domain)
     result = rooted_branching_bisim(l1, l2, ctx)
@@ -298,9 +312,11 @@ def test_witness_relation_verifies(base_spec, ctx):
 def test_systems_over_different_domains_are_refused(base_spec, ctx):
     t = proc(base_spec, "[v = 0] -> a")
     l1, l2 = build_lts(t, ctx, domain=("v",)), build_lts(t, ctx, domain=("u", "v"))
+    c1, c2 = build_cond_lts(t, ctx, domain=("v",)), build_cond_lts(t, ctx, domain=("u", "v"))
     for check in (lambda: rooted_branching_bisim(l1, l2, ctx),
                   lambda: rooted_branching_classes([l1, l1, l2], ctx),
-                  lambda: verify_branching_bisimulation(l1, l2, (((0,), (0,)),), ctx)):
+                  lambda: verify_branching_bisimulation(l1, l2, (((0,), (0,)),), ctx),
+                  lambda: rooted_ab_bisim(c1, c2, ctx)):
         with pytest.raises(ShapeError, match="ambient domains differ"):
             check()
 
@@ -308,7 +324,7 @@ def test_systems_over_different_domains_are_refused(base_spec, ctx):
 def test_counterexample_replays(base_spec, ctx):
     left = proc(base_spec, "a . b")
     right = proc(base_spec, "a . c")
-    domain = shared_domain(left, right, ctx)
+    domain = ambient_domain(left, right, ctx=ctx)
     l1 = build_lts(left, ctx, domain=domain)
     l2 = build_lts(right, ctx, domain=domain)
     result = rooted_branching_bisim(l1, l2, ctx)
@@ -326,7 +342,7 @@ def test_counterexample_replays(base_spec, ctx):
 def test_every_counterexample_kind_replays(base_spec, ctx, left, right, kind):
     t1 = proc(base_spec, left)
     t2 = proc(base_spec, right)
-    domain = shared_domain(t1, t2, ctx)
+    domain = ambient_domain(t1, t2, ctx=ctx)
     l1 = build_lts(t1, ctx, domain=domain)
     l2 = build_lts(t2, ctx, domain=domain)
     result = rooted_branching_bisim(l1, l2, ctx)
@@ -361,11 +377,11 @@ def test_condition_labelled_counterexample_replays(base_spec, ctx):
     # the plain silent closure would answer it through tau . a.
     t1, t2 = proc(base_spec, "a"), proc(base_spec, "tau . (c + tau . a)")
     c1, c2 = build_cond_lts(t1, ctx, domain=()), build_cond_lts(t2, ctx, domain=())
-    result = rooted_ab_bisim(c1, c2, ctx, ())
+    result = rooted_ab_bisim(c1, c2, ctx)
     assert not result.equivalent
     assert (result.counterexample["side"], result.counterexample["kind"],
             result.counterexample["action"]) == ("left", "step", "a")
-    l1, l2 = expand_to_sigma(c1, ctx, ()), expand_to_sigma(c2, ctx, ())
+    l1, l2 = expand_to_sigma(c1, ctx), expand_to_sigma(c2, ctx)
     assert replay_counterexample(l1, l2, result, ctx, related_paths=True)
 
 
@@ -418,7 +434,7 @@ def test_signature_refinement_agrees_on_tau_free(small_ctx):
             if rng.random() < 0.5
             else G.random_proc(rng, cfg, small_ctx, 2, tau_ok=False)
         )
-        domain = shared_domain(t1, t2, small_ctx)
+        domain = ambient_domain(t1, t2, ctx=small_ctx)
         l1 = build_lts(t1, small_ctx, domain=domain)
         l2 = build_lts(t2, small_ctx, domain=domain)
         if not (lts_oracle.tau_free(l1) and lts_oracle.tau_free(l2)):
@@ -454,7 +470,7 @@ def _silent_corpus():
                 t1, t2, _ = G.rewritten_pair(rng, cfg, ctx)
             else:
                 t1, t2 = G.random_proc(rng, cfg, ctx), G.random_proc(rng, cfg, ctx)
-            domain = shared_domain(t1, t2, ctx)
+            domain = ambient_domain(t1, t2, ctx=ctx)
             l1 = build_lts(t1, ctx, domain=domain)
             l2 = build_lts(t2, ctx, domain=domain)
         except DeacpError:
@@ -472,20 +488,20 @@ def test_engine_matches_pair_refinement(corpus, related_paths):
     checked = 0
     verdicts = set()
     for t1, t2 in pairs:
-        domain = shared_domain(t1, t2, ctx)
+        domain = ambient_domain(t1, t2, ctx=ctx)
         try:
             if related_paths:
                 c1 = build_cond_lts(t1, ctx, domain=domain)
                 c2 = build_cond_lts(t2, ctx, domain=domain)
-                l1 = expand_to_sigma(c1, ctx, domain)
-                l2 = expand_to_sigma(c2, ctx, domain)
+                l1 = expand_to_sigma(c1, ctx)
+                l2 = expand_to_sigma(c2, ctx)
             else:
                 l1 = build_lts(t1, ctx, domain=domain)
                 l2 = build_lts(t2, ctx, domain=domain)
         except DeacpError:
             continue
         if related_paths:
-            result = rooted_ab_bisim(c1, c2, ctx, domain)
+            result = rooted_ab_bisim(c1, c2, ctx)
         else:
             result = rooted_branching_bisim(l1, l2, ctx)
         verdict, relation = pair_oracle.decide(l1, l2, ctx, related_paths)
@@ -525,7 +541,7 @@ def test_group_checker_matches_the_pair_checker(corpus):
     rng = random.Random(17)
     verdicts = []
     for t1, t2 in pairs:
-        domain = shared_domain(t1, t2, ctx)
+        domain = ambient_domain(t1, t2, ctx=ctx)
         try:
             l1 = build_lts(t1, ctx, domain=domain)
             l2 = build_lts(t2, ctx, domain=domain)
@@ -545,7 +561,7 @@ def test_group_checker_matches_the_pair_checker(corpus):
 def test_a_witness_with_one_state_moved_is_rejected(base_spec, ctx):
     left = proc(base_spec, "a . (tau . (b + c) + b) + c . (tau . (b + a) + b)")
     right = proc(base_spec, "a . (b + c) + c . (b + a)")
-    domain = shared_domain(left, right, ctx)
+    domain = ambient_domain(left, right, ctx=ctx)
     l1 = build_lts(left, ctx, domain=domain)
     l2 = build_lts(right, ctx, domain=domain)
     groups = rooted_branching_bisim(l1, l2, ctx).groups
@@ -612,7 +628,7 @@ def test_group_checker_follows_silent_paths_outside_the_group():
                        " R1 = [v = 0] -> d . R2 + [not v = 0] -> b . Z,"
                        " R2 = [v = 0] -> a . Z + [v = 0] -> d . R1, Z = [true] -> epsilon })")
     assert not decide_rab(left, right, ctx).equivalent
-    domain = shared_domain(left, right, ctx)
+    domain = ambient_domain(left, right, ctx=ctx)
     l1 = build_lts(left, ctx, domain=domain)
     l2 = build_lts(right, ctx, domain=domain)
     result = rooted_branching_bisim(l1, l2, ctx)

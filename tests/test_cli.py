@@ -141,7 +141,7 @@ def test_a_guard_that_eval_decides(capsys, tmp_path):
         (["prove", "--left", "L", "--right", "R"], 0, ""),
         (["linearize", "--process", "L"], 0, ""),
         (["prove", "--left", "E", "--right", "R"], 2,
-         "error: both terms must be abstraction-free or both bool-conditional\n"),
+         "error: condition is contingent; outside the bool-conditional fragment\n"),
         (["linearize", "--process", "E"], 2,
          "error: condition is contingent; outside the bool-conditional fragment\n"),
     ):
@@ -379,9 +379,12 @@ def test_wide_assignments_are_tabulated_only_when_compared(tmp_path, right, code
 # The guard reads four variables of the default carrier, too many to
 # tabulate; the evaluation operator gives them values. An abstraction-free
 # proof and linearization tabulate no condition, so both decide the pair.
-WIDE_GUARD = ("domain -16..15\nvars p, q, r, s\nactions a\nmap m { p = 1 }\n"
+# Beneath an abstraction (H), the evaluation above the guard, with no
+# abstraction in between, still decides it, so it is left untabulated.
+WIDE_GUARD = ("domain -16..15\nvars p, q, r, s\nactions a, b\nmap m { p = 1 }\n"
               "proc L = eval{m}([p + q + r + s > 0] -> a)\n"
-              "proc R = eval{m}([p + q + r + s > 0] -> a + [p + q + r + s > 0] -> a)\n")
+              "proc R = eval{m}([p + q + r + s > 0] -> a + [p + q + r + s > 0] -> a)\n"
+              "proc H = hide{b}(eval{m}([p + q + r + s > 0] -> a))\n")
 
 
 def test_abstraction_free_proofs_tabulate_no_condition(capsys, tmp_path):
@@ -389,13 +392,42 @@ def test_abstraction_free_proofs_tabulate_no_condition(capsys, tmp_path):
     path.write_text(WIDE_GUARD, encoding="utf-8")
     for command, *names in (["bisim", "--left", "L", "--right", "R"],
                             ["prove", "--left", "L", "--right", "R"],
-                            ["linearize", "--process", "L"], ["linearize", "--process", "R"]):
+                            ["linearize", "--process", "L"], ["linearize", "--process", "R"],
+                            ["bisim", "--left", "H", "--right", "L"],
+                            ["prove", "--left", "H", "--right", "L"],
+                            ["linearize", "--process", "H"]):
         code, out, err = run(capsys, command, str(path), *names)
         assert (code, err) == (0, ""), (command, names)
     spec = parse_spec(WIDE_GUARD)
     ctx = spec.context()
-    result = prove_equal(spec.process("L"), spec.process("R"), ctx)
-    assert replay_certificate(result.certificate, ctx) == (True, [])
+    for left, right in (("L", "R"), ("H", "L")):
+        result = prove_equal(spec.process(left), spec.process(right), ctx)
+        assert replay_certificate(result.certificate, ctx) == (True, [])
+
+
+# The hidden communication c carries the condition u = v, so its cluster
+# would collapse into a form that keeps a silent cycle, a self-loop in H and
+# a cycle through a silent step in H2: linearization refuses both up front,
+# while both equivalences decide them.
+CONDITIONAL_SILENT_CYCLE = (
+    "domain 0..1\nvars u, v\nactions a/1, b/1, c\ncomm { a | b = c }\n"
+    "proc H = hide{c}(rec X where { X = [true] -> a(u) . X }"
+    " || rec Y where { Y = [true] -> b(v) . Y })\n"
+    "proc H2 = hide{c}(rec X where { X = [true] -> a(u) . Z, Z = [true] -> tau . X }"
+    " || rec Y where { Y = [true] -> b(v) . Y })\n")
+
+
+def test_a_hidden_cycle_under_a_condition_is_refused(capsys, tmp_path):
+    path = tmp_path / "conditional_cycle.deacp"
+    path.write_text(CONDITIONAL_SILENT_CYCLE, encoding="utf-8")
+    refused = ("error: a silent cycle has a hidden step whose condition is not true; "
+               "outside the bool-conditional fragment\n")
+    for name in ("H", "H2"):
+        for argv, code, stderr in ((["linearize", "--process", name], 2, refused),
+                                   (["prove", "--left", name, "--right", name], 2, refused),
+                                   (["bisim", "--left", name, "--right", name], 0, ""),
+                                   (["ab-bisim", "--left", name, "--right", name], 0, "")):
+            assert run(capsys, argv[0], str(path), *argv[1:])[::2] == (code, stderr), argv
 
 
 # --data-lo and --data-hi replace the carrier's bounds while the file is

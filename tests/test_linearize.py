@@ -9,7 +9,7 @@ from conftest import bench_module, cond, proc
 from deacp import gen as G
 from deacp import parser as P
 from deacp import terms as T
-from deacp.bisim import decide_rb, rooted_branching_bisim, shared_domain
+from deacp.bisim import decide_rb, rooted_branching_bisim
 from deacp.conditions import CFalse, TRUE
 from deacp.errors import UnsupportedFragmentError
 from deacp.linear import (
@@ -24,7 +24,7 @@ from deacp.linear import (
     spec_to_table,
 )
 from deacp.parser import render_term
-from deacp.sos_sigma import build_lts
+from deacp.sos_sigma import ambient_domain, build_lts
 
 
 CLUSTER_SRC = (
@@ -348,7 +348,7 @@ def test_replay_rejects_an_rsp_step_that_breaks_the_root_condition(base_spec, ct
     t1, t2 = proc(base_spec, "tau . a"), proc(base_spec, "a")
     assert not decide_rb(t1, t2, ctx).equivalent
     c1, c2 = (T.RecConst(var, spec) for spec, var in (linearize(t1, ctx), linearize(t2, ctx)))
-    domain = shared_domain(c1, c2, ctx)
+    domain = ambient_domain(c1, c2, ctx=ctx)
     l1, l2 = build_lts(c1, ctx, domain=domain), build_lts(c2, ctx, domain=domain)
     unrooted = rooted_branching_bisim(l1, l2, ctx)
     assert (l1.root, l2.root) in unrooted.relation
