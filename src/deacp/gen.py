@@ -29,8 +29,10 @@ class GenConfig:
     allow_abstr: bool = False
     allow_par: bool = True
     bool_cond_only: bool = False  # guards drawn from constant-valued conditions
-    max_rewrite_steps: int = 3
-    max_term_size: int = 120
+
+
+MAX_REWRITE_STEPS = 3  # the most rewrites rewritten_pair draws by default
+MAX_TERM_SIZE = 120  # no rewrite may grow a term past this many nodes
 
 
 def default_context(config: Optional[GenConfig] = None) -> T.Context:
@@ -242,10 +244,8 @@ def _fill_metavars(pattern, rng, cfg, ctx, binding, tau_ok):
                 binding[mv.name] = T.Atom(T.TAU)
             else:
                 binding[mv.name] = T.Atom(random_action(rng, cfg, ctx, tau_ok=False))
-        elif kind == "atom_t":
-            binding[mv.name] = T.Atom(random_action(rng, cfg, ctx, tau_ok))
         elif kind == "basic":
-            binding[mv.name] = T.Atom(T.BasicAction(rng.choice(cfg.action_names)))
+            binding[mv.name] = T.BasicAction(rng.choice(cfg.action_names))
         elif kind == "cond":
             binding[mv.name] = random_cond(rng, cfg, ctx)
         elif kind == "emap":
@@ -315,13 +315,13 @@ def axiom_instance(name: str, rng: random.Random, cfg: GenConfig,
         args = tuple(random_data(rng, cfg, ctx, 1) for _ in range(rng.randint(1, 2)))
         x = random_proc(rng, cfg, ctx, 1)
         lhs = T.Eval(emap, T.Seq(T.Atom(T.ParamAction(act, args)), x))
-        return lhs, AX._v3_v4_rhs(lhs, ctx, T.ParamAction)
+        return lhs, axiom.forward(lhs, ctx)
     if name == "V4":
         emap = random_emap(rng, ctx)
         var = rng.choice(cfg.flex_vars)
         lhs = T.Eval(emap, T.Seq(T.Atom(T.AssignAction(var, random_data(rng, cfg, ctx, 1))),
                                  random_proc(rng, cfg, ctx, 1)))
-        return lhs, AX._v3_v4_rhs(lhs, ctx, T.AssignAction)
+        return lhs, axiom.forward(lhs, ctx)
     if name == "CM7Da":
         pairs = [(a, b) for (a, b), c in ctx.gamma.table]
         if not pairs:
@@ -334,7 +334,7 @@ def axiom_instance(name: str, rng: random.Random, cfg: GenConfig,
             T.Seq(T.Atom(T.ParamAction(a, args1)), random_proc(rng, cfg, ctx, 1)),
             T.Seq(T.Atom(T.ParamAction(b, args2)), random_proc(rng, cfg, ctx, 1)),
         )
-        return lhs, AX._cm7da_rhs(lhs, ctx)
+        return lhs, axiom.forward(lhs, ctx)
     if name in ("CM7Db", "CM7Dc", "CM7Dd", "CM7De", "CM7Df"):
         x = random_proc(rng, cfg, ctx, 1)
         y = random_proc(rng, cfg, ctx, 1)
@@ -376,47 +376,24 @@ def axiom_instance(name: str, rng: random.Random, cfg: GenConfig,
         var = rng.choice(spec.variables)
         const = T.RecConst(var, spec)
         return const, T.unfold(const)
-    if name == "BED":
-        binding = {}
-        _fill_metavars(axiom.lhs, rng, cfg, ctx, binding, tau_ok)
-        binding["phi"] = constant_cond(rng, cfg, ctx)
-        assert axiom.side(binding, ctx)
-        return AX.instantiate(axiom.lhs, binding), AX.instantiate(axiom.rhs, binding)
-    if name in ("D1", "D2", "T1", "T2"):
-        binding = {}
-        _fill_metavars(axiom.lhs, rng, cfg, ctx, binding, tau_ok)
-        alpha = binding["alpha"]
-        if name in ("D2", "T2"):
-            if not isinstance(alpha, T.Atom) or isinstance(alpha.action, T.TauAction):
-                alpha = T.Atom(random_action(rng, cfg, ctx, tau_ok=False))
-                binding["alpha"] = alpha
-            binding["H"] = T.pattern_set(
-                set(binding["H"]) | {_pattern_for(alpha.action)}
-            )
-        else:
-            if isinstance(alpha, T.Atom):
-                binding["H"] = T.pattern_set(
-                    p for p in binding["H"] if not p.matches(alpha.action)
-                )
-        lhs = AX.instantiate(axiom.lhs, binding)
-        if axiom.side is not None:
-            assert axiom.side(binding, ctx)
-        rhs = AX.instantiate(axiom.rhs, binding)
-        return lhs, rhs
 
     for _ in range(64):
         binding: dict = {}
         _fill_metavars(axiom.lhs, rng, cfg, ctx, binding, tau_ok)
-        if axiom.rhs is not None:
-            _fill_metavars(axiom.rhs, rng, cfg, ctx, binding, tau_ok)
-        if axiom.side is not None and not axiom.side(binding, ctx):
-            continue
+        # bindings for these schemas are drawn to meet their side conditions
+        alpha = binding.get("alpha")
+        if name == "BED":
+            binding["phi"] = constant_cond(rng, cfg, ctx)
+        elif name in ("D2", "T2"):
+            if not isinstance(alpha, T.Atom) or isinstance(alpha.action, T.TauAction):
+                alpha = binding["alpha"] = T.Atom(random_action(rng, cfg, ctx, tau_ok=False))
+            binding["H"] = T.pattern_set(set(binding["H"]) | {_pattern_for(alpha.action)})
+        elif name in ("D1", "T1") and isinstance(alpha, T.Atom):
+            binding["H"] = T.pattern_set(p for p in binding["H"] if not p.matches(alpha.action))
         lhs = AX.instantiate(axiom.lhs, binding)
-        if axiom.build_rhs is not None:
-            rhs = axiom.build_rhs(binding, ctx)
-        else:
-            rhs = AX.instantiate(axiom.rhs, binding)
-        return lhs, rhs
+        rhs = axiom.forward(lhs, ctx)
+        if rhs is not None:
+            return lhs, rhs
     raise DeacpError(f"could not satisfy the side condition of {name}")
 
 
@@ -448,10 +425,6 @@ def replace_at(t: T.ProcTerm, path: tuple, new: T.ProcTerm) -> T.ProcTerm:
     return map_children(t, at)
 
 
-def _mv_names(pattern) -> set:
-    return {u.name for u in subterms(pattern) if isinstance(u, AX.MetaVar)}
-
-
 def apply_random_rewrite(t: T.ProcTerm, rng: random.Random, cfg: GenConfig,
                          ctx: T.Context, pool=None):
     """One random sound axiom application at a random position, either
@@ -467,18 +440,11 @@ def apply_random_rewrite(t: T.ProcTerm, rng: random.Random, cfg: GenConfig,
             directions = ["forward", "backward"]
             rng.shuffle(directions)
             for direction in directions:
-                if direction == "backward":
-                    lhs_names = _mv_names(axiom.lhs) if axiom.lhs is not None else set()
-                    rhs_names = _mv_names(axiom.rhs) if axiom.rhs is not None else set()
-                    if axiom.rhs is None or not lhs_names <= rhs_names:
-                        continue
-                    result = axiom.backward(sub, ctx)
-                else:
-                    result = axiom.forward(sub, ctx)
+                result = getattr(axiom, direction)(sub, ctx)
                 if result is None or result == sub:
                     continue
                 candidate = replace_at(t, path, result)
-                if term_size(candidate) > cfg.max_term_size:
+                if term_size(candidate) > MAX_TERM_SIZE:
                     continue
                 return candidate, (name, direction, path)
     return None
@@ -489,7 +455,7 @@ def rewritten_pair(rng: random.Random, cfg: GenConfig, ctx: T.Context,
                    pool=None) -> tuple:
     """(t, t') with t' obtained from t by a few sound rewrites, plus the trail."""
     t = base if base is not None else random_proc(rng, cfg, ctx)
-    steps = steps if steps is not None else rng.randint(1, cfg.max_rewrite_steps)
+    steps = steps if steps is not None else rng.randint(1, MAX_REWRITE_STEPS)
     current = t
     trail = []
     for _ in range(steps):

@@ -290,7 +290,8 @@ class _Linearizer:
                         cond = _conj(lcond, rcond)
                         if isinstance(c, T.ParamAction):
                             for e1, e2 in zip(laction.args, raction.args):
-                                cond = _conj(cond, Cmp("=", e1, e2))
+                                if e1 != e2:  # an equality of one term holds under every map
+                                    cond = _conj(cond, Cmp("=", e1, e2))
                         rows.append((cond, c, name_of(("par", ltarget, rtarget))))
             if kind == "par":
                 for lcond, laction, _ in lrows:

@@ -40,10 +40,20 @@ def test_every_axiom_has_twenty_sound_instances(small_ctx):
     # faster safety net over a different seed
     rng = random.Random(99)
     cfg = G.GenConfig()
-    for name in AX.SOUNDNESS_SUITE:
+    order = AX.SOUNDNESS_SUITE
+    for name in order:
         lhs, rhs = G.axiom_instance(name, rng, cfg, small_ctx)
         assert decide_rb(lhs, rhs, small_ctx).equivalent, name
         assert AX.AXIOMS[name].relates(lhs, rhs, small_ctx), name
+        # recognition names a schema that relates the pair, no later than name
+        found = AX.recognize_axiom(lhs, rhs, small_ctx)
+        assert AX.AXIOMS[found].relates(lhs, rhs, small_ctx), (name, found)
+        assert order.index(found) <= order.index(name), (name, found)
+        # a binding of one side of IMP1 or IMP2 leaves the other side open
+        for imp in ("IMP1", "IMP2"):
+            for t in (lhs, rhs):
+                assert AX.AXIOMS[imp].forward(t, small_ctx) is None, (imp, t)
+                assert AX.AXIOMS[imp].backward(t, small_ctx) is None, (imp, t)
 
 
 def test_merge_axiom_silent_leak_is_real(base_spec, ctx):

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from conftest import run_cli, run_python
+from deacp.bisim import decide_rb
 from deacp.cli import main
 from deacp.linear import prove_equal, replay_certificate
 from deacp.parser import parse_spec
@@ -428,6 +430,49 @@ def test_a_hidden_cycle_under_a_condition_is_refused(capsys, tmp_path):
                                    (["bisim", "--left", name, "--right", name], 0, ""),
                                    (["ab-bisim", "--left", name, "--right", name], 0, "")):
             assert run(capsys, argv[0], str(path), *argv[1:])[::2] == (code, stderr), argv
+
+
+# The hidden communication c(u) synchronizes a(u) with b(u): the equality
+# u = u of the two arguments holds under every map, so the cluster of c
+# collapses as it does under the condition true.
+EQUAL_ARGUMENTS = (
+    "domain 0..1\nvars u\nactions a/1, b/1, c/1\ncomm { a | b = c }\n"
+    "proc H = hide{c}(rec X where { X = [true] -> a(u) . X }"
+    " || rec Y where { Y = [true] -> b(u) . Y })\n")
+
+
+def test_a_hidden_synchronization_of_equal_arguments(capsys, tmp_path):
+    path = tmp_path / "equal_arguments.deacp"
+    path.write_text(EQUAL_ARGUMENTS, encoding="utf-8")
+    for argv in (["linearize", "--process", "H"], ["prove", "--left", "H", "--right", "H"]):
+        assert run(capsys, argv[0], str(path), *argv[1:])[::2] == (0, ""), argv
+    spec = parse_spec(EQUAL_ARGUMENTS)
+    ctx = spec.context()
+    h = spec.process("H")
+    certificate = prove_equal(h, h, ctx).certificate
+    assert [s.rule for s in certificate.steps] == ["LIN", "RSP", "LIN", "CFAR", "CFAR"]
+    assert replay_certificate(certificate, ctx) == (True, [])
+    assert decide_rb(h, certificate.steps[0].after, ctx).equivalent
+
+
+# Prefixes that cannot communicate, an assignment among them: the one axiom
+# step names the case CM7De, and replay holds the step to that case.
+NO_COMMUNICATION = ("vars u\nactions a, b, c, d\ncomm { a | b = c }\n"
+                    "proc P = (u := 1 . a) | (b . d)\nproc D = delta\n")
+
+
+def test_a_merge_that_cannot_communicate_names_its_case(capsys, tmp_path):
+    path = tmp_path / "no_communication.deacp"
+    path.write_text(NO_COMMUNICATION, encoding="utf-8")
+    code, out, err = run(capsys, "prove", str(path), "--left", "P", "--right", "D")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["  [CM7De]  u := 1 . a | b . d  =  delta"]
+    spec = parse_spec(NO_COMMUNICATION)
+    ctx = spec.context()
+    certificate = prove_equal(spec.process("P"), spec.process("D"), ctx).certificate
+    assert replay_certificate(certificate, ctx) == (True, [])
+    renamed = replace(certificate, steps=[replace(certificate.steps[0], rule="CM7Db")])
+    assert replay_certificate(renamed, ctx) == (False, ["step does not instantiate axiom CM7Db"])
 
 
 # --data-lo and --data-hi replace the carrier's bounds while the file is
