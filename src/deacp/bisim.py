@@ -229,26 +229,69 @@ def _blocks(u: _Union, related_paths: bool) -> list:
     the maps under which such a state terminates. A silent step within the
     block is inert and left out. With related_paths the silent steps must
     also stay in the block. Blocks split until no signature splits one.
+
+    Without related_paths each state walks its silent closure under every
+    map once, before the first round, and every round reads the moves found.
+    With related_paths no state walks a closure. In every round the inert
+    steps under each map are condensed into strongly connected components
+    (after Groote & Vaandrager, ICALP 1990), sinks first, and a component
+    offers each of its members the moves of its members that are not inert
+    and all that the components below it offer. A state in no component
+    reads its moves directly, and so does every state under a map without
+    silent steps.
     """
     moves = u.moves
+    if related_paths:
+        silent: dict = {}  # map id -> state -> the targets of its silent steps
+        for s, out in enumerate(moves):
+            for m, ms in out.items():
+                for c, t in ms:
+                    if not c:
+                        silent.setdefault(m, {}).setdefault(s, []).append(t)
 
-    def observations(s, keep=None):
-        """(state, map, class, target) of every move of every state that a
-        silent path from s under a map reaches through states kept by keep."""
-        return [(v, m, c, t) for m in moves[s] for v in u.reach(s, m, keep)
-                for c, t in moves[v].get(m, ())]
+        def signatures(block):
+            offered = [frozenset()] * len(moves)
+            covered = [0] * len(moves)  # under how many of its maps a component offers it
+            inside = {}  # map id -> state -> its component
+            for m, edges in silent.items():
+                inert = {}
+                for s, ts in edges.items():
+                    kept = [t for t in ts if block[t] == block[s]]
+                    if kept:
+                        inert[s] = kept
+                comp = inside[m] = {}
+                offers = []
+                for members in T.components_sinks_first(inert, inert):
+                    offer = frozenset((m, c, block[t]) for v in members
+                                      for c, t in moves[v].get(m, ()) if c or block[t] != block[v])
+                    below = {comp[t] for v in members for t in inert.get(v, ()) if t in comp}
+                    if below:
+                        offer = offer.union(*(offers[k] for k in below))
+                    for v in members:
+                        comp[v] = len(offers)
+                        offered[v] = offered[v] | offer if offered[v] else offer
+                        covered[v] += m in moves[v]
+                    offers.append(offer)
+            for s, sig in enumerate(offered):
+                if covered[s] < len(moves[s]):
+                    direct = frozenset((m, c, block[t]) for m, ms in moves[s].items()
+                                       if s not in inside.get(m, ()) for c, t in ms)
+                    sig = sig | direct if sig else direct
+                yield sig
+    else:
+        closures = [[(v, m, c, t) for m in moves[s] for v in u.reach(s, m)
+                     for c, t in moves[v].get(m, ())] for s in range(len(moves))]
 
-    fixed = None if related_paths else [observations(s) for s in range(len(moves))]
+        def signatures(block):
+            return (frozenset((m, c, block[t]) for v, m, c, t in obs
+                              if block[v] == b and (c or block[t] != b))
+                    for obs, b in zip(closures, block))
+
     block = [0] * len(moves)
     count = 1
     while True:
         ids: dict = {}
-        fresh = []
-        for s, b in enumerate(block):
-            obs = fixed[s] if fixed else observations(s, lambda t: block[t] == b)
-            sig = frozenset((m, c, block[t]) for v, m, c, t in obs
-                            if block[v] == b and (c or block[t] != b))
-            fresh.append(ids.setdefault((b, sig), len(ids)))
+        fresh = [ids.setdefault((b, sig), len(ids)) for b, sig in zip(block, signatures(block))]
         if len(ids) == count:
             return fresh
         block, count = fresh, len(ids)

@@ -281,29 +281,25 @@ class SigmaLts:
         return sum(len(ts) for ts in self.transitions)
 
     def to_json_dict(self) -> dict:
-        # Each action is rendered once, and each map's dict is built once and
-        # shared by its rows; a map's entries are its sorted items.
+        # Rows sort by the rank of their map among the maps sorted by entries,
+        # looked up by map value; each action is rendered once, and each
+        # rank's dict is built once and shared by its rows.
+        ordered = sorted(self.maps, key=lambda m: m.entries)
+        rank = {m: k for k, m in enumerate(ordered)}
+        dicts = [m.as_dict() for m in ordered]
         texts = {}
-        dicts = {}
-
-        def as_dict(m):
-            d = dicts.get(m)
-            if d is None:
-                d = dicts[m] = m.as_dict()
-            return d
-
         rows = []
         for src, ts in enumerate(self.transitions):
             for sigma, action, tgt in ts:
                 text = texts.get(action)
                 if text is None:
                     text = texts[action] = render_action(action)
-                rows.append((src, sigma.entries, text, tgt, sigma))
-        rows.sort(key=lambda r: r[:4])
-        trans = [{"from": src, "map": as_dict(sigma), "action": text, "to": tgt}
-                 for src, _, text, tgt, sigma in rows]
-        facts = sorted(self.terminating, key=lambda f: (f[0], f[1].entries))
-        term = [{"state": s, "map": as_dict(m)} for s, m in facts]
+                rows.append((src, rank[sigma], text, tgt))
+        rows.sort()
+        trans = [{"from": src, "map": dicts[k], "action": text, "to": tgt}
+                 for src, k, text, tgt in rows]
+        term = [{"state": s, "map": dicts[k]}
+                for s, k in sorted((s, rank[m]) for s, m in self.terminating)]
         return {
             "states": [render_term(s) for s in self.states],
             "root": self.root,

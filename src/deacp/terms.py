@@ -485,13 +485,23 @@ def summand_parts(s: Guard) -> tuple:
 
 def strong_components(order, edges: dict) -> list:
     """The strongly connected components of the graph on the nodes of order,
-    where edges.get(n, ()) lists the targets of n's edges: Tarjan's
-    algorithm, iterative, so a graph of any depth needs no recursion. Each
-    component lists its nodes in the order of order, and the components
-    come in the order of their first nodes."""
+    where edges.get(n, ()) lists the targets of n's edges. Each component
+    lists its nodes in the order of order, and the components come in the
+    order of their first nodes."""
     pos = {v: k for k, v in enumerate(order)}
+    return sorted((tuple(sorted(comp, key=pos.__getitem__))
+                   for comp in components_sinks_first(order, edges)),
+                  key=lambda comp: pos[comp[0]])
+
+
+def components_sinks_first(order, edges: dict):
+    """Yield, as lists, the strongly connected components of the graph
+    reachable from the nodes of order, where edges.get(n, ()) lists the
+    targets of n's edges: Tarjan's algorithm, iterative, so a graph of any
+    depth needs no recursion. A component comes after every component its
+    edges lead to."""
     index, low, at = {}, {}, {}
-    stack, onstack, components = [], set(), []
+    stack, onstack = [], set()
 
     def visit(v):
         index[v] = low[v] = len(index)
@@ -521,9 +531,7 @@ def strong_components(order, edges: dict) -> list:
                     comp = stack[at[node]:]
                     del stack[at[node]:]
                     onstack.difference_update(comp)
-                    components.append(tuple(sorted(comp, key=pos.__getitem__)))
-    components.sort(key=lambda comp: pos[comp[0]])
-    return components
+                    yield comp
 
 
 def is_guarded_linear_spec(spec: RecSpec) -> bool:

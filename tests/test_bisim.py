@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import closure_oracle
 import lts_oracle
 import pair_oracle
 import validity_oracle
@@ -665,9 +666,10 @@ def test_h3_witness_verifies():
     assert time.process_time() - started < 10
 
 
-def test_rooted_branching_classes_match_pairwise_decisions():
-    # 30 systems over one domain, built in pairs next to a rewritten copy so
-    # that equivalent pairs occur; one refinement keys them all.
+@functools.lru_cache(maxsize=None)
+def _classes_corpus():
+    """30 systems over one domain, built in pairs next to a rewritten copy so
+    that equivalent pairs occur."""
     cfg = G.GenConfig(max_depth=3, allow_abstr=True)
     ctx = G.default_context(cfg)
     rng = random.Random(7)
@@ -683,6 +685,12 @@ def test_rooted_branching_classes_match_pairwise_decisions():
             continue
         if all(3 <= len(lts.states) <= 20 for lts in pair):
             ltss += pair
+    return ctx, ltss
+
+
+def test_rooted_branching_classes_match_pairwise_decisions():
+    # One refinement keys all systems of the corpus.
+    ctx, ltss = _classes_corpus()
     assert len(ltss) == 30 and any(not lts_oracle.tau_free(lts) for lts in ltss)
     keys = rooted_branching_classes(ltss, ctx)
     verdicts = set()
@@ -692,3 +700,54 @@ def test_rooted_branching_classes_match_pairwise_decisions():
         verdicts.add(equivalent)
     assert verdicts == {True, False}
     assert rooted_branching_classes([], ctx) == []
+
+
+# --- the engine against the closure-walk oracle -------------------------------------
+
+def _unions(related_paths):
+    """(systems, context) of every union the engine refines on the oracle
+    corpora: each pair of both pair-refinement corpora, the systems of the
+    rooted_branching_classes corpus together, and the H3 self-check. The
+    condition-labelled equivalence refines its systems expanded per map."""
+    def build(t, ctx, domain):
+        if related_paths:
+            return expand_to_sigma(build_cond_lts(t, ctx, domain=domain), ctx)
+        return build_lts(t, ctx, domain=domain)
+
+    for corpus in (_corpus_801, _silent_corpus):
+        ctx, pairs = corpus()
+        for t1, t2 in pairs:
+            domain = ambient_domain(t1, t2, ctx=ctx)
+            try:
+                yield (build(t1, ctx, domain), build(t2, ctx, domain)), ctx
+            except DeacpError:
+                continue
+    ctx, ltss = _classes_corpus()
+    yield ltss, ctx
+    spec, h3 = _counters(3)
+    ctx = spec.context()
+    lts = build(h3, ctx, ())
+    yield (lts, lts), ctx
+
+
+@pytest.mark.parametrize("related_paths", [False, True], ids=["rb", "rab"])
+def test_blocks_match_the_closure_oracle(related_paths):
+    """The same blocks, numbered alike, as when every state walks its silent
+    closure (in every round for the condition-labelled equivalence)."""
+    checked = 0
+    for ltss, ctx in _unions(related_paths):
+        u = _Union(ltss, ctx)
+        assert _blocks(u, related_paths) == closure_oracle.blocks(u, related_paths)
+        checked += 1
+    assert checked >= 0.9 * (300 + 80) + 2
+
+
+def test_h4_condition_labelled_self_check_takes_seconds():
+    """6561 states: the condition-labelled self-check took 22 s of CPU when
+    every state walked its silent closure in every round, and about 1.2 s
+    with the inert steps condensed."""
+    spec, h4 = _counters(4)
+    started = time.process_time()
+    result = decide_rab(h4, h4, spec.context())
+    assert result.equivalent and len(result.groups) == 5
+    assert time.process_time() - started < 5
