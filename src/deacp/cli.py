@@ -17,7 +17,7 @@ from . import sos_cond as SC
 from . import sos_sigma as S
 from . import terms as T
 from .errors import DeacpError
-from .linear import apply_cfar, linearize, normalize_bool_conditional, prove_equal
+from .linear import apply_cfar, linearize, prove_equal
 from .parser import parse_spec, render_spec, render_term
 
 EXIT_OK = 0
@@ -169,10 +169,7 @@ def _cmd_bisim(args, conditional: bool) -> int:
 def _cmd_linearize(args) -> int:
     spec, ctx = _load(args)
     term = spec.process(args.process)
-    if not T.contains_abstraction(term):
-        lin_spec, var = linearize(term, ctx)
-    else:
-        lin_spec, var, _ = normalize_bool_conditional(term, ctx)
+    lin_spec, var = linearize(term, ctx)
     rendered = render_term(T.RecConst(var, lin_spec))
     _emit({"root": var, "spec": rendered}, args.json, rendered)
     return EXIT_OK

@@ -4,6 +4,7 @@ equality proofs."""
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
@@ -13,7 +14,7 @@ from . import terms as T
 from .bisim import build_pair, decide_rb, verify_branching_bisimulation
 from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, constant_value, eval_cond
 from .data_algebra import map_children
-from .errors import DeacpError, EnumerationLimitError, GuardednessError, UnsupportedFragmentError
+from .errors import DeacpError, GuardednessError, UnsupportedFragmentError
 from .parser import render_term
 from .sos_sigma import _Sos, build_lts
 
@@ -35,7 +36,7 @@ class ProofStep:
             "role": self.role,
             "before": render_term(self.before),
             "after": render_term(self.after),
-            "details": self.details,
+            "details": deepcopy(self.details),  # the printed dict shares nothing with the step
         }
 
 
@@ -472,38 +473,35 @@ def apply_cfar(spec: T.RecSpec, var: str, patterns: tuple) -> tuple:
 # --- condition normalization (the bool-conditional gate) ---------------------------
 
 def normalize_conditions(t: T.ProcTerm, ctx: T.Context) -> tuple:
-    """Replace every constant condition by its truth value. A contingent
-    condition, or one with too many maps to tabulate, stays when an
-    evaluation lies above it with no abstraction in between, since the
-    carried map decides it; elsewhere it is an error."""
+    """Replace every constant condition beneath an abstraction, with no
+    evaluation in between, by its truth value; there a contingent condition,
+    or one with too many maps to tabulate, is an error, since collapsing the
+    abstraction needs constant conditions. Every other condition stays: the
+    linearizer carries it, or the carried map of an evaluation decides it. The
+    walk enters a recursion constant only where it replaces conditions;
+    elsewhere a guarded linear constant, which holds no abstraction, has none
+    to replace."""
     replaced = []
 
-    def norm_cond(phi, evaluated):
+    def norm_cond(phi):
         if isinstance(phi, (CTrue, CFalse)):
             return phi
-        try:
-            value = constant_value(phi, ctx.decl, ctx.carrier)
-        except EnumerationLimitError:
-            if evaluated:
-                return phi
-            raise
+        value = constant_value(phi, ctx.decl, ctx.carrier)
         if value is None:
-            if evaluated:
-                return phi
             raise UnsupportedFragmentError(
                 "condition is contingent; outside the bool-conditional fragment"
             )
         replaced.append((phi, value))
         return TRUE if value else CFalse()
 
-    def walk(u, evaluated):
-        if isinstance(u, T.Guard):
-            return T.Guard(norm_cond(u.cond, evaluated), walk(u.body, evaluated))
-        if type(u) in T.PROCESS_LEAVES:
+    def walk(u, hidden):
+        if hidden and isinstance(u, T.Guard):
+            return T.Guard(norm_cond(u.cond), walk(u.body, hidden))
+        if type(u) in T.PROCESS_LEAVES or (not hidden and isinstance(u, T.RecConst)):
             return u
         if isinstance(u, (T.Eval, T.Abstr)):
-            evaluated = isinstance(u, T.Eval)
-        return map_children(u, lambda v: walk(v, evaluated))
+            hidden = isinstance(u, T.Abstr)
+        return map_children(u, lambda v: walk(v, hidden))
 
     return walk(t, False), replaced
 
@@ -512,32 +510,16 @@ def normalize_conditions(t: T.ProcTerm, ctx: T.Context) -> tuple:
 
 def linearize(t: T.ProcTerm, ctx: T.Context) -> tuple:
     """Guarded linear recursive specification provably equal to the given
-    closed abstraction-free term; returns (spec, designated variable)."""
-    if not T.is_closed(t):
-        raise GuardednessError("cannot linearize a term with free recursion variables")
-    if T.contains_abstraction(t):
-        raise UnsupportedFragmentError(
-            "abstraction operators need the bool-conditional pipeline"
-        )
-    return _Linearizer(ctx).run(t)
-
-
-def _lin_step(source: T.ProcTerm, const: T.RecConst, construction: str) -> ProofStep:
-    """The step from a term to the linear specification that construction,
-    replayed on the source, builds for it."""
-    return ProofStep("LIN", source, const, details={"construction": construction})
-
-
-def _linear_certificate(t: T.ProcTerm, ctx: T.Context) -> ProofCertificate:
-    """The one-step certificate from an abstraction-free term to its linear form."""
-    spec, var = linearize(t, ctx)
-    const = T.RecConst(var, spec)
-    return ProofCertificate(t, const, [_lin_step(t, const, "linearize")])
+    closed term; returns (spec, designated variable)."""
+    spec, var, _ = normalize_bool_conditional(t, ctx)
+    return spec, var
 
 
 def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
-    """Like linearize but for closed bool-conditional terms, eliminating
-    abstraction through cluster collapse; returns (spec, variable, certificate)."""
+    """The one linearization pipeline for a closed term: IMP2 on the
+    conditions beneath an abstraction, the linearizer, which eliminates
+    abstraction through cluster collapse, and its BED and CFAR lemmas;
+    returns (spec, variable, certificate)."""
     if not T.is_closed(t):
         raise GuardednessError("cannot linearize a term with free recursion variables")
     normalized, replaced = normalize_conditions(t, ctx)
@@ -552,7 +534,7 @@ def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
     engine = _Linearizer(ctx)
     spec, root = engine.run(normalized)
     const = T.RecConst(root, spec)
-    steps.append(_lin_step(normalized, const, "normalize_bool_conditional"))
+    steps.append(ProofStep("LIN", normalized, const, details={"construction": "linearize"}))
     certificate = ProofCertificate(t, const, steps + engine.bed_steps + engine.cfar_steps)
     return spec, root, certificate
 
@@ -590,10 +572,7 @@ def prove_equal(t1: T.ProcTerm, t2: T.ProcTerm, ctx: T.Context) -> ProveResult:
         cert = ProofCertificate(t1, t2, [ProofStep(axiom, t1, t2)])
         return ProveResult(True, certificate=cert)
 
-    if T.contains_abstraction(t1) or T.contains_abstraction(t2):
-        cert1, cert2 = (normalize_bool_conditional(t, ctx)[2] for t in (t1, t2))
-    else:
-        cert1, cert2 = (_linear_certificate(t, ctx) for t in (t1, t2))
+    cert1, cert2 = (normalize_bool_conditional(t, ctx)[2] for t in (t1, t2))
     const1, const2 = cert1.right, cert2.right
 
     linked = decide_rb(const1, const2, ctx, explorer=sos)
@@ -644,12 +623,8 @@ def _replay_step(step: ProofStep, ctx: T.Context, sos: _Sos) -> list:
     if step.details.get("direction") == "reverse":
         source, target = target, source
     if rule == "LIN":
-        construction = step.details.get("construction")
         try:
-            if construction == "linearize":
-                spec, var = linearize(source, ctx)
-            else:
-                spec, var, _ = normalize_bool_conditional(source, ctx)
+            spec, var = linearize(source, ctx)
         except DeacpError as exc:
             return [f"LIN replay failed: {exc}"]
         if T.RecConst(var, spec) != target:

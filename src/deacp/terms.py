@@ -404,10 +404,6 @@ def is_closed(t: ProcTerm) -> bool:
     return not free_rec_vars(t)
 
 
-def contains_abstraction(t: ProcTerm) -> bool:
-    return any(isinstance(u, Abstr) for u in subterms(t, PROCESS_LEAVES))
-
-
 def contains_tau(t: ProcTerm) -> bool:
     """Whether t can contain a silent step anywhere, conservatively.
 

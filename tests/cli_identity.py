@@ -11,9 +11,10 @@ fractions of its length, or with a stray `$` in its middle); every op
 (`lts`, `lts --cond`, `bisim`, `ab-bisim`, `dnii` or `prove`), and
 `linearize` on both sides of every `prove`; and `conjecture --pairs 40
 --seed SEED` once per seed; then, once, the runs of FIXED_OPS and `cfar`
-on FIXED_SPEC; all with `--json`. The script prints the first
+on FIXED_SPEC; all with `--json`. The script prints every
 run whose standard output, standard error or exit code differs between the
-trees and exits 1; it exits 0 when every run agrees. It writes nothing,
+trees, with its first differing field and line, then their count, and exits
+1; it exits 0 when every run agrees. It writes nothing,
 under bench/ or elsewhere.
 
 This is a plain script: pytest does not collect it.
@@ -166,14 +167,19 @@ def main(argv=None) -> int:
     if len(old) != len(new):
         print(f"{len(old)} runs against {len(new)}")
         return 1
+    seeds = " ".join(map(str, args.seeds))
+    differing = 0
     for a, b in zip(old, new):
-        for field in ("exit", "stdout", "stderr"):
-            if a[field] != b[field]:
-                detail = (f"{a[field]!r} against {b[field]!r}" if field == "exit"
-                          else first_difference(a[field], b[field]))
-                print(f"{a['run']}\n{field} differs: {detail}")
-                return 1
-    print(f"{len(old)} runs identical (seeds {' '.join(map(str, args.seeds))})")
+        field = next((f for f in ("exit", "stdout", "stderr") if a[f] != b[f]), None)
+        if field is not None:
+            detail = (f"{a[field]!r} against {b[field]!r}" if field == "exit"
+                      else first_difference(a[field], b[field]))
+            print(f"{a['run']}\n{field} differs: {detail}")
+            differing += 1
+    if differing:
+        print(f"{differing} of {len(old)} runs differ (seeds {seeds})")
+        return 1
+    print(f"{len(old)} runs identical (seeds {seeds})")
     return 0
 
 

@@ -455,6 +455,27 @@ def test_a_hidden_synchronization_of_equal_arguments(capsys, tmp_path):
     assert decide_rb(h, certificate.steps[0].after, ctx).equivalent
 
 
+# A contingent guard above an abstraction stays as the abstraction-free
+# linearizer carries it; only one beneath an abstraction is refused.
+GUARD_ABOVE_HIDE = ("domain 0..1\nvars u\nactions a, b, c\ncomm { a | b = c }\n"
+                    "proc A = a\nproc W = [u = 0] -> hide{a}(delta) + a\n"
+                    "proc H = hide{a}([u = 0] -> a)\n")
+
+
+def test_a_contingent_guard_above_an_abstraction_proves(capsys, tmp_path):
+    path = tmp_path / "guard_above_hide.deacp"
+    path.write_text(GUARD_ABOVE_HIDE, encoding="utf-8")
+    for argv in (["prove", "--left", "A", "--right", "W"], ["linearize", "--process", "W"]):
+        assert run(capsys, argv[0], str(path), *argv[1:])[::2] == (0, ""), argv
+    spec = parse_spec(GUARD_ABOVE_HIDE)
+    ctx = spec.context()
+    certificate = prove_equal(spec.process("A"), spec.process("W"), ctx).certificate
+    assert replay_certificate(certificate, ctx) == (True, [])
+    refused = "error: condition is contingent; outside the bool-conditional fragment\n"
+    argv = ["prove", str(path), "--left", "H", "--right", "H"]
+    assert run(capsys, *argv)[::2] == (2, refused)
+
+
 # Prefixes that cannot communicate, an assignment among them: the one axiom
 # step names the case CM7De, and replay holds the step to that case.
 NO_COMMUNICATION = ("vars u\nactions a, b, c, d\ncomm { a | b = c }\n"

@@ -10,7 +10,8 @@ from deacp import gen as G
 from deacp import parser as P
 from deacp import terms as T
 from deacp.bisim import decide_rb, rooted_branching_bisim
-from deacp.conditions import CFalse, TRUE
+from deacp.conditions import CFalse, Cmp, TRUE
+from deacp.data_algebra import Flex, Lit
 from deacp.errors import UnsupportedFragmentError
 from deacp.linear import (
     _find_clusters,
@@ -91,9 +92,14 @@ def test_linearize_outputs_are_guarded_linear_and_equivalent(small_ctx):
         assert decide_rb(T.RecConst(var, spec), t, small_ctx).equivalent, render_term(t)
 
 
-def test_linearize_rejects_abstraction(base_spec, ctx):
-    with pytest.raises(UnsupportedFragmentError):
-        linearize(proc(base_spec, "hide{a}(a)"), ctx)
+def test_linearize_eliminates_abstraction(base_spec, ctx):
+    """One pipeline for every closed term: an abstraction linearizes, and
+    only a contingent guard beneath it is refused."""
+    spec, var = linearize(proc(base_spec, "hide{a}(a)"), ctx)
+    assert T.is_guarded_linear_spec(spec)
+    assert decide_rb(T.RecConst(var, spec), proc(base_spec, "tau"), ctx).equivalent
+    with pytest.raises(UnsupportedFragmentError, match="condition is contingent"):
+        linearize(proc(base_spec, "hide{a}([v = 0] -> a)"), ctx)
 
 
 def test_analyze_clusters_on_the_cycle_example(base_spec, ctx):
@@ -369,6 +375,11 @@ def _step(cert, rule):
     return next(s for s in cert.steps if s.rule == rule)
 
 
+def _guarded_beneath_hide(term):
+    """The abstraction term with the contingent guard v = 0 beneath it."""
+    return replace(term, body=T.Guard(Cmp("=", Flex("v"), Lit(0)), term.body))
+
+
 def _edited(cert, name, **change):
     """cert with its first step of the rule name changed."""
     step = _step(cert, name)
@@ -386,8 +397,9 @@ def _edited(cert, name, **change):
      "chain break between LIN and LIN"),
     (FAIR_PAIR, lambda c: _edited(c, "LIN", after=_step(c, "RSP").after),
      "LIN replay produced a different specification"),
-    (FAIR_PAIR, lambda c: _edited(c, "LIN", details={"construction": "linearize"}),
-     "LIN replay failed: "),
+    (FAIR_PAIR,
+     lambda c: _edited(c, "LIN", before=_guarded_beneath_hide(_step(c, "LIN").before)),
+     "LIN replay failed: condition is contingent"),
     (FAIR_PAIR, lambda c: _edited(c, "RSP", witness=None),
      "RSP step carries no witness"),
     (FAIR_PAIR, lambda c: _edited(c, "CFAR", after=_step(c, "CFAR").before),
@@ -502,6 +514,18 @@ def _reprinted(certificate, spec):
                        details=s["details"], witness=step.witness)
              for s, step in zip(printed["steps"], certificate.steps)]
     return ProofCertificate(parse(printed["left"]), parse(printed["right"]), steps)
+
+
+def test_editing_the_printed_certificate_leaves_it_as_it_was(base_spec, ctx):
+    """What `to_json_dict` prints shares no details with the steps: dropping
+    every printed direction, or naming another cluster in print, changes
+    nothing that replay reads."""
+    certificate = prove_equal(*(proc(base_spec, t) for t in FAIR_PAIR), ctx).certificate
+    printed = certificate.to_json_dict()["steps"]
+    assert [s["details"].pop("direction") for s in printed if "direction" in s["details"]]
+    for s in printed:
+        s["details"].get("cluster", []).append("L0")
+    assert replay_certificate(certificate, ctx) == (True, [])
 
 
 def test_the_printed_worked_certificates_replay(base_spec, ctx):

@@ -151,16 +151,26 @@ def test_recursive_specification_lookups_do_not_scan_the_equations():
     assert spec == T.RecSpec(tuple((str(n), rhs) for n, rhs in equations))
 
 
+def contains_abstraction(t) -> bool:
+    return any(isinstance(u, T.Abstr) for u in D.subterms(t, T.PROCESS_LEAVES))
+
+
 def test_classify_abstraction(base_spec):
-    assert T.contains_abstraction(proc(base_spec, "hide{a}(a)")) is True
-    assert T.contains_abstraction(proc(base_spec, "encap{a}(a)")) is False
+    assert contains_abstraction(proc(base_spec, "hide{a}(a)")) is True
+    assert contains_abstraction(proc(base_spec, "encap{a}(a)")) is False
 
 
 def test_classify_bool_conditional(base_spec, ctx):
-    normalized, replaced = normalize_conditions(proc(base_spec, "[v = v] -> a"), ctx)
-    assert render_term(normalized) == "[true] -> a" and [value for _, value in replaced] == [True]
-    with pytest.raises(UnsupportedFragmentError):
-        normalize_conditions(proc(base_spec, "[v = 0] -> a"), ctx)
+    """Conditions are normalized only beneath an abstraction with no
+    evaluation in between; every other condition stays as written."""
+    for text in ("[v = 0] -> a", "[v = v] -> hide{a}(a)", "hide{a}(eval{sigma}([v = 0] -> a))"):
+        t = proc(base_spec, text)
+        assert normalize_conditions(t, ctx) == (t, []), text
+    normalized, replaced = normalize_conditions(proc(base_spec, "hide{a}([v = v] -> a)"), ctx)
+    assert render_term(normalized) == "hide{a}([true] -> a)"
+    assert [value for _, value in replaced] == [True]
+    with pytest.raises(UnsupportedFragmentError, match="condition is contingent"):
+        normalize_conditions(proc(base_spec, "hide{a}([v = 0] -> a)"), ctx)
 
 
 def test_is_closed(base_spec, ctx):
@@ -363,7 +373,7 @@ def test_occurrence_queries_walk_deep_terms():
     assert T.occurring_flex_vars(t) == {"u", "v"}
     assert T.all_flex_vars(t) == {"u", "v"}
     assert T.occurring_actions(t) == [a]
-    assert not T.contains_abstraction(t)
+    assert not contains_abstraction(t)
     assert not T.contains_tau(t)
 
 
