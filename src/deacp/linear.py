@@ -6,15 +6,13 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Optional
 
 from . import axioms as AX
 from . import terms as T
 from .bisim import build_pair, decide_rb, verify_branching_bisimulation
-from .conditions import And, CFalse, Cmp, CTrue, Or, TRUE, constant_value, eval_cond
-from .data_algebra import map_children
-from .errors import DeacpError, GuardednessError, UnsupportedFragmentError
+from .conditions import FALSE, And, CFalse, Cmp, CTrue, TRUE, constant_value, eval_cond
+from .errors import DeacpError, EnumerationLimitError, GuardednessError, UnsupportedFragmentError
 from .parser import render_term
 from .sos_sigma import _Sos, build_lts
 
@@ -23,7 +21,7 @@ from .sos_sigma import _Sos, build_lts
 
 @dataclass
 class ProofStep:
-    rule: str  # axiom name, LIN, RSP, CFAR, BED, IMP2
+    rule: str  # an axiom name, LIN, RSP, CFAR or BED
     before: T.ProcTerm
     after: T.ProcTerm
     role: str = "chain"  # chain | lemma
@@ -78,17 +76,30 @@ def _conj(phi, psi):
     return And(phi, psi)
 
 
-def _disjoin(conds):
-    """Guard of a termination summand that absorbs summands guarded by conds:
-    true when one of them is, else their left-nested disjunction."""
-    if any(isinstance(c, CTrue) for c in conds):
-        return TRUE
-    return reduce(Or, conds)
+def _decided(phi, ctx: T.Context):
+    """phi's truth value when every map gives it the same one, else phi. A
+    conjunction with too many maps to tabulate is decided conjunct by
+    conjunct, and any other such condition is carried as it is."""
+    if isinstance(phi, (CTrue, CFalse)):
+        return phi
+    try:
+        value = constant_value(phi, ctx.decl, ctx.carrier)
+    except EnumerationLimitError:
+        if not isinstance(phi, And):
+            return phi
+        left, right = _decided(phi.left, ctx), _decided(phi.right, ctx)
+        return FALSE if FALSE in (left, right) else _conj(left, right)
+    if value is None:
+        return phi
+    return TRUE if value else FALSE
 
 
 def spec_to_table(spec: T.RecSpec) -> dict:
     return {name: [T.summand_parts(s) for s in T.summands(rhs)]
             for name, rhs in spec.equations}
+
+
+_END = (TRUE, None, None)  # the row of an unconditional termination summand
 
 
 def _summand(row) -> T.ProcTerm:
@@ -133,9 +144,13 @@ class _Linearizer:
         self.counter += 1
         return f"L{self.counter}"
 
+    def put(self, name: str, rows) -> None:
+        """The one way rows enter the table: a row guarded by false is dropped."""
+        self.table[name] = [r for r in rows if not isinstance(r[0], CFalse)]
+
     def define(self, rows) -> str:
         name = self.fresh()
-        self.table[name] = [r for r in rows if not isinstance(r[0], CFalse)]
+        self.put(name, rows)
         return name
 
     # -- entry ------------------------------------------------------------------
@@ -162,11 +177,10 @@ class _Linearizer:
             T.require_glrs(t.spec)
             mapping = {name: self.fresh() for name in t.spec.variables}
             for name, rows in spec_to_table(t.spec).items():
-                self.table[mapping[name]] = [
+                self.put(mapping[name], [
                     (cond, action, mapping[target] if target is not None else None)
                     for cond, action, target in rows
-                    if not isinstance(cond, CFalse)
-                ]
+                ])
             return mapping[t.var]
         if isinstance(t, T.Alt):
             left = self.build(t.left)
@@ -194,8 +208,7 @@ class _Linearizer:
         if isinstance(t, (T.Par, T.LeftMerge, T.CommMerge)):
             left = self.build(t.left)
             right = self.build(t.right)
-            mode = {"Par": "par", "LeftMerge": "lm", "CommMerge": "cm"}[type(t).__name__]
-            return self.merge_image(left, right, mode)
+            return self.merge_image(left, right, type(t))
         if isinstance(t, T.RecVar):
             raise GuardednessError(f"free recursion variable {t.name!r} cannot be linearized")
         raise TypeError(f"not a process term: {t!r}")
@@ -216,8 +229,7 @@ class _Linearizer:
         root = name_of(start)
         while worklist:
             key = worklist.pop()
-            self.table[mapping[key]] = [r for r in rows_of(key, name_of)
-                                        if not isinstance(r[0], CFalse)]
+            self.put(mapping[key], rows_of(key, name_of))
         return root
 
     def seq_image(self, left_root: str, right_root: str) -> str:
@@ -265,24 +277,26 @@ class _Linearizer:
             return rows
         return self.image((root, emap), rows_of)
 
-    def merge_image(self, left_root: str, right_root: str, mode: str) -> str:
-        """Products over variable pairs; interleaving, synchronization with
-        conjoined guards and data-equality conditions, joint termination."""
+    def merge_image(self, left_root: str, right_root: str, op: type) -> str:
+        """Products over variable pairs for the merge operator op (T.Par,
+        T.LeftMerge or T.CommMerge); interleaving, synchronization with
+        conjoined guards and data-equality conditions, joint termination.
+        Every pair after the first step is a T.Par pair."""
         gamma = self.ctx.gamma
 
         def rows_of(key, name_of):
             kind, lv, rv = key
             lrows, rrows = self.table[lv], self.table[rv]
             rows = []
-            if kind in ("par", "lm"):
+            if kind in (T.Par, T.LeftMerge):
                 for cond, action, target in lrows:
                     if action is not None:
-                        rows.append((cond, action, name_of(("par", target, rv))))
-            if kind == "par":
+                        rows.append((cond, action, name_of((T.Par, target, rv))))
+            if kind is T.Par:
                 for cond, action, target in rrows:
                     if action is not None:
-                        rows.append((cond, action, name_of(("par", lv, target))))
-            if kind in ("par", "cm"):
+                        rows.append((cond, action, name_of((T.Par, lv, target))))
+            if kind in (T.Par, T.CommMerge):
                 for lcond, laction, ltarget in lrows:
                     for rcond, raction, rtarget in rrows:
                         c = gamma.communicate(laction, raction)  # None for termination rows
@@ -293,8 +307,8 @@ class _Linearizer:
                             for e1, e2 in zip(laction.args, raction.args):
                                 if e1 != e2:  # an equality of one term holds under every map
                                     cond = _conj(cond, Cmp("=", e1, e2))
-                        rows.append((cond, c, name_of(("par", ltarget, rtarget))))
-            if kind == "par":
+                        rows.append((cond, c, name_of((T.Par, ltarget, rtarget))))
+            if kind is T.Par:
                 for lcond, laction, _ in lrows:
                     if laction is not None:
                         continue
@@ -302,13 +316,23 @@ class _Linearizer:
                         if raction is None:
                             rows.append((_conj(lcond, rcond), None, None))
             return rows
-        return self.image((mode, left_root, right_root), rows_of)
+        return self.image((op, left_root, right_root), rows_of)
 
     # -- abstraction: rename, absorb pure silent chains, collapse clusters ---------
 
     def collapse_abstraction(self, root: str, patterns: tuple) -> str:
-        order = _trim(self.table, root)
-        sub = {name: list(self.table[name]) for name in order}
+        """Abstraction over the body rooted at root. Each row's condition is
+        decided first: a constant one becomes its truth value, and a row it
+        makes false is dropped; a contingent one is carried. Only rows under
+        `true` are absorbed or clustered, so a contingent condition on a
+        hidden cycle is the one refusal."""
+        sub = {}
+        for name in _trim(self.table, root):
+            decided = [(_decided(cond, self.ctx), action, target)
+                       for cond, action, target in self.table[name]]
+            sub[name] = [row for row in decided if not isinstance(row[0], CFalse)]
+        order = _trim(sub, root)  # what the rows left still reach
+        sub = {name: sub[name] for name in order}
         self._replace_pure_tau(sub, root)
         if _conditional_silent_cycle(sub, order, patterns):
             raise UnsupportedFragmentError(
@@ -327,27 +351,26 @@ class _Linearizer:
             return (cond, renamed, mapping[target])
 
         for name in order:
-            self.table[mapping[name]] = list(map(rename, sub[name]))
+            self.put(mapping[name], map(rename, sub[name]))
         # A cyclic cluster collapses into one variable over its exits, which
         # each member reaches by a silent step: the fair-abstraction lemma.
         for info in _find_clusters(sub, order, patterns):
             if not info.cyclic:
                 continue
-            var = self.fresh()
-            self.table[var] = list(map(rename, info.exit_rows))
+            var = self.define(map(rename, info.exit_rows))
             for name in info.members:
-                self.table[mapping[name]] = [(TRUE, T.TAU, var)] + [
+                self.put(mapping[name], [(TRUE, T.TAU, var)] + [
                     rename(row) for row in sub[name]
                     if not _internal_row(row, info.member_set, patterns)
-                ]
+                ])
             self.cfar_steps.append(_cfar_step(spec, info, info.members[0], patterns))
         return mapping[root]
 
     def _replace_pure_tau(self, sub: dict, root: str):
-        """Non-root equations consisting solely of silent prefixes to
-        pure-termination variables become termination summands."""
+        """Non-root equations consisting solely of silent prefixes under
+        `true` to pure-termination variables become `[true] -> epsilon`."""
         def is_pure_eps(name):
-            return sub[name] == [(TRUE, None, None)]
+            return sub[name] == [_END]
 
         changed = True
         while changed:
@@ -357,14 +380,13 @@ class _Linearizer:
                     continue
                 rows = sub[name]
                 if all(
-                    action is not None and isinstance(action, T.TauAction)
+                    isinstance(cond, CTrue) and isinstance(action, T.TauAction)
                     and is_pure_eps(target)
-                    for _, action, target in rows
-                ) and not is_pure_eps(name):
-                    merged = _disjoin([cond for cond, _, _ in rows])
+                    for cond, action, target in rows
+                ):
                     before = T.alt_fold(list(map(_summand, rows)))
-                    after = T.Guard(merged, T.EPSILON)
-                    sub[name] = [(merged, None, None)]
+                    after = _summand(_END)
+                    sub[name] = [_END]
                     self.bed_steps.append(ProofStep(
                         "BED", before, after, role="lemma",
                         details={"variable": name,
@@ -470,42 +492,6 @@ def apply_cfar(spec: T.RecSpec, var: str, patterns: tuple) -> tuple:
     return step.after, step
 
 
-# --- condition normalization (the bool-conditional gate) ---------------------------
-
-def normalize_conditions(t: T.ProcTerm, ctx: T.Context) -> tuple:
-    """Replace every constant condition beneath an abstraction, with no
-    evaluation in between, by its truth value; there a contingent condition,
-    or one with too many maps to tabulate, is an error, since collapsing the
-    abstraction needs constant conditions. Every other condition stays: the
-    linearizer carries it, or the carried map of an evaluation decides it. The
-    walk enters a recursion constant only where it replaces conditions;
-    elsewhere a guarded linear constant, which holds no abstraction, has none
-    to replace."""
-    replaced = []
-
-    def norm_cond(phi):
-        if isinstance(phi, (CTrue, CFalse)):
-            return phi
-        value = constant_value(phi, ctx.decl, ctx.carrier)
-        if value is None:
-            raise UnsupportedFragmentError(
-                "condition is contingent; outside the bool-conditional fragment"
-            )
-        replaced.append((phi, value))
-        return TRUE if value else CFalse()
-
-    def walk(u, hidden):
-        if hidden and isinstance(u, T.Guard):
-            return T.Guard(norm_cond(u.cond), walk(u.body, hidden))
-        if type(u) in T.PROCESS_LEAVES or (not hidden and isinstance(u, T.RecConst)):
-            return u
-        if isinstance(u, (T.Eval, T.Abstr)):
-            hidden = isinstance(u, T.Abstr)
-        return map_children(u, lambda v: walk(v, hidden))
-
-    return walk(t, False), replaced
-
-
 # --- public pipeline ----------------------------------------------------------------
 
 def linearize(t: T.ProcTerm, ctx: T.Context) -> tuple:
@@ -516,27 +502,16 @@ def linearize(t: T.ProcTerm, ctx: T.Context) -> tuple:
 
 
 def normalize_bool_conditional(t: T.ProcTerm, ctx: T.Context) -> tuple:
-    """The one linearization pipeline for a closed term: IMP2 on the
-    conditions beneath an abstraction, the linearizer, which eliminates
-    abstraction through cluster collapse, and its BED and CFAR lemmas;
-    returns (spec, variable, certificate)."""
+    """The one linearization pipeline for a closed term: the linearizer,
+    which eliminates abstraction through cluster collapse, and its BED and
+    CFAR lemmas; returns (spec, variable, certificate)."""
     if not T.is_closed(t):
         raise GuardednessError("cannot linearize a term with free recursion variables")
-    normalized, replaced = normalize_conditions(t, ctx)
-    steps = []
-    if replaced:
-        steps.append(ProofStep(
-            "IMP2", t, normalized,
-            details={"replaced": [
-                (render_term(T.Guard(phi, T.EPSILON)), value) for phi, value in replaced
-            ]},
-        ))
     engine = _Linearizer(ctx)
-    spec, root = engine.run(normalized)
+    spec, root = engine.run(t)
     const = T.RecConst(root, spec)
-    steps.append(ProofStep("LIN", normalized, const, details={"construction": "linearize"}))
-    certificate = ProofCertificate(t, const, steps + engine.bed_steps + engine.cfar_steps)
-    return spec, root, certificate
+    lin = ProofStep("LIN", t, const, details={"construction": "linearize"})
+    return spec, root, ProofCertificate(t, const, [lin] + engine.bed_steps + engine.cfar_steps)
 
 
 # --- equality proofs ------------------------------------------------------------------
@@ -654,24 +629,17 @@ def _replay_step(step: ProofStep, ctx: T.Context, sos: _Sos) -> list:
         if recomputed != step:
             return ["CFAR step does not match the recomputed equation"]
         return []
-    if rule == "IMP2" and "replaced" in step.details:
-        try:
-            normalized, _ = normalize_conditions(source, ctx)
-        except DeacpError as exc:
-            return [f"IMP2 replay failed: {exc}"]
-        if normalized != target:
-            return ["IMP2 replay produced a different normalization"]
-        return []
     if rule == "BED" and "variable" in step.details:
         # a pure silent equation absorbed into one termination summand
         parts = (
             [T.summand_parts(s) for s in T.summands(step.before)]
             if T.is_linear(step.before) else []
         )
-        if not parts or not all(isinstance(action, T.TauAction) for _, action, _ in parts):
-            return ["BED lemma absorbs more than silent steps to recursion variables"]
-        if step.after != T.Guard(_disjoin([cond for cond, _, _ in parts]), T.EPSILON):
-            return ["BED lemma does not end in the disjunction of the absorbed guards"]
+        if not parts or not all(isinstance(cond, CTrue) and isinstance(action, T.TauAction)
+                                for cond, action, _ in parts):
+            return ["BED lemma absorbs more than silent steps under true to recursion variables"]
+        if step.after != _summand(_END):
+            return ["BED lemma does not end in [true] -> epsilon"]
         return []
     if rule in AX.AXIOMS:
         if AX.AXIOMS[rule].relates(step.before, step.after, ctx):

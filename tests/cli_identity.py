@@ -36,13 +36,16 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # are compared too.
 TRUNCATIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
-# Paths no workload reaches: a synchronization, a BED lemma and a `cfar`
-# step, and counterexamples of kind root-step, termination and step.
+# Paths no workload reaches: a synchronization, a BED lemma, a `cfar` step,
+# guards beneath an abstraction, constant (IMP2), contingent (HIDDENGUARD)
+# and decided by an outer evaluation (EVALHIDDEN), and counterexamples of
+# kind root-step, termination and step.
 FIXED_SPEC = """domain 0..1
 vars u, v
 actions a, a/1, b, b/1, c, c/1, d
 comm { a | b = c }
 security { low = { u }; ext = { c, c/1 } }
+map m { v = 1 }
 proc FAIR = hide{a}(rec X where { X = [true] -> a . Y + [true] -> b . Z,
   Y = [true] -> a . X + [true] -> c . Z, Z = [true] -> epsilon })
 proc FAIRV = b + tau . (b + c)
@@ -50,6 +53,9 @@ proc BED = hide{a}(b . (tau + tau . tau))
 proc B = b
 proc IMP2 = hide{a}([v = v] -> a . b)
 proc TB = tau . b
+proc HIDDENGUARD = hide{a}([v = 0] -> a . b)
+proc GUARDEDTB = [v = 0] -> tau . b
+proc EVALHIDDEN = eval{m}(hide{a}([v > 0] -> a . b))
 proc TA = tau . a
 proc A = a
 proc GUARDED = [v = 0] -> epsilon + a
@@ -60,7 +66,8 @@ proc LEAK = v := 1 . (a(v) || b(u))
 """
 FIXED_OPS = (
     [{"kind": "prove", "left": left, "right": right}
-     for left, right in (("BED", "B"), ("FAIR", "FAIRV"), ("IMP2", "TB"))]
+     for left, right in (("BED", "B"), ("FAIR", "FAIRV"), ("IMP2", "TB"),
+                         ("HIDDENGUARD", "GUARDEDTB"), ("EVALHIDDEN", "TB"))]
     + [{"kind": kind, "left": left, "right": right} for kind in ("rb", "rab")
        for left, right in (("TA", "A"), ("GUARDED", "UNGUARDED"), ("SYNC", "SYNCV"))]
     + [{"kind": "lts_cond", "process": "SYNC"}, {"kind": "dnii", "process": "LEAK"}]

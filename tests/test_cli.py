@@ -7,7 +7,7 @@ from conftest import run_cli, run_python
 from deacp.bisim import decide_rb
 from deacp.cli import main
 from deacp.linear import prove_equal, replay_certificate
-from deacp.parser import parse_spec
+from deacp.parser import parse_spec, render_term
 
 
 LEAK = """
@@ -128,8 +128,8 @@ def test_a_cluster_with_a_visible_step_back_into_it(capsys, tmp_path):
 
 
 # The guard under eval{m} is contingent over the ambient maps, but the
-# carried map decides it, and no abstraction lies in between. Beneath an
-# abstraction inside the evaluation, it stays outside the fragment.
+# carried map decides it, whether an abstraction lies in between (L) or the
+# abstraction carries it to the evaluation (E).
 EVALUATED_GUARD = ("domain -4..3\nvars p\nactions a, b\nmap m { p = 1 }\n"
                    "proc L = hide{a}(eval{m}([p > 0] -> a . b))\n"
                    "proc R = tau . eval{m}(b)\n"
@@ -139,19 +139,14 @@ EVALUATED_GUARD = ("domain -4..3\nvars p\nactions a, b\nmap m { p = 1 }\n"
 def test_a_guard_that_eval_decides(capsys, tmp_path):
     path = tmp_path / "evaluated.deacp"
     path.write_text(EVALUATED_GUARD, encoding="utf-8")
-    for argv, code, stderr in (
-        (["prove", "--left", "L", "--right", "R"], 0, ""),
-        (["linearize", "--process", "L"], 0, ""),
-        (["prove", "--left", "E", "--right", "R"], 2,
-         "error: condition is contingent; outside the bool-conditional fragment\n"),
-        (["linearize", "--process", "E"], 2,
-         "error: condition is contingent; outside the bool-conditional fragment\n"),
-    ):
-        assert run(capsys, argv[0], str(path), *argv[1:])[::2] == (code, stderr), argv
+    for name in ("L", "E"):
+        for argv in (["prove", "--left", name, "--right", "R"], ["linearize", "--process", name]):
+            assert run(capsys, argv[0], str(path), *argv[1:])[::2] == (0, ""), argv
     spec = parse_spec(EVALUATED_GUARD)
     ctx = spec.context()
-    result = prove_equal(spec.process("L"), spec.process("R"), ctx)
-    assert replay_certificate(result.certificate, ctx) == (True, [])
+    for name in ("L", "E"):
+        result = prove_equal(spec.process(name), spec.process("R"), ctx)
+        assert replay_certificate(result.certificate, ctx) == (True, []), name
 
 
 def test_syntax_error_exit_two(capsys, tmp_path):
@@ -409,14 +404,16 @@ def test_abstraction_free_proofs_tabulate_no_condition(capsys, tmp_path):
 
 # The hidden communication c carries the condition u = v, so its cluster
 # would collapse into a form that keeps a silent cycle, a self-loop in H and
-# a cycle through a silent step in H2: linearization refuses both up front,
-# while both equivalences decide them.
+# a cycle through a silent step in H2; in G the guard v = 0 is written on
+# the hidden step. Linearization refuses all three, while both equivalences
+# decide them.
 CONDITIONAL_SILENT_CYCLE = (
     "domain 0..1\nvars u, v\nactions a/1, b/1, c\ncomm { a | b = c }\n"
     "proc H = hide{c}(rec X where { X = [true] -> a(u) . X }"
     " || rec Y where { Y = [true] -> b(v) . Y })\n"
     "proc H2 = hide{c}(rec X where { X = [true] -> a(u) . Z, Z = [true] -> tau . X }"
-    " || rec Y where { Y = [true] -> b(v) . Y })\n")
+    " || rec Y where { Y = [true] -> b(v) . Y })\n"
+    "proc G = hide{c}(rec X where { X = [v = 0] -> c . X + [true] -> a(u) . X })\n")
 
 
 def test_a_hidden_cycle_under_a_condition_is_refused(capsys, tmp_path):
@@ -424,7 +421,7 @@ def test_a_hidden_cycle_under_a_condition_is_refused(capsys, tmp_path):
     path.write_text(CONDITIONAL_SILENT_CYCLE, encoding="utf-8")
     refused = ("error: a silent cycle has a hidden step whose condition is not true; "
                "outside the bool-conditional fragment\n")
-    for name in ("H", "H2"):
+    for name in ("H", "H2", "G"):
         for argv, code, stderr in ((["linearize", "--process", name], 2, refused),
                                    (["prove", "--left", name, "--right", name], 2, refused),
                                    (["bisim", "--left", name, "--right", name], 0, ""),
@@ -455,8 +452,8 @@ def test_a_hidden_synchronization_of_equal_arguments(capsys, tmp_path):
     assert decide_rb(h, certificate.steps[0].after, ctx).equivalent
 
 
-# A contingent guard above an abstraction stays as the abstraction-free
-# linearizer carries it; only one beneath an abstraction is refused.
+# A contingent guard stays as the abstraction-free linearizer carries it,
+# above an abstraction (W) or beneath one (H).
 GUARD_ABOVE_HIDE = ("domain 0..1\nvars u\nactions a, b, c\ncomm { a | b = c }\n"
                     "proc A = a\nproc W = [u = 0] -> hide{a}(delta) + a\n"
                     "proc H = hide{a}([u = 0] -> a)\n")
@@ -465,15 +462,34 @@ GUARD_ABOVE_HIDE = ("domain 0..1\nvars u\nactions a, b, c\ncomm { a | b = c }\n"
 def test_a_contingent_guard_above_an_abstraction_proves(capsys, tmp_path):
     path = tmp_path / "guard_above_hide.deacp"
     path.write_text(GUARD_ABOVE_HIDE, encoding="utf-8")
-    for argv in (["prove", "--left", "A", "--right", "W"], ["linearize", "--process", "W"]):
+    for argv in (["prove", "--left", "A", "--right", "W"], ["linearize", "--process", "W"],
+                 ["prove", "--left", "H", "--right", "H"], ["linearize", "--process", "H"]):
         assert run(capsys, argv[0], str(path), *argv[1:])[::2] == (0, ""), argv
     spec = parse_spec(GUARD_ABOVE_HIDE)
     ctx = spec.context()
-    certificate = prove_equal(spec.process("A"), spec.process("W"), ctx).certificate
-    assert replay_certificate(certificate, ctx) == (True, [])
-    refused = "error: condition is contingent; outside the bool-conditional fragment\n"
-    argv = ["prove", str(path), "--left", "H", "--right", "H"]
-    assert run(capsys, *argv)[::2] == (2, refused)
+    for left, right in (("A", "W"), ("H", "H")):
+        certificate = prove_equal(spec.process(left), spec.process(right), ctx).certificate
+        assert replay_certificate(certificate, ctx) == (True, []), (left, right)
+    linear = certificate.steps[0].after
+    assert decide_rb(spec.process("H"), linear, ctx).equivalent
+    assert render_term(linear) == ("rec L4 where { L4 = [u = 0] -> tau . L5,"
+                                   " L5 = [true] -> epsilon }")
+
+
+# Four constant guards on four variables of the default carrier: their
+# conjunction has too many maps to tabulate, so the collapse decides it
+# conjunct by conjunct, and each one is true.
+WIDE_CONSTANT_GUARDS = ("vars x, y, z, w\nactions a, b\n"
+                        "proc W = hide{a}([x >= -16] -> [y >= -16] -> [z >= -16]"
+                        " -> [w >= -16] -> a . b)\n")
+
+
+def test_wide_constant_guards_beneath_an_abstraction(capsys, tmp_path):
+    path = tmp_path / "wide_constant_guards.deacp"
+    path.write_text(WIDE_CONSTANT_GUARDS, encoding="utf-8")
+    assert run(capsys, "linearize", str(path), "--process", "W") == (
+        0, "rec L11 where { L11 = [true] -> tau . L12, L12 = [true] -> b . L13,"
+           " L13 = [true] -> epsilon }\n", "")
 
 
 # Prefixes that cannot communicate, an assignment among them: the one axiom

@@ -9,8 +9,8 @@ from deacp import data_algebra as D
 from deacp import terms as T
 from deacp.conditions import TRUE, Cmp
 from deacp.data_algebra import Flex, Lit
-from deacp.errors import DeclarationError, ShapeError, UnsupportedFragmentError
-from deacp.linear import normalize_conditions
+from deacp.errors import DeclarationError, ShapeError
+from deacp.linear import linearize
 from deacp.parser import render_term
 
 
@@ -161,16 +161,20 @@ def test_classify_abstraction(base_spec):
 
 
 def test_classify_bool_conditional(base_spec, ctx):
-    """Conditions are normalized only beneath an abstraction with no
-    evaluation in between; every other condition stays as written."""
-    for text in ("[v = 0] -> a", "[v = v] -> hide{a}(a)", "hide{a}(eval{sigma}([v = 0] -> a))"):
-        t = proc(base_spec, text)
-        assert normalize_conditions(t, ctx) == (t, []), text
-    normalized, replaced = normalize_conditions(proc(base_spec, "hide{a}([v = v] -> a)"), ctx)
-    assert render_term(normalized) == "hide{a}([true] -> a)"
-    assert [value for _, value in replaced] == [True]
-    with pytest.raises(UnsupportedFragmentError, match="condition is contingent"):
-        normalize_conditions(proc(base_spec, "hide{a}([v = 0] -> a)"), ctx)
+    """The collapse of an abstraction decides the conditions it reads: a
+    constant one beneath it becomes its truth value, and a false row is
+    dropped; a contingent one is carried, as is every condition above every
+    abstraction; an evaluation decides what lies beneath it."""
+    for text, linear in (
+        ("[v = 0] -> a", "L3 = [v = 0] -> a . L1, L1 = [true] -> epsilon"),
+        ("[v = v] -> hide{a}(a)", "L5 = [v = v] -> tau . L4, L4 = [true] -> epsilon"),
+        ("hide{a}(eval{sigma}([v = 0] -> a))", "L6 = [true] -> tau . L7, L7 = [true] -> epsilon"),
+        ("hide{a}([v = v] -> a)", "L4 = [true] -> tau . L5, L5 = [true] -> epsilon"),
+        ("hide{a}([v < v] -> a + b)", "L7 = [true] -> b . L8, L8 = [true] -> epsilon"),
+        ("hide{a}([v = 0] -> a)", "L4 = [v = 0] -> tau . L5, L5 = [true] -> epsilon"),
+    ):
+        spec, var = linearize(proc(base_spec, text), ctx)
+        assert render_term(T.RecConst(var, spec)) == f"rec {var} where {{ {linear} }}", text
 
 
 def test_is_closed(base_spec, ctx):
