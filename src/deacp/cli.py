@@ -2,6 +2,9 @@
 
 Exit codes: 0 = success / equivalent / holds, 1 = inequivalent / fails,
 2 = usage errors, analysis limits, and input too deep or too large to analyze.
+
+Each subcommand's handler imports the engines it runs, so a query loads only
+what it needs: `lts` and `parse` never load the prover.
 """
 
 from __future__ import annotations
@@ -11,13 +14,8 @@ import json
 import sys
 from functools import partial
 
-from . import bisim as B
-from . import security as SEC
-from . import sos_cond as SC
-from . import sos_sigma as S
 from . import terms as T
 from .errors import DeacpError
-from .linear import apply_cfar, linearize, prove_equal
 from .parser import parse_spec, render_spec, render_term
 
 EXIT_OK = 0
@@ -142,9 +140,10 @@ def _cmd_lts(args) -> int:
     spec, ctx = _load(args)
     term = spec.process(args.process)
     if args.cond:
-        lts = SC.build_cond_lts(term, ctx)
+        from .sos_cond import build_cond_lts as build
     else:
-        lts = S.build_lts(term, ctx)
+        from .sos_sigma import build_lts as build
+    lts = build(term, ctx)
     if args.json:
         _emit(lts.to_json_dict(), True, "")
     else:
@@ -155,6 +154,8 @@ def _cmd_lts(args) -> int:
 
 
 def _cmd_bisim(args, conditional: bool) -> int:
+    from . import bisim as B
+
     spec, ctx = _load(args)
     left = spec.process(args.left)
     right = spec.process(args.right)
@@ -167,6 +168,8 @@ def _cmd_bisim(args, conditional: bool) -> int:
 
 
 def _cmd_linearize(args) -> int:
+    from .linear import linearize
+
     spec, ctx = _load(args)
     term = spec.process(args.process)
     lin_spec, var = linearize(term, ctx)
@@ -176,6 +179,8 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_cfar(args) -> int:
+    from .linear import apply_cfar
+
     spec, _ = _load(args)
     term = spec.process(args.process)
     if not isinstance(term, T.Abstr) or not isinstance(term.body, T.RecConst):
@@ -188,6 +193,8 @@ def _cmd_cfar(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from .linear import prove_equal
+
     spec, ctx = _load(args)
     result = prove_equal(spec.process(args.left), spec.process(args.right), ctx)
     if result.equal:
@@ -199,6 +206,8 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_dnii(args) -> int:
+    from . import security as SEC
+
     spec, ctx = _load(args)
     term = spec.process(args.process)
     low = spec.security_low if spec.security_low is not None else ()
@@ -219,6 +228,7 @@ def _cmd_dnii(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from . import bisim as B
     from . import gen
 
     ctx = gen.default_context()

@@ -8,7 +8,7 @@ denoted by a literal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, Field, FrozenInstanceError, dataclass, fields
 from operator import add, is_, mul, sub
 from typing import Iterator, Mapping, Optional
 
@@ -28,38 +28,84 @@ ENUM_BOUND = 1_000_000  # the most maps, valuations or map pairs one enumeration
 # Annotations of the fields that hold no subterms.
 _SCALARS = {"str", "int", "bool", "Optional[str]", "Optional[int]"}
 
-# For each frozen dataclass, its fields in order, each with whether it can
-# hold subterms: nodes of other frozen dataclasses, or tuples of them,
-# however nested.
+# For each record class (see `frozen_dataclass`), its fields in order, each
+# with whether it can hold subterms: nodes of other record classes, or tuples
+# of them, however nested.
 _FIELDS: dict = {}
 # The subterm fields alone, last first, as the walk's stack wants them.
 _SUBTERM_FIELDS: dict = {}
 
 
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def frozen_dataclass(cls):
-    """`dataclass(frozen=True)` whose hash is computed once per object.
+    """An immutable record: `dataclass(frozen=True)` with the same `__init__`,
+    `repr`, field-wise `==` and `hash(tuple(field values))`, but the hash is
+    computed once per object and stored.
 
     Terms are immutable and nested, and exploration uses them as cache keys
-    over and over; the generated hash would rehash every subterm on each
-    lookup. The stored value is the generated one, hash(tuple(field
-    values)), so set and dict iteration orders do not change.
+    over and over; a generated hash would rehash every subterm on each
+    lookup. The stored value is the generated one, so set and dict iteration
+    orders do not change.
+
+    `dataclass` supplies the field metadata only, so `dataclasses.fields`,
+    `replace` and `is_dataclass` work, and the methods come from one compiled
+    block per class: `dataclass` compiles each method apart, which took a
+    third of the package's import time. A field takes a plain default or
+    none; `field()` is refused.
 
     The decorator also records which fields hold subterms, the one place
     `subterms` and `map_children` learn the shape of each operator from.
     """
-    cls = dataclass(frozen=True)(cls)
-    generated = cls.__hash__
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
+    if any(isinstance(v, Field) for v in vars(cls).values()):
+        raise TypeError(f"{cls.__name__}: a record field takes a plain default, not field()")
+    doc = cls.__doc__
+    cls.__doc__ = doc or cls.__name__  # a docstring spares dataclass an inspect.signature call
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    cls.__doc__ = doc
+    fs = fields(cls)
+    names = [f.name for f in fs]
+    defaults = tuple(f.default for f in fs if f.default is not MISSING)
+    if any(f.default is MISSING for f in fs[len(fs) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    mine = "".join(f"self.{n}, " for n in names)  # in parentheses, a tuple of any length
+    theirs = "".join(f"other.{n}, " for n in names)
+    source = "\n".join([
+        f"def __init__({', '.join(['self', *names])}):",
+        *[f"    _setattr(self, {n!r}, {n})" for n in names],
+        "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
+        "def __repr__(self):",
+        "    return f'{self.__class__.__qualname__}("
+        + ", ".join(f"{n}={{self.{n}!r}}" for n in names) + ")'",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        "    h = self._hash",
+        "    if h is None:",
+        f"        h = hash(({mine}))",
+        "        _setattr(self, '_hash', h)",
+        "    return h",
+    ])
+    namespace = {"_setattr": object.__setattr__}
+    exec(source, namespace)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__init__.__defaults__ = defaults or None
+    cls.__init__.__annotations__ = {f.name: f.type for f in fs} | {"return": None}
+    cls.__setattr__ = _refuse_set
+    cls.__delattr__ = _refuse_delete
     cls._hash = None  # until the first call stores the object's own hash
-    cls.__hash__ = __hash__
-    _FIELDS[cls] = tuple((f.name, f.type not in _SCALARS) for f in fields(cls))
+    _FIELDS[cls] = tuple((f.name, f.type not in _SCALARS) for f in fs)
     _SUBTERM_FIELDS[cls] = tuple(name for name, sub in reversed(_FIELDS[cls]) if sub)
     return cls
 

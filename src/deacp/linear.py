@@ -12,6 +12,7 @@ from . import axioms as AX
 from . import terms as T
 from .bisim import build_pair, decide_rb, verify_branching_bisimulation
 from .conditions import FALSE, And, CFalse, Cmp, CTrue, TRUE, constant_value, eval_cond
+from .data_algebra import frozen_dataclass
 from .errors import DeacpError, EnumerationLimitError, GuardednessError, UnsupportedFragmentError
 from .parser import render_term
 from .sos_sigma import _Sos, build_lts
@@ -425,7 +426,7 @@ def _conditional_silent_cycle(table: dict, order: list, patterns: tuple) -> bool
 
 # --- cluster analysis ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class ClusterInfo:
     members: tuple
     member_set: frozenset

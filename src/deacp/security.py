@@ -15,13 +15,13 @@ from typing import Optional
 from . import terms as T
 from .bisim import rooted_branching_bisim, rooted_branching_classes
 from .conditions import args_equal, satisfiable
-from .data_algebra import ENUM_BOUND, EvalMap, enumerate_maps
+from .data_algebra import ENUM_BOUND, EvalMap, enumerate_maps, frozen_dataclass
 from .errors import DeacpError, DeclarationError, EnumerationLimitError
 from .parser import render_action
 from .sos_sigma import _Sos, build_lts
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class SecuritySpec:
     process: T.ProcTerm
     low: tuple  # low-security flexible variables
@@ -33,7 +33,7 @@ class SecuritySpec:
                 raise DeclarationError("external actions cannot include assignments")
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class DerivedSets:
     high: tuple  # high-security flexible variables, declaration order
     internal_actions: tuple  # occurring atomic actions deemed internal

@@ -213,6 +213,30 @@ def test_only_conjecture_imports_the_generator():
     assert (done.returncode, done.stdout, done.stderr) == (0, b"False\n", b"")
 
 
+# Runs the command line given as arguments, then lists the deacp modules
+# loaded, on standard error.
+_LOADED_AFTER = """
+import sys
+from deacp.cli import main
+code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("deacp.")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [["lts", "--process", "P", "--json"], ["lts", "--process", "P"],
+                                  ["parse"], ["parse", "--json"]], ids=" ".join)
+def test_lts_and_parse_load_no_prover(capsys, leak_file, argv):
+    """`lts` and `parse` load none of the engines they do not run, and print
+    what they print with every module loaded."""
+    done = run_python("-c", _LOADED_AFTER, argv[0], leak_file, *argv[1:])
+    loaded = set(done.stderr.decode().split())
+    assert "deacp.parser" in loaded
+    assert not loaded & {"deacp.linear", "deacp.axioms", "deacp.security", "deacp.bisim"}
+    code, out, _ = run(capsys, argv[0], leak_file, *argv[1:])
+    assert (done.returncode, done.stdout.decode()) == (code, out)
+
+
 def test_json_identical_across_processes_and_hash_seeds(leak_file):
     # end-to-end determinism: separate interpreter runs with different hash
     # seeds must produce byte-identical machine output

@@ -1,11 +1,15 @@
 """Every name a module imports is used in it.
 
 A removal can leave an import behind that nothing reads any more; this
-finds it. `deacp/__init__.py` is left out: it imports to re-export.
+finds it.
 """
 
 import ast
 import os
+import sys
+
+import deacp
+from conftest import run_python
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKED = ("src/deacp", "tests", "bench")
@@ -14,7 +18,7 @@ CHECKED = ("src/deacp", "tests", "bench")
 def _modules():
     for folder in CHECKED:
         for name in sorted(os.listdir(os.path.join(ROOT, folder))):
-            if name.endswith(".py") and (folder, name) != ("src/deacp", "__init__.py"):
+            if name.endswith(".py"):
                 yield os.path.join(folder, name)
 
 
@@ -43,3 +47,14 @@ def test_no_module_imports_a_name_it_does_not_use():
         with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
             unused += [f"{path}:{line}: {name}" for name, line in unused_imports(handle.read())]
     assert unused == []
+
+
+def test_the_package_exports_lazily():
+    """`import deacp` loads no submodule; each exported name loads its own."""
+    done = run_python("-c", "import sys, deacp; print([m for m in sys.modules if 'deacp.' in m])")
+    assert (done.returncode, done.stdout) == (0, b"[]\n")
+    assert len(deacp.__all__) == 56
+    for module, names in deacp._EXPORTS.items():
+        assert getattr(deacp, module) is sys.modules[f"deacp.{module}"]
+        for name in names:
+            assert getattr(deacp, name) is getattr(sys.modules[f"deacp.{module}"], name)

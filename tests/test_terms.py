@@ -1,11 +1,16 @@
+import inspect
+import json
 import sys
-from dataclasses import FrozenInstanceError, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 
 import pytest
 
-from conftest import proc
+from conftest import proc, run_python
+from deacp import axioms as AX
 from deacp import conditions as C
 from deacp import data_algebra as D
+from deacp import linear as L
+from deacp import security as SEC
 from deacp import terms as T
 from deacp.conditions import TRUE, Cmp
 from deacp.data_algebra import Flex, Lit
@@ -315,7 +320,7 @@ def test_canonical_applies_the_rules_bottom_up():
 
 
 def _examples() -> dict:
-    """A freshly built instance of every frozen dataclass of the term modules."""
+    """A freshly built instance of every record class."""
     x = Flex("x")
     less = Cmp("<", x, Lit(1))
     bound = Cmp("=", D.DVar("n"), x)
@@ -333,20 +338,22 @@ def _examples() -> dict:
         T.Encap(hide, a), T.Abstr(hide, a), T.Guard(less, a),
         T.Eval(D.EvalMap.of({"x": 1}), a), T.RecVar("X"), loop, T.RecConst("X", loop),
         T.CommFunction.of({("a", "b"): "c"}), T.Context(),
+        AX.MetaVar("p", "proc"), L.ClusterInfo(("X",), frozenset({"X"}), True, ()),
+        SEC.SecuritySpec(a, ("x",), hide), SEC.DerivedSets(("h",), (), (), (), ()),
     ]
     return {type(term): term for term in out}
 
 
-FROZEN_CLASSES = [
-    cls
-    for module in (D, C, T)
-    for cls in vars(module).values()
-    if isinstance(cls, type) and cls.__module__ == module.__name__
-    and is_dataclass(cls) and cls.__dataclass_params__.frozen
-]
+# Every class `frozen_dataclass` made, in the modules imported above.
+RECORDS = list(D._FIELDS)
 
 
-@pytest.mark.parametrize("cls", FROZEN_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_record_class_has_an_example():
+    assert len(RECORDS) == 42
+    assert set(_examples()) == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_stored_hash_is_the_generated_one(cls):
     first, second = _examples()[cls], _examples()[cls]
     assert first is not second
@@ -355,7 +362,135 @@ def test_stored_hash_is_the_generated_one(cls):
     for name in [f.name for f in fields(first)[:1]] + ["_hash"]:
         with pytest.raises(FrozenInstanceError):
             setattr(first, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(first, name)
     assert hash(first) == hash(second)
+
+
+def _twin(cls):
+    """A `dataclass(frozen=True)` class with cls's name, annotations,
+    defaults and `__post_init__`."""
+    namespace = {"__annotations__": dict(cls.__annotations__), "__qualname__": cls.__qualname__}
+    namespace.update((f.name, f.default) for f in fields(cls) if f.default is not MISSING)
+    if "__post_init__" in vars(cls):
+        namespace["__post_init__"] = cls.__post_init__
+    return dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+def _values(record) -> list:
+    return [getattr(record, f.name) for f in fields(record)]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_behaves_as_its_dataclass_twin(cls):
+    twin = _twin(cls)
+    record = _examples()[cls]
+    copy = twin(*_values(record))
+    assert repr(record) == repr(copy)
+    assert hash(record) == hash(copy)
+    assert record == cls(*_values(record)) and copy == twin(*_values(record))
+    # strict about the class: neither side compares with the other
+    assert record != copy and copy != record
+    assert record.__eq__(copy) is NotImplemented and copy.__eq__(record) is NotImplemented
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert ([(f.name, f.type, f.default) for f in fields(cls)]
+            == [(f.name, f.type, f.default) for f in fields(twin)])
+    assert cls.__match_args__ == twin.__match_args__
+    # replace passes every field by keyword
+    assert replace(record) == record and repr(replace(record)) == repr(replace(copy))
+
+
+def test_records_of_two_classes_with_the_same_fields_differ():
+    a, b = T.Atom(T.BasicAction("a")), T.DELTA
+    bound = Cmp("=", D.DVar("n"), Lit(0))
+    for x, y in [(T.Alt(a, b), T.Seq(a, b)), (T.Inaction(), T.Empty()), (C.CTrue(), T.TauAction()),
+                 (Flex("n"), D.DVar("n")), (C.Forall("n", bound), C.Exists("n", bound)),
+                 (T.Encap((), a), T.Abstr((), a))]:
+        assert x != y and y != x and hash(x) == hash(y)
+        assert len({x: 1, y: 2}) == 2
+
+
+_LOOP_SPEC = T.RecSpec((("X", T.DELTA),))
+REFUSED = {
+    "empty-carrier": (D.Carrier, (1, 0)),
+    "unknown-operator": (D.App, ("/", (Lit(1), Lit(2)))),
+    "operator-arity": (D.App, ("+", (Lit(1),))),
+    "duplicate-variable": (D.FlexVarDecl, (("x", "x"),)),
+    "unknown-comparison": (Cmp, ("~", Lit(1), Lit(2))),
+    "reserved-action": (T.BasicAction, ("tau",)),
+    "reserved-parameterized": (T.ParamAction, ("delta", (Lit(1),))),
+    "no-arguments": (T.ParamAction, ("a", ())),
+    "duplicate-equation": (T.RecSpec, ((("X", T.DELTA), ("X", T.EPSILON)),)),
+    "unbound-variable": (T.RecConst, ("Y", _LOOP_SPEC)),
+    "external-assignment": (SEC.SecuritySpec, (T.DELTA, (), (T.ActionPattern("assign", "x"),))),
+}
+
+
+@pytest.mark.parametrize("cls, args", REFUSED.values(), ids=REFUSED.keys())
+def test_record_and_twin_refuse_alike(cls, args):
+    with pytest.raises(Exception) as mine:
+        cls(*args)
+    with pytest.raises(Exception) as theirs:
+        _twin(cls)(*args)
+    assert (type(mine.value), str(mine.value)) == (type(theirs.value), str(theirs.value))
+
+
+def test_frozen_dataclass_refuses_fields_it_cannot_generate():
+    with pytest.raises(TypeError, match="plain default"):
+        @D.frozen_dataclass
+        class Factory:
+            x: tuple = field(default_factory=tuple)
+    with pytest.raises(TypeError, match="follows one with a default"):
+        @D.frozen_dataclass
+        class Misordered:
+            x: int = 0
+            y: int
+
+
+def test_a_record_without_docstring_gets_none():
+    assert T.Alt.__doc__ is None and T.Context.__doc__.startswith("Everything")
+
+
+# Imports deacp and the modules the benchmark's worker uses in a fresh
+# interpreter, with `dataclasses.dataclass` and `inspect.signature` wrapped,
+# and reports, for each record class, how many methods `dataclasses` was asked
+# to generate and whether it read the class's signature.
+_COLD_START = """
+import dataclasses, inspect, json
+generated, signed = {}, set()
+real_dataclass, real_signature = dataclasses.dataclass, inspect.signature
+
+def counting_dataclass(cls=None, /, **options):
+    def apply(cls):
+        o = {"init": True, "repr": True, "eq": True, "frozen": False, "unsafe_hash": False,
+             **options}
+        generated[f"{cls.__module__}.{cls.__qualname__}"] = (
+            o["init"] + o["repr"] + o["eq"] + 2 * o["frozen"]
+            + bool(o["unsafe_hash"] or o["eq"] and o["frozen"]))
+        return real_dataclass(cls, **options)
+    return apply if cls is None else apply(cls)
+
+def counting_signature(obj, *args, **kwargs):
+    signed.add(f"{obj.__module__}.{getattr(obj, '__qualname__', '')}")
+    return real_signature(obj, *args, **kwargs)
+
+dataclasses.dataclass, inspect.signature = counting_dataclass, counting_signature
+import deacp
+from deacp import bisim, linear, parser, security, sos_cond, sos_sigma
+from deacp.data_algebra import _FIELDS
+records = [f"{c.__module__}.{c.__qualname__}" for c in _FIELDS]
+print(json.dumps({"records": len(records),
+                  "generated": {r: generated[r] for r in records if generated[r]},
+                  "signed": sorted(signed.intersection(records))}))
+"""
+
+
+def test_records_are_not_generated_method_by_method():
+    """No record class has `dataclasses` generate a method or read its
+    signature at import; one compiled block per class supplies them all."""
+    done = run_python("-c", _COLD_START)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"records": 42, "generated": {}, "signed": []}
 
 
 def test_deep_terms_hash_without_rehashing_subterms():
